@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-slow coverage fuzz bench bench-figures bench-hotpath examples check clean
+.PHONY: install test test-slow coverage fuzz bench bench-figures bench-hotpath ledger-smoke examples check clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -29,6 +29,13 @@ bench:
 
 bench-hotpath:
 	$(PYTHON) benchmarks/bench_hotpath.py
+
+# The perf ledger at toy sizes, traced: output checks and schema only
+# (<30 s), then its own smoke + attribution self-test.  Writes nothing
+# tracked (no --record).
+ledger-smoke:
+	$(PYTHON) benchmarks/ledger/run.py --smoke
+	$(PYTHON) -m pytest benchmarks/ledger -q
 
 bench-figures:
 	$(PYTHON) -m pytest benchmarks/bench_fig2_fanout.py \

@@ -5,7 +5,8 @@ n = 1,000,000 a plain ``bool`` column costs one byte per node — 1 MB per
 event row, several hundred MB per run.  This module packs those columns
 64 nodes per ``uint64`` word (an 8x memory cut) and provides the word-level
 primitives the round passes are written in: pack/unpack, population count,
-index gather/scatter.
+index scatter (reads go through one ``unpack_bools`` per row — a byte-wide
+gather beats per-index shifts several times over).
 
 Two symmetric halves share one layout so repro artifacts recorded on a
 numpy machine replay on a stdlib-only one:
@@ -104,17 +105,6 @@ def mask_from_indices(indices, n: int):
     flags = _np.zeros(n, dtype=bool)
     flags[indices] = True
     return pack_bools(flags)
-
-
-def gather_bits(words, indices):
-    """Per-index bit reads: ``bool[len(indices)]`` without unpacking.
-
-    ``indices`` may repeat and arrive in any order — this is the inner
-    read of "is target already infected" over a flat arrival list.
-    """
-    indices = _np.asarray(indices)
-    shifts = (indices & 63).astype(_np.uint64)
-    return ((words[indices >> 6] >> shifts) & _np.uint64(1)).astype(bool)
 
 
 # ---------------------------------------------------------------------------

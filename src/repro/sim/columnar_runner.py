@@ -10,6 +10,20 @@ delivery, buffer truncation) instead of ``n`` per-node ticks.  With numpy
 available the passes are true array operations; without it a pure-stdlib
 fallback provides the same semantics at reduced speed.
 
+Partner selection in O(F)
+-------------------------
+Fig. 1(b) says "choose F random members in view" and Sec. 4 shows the
+infection probability ``p`` does not depend on the view size ``l``; neither
+does a round here.  :func:`sample_view_slots` draws pick ``i`` uniformly in
+``[0, |view| - i)`` and steps it past the ``i`` earlier picks — an exact
+ordered sample without replacement, ``F`` uniforms per sender and no pass
+over the ``l`` slots — the distribution of ``gossip_targets``'
+``rng.sample`` (which the python backend calls directly).  Selection,
+admission and event spread form one kernel, :func:`slab_round`, that reads
+columns and writes three output buffers; the single-core round runs it on
+``[0, n)``, each shared-memory worker on its slab, and one
+``_merge_round`` applies the result.
+
 Bit-packed state (n = 1,000,000)
 --------------------------------
 All boolean per-node columns — the alive flags and the per-event
@@ -57,7 +71,7 @@ must produce byte-identical records for:
   :class:`~repro.faults.injector.FaultInjector` purely from the plan.
 
 Declared divergences (everything else; pinned by
-``tests/sim/test_columnar_parity.py`` and documented in
+``tests/sim/test_columnar.py`` and documented in
 ``docs/experiments-guide.md``):
 
 * delivery / receive / duplicate counters, ``net.*`` accounting and
@@ -132,6 +146,117 @@ def honoured_fingerprint(records: Sequence) -> str:
     series consume no randomness), so repro artifacts replay on machines
     with or without numpy."""
     return hashlib.sha256(repr(honoured_records(records)).encode()).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# The slab kernel (numpy): selection + admission + event spread for one
+# contiguous sender range.  The single-core round calls it on [0, n) with
+# the engine's stream; each shared-memory worker calls it on its slab with
+# its own stream (repro.sim.columnar_shm).
+# ---------------------------------------------------------------------------
+
+
+def slab_senders(alive, view_len, paused, fanout: int, lo: int, hi: int):
+    """Senders of slab ``[lo, hi)`` — alive, not paused, non-empty view —
+    as ``(indices, |view|, min(F, |view|))``.  Depends only on the schedule,
+    so the coordinator's honoured ``sim.sends`` total is the third column
+    summed over ``[0, n)`` whatever the worker count."""
+    mask = alive[lo:hi] & (view_len[lo:hi] > 0)
+    for index in paused:
+        if lo <= index < hi:
+            mask[index - lo] = False
+    s_idx = _np.flatnonzero(mask) + lo
+    lens = view_len[s_idx]
+    return s_idx, lens, _np.minimum(fanout, lens)
+
+
+def sample_view_slots(rng, lens, take: int):
+    """Ordered uniform sample without replacement of view slots, O(take)
+    per sender whatever ``|view|``: pick ``i`` is drawn in
+    ``[0, |view| - i)`` — its rank among the slots still unpicked — and
+    stepped past the ``i`` earlier picks in ascending order.  The same
+    distribution as ``gossip_targets``' ``rng.sample``.
+
+    Returns ``int64[take, len(lens)]``, one row per pick position; entry
+    ``[i, s]`` is meaningful where ``i < lens[s]`` and otherwise some slot
+    ``<= i`` (in bounds for any view matrix at least ``take`` wide)."""
+    draws = rng.random((take, lens.size))
+    slots = _np.empty(draws.shape, dtype=_np.int64)
+    earlier: List = []  # this sender's picks so far, ascending
+    for i in range(take):
+        pick = slots[i]
+        pick[:] = draws[i] * _np.maximum(lens - i, 1)  # truncating cast
+        for prev in earlier:
+            pick += pick >= prev
+        if i + 1 < take:
+            for j, prev in enumerate(earlier):
+                earlier[j], pick = (_np.minimum(prev, pick),
+                                    _np.maximum(prev, pick))
+            earlier.append(pick)
+    return slots
+
+
+def slab_round(rng, senders, view_mat, alive, loss: float, drops, partitions,
+               spread, delivered, events: int,
+               arrivals_out, dups_out, fresh_out) -> int:
+    """One slab's share of a gossip round (Fig. 1(b), vectorised).
+
+    ``senders`` is :func:`slab_senders`' triple and must be non-empty;
+    ``alive`` the unpacked alive flags; ``drops`` / ``partitions`` the
+    round's active windows in index form (``_fault_windows``); ``spread``
+    the event rows whose set bits make a sender a carrier.  Per-node
+    admitted arrivals and duplicate receptions are added to
+    ``arrivals_out`` / ``dups_out``; targets hit by a carrier of event
+    ``e`` that had not delivered it are OR-ed into ``fresh_out[e]``.  Reads
+    no engine state and writes nothing else; returns the number of admitted
+    arrivals."""
+    s_idx, lens, k = senders
+    n = alive.size
+    take = int(k.max())
+    slots = sample_view_slots(rng, lens, take)
+    targets = view_mat[s_idx, slots].astype(_np.int64)
+    survive = _np.arange(take)[:, None] < k
+
+    # Admission: i.i.d. network loss, drop-rate windows, partitions,
+    # crashed receivers.  One vectorized draw per (pick, sender).
+    if loss > 0.0:
+        survive &= rng.random(targets.shape) >= loss
+    for rate, src_index, dst_index in drops:
+        hit = rng.random(targets.shape) < rate
+        if src_index is not None:
+            hit &= s_idx == src_index
+        if dst_index is not None:
+            hit &= targets == dst_index
+        survive &= ~hit
+    for a_indices, b_indices, direction in partitions:
+        side_a = _np.zeros(n, dtype=bool)
+        side_b = _np.zeros(n, dtype=bool)
+        side_a[a_indices] = True
+        side_b[b_indices] = True
+        blocked = _np.zeros(targets.shape, dtype=bool)
+        if direction in ("both", "a-to-b"):
+            blocked |= side_a[s_idx] & side_b[targets]
+        if direction in ("both", "b-to-a"):
+            blocked |= side_b[s_idx] & side_a[targets]
+        survive &= ~blocked
+    survive &= alive[targets]
+
+    arrivals = targets[survive]
+    if arrivals.size:
+        arrivals_out += _np.bincount(arrivals, minlength=n)
+
+    # Event spread: a gossip from a carrier of event e reaches the receiver
+    # with e (in its digest, or in its events buffer — the caller's choice
+    # of ``spread``).
+    for event in range(events):
+        carriers = bitset.unpack_bools(spread[event], n)[s_idx]
+        if not carriers.any():
+            continue
+        hits = _np.bincount(targets[survive & carriers], minlength=n)
+        had = bitset.unpack_bools(delivered[event], n)
+        _np.add(dups_out, hits, out=dups_out, where=had)
+        fresh_out[event] |= bitset.pack_bools((hits > 0) & ~had)
+    return int(arrivals.size)
 
 
 # ---------------------------------------------------------------------------
@@ -327,23 +452,23 @@ class ColumnarRoundSimulation:
             # [0, n-2], shift indices >= own row by one to skip self, then
             # redraw rows containing duplicates until none remain (expected
             # duplicate rate ~ k^2/2n per row, so this converges fast).
-            mat = rng.integers(0, n - 1, size=(n, k), dtype=_np.int64)
-            own = _np.arange(n, dtype=_np.int64)[:, None]
-            mat += (mat >= own)
-            while True:
-                ordered = _np.sort(mat, axis=1)
-                bad = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-                if not bad.any():
-                    break
-                rows = _np.nonzero(bad)[0]
-                redraw = rng.integers(0, n - 1, size=(len(rows), k),
-                                      dtype=_np.int64)
-                redraw += (redraw >= rows[:, None])
-                mat[rows] = redraw
-            # Keep the matrix, not python lists: at n=1M materialising
-            # per-row lists would cost more than every packed column
-            # combined.  _start() consumes either form.
-            self._view_rows = mat.astype(_np.int32)
+            # int32 throughout and sorted in place — a view is a set, slot
+            # order carries no meaning — so the only full-size allocation
+            # is the matrix _start() keeps: at n=1M materialising per-row
+            # lists, or int64 scratch copies, would cost more than every
+            # packed column combined.
+            mat = rng.integers(0, n - 1, size=(n, k), dtype=_np.int32)
+            mat += mat >= _np.arange(n, dtype=_np.int32)[:, None]
+            mat.sort(axis=1)
+            bad = _np.flatnonzero((mat[:, 1:] == mat[:, :-1]).any(axis=1))
+            while bad.size:
+                redraw = rng.integers(0, n - 1, size=(bad.size, k),
+                                      dtype=_np.int32)
+                redraw += redraw >= bad[:, None]
+                redraw.sort(axis=1)
+                mat[bad] = redraw
+                bad = bad[(redraw[:, 1:] == redraw[:, :-1]).any(axis=1)]
+            self._view_rows = mat
         else:
             rng = derive_rng(self.seed, "columnar-views")
             rows: List[List[int]] = []
@@ -665,139 +790,94 @@ class ColumnarRoundSimulation:
         return [p for p in self._fault_injector.plan.partitions
                 if p.start <= r < p.heal]
 
+    def _fault_windows(self):
+        """The round's active drop-rate and partition windows in index
+        form — what :func:`slab_round` takes and what crosses the pipe to
+        the shared-memory workers."""
+        index = self._index
+        drops = [
+            (window.rate,
+             index.get(window.src, -1) if window.src is not None else None,
+             index.get(window.dst, -1) if window.dst is not None else None)
+            for window in self._active_drop_windows()
+        ]
+        partitions = [
+            ([index[p] for p in part.side_a if p in index],
+             [index[p] for p in part.side_b if p in index],
+             getattr(part, "direction", "both"))
+            for part in self._active_partitions()
+        ]
+        return drops, partitions
+
     def _gossip_round(self, now: float) -> int:
-        if self._shm is not None:
-            return self._shm.gossip_round(now)
         if self.backend == "numpy":
             return self._gossip_round_np(now)
         return self._gossip_round_py(now)
 
-    def _honoured_sends_np(self, alive_bool):
-        """Senders mask and the schedule-determined send total — shared by
-        the single-core and multi-core numpy paths so the honoured
-        ``sim.sends`` series cannot depend on the worker count."""
-        cfg = self.config
-        senders_mask = alive_bool.copy()
-        paused = self._paused_indices()
-        if paused:
-            senders_mask[paused] = False
-        senders_mask &= self._view_len > 0
-        s_idx = _np.nonzero(senders_mask)[0]
-        if s_idx.size == 0:
-            return s_idx, 0
-        k = _np.minimum(cfg.fanout, self._view_len[s_idx])
-        total_sends = int(k.sum()) * (1 + cfg.membership_boost)
-        return s_idx, total_sends
-
     def _gossip_round_np(self, now: float) -> int:
+        """The coordinator's round, for any worker count: the schedule-
+        determined senders and ``sim.sends`` total are computed here —
+        never by a worker — so the honoured series cannot depend on
+        ``workers``; the slab kernel runs in-process on ``[0, n)`` or in
+        the worker pool; :meth:`_merge_round` applies what it found."""
         cfg = self.config
-        fanout = cfg.fanout
-        alive_words = self._alive
-        alive = bitset.unpack_bools(alive_words, self._n)
-        s_idx, total_sends = self._honoured_sends_np(alive)
+        alive = bitset.unpack_bools(self._alive, self._n)
+        paused = self._paused_indices()
+        senders = slab_senders(alive, self._view_len, paused, cfg.fanout,
+                               0, self._n)
+        s_idx = senders[0]
         if s_idx.size == 0:
             return 0
-        k = _np.minimum(fanout, self._view_len[s_idx])
         self._stats["gossips_sent"][s_idx] += 1
-
-        # Partner selection: top-min(F, |view|) of a uniform matrix over
-        # each sender's valid view slots — distinct targets per sender,
-        # matching gossip_targets' sample-without-replacement semantics.
-        view_cap = self._view_mat.shape[1]
-        scores = self._rng.random((s_idx.size, view_cap))
-        scores[_np.arange(view_cap)[None, :] >= self._view_len[s_idx, None]] \
-            = -1.0
-        take = min(fanout, view_cap)
-        order = _np.argsort(scores, axis=1)[:, ::-1][:, :take]
-        targets = self._view_mat[s_idx[:, None], order].astype(
-            _np.int64, copy=False)
-        valid = _np.arange(take)[None, :] < k[:, None]
-
-        # Admission: i.i.d. network loss, drop-rate windows, partitions,
-        # crashed receivers.  One vectorized draw per (sender, slot).
-        survive = valid.copy()
-        if self.loss_rate > 0.0:
-            survive &= self._rng.random(targets.shape) >= self.loss_rate
-        for window in self._active_drop_windows():
-            hit = self._rng.random(targets.shape) < window.rate
-            if window.src is not None:
-                src_index = self._index.get(window.src, -1)
-                hit &= (s_idx == src_index)[:, None]
-            if window.dst is not None:
-                hit &= targets == self._index.get(window.dst, -1)
-            survive &= ~hit
-        for part in self._active_partitions():
-            side_a = _np.zeros(self._n, dtype=bool)
-            side_b = _np.zeros(self._n, dtype=bool)
-            for pid in part.side_a:
-                index = self._index.get(pid)
-                if index is not None:
-                    side_a[index] = True
-            for pid in part.side_b:
-                index = self._index.get(pid)
-                if index is not None:
-                    side_b[index] = True
-            src_a = side_a[s_idx][:, None]
-            src_b = side_b[s_idx][:, None]
-            direction = getattr(part, "direction", "both")
-            blocked = _np.zeros(targets.shape, dtype=bool)
-            if direction in ("both", "a-to-b"):
-                blocked |= src_a & side_b[targets]
-            if direction in ("both", "b-to-a"):
-                blocked |= src_b & side_a[targets]
-            survive &= ~blocked
-        survive &= alive[targets]
-
-        arrivals = targets[survive]
-        self.messages_delivered += int(arrivals.size)
-        if arrivals.size:
-            self._stats["gossips_received"] += _np.bincount(
-                arrivals, minlength=self._n)
-
-        # Event spread.  With digest_implies_delivery (the plain-family
-        # default), a gossip infects the receiver with everything in the
-        # sender's eventIds digest — modelled by the delivered bitmap.
-        # Otherwise only the events buffer (forwarded once, then cleared)
-        # carries payloads.  All row updates are word-level masked ORs.
         events = len(self._notifications)
+        drops, partitions = self._fault_windows()
+        # With digest_implies_delivery (the plain-family default) a gossip
+        # infects the receiver with everything in the sender's eventIds
+        # digest — the delivered bitmap; otherwise only the events buffer
+        # (forwarded once, then cleared) carries payloads.
+        spread = (self._delivered if cfg.digest_implies_delivery
+                  else self._active)
+        if self._shm is not None:
+            admitted, fresh = self._shm.run_slabs(events, paused, drops,
+                                                  partitions)
+        else:
+            fresh = _np.zeros((events, self._words), dtype=_np.uint64)
+            admitted = slab_round(
+                self._rng, senders, self._view_mat, alive, self.loss_rate,
+                drops, partitions, spread, self._delivered, events,
+                self._stats["gossips_received"], self._stats["duplicates"],
+                fresh)
+        self.messages_delivered += admitted
         if events:
-            spread = (self._delivered if cfg.digest_implies_delivery
-                      else self._active)
-            sent_words = bitset.mask_from_indices(s_idx, self._n)
-            cleared: List[int] = []
-            for event in range(events):
-                row_d = self._delivered[event]
-                carriers = bitset.gather_bits(spread[event], s_idx)
-                if not carriers.any():
-                    continue
-                cleared.append(event)
-                hit_mask = survive & carriers[:, None]
-                tgt = targets[hit_mask]
-                if tgt.size == 0:
-                    continue
-                already = bitset.gather_bits(row_d, tgt)
-                dup = tgt[already]
-                if dup.size:
-                    self._stats["duplicates"] += _np.bincount(
-                        dup, minlength=self._n)
-                new = (bitset.mask_from_indices(tgt[~already], self._n)
-                       & ~row_d & alive_words)
-                if not new.any():
-                    continue
-                row_d |= new
-                self._active[event] |= new
-                new_idx = bitset.bit_indices(new, self._n)
-                self._stats["delivered"][new_idx] += 1
-                if self._has_listeners and self._listeners:
-                    note = self._notifications[event]
-                    for index in new_idx:
-                        self._notify_delivery(int(index), note, now)
-            # "events <- empty" after sending (Fig. 1(b)): carriers that
-            # gossiped this round forwarded their buffered payloads once.
-            for event in cleared:
-                self._active[event] &= ~sent_words
-            self._truncate_events_np(events)
-        return total_sends
+            self._merge_round(s_idx, spread, fresh, events, now)
+        return int(senders[2].sum()) * (1 + cfg.membership_boost)
+
+    def _merge_round(self, s_idx, spread, fresh, events: int,
+                     now: float) -> None:
+        """Apply one round's slab results: "events <- empty" for carriers
+        that gossiped (Fig. 1(b): buffered payloads are forwarded once),
+        then the new infections in ``fresh`` (``uint64[events, words]``),
+        delivery listeners in ascending node order, and truncation.  The
+        senders' bits are cleared *before* the merge so a process infected
+        this round keeps its fresh events-buffer entry for the next one
+        even though it, too, gossiped this round."""
+        sent_words = bitset.mask_from_indices(s_idx, self._n)
+        for event in range(events):
+            if not (spread[event] & sent_words).any():
+                continue
+            self._active[event] &= ~sent_words
+            new = fresh[event] & ~self._delivered[event] & self._alive
+            if not new.any():
+                continue
+            self._delivered[event] |= new
+            self._active[event] |= new
+            new_idx = bitset.bit_indices(new, self._n)
+            self._stats["delivered"][new_idx] += 1
+            if self._has_listeners and self._listeners:
+                note = self._notifications[event]
+                for index in new_idx:
+                    self._notify_delivery(int(index), note, now)
+        self._truncate_events_np(events)
 
     def _truncate_events_np(self, events: int) -> None:
         """Bound per-node events-buffer occupancy by ``events_max``,
@@ -892,6 +972,13 @@ class ColumnarRoundSimulation:
                             self._stats["duplicates"][t] += 1
                         elif (alive_bits >> t) & 1:
                             newly.setdefault(event, []).append(t)
+            # "events <- empty" for everyone that gossiped, before the
+            # merge: a process infected this round keeps its fresh entry.
+            sent_mask = 0
+            for i in senders:
+                sent_mask |= 1 << i
+            for event in range(events):
+                self._active[event] &= ~sent_mask
             for event, indices in newly.items():
                 note = self._notifications[event]
                 for t in indices:
@@ -903,13 +990,6 @@ class ColumnarRoundSimulation:
                     self._stats["delivered"][t] += 1
                     if self._has_listeners:
                         self._notify_delivery(t, note, now)
-            if senders:
-                sent_mask = 0
-                for i in senders:
-                    sent_mask |= 1 << i
-                keep = ~sent_mask
-                for event in range(events):
-                    self._active[event] &= keep
             events_max = cfg.events_max
             if events > events_max:
                 for i in range(self._n):

@@ -5,16 +5,19 @@
 matrix/lengths, per-event delivered/active bitmaps) live in
 ``multiprocessing.shared_memory`` segments mapped by every process; each
 round the coordinator broadcasts one command over a pipe, every worker
-runs the partner-selection/admission/spread passes for its contiguous
+runs the engine's slab kernel (:func:`repro.sim.columnar_runner.slab_round`:
+O(F) direct fanout sampling, admission, event spread) on its contiguous
 sender slab ``[w*n//workers, (w+1)*n//workers)``, and the coordinator
-merges the results behind a deterministic barrier.
+merges the results behind a deterministic barrier.  There is no second
+copy of the round here: the single-core pass is the same kernel on
+``[0, n)`` and the same ``_merge_round``.
 
 Determinism contract
 --------------------
 * **Honoured counters are worker-count-independent.**  The coordinator —
-  never a worker — computes the senders mask and the schedule-determined
-  ``sim.sends`` total (via the engine's ``_honoured_sends_np``), applies
-  the fault schedule, and owns ``sim.rounds``/``faults.*``.  The honoured
+  never a worker — computes the senders and the schedule-determined
+  ``sim.sends`` total (the engine's ``_gossip_round_np``), applies the
+  fault schedule, and owns ``sim.rounds``/``faults.*``.  The honoured
   fingerprint is therefore byte-identical for any ``workers`` value and
   matches the serial engine.
 * **Non-honoured output is deterministic per worker count.**  Worker ``w``
@@ -25,14 +28,15 @@ Determinism contract
   between the serial and columnar engines.
 * **The merge barrier is ordered.**  Per-worker results land in disjoint
   scratch rows (arrival/duplicate counts, per-event new-infection word
-  masks); the coordinator folds them in fixed ``(event, worker)`` order,
-  fires delivery listeners in ascending node order, and applies
-  buffer-clearing and truncation exactly as the single-core pass does.
+  masks); the coordinator folds them (sums and ORs — order-free) and
+  hands them to the engine's ``_merge_round``, which clears forwarded
+  buffers, applies infections, fires delivery listeners in ascending node
+  order and truncates — the one merge the single-core pass uses.
 
 Workers hold no protocol state of their own: everything they read is a
 shared view, everything they write is their private scratch row, so the
-only per-round traffic on the pipe is the command dict and a one-word
-acknowledgement.  Event-capacity growth allocates fresh segments (names
+only per-round traffic on the pipe is the command dict and a two-field
+acknowledgement (status, admitted arrivals).  Event-capacity growth allocates fresh segments (names
 are broadcast with the next command; workers re-attach lazily), keeping
 round-time allocation out of the steady state.
 """
@@ -46,6 +50,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import bitset
+from .columnar_runner import slab_round, slab_senders
 from .rng import derive_seed
 
 #: Roles whose segments are replaced when event capacity grows.
@@ -89,89 +94,27 @@ def _refresh_segments(cache: Dict, segs: Dict) -> Dict[str, np.ndarray]:
     return views
 
 
-def _slab_round(views: Dict[str, np.ndarray], cmd: Dict, static: Dict,
-                rng) -> None:
-    """One worker's share of a gossip round: partner selection, admission
-    and event spread for senders in ``[lo, hi)``.  Mirrors the engine's
-    single-core pass; writes land only in this worker's scratch rows."""
-    n = static["n"]
-    lo, hi = static["lo"], static["hi"]
+def _worker_round(views: Dict[str, np.ndarray], cmd: Dict, static: Dict,
+                  rng) -> int:
+    """One worker's share of a gossip round: the engine's own
+    :func:`~repro.sim.columnar_runner.slab_round` — the very function the
+    single-core pass runs on ``[0, n)`` — on senders ``[lo, hi)`` with this
+    worker's stream.  Writes land only in this worker's scratch rows;
+    returns the admitted arrivals."""
+    alive = bitset.unpack_bools(views["alive"], static["n"])
+    senders = slab_senders(alive, views["viewlen"], cmd["paused"],
+                           static["fanout"], static["lo"], static["hi"])
+    if senders[0].size == 0:
+        return 0
     wid = static["worker"]
-    fanout = static["fanout"]
-    view_len = views["viewlen"]
-    view_mat = views["viewmat"]
-    alive = bitset.unpack_bools(views["alive"], n)
-
-    senders_mask = alive[lo:hi].copy()
-    paused_local = [i - lo for i in cmd["paused"] if lo <= i < hi]
-    if paused_local:
-        senders_mask[paused_local] = False
-    senders_mask &= view_len[lo:hi] > 0
-    s_idx = np.nonzero(senders_mask)[0] + lo
-    if s_idx.size == 0:
-        return
-    k = np.minimum(fanout, view_len[s_idx])
-
-    view_cap = view_mat.shape[1]
-    scores = rng.random((s_idx.size, view_cap))
-    scores[np.arange(view_cap)[None, :] >= view_len[s_idx, None]] = -1.0
-    take = min(fanout, view_cap)
-    order = np.argsort(scores, axis=1)[:, ::-1][:, :take]
-    targets = view_mat[s_idx[:, None], order].astype(np.int64, copy=False)
-    valid = np.arange(take)[None, :] < k[:, None]
-
-    survive = valid.copy()
-    loss = static["loss"]
-    if loss > 0.0:
-        survive &= rng.random(targets.shape) >= loss
-    for rate, src_index, dst_index in cmd["drops"]:
-        hit = rng.random(targets.shape) < rate
-        if src_index is not None:
-            hit &= (s_idx == src_index)[:, None]
-        if dst_index is not None:
-            hit &= targets == dst_index
-        survive &= ~hit
-    for a_indices, b_indices, direction in cmd["partitions"]:
-        side_a = np.zeros(n, dtype=bool)
-        side_b = np.zeros(n, dtype=bool)
-        side_a[a_indices] = True
-        side_b[b_indices] = True
-        src_a = side_a[s_idx][:, None]
-        src_b = side_b[s_idx][:, None]
-        blocked = np.zeros(targets.shape, dtype=bool)
-        if direction in ("both", "a-to-b"):
-            blocked |= src_a & side_b[targets]
-        if direction in ("both", "b-to-a"):
-            blocked |= src_b & side_a[targets]
-        survive &= ~blocked
-    survive &= alive[targets]
-
-    arrivals = targets[survive]
-    if arrivals.size:
-        views["arrivals"][wid] += np.bincount(arrivals, minlength=n)
-
     events = cmd["events"]
-    if not events:
-        return
     delivered = views["delivered"]
-    spread = delivered if static["digest"] else views["active"]
-    dups_row = views["dups"][wid]
-    newmask = views["newmask"]
-    for event in range(events):
-        carriers = bitset.gather_bits(spread[event], s_idx)
-        if not carriers.any():
-            continue
-        hit_mask = survive & carriers[:, None]
-        tgt = targets[hit_mask]
-        if tgt.size == 0:
-            continue
-        already = bitset.gather_bits(delivered[event], tgt)
-        dup = tgt[already]
-        if dup.size:
-            dups_row += np.bincount(dup, minlength=n)
-        fresh = tgt[~already]
-        if fresh.size:
-            newmask[wid, event] |= bitset.mask_from_indices(fresh, n)
+    return slab_round(
+        rng, senders, views["viewmat"], alive, static["loss"],
+        cmd["drops"], cmd["partitions"],
+        delivered if static["digest"] else views["active"], delivered,
+        events, views["arrivals"][wid], views["dups"][wid],
+        views["newmask"][wid] if events else None)
 
 
 def _worker_main(conn, static: Dict) -> None:
@@ -189,8 +132,7 @@ def _worker_main(conn, static: Dict) -> None:
                 break
             try:
                 views = _refresh_segments(cache, cmd["segs"])
-                _slab_round(views, cmd, static, rng)
-                conn.send("ok")
+                conn.send(("ok", _worker_round(views, cmd, static, rng)))
             except Exception as exc:  # pragma: no cover - crash relay
                 try:
                     conn.send(("err", repr(exc)))
@@ -338,88 +280,42 @@ class ShmRoundExecutor:
         return int(total)
 
     # -- the round -----------------------------------------------------------
-    def gossip_round(self, now: float) -> int:
+    def run_slabs(self, events: int, paused, drops, partitions):
+        """Run the slab kernel for every slab in the worker pool and fold
+        the scratch rows behind the barrier: per-node arrival/duplicate
+        counts go into the engine's stat columns; the admitted-arrival
+        total and the OR of the per-worker new-infection masks
+        (``uint64[events, words]``) are returned for the engine's
+        ``_merge_round``."""
         if self._closed:
             raise RuntimeError("columnar multi-core engine is closed")
-        sim = self._sim
-        n = self._n
-        alive_bool = bitset.unpack_bools(sim._alive, n)
-        s_idx, total_sends = sim._honoured_sends_np(alive_bool)
-        if s_idx.size == 0:
-            return 0
-        sim._stats["gossips_sent"][s_idx] += 1
-        events = len(sim._notifications)
-
         self._arrivals[:] = 0
         self._dups[:] = 0
         if events:
             self._newmask[:, :events, :] = 0
-        index = sim._index
-        drops = [
-            (window.rate,
-             index.get(window.src, -1) if window.src is not None else None,
-             index.get(window.dst, -1) if window.dst is not None else None)
-            for window in sim._active_drop_windows()
-        ]
-        partitions = [
-            ([index[p] for p in part.side_a if p in index],
-             [index[p] for p in part.side_b if p in index],
-             getattr(part, "direction", "both"))
-            for part in sim._active_partitions()
-        ]
         cmd = {
             "op": "round",
             "events": events,
-            "paused": sim._paused_indices(),
+            "paused": paused,
             "drops": drops,
             "partitions": partitions,
             "segs": self._descriptor(),
         }
         for conn in self._conns:
             conn.send(cmd)
+        admitted = 0
         for w, conn in enumerate(self._conns):
             reply = conn.recv()
-            if reply != "ok":
-                detail = reply[1] if isinstance(reply, tuple) else reply
+            if reply[0] != "ok":
                 raise RuntimeError(
-                    f"columnar shm worker {w} failed: {detail}")
-
-        arrivals = self._arrivals.sum(axis=0)
-        total_arrivals = int(arrivals.sum())
-        if total_arrivals:
-            sim.messages_delivered += total_arrivals
-            sim._stats["gossips_received"] += arrivals
-        dups = self._dups.sum(axis=0)
-        if dups.any():
-            sim._stats["duplicates"] += dups
-
-        if events:
-            sent_words = bitset.mask_from_indices(s_idx, n)
-            spread = (sim._delivered if sim.config.digest_implies_delivery
-                      else sim._active)
-            cleared: List[int] = []
-            for event in range(events):
-                if not (spread[event] & sent_words).any():
-                    continue
-                cleared.append(event)
-                new = np.bitwise_or.reduce(self._newmask[:, event, :],
-                                           axis=0)
-                new &= ~sim._delivered[event]
-                new &= sim._alive
-                if not new.any():
-                    continue
-                sim._delivered[event] |= new
-                sim._active[event] |= new
-                new_idx = bitset.bit_indices(new, n)
-                sim._stats["delivered"][new_idx] += 1
-                if sim._has_listeners and sim._listeners:
-                    note = sim._notifications[event]
-                    for node_index in new_idx:
-                        sim._notify_delivery(int(node_index), note, now)
-            for event in cleared:
-                sim._active[event] &= ~sent_words
-            sim._truncate_events_np(events)
-        return total_sends
+                    f"columnar shm worker {w} failed: {reply[1]}")
+            admitted += reply[1]
+        stats = self._sim._stats
+        stats["gossips_received"] += self._arrivals.sum(axis=0)
+        stats["duplicates"] += self._dups.sum(axis=0)
+        fresh = (np.bitwise_or.reduce(self._newmask[:, :events, :], axis=0)
+                 if events else None)
+        return admitted, fresh
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:

@@ -94,18 +94,6 @@ class TestNumpyWords:
         expect[indices] = True
         assert np.array_equal(bitset.unpack_bools(words, n), expect)
 
-    @given(st.integers(min_value=1, max_value=300), st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_gather_bits(self, n, data):
-        flags = data.draw(st.lists(
-            st.booleans(), min_size=n, max_size=n))
-        queries = data.draw(st.lists(
-            st.integers(min_value=0, max_value=n - 1), max_size=60))
-        arr = np.array(flags, dtype=bool)
-        words = bitset.pack_bools(arr)
-        idx = np.array(queries, dtype=np.int64)
-        assert bitset.gather_bits(words, idx).tolist() == arr[idx].tolist()
-
     def test_zero_words(self):
         words = bitset.zero_words(130)
         assert words.size == 3
