@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-slow coverage fuzz bench bench-figures bench-hotpath ledger-smoke examples check clean
+.PHONY: install test test-slow coverage fuzz bench bench-figures bench-hotpath ledger-smoke examples loc check clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -49,6 +49,14 @@ examples:
 	@for script in examples/*.py; do \
 	    echo "== $$script"; $(PYTHON) $$script > /dev/null || exit 1; \
 	done; echo "all examples ran"
+
+# Python line totals of src/ and tests/ — the ROADMAP's "least code"
+# number, read from a log instead of recounted by hand.
+loc:
+	@for tree in src tests; do \
+	    printf '%s: ' $$tree; \
+	    find $$tree -name '*.py' -exec cat {} + | wc -l; \
+	done
 
 check: test bench
 

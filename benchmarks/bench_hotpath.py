@@ -342,7 +342,7 @@ def bench_columnar(mega_n, mega_rounds, speedup_rounds, serial_loop,
         honoured[engine] = honoured_records(counter_records(psim.telemetry))
 
     return {
-        "backend": sim.backend,
+        "backend": "numpy",  # schema v4 field; the only implementation
         "mega_n": mega_n,
         "mega_rounds": mega_rounds,
         "mega_seconds": mega_seconds,

@@ -32,8 +32,6 @@ def run(with_loggers: bool, seed: int = 1):
         for client in clients:
             client.loggers = ()
     meter = BandwidthMeter()
-    for node in nodes:
-        meter.instrument(node)
     sim = RoundSimulation(
         NetworkModel(loss_rate=LOSS, rng=random.Random(seed + 9)), seed=seed
     )

@@ -29,8 +29,6 @@ def run_lpbcast(rate: int, seed: int = 0):
     cfg = LpbcastConfig(fanout=3, view_max=12)
     nodes = build_lpbcast_nodes(N, cfg, seed=seed)
     meter = BandwidthMeter()
-    for node in nodes:
-        meter.instrument(node)
     sim = RoundSimulation(
         NetworkModel(loss_rate=figlib.EPSILON, rng=random.Random(seed + 1)),
         seed=seed,
@@ -49,8 +47,6 @@ def run_pbcast(rate: int, seed: int = 0):
     cfg = PbcastConfig(fanout=3, view_max=12, first_phase=FIRST_PHASE_NONE)
     nodes = build_pbcast_nodes(N, cfg, seed=seed, membership="partial")
     meter = BandwidthMeter()
-    for node in nodes:
-        meter.instrument(node)
     sim = RoundSimulation(
         NetworkModel(loss_rate=figlib.EPSILON, rng=random.Random(seed + 1)),
         seed=seed,

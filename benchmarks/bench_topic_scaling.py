@@ -25,8 +25,6 @@ def run(topic_count: int, seed: int = 0):
     cfg = LpbcastConfig(fanout=3, view_max=8)
     peers = build_pubsub_peers(N, topics, cfg, seed=seed)
     meter = BandwidthMeter()
-    for peer in peers:
-        meter.instrument(peer)
     sim = RoundSimulation(
         NetworkModel(loss_rate=0.05, rng=random.Random(seed + 31)), seed=seed
     )

@@ -12,7 +12,7 @@ meaningful: any divergence is an engine bug, not harness noise.
 The columnar engine gets the same node construction and publish draws but
 is judged only on its honoured counter subset (see
 :mod:`repro.sim.columnar_runner`): its fingerprint is the honoured-subset
-fingerprint, which is backend-independent, and no invariant monitor is
+fingerprint, which is worker-count-independent, and no invariant monitor is
 attached (the monitor reads per-node object state the columnar engine does
 not materialise).
 """

@@ -21,11 +21,7 @@ counter series would otherwise shift pinned run fingerprints.
 The meter is a *reader* over the engine-native telemetry layer
 (:mod:`repro.telemetry`): every round engine counts its own emissions into
 ``sim.sends`` / ``sim.send_elements`` / ``sim.sends_by_sender``, so the
-numbers are exact on the sharded engine too.  The previous implementation
-wrapped ``on_tick``/``handle_message`` with closures; those wrappers did
-not survive pickling nodes into shard workers, silently undercounting
-every sharded run.  :meth:`BandwidthMeter.instrument` remains as a
-back-compat no-op so existing call sites keep working unchanged.
+numbers are exact on the sharded engine too.
 """
 
 from __future__ import annotations
@@ -105,12 +101,6 @@ class BandwidthMeter:
         if count_bytes:
             telemetry.count_wire_bytes = True
         return self
-
-    def instrument(self, node):
-        """Back-compat no-op: engines count their own emissions now, so
-        there is nothing to wrap (and nothing to lose when a node is
-        pickled into a shard worker)."""
-        return node
 
     # -- queries -----------------------------------------------------------------
     def round_traffic(self, round_number: int) -> RoundTraffic:

@@ -4,7 +4,7 @@ The paper's Sec. 5.2 numbers come from an actual deployment (125 Solaris
 workstations).  This module is the in-repo equivalent at laptop scale: every
 process is hosted by a thread pair (receive loop + gossip timer) bound to a
 loopback UDP socket, messages cross a real serialization boundary
-(:mod:`repro.core.codec`) and real (unsynchronized) wall-clock timers drive
+(:mod:`repro.wire`) and real (unsynchronized) wall-clock timers drive
 the periodic gossip — the same protocol objects the simulators run, deployed
 for real.
 
@@ -17,8 +17,10 @@ through a :class:`~repro.faults.wire.DatagramFaultInjector`.
 The datagram format is the versioned frame layer of :mod:`repro.wire`:
 messages to the same destination batch into one compact binary frame
 (``wire_format="binary"``, the default), with the JSON codec available
-behind its own version byte for debugging (``wire_format="json"``) and the
-legacy ``pid|json`` text datagrams still accepted on receive.  A gossip
+behind its own version byte for debugging (``wire_format="json"``).  Every
+received datagram goes through :func:`~repro.wire.decode_frame`; anything
+else — a bad version byte, a truncated frame — is a counted
+``udp.decode_errors``, never a parsed message.  A gossip
 whose single-message frame would exceed the datagram cap is *split* across
 several datagrams instead of silently destroyed; whatever still cannot fit
 is counted **and** traced with its kind and wire size.
@@ -32,17 +34,10 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.codec import CodecError, from_json, to_json
 from ..core.ids import ProcessId
 from ..core.message import Outgoing
 from ..telemetry import Telemetry
-from ..wire import (
-    FRAME_BINARY,
-    FRAME_JSON,
-    decode_frame,
-    pack_datagrams,
-    split_oversize,
-)
+from ..wire import decode_frame, pack_datagrams
 
 Address = Tuple[str, int]
 
@@ -54,7 +49,7 @@ _MAX_DATAGRAM = 65_000
 _RECV_BUFSIZE = _MAX_DATAGRAM + 1
 _RECV_TIMEOUT = 0.05
 
-_WIRE_FORMATS = ("binary", "json", "text")
+_WIRE_FORMATS = ("binary", "json")
 
 
 class UdpProcessHost:
@@ -195,9 +190,14 @@ class UdpProcessHost:
         self._stop.set()
 
     def join(self, timeout: float = 2.0) -> None:
-        self._receiver.join(timeout)
-        self._timer.join(timeout)
-        self._sock.close()
+        """Wait for the threads that were started, then close the socket —
+        also when ``start()`` never ran or failed half-way."""
+        try:
+            for thread in (self._receiver, self._timer):
+                if thread.ident is not None:
+                    thread.join(timeout)
+        finally:
+            self._sock.close()
 
     # -- application access ------------------------------------------------------
     def with_node(self, fn: Callable):
@@ -230,18 +230,9 @@ class UdpProcessHost:
                 self._count("udp.datagrams_truncated")
                 continue
             try:
-                if data[:1] and data[0] in (FRAME_JSON, FRAME_BINARY):
-                    with self.telemetry.time("time.codec", op="decode"):
-                        sender, messages = decode_frame(data)
-                else:
-                    # Legacy pid|json text datagram (starts with an ASCII
-                    # digit, which no frame version byte collides with).
-                    payload = data.decode("utf-8")
-                    sender_part, message_part = payload.split("|", 1)
-                    sender = int(sender_part)
-                    with self.telemetry.time("time.codec", op="decode"):
-                        messages = [from_json(message_part)]
-            except (CodecError, ValueError, UnicodeDecodeError):
+                with self.telemetry.time("time.codec", op="decode"):
+                    sender, messages = decode_frame(data)
+            except ValueError:  # CodecError is one; the loop must survive
                 self._count("udp.decode_errors")
                 continue
             self._count("udp.datagrams_received")
@@ -302,8 +293,6 @@ class UdpProcessHost:
     def _encode_datagrams(self, messages: List[object]) -> List[bytes]:
         """Encode one destination's messages into capped datagrams,
         counting and tracing splits and undeliverable oversize messages."""
-        if self.wire_format == "text":
-            return self._encode_text_datagrams(messages)
         with self.telemetry.time("time.codec", op="encode"):
             plan = pack_datagrams(self.node.pid, messages,
                                   fmt=self.wire_format,
@@ -313,33 +302,6 @@ class UdpProcessHost:
         for message, size, parts in plan.splits:
             self._note_split(message, size, parts)
         return plan.datagrams
-
-    def _encode_text_datagrams(self, messages: List[object]) -> List[bytes]:
-        """Legacy ``pid|json`` datagrams, one message each — still splits
-        oversize gossips rather than destroying them."""
-        prefix = f"{self.node.pid}|"
-
-        def encode_text(message: object) -> bytes:
-            with self.telemetry.time("time.codec", op="encode"):
-                return (prefix + to_json(message)).encode("utf-8")
-
-        def fits(message: object):
-            blob = encode_text(message)
-            return (0, blob) if len(blob) <= _MAX_DATAGRAM else None
-
-        datagrams: List[bytes] = []
-        for message in messages:
-            datagram = encode_text(message)
-            if len(datagram) <= _MAX_DATAGRAM:
-                datagrams.append(datagram)
-                continue
-            parts = split_oversize(message, fits)
-            if parts is None:
-                self._note_oversize(message, len(datagram))
-                continue
-            self._note_split(message, len(datagram), len(parts))
-            datagrams.extend(blob for _part, _version, blob in parts)
-        return datagrams
 
     def _note_oversize(self, message: object, size: int) -> None:
         self._count("udp.datagrams_oversize")

@@ -8,32 +8,20 @@ primitives the round passes are written in: pack/unpack, population count,
 index scatter (reads go through one ``unpack_bools`` per row — a byte-wide
 gather beats per-index shifts several times over).
 
-Two symmetric halves share one layout so repro artifacts recorded on a
-numpy machine replay on a stdlib-only one:
+Columns are arrays of ``uint64``; node ``i`` lives at bit ``i & 63`` of word
+``i >> 6``.  The layout is the *little-endian* ``packbits`` layout, forced
+explicitly (``"<u8"`` views) so pack and unpack agree on any host byte
+order.  Population counts use ``numpy.bitwise_count`` when the installed
+numpy has it (>= 2.0) and an 8-bit lookup table over a byte view otherwise
+(numpy is a hard dependency but its version is not pinned).
 
-* **numpy words** — arrays of ``uint64``; node ``i`` lives at bit
-  ``i & 63`` of word ``i >> 6``.  The layout is the *little-endian*
-  ``packbits`` layout, forced explicitly (``"<u8"`` views) so pack and
-  unpack agree on any host byte order.  Population counts use
-  ``numpy.bitwise_count`` when the installed numpy has it (>= 2.0) and an
-  8-bit lookup table over a byte view otherwise.
-* **python ints** — one arbitrary-precision ``int`` per column; node ``i``
-  is bit ``i``.  CPython ints are already bitsets with C-speed ``&``/``|``
-  and (3.10+) ``bit_count``; the pure-python backend stores each event row
-  as one such int.
-
-Both halves are property-tested against naive boolean arrays in
+Property-tested against naive boolean arrays in
 ``tests/sim/test_bitset.py``.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
-
-try:  # optional fast path, mirroring repro.sim.columnar_runner
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the python backend
-    _np = None
+import numpy as _np
 
 #: Nodes per packed word.
 WORD_BITS = 64
@@ -44,17 +32,12 @@ def words_for(n: int) -> int:
     return (n + WORD_BITS - 1) >> 6
 
 
-# ---------------------------------------------------------------------------
-# numpy words
-# ---------------------------------------------------------------------------
+#: Per-byte population counts — the fallback when the installed numpy
+#: predates ``bitwise_count``.
+POPCOUNT8 = _np.array([bin(value).count("1") for value in range(256)],
+                      dtype=_np.uint8)
 
-if _np is not None:
-    #: Per-byte population counts — the fallback when the installed numpy
-    #: predates ``bitwise_count``.
-    POPCOUNT8 = _np.array([bin(value).count("1") for value in range(256)],
-                          dtype=_np.uint8)
-
-    _HAVE_BITWISE_COUNT = hasattr(_np, "bitwise_count")
+_HAVE_BITWISE_COUNT = hasattr(_np, "bitwise_count")
 
 
 def zero_words(n: int):
@@ -105,41 +88,3 @@ def mask_from_indices(indices, n: int):
     flags = _np.zeros(n, dtype=bool)
     flags[indices] = True
     return pack_bools(flags)
-
-
-# ---------------------------------------------------------------------------
-# python ints
-# ---------------------------------------------------------------------------
-
-if hasattr(int, "bit_count"):  # 3.10+
-    def int_popcount(value: int) -> int:
-        """Set bits of a python-int bitset."""
-        return value.bit_count()
-else:  # pragma: no cover - 3.9 fallback
-    def int_popcount(value: int) -> int:
-        """Set bits of a python-int bitset."""
-        return bin(value).count("1")
-
-
-def int_pack(flags: Sequence[bool]) -> int:
-    """Boolean sequence → python-int bitset (bit ``i`` = ``flags[i]``)."""
-    value = 0
-    for index, flag in enumerate(flags):
-        if flag:
-            value |= 1 << index
-    return value
-
-
-def int_unpack(value: int, n: int) -> List[bool]:
-    """Python-int bitset → list of ``n`` booleans."""
-    return [bool((value >> index) & 1) for index in range(n)]
-
-
-def int_indices(value: int, n: int) -> List[int]:
-    """Indices of the set bits among the first ``n``."""
-    return [index for index in range(n) if (value >> index) & 1]
-
-
-def int_full_mask(n: int) -> int:
-    """All of the first ``n`` bits set."""
-    return (1 << n) - 1

@@ -6,9 +6,9 @@ the whole system in preallocated dense columns keyed by node *index* —
 views, alive flags, per-event delivery/forwarding bitmaps, per-node stat
 counters — and executes each gossip round as a handful of batched
 vectorized passes (partner selection, loss admission, digest diff /
-delivery, buffer truncation) instead of ``n`` per-node ticks.  With numpy
-available the passes are true array operations; without it a pure-stdlib
-fallback provides the same semantics at reduced speed.
+delivery, buffer truncation) instead of ``n`` per-node ticks.  The passes
+are numpy array operations; numpy is a hard dependency of the package and
+there is no other implementation of the round.
 
 Partner selection in O(F)
 -------------------------
@@ -18,31 +18,29 @@ does a round here.  :func:`sample_view_slots` draws pick ``i`` uniformly in
 ``[0, |view| - i)`` and steps it past the ``i`` earlier picks — an exact
 ordered sample without replacement, ``F`` uniforms per sender and no pass
 over the ``l`` slots — the distribution of ``gossip_targets``'
-``rng.sample`` (which the python backend calls directly).  Selection,
-admission and event spread form one kernel, :func:`slab_round`, that reads
-columns and writes three output buffers; the single-core round runs it on
-``[0, n)``, each shared-memory worker on its slab, and one
-``_merge_round`` applies the result.
+``rng.sample``.  Selection, admission and event spread form one kernel,
+:func:`slab_round`, that reads columns and writes three output buffers;
+the single-core round runs it on ``[0, n)``, each shared-memory worker on
+its slab, and one ``_merge_round`` applies the result.
 
 Bit-packed state (n = 1,000,000)
 --------------------------------
 All boolean per-node columns — the alive flags and the per-event
-delivery/forwarding bitmaps — are stored bit-packed, 64 nodes per word
-(:mod:`repro.sim.bitset`): ``uint64`` word arrays on the numpy backend,
-arbitrary-precision ``int`` bitsets on the pure-python backend.  An event
-row costs ``n/8`` bytes instead of ``n``, and the round passes operate on
-words (masked OR-propagation for infection spread, popcount for curve
-reads) so a million-node system fits comfortably in memory: the dominant
+delivery/forwarding bitmaps — are stored bit-packed, 64 nodes per word,
+as ``uint64`` word arrays (:mod:`repro.sim.bitset`).  An event row costs
+``n/8`` bytes instead of ``n``, and the round passes operate on words
+(masked OR-propagation for infection spread, popcount for curve reads)
+so a million-node system fits comfortably in memory: the dominant
 remaining columns are the ``int32`` view matrix (``4 * n * view_cap``
 bytes) and the six ``int64`` stat columns.  :meth:`memory_bytes` reports
 the resident column footprint for the bench harness.
 
 Multi-core rounds (``workers=N``)
 ---------------------------------
-With ``workers > 1`` (numpy backend only) the node axis is partitioned
-across long-lived worker processes over ``multiprocessing.shared_memory``
-views — see :mod:`repro.sim.columnar_shm`.  Partition boundaries are fixed
-by ``(n, workers)`` alone and the honoured counter series (below) are
+With ``workers > 1`` the node axis is partitioned across long-lived
+worker processes over ``multiprocessing.shared_memory`` views — see
+:mod:`repro.sim.columnar_shm`.  Partition boundaries are fixed by
+``(n, workers)`` alone and the honoured counter series (below) are
 computed by the coordinator from schedule-deterministic state, so the
 honoured fingerprint is byte-identical for *any* worker count, including
 ``workers=1`` and the serial engine.  Per-target randomness draws from
@@ -91,8 +89,9 @@ Declared divergences (everything else; pinned by
 from __future__ import annotations
 
 import hashlib
-from array import array
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence
+
+import numpy as _np
 
 from ..core.config import LpbcastConfig
 from ..core.events import Notification, make_notification
@@ -100,12 +99,7 @@ from ..core.ids import ProcessId
 from ..telemetry import Telemetry
 from . import bitset
 from .network import NetworkModel
-from .rng import SeedSequence, derive_rng, derive_seed
-
-try:  # optional fast path; the stdlib fallback keeps semantics identical
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via backend="python"
-    _np = None
+from .rng import SeedSequence, derive_seed
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +136,14 @@ def honoured_records(records: Sequence) -> List:
 
 
 def honoured_fingerprint(records: Sequence) -> str:
-    """SHA-256 over the honoured subset — backend-independent (the honoured
-    series consume no randomness), so repro artifacts replay on machines
-    with or without numpy."""
+    """SHA-256 over the honoured subset — the honoured series consume no
+    randomness, so it is the same for any engine, seed stream and worker
+    count."""
     return hashlib.sha256(repr(honoured_records(records)).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
-# The slab kernel (numpy): selection + admission + event spread for one
+# The slab kernel: selection + admission + event spread for one
 # contiguous sender range.  The single-core round calls it on [0, n) with
 # the engine's stream; each shared-memory worker calls it on its slab with
 # its own stream (repro.sim.columnar_shm).
@@ -339,36 +333,21 @@ class ColumnarRoundSimulation:
     ``run_round`` / ``run_until``, round hooks and observers, ``crash`` /
     ``recover`` / ``use_fault_plan``, ``node_aggregates`` and engine-native
     ``telemetry``.  ``workers > 1`` runs the round passes across that many
-    shared-memory worker processes (numpy backend only; see module
-    docstring) — call :meth:`close` when done, or use ``with``.
+    shared-memory worker processes (see module docstring) — call
+    :meth:`close` when done, or use ``with``.
     """
 
     def __init__(
         self,
         network: Optional[NetworkModel] = None,
         seed: int = 0,
-        backend: str = "auto",
         workers: int = 1,
     ) -> None:
-        if backend not in ("auto", "numpy", "python"):
-            raise ValueError("backend must be 'auto', 'numpy' or 'python'")
-        if backend == "numpy" and _np is None:
-            raise ValueError("backend='numpy' requested but numpy is not "
-                             "importable; use backend='auto' or 'python'")
-        self.backend = ("numpy" if (_np is not None and backend != "python")
-                        else "python")
         if not isinstance(workers, int) or isinstance(workers, bool):
             raise ValueError(f"workers must be a positive int, got "
                              f"{workers!r}")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if workers > 1 and self.backend != "python" and _np is None:
-            raise ValueError("workers > 1 requires numpy")  # pragma: no cover
-        if workers > 1 and self.backend == "python":
-            raise ValueError(
-                "workers > 1 requires the numpy backend (the multi-core "
-                "mode partitions shared-memory array views); use "
-                "backend='auto' or 'numpy', or workers=1")
         self.workers = workers
         self.seeds = SeedSequence(seed)
         self.seed = seed
@@ -401,24 +380,20 @@ class ColumnarRoundSimulation:
         self._event_seq: Dict[int, int] = {}  # origin index -> last seq
 
         # Columns are allocated in _start() once membership is final.
-        # Boolean per-node state is bit-packed (repro.sim.bitset): numpy
-        # backend holds uint64 word arrays, python backend int bitsets.
+        # Boolean per-node state is bit-packed into uint64 words
+        # (repro.sim.bitset).
         self._n = 0
-        self._words = 0          # words_for(n), numpy backend
-        self._alive = None       # uint64[words] | python int bitset
-        self._view_mat = None    # int32 (n, view_cap) | list of index lists
+        self._words = 0          # words_for(n)
+        self._alive = None       # uint64[words]
+        self._view_mat = None    # int32 (n, view_cap)
         self._view_len = None
-        self._delivered = None   # (E_cap, words) uint64 | list of int bitsets
+        self._delivered = None   # (E_cap, words) uint64
         self._active = None      # (E_cap, words) events-buffer bitmap
         self._event_cap = 0
         self._stats: Dict[str, object] = {}
         self._shm = None         # ShmRoundExecutor when workers > 1
 
-        if self.backend == "numpy":
-            self._rng = _np.random.default_rng(
-                derive_seed(seed, "columnar"))
-        else:
-            self._rng = derive_rng(seed, "columnar")
+        self._rng = _np.random.default_rng(derive_seed(seed, "columnar"))
 
     # -- construction ------------------------------------------------------
     @classmethod
@@ -433,11 +408,20 @@ class ColumnarRoundSimulation:
     ) -> "ColumnarRoundSimulation":
         """Column-native bootstrap of ``n`` processes with uniform random
         initial views of size ``min(view_max, n - 1)`` — the Sec. 4.1
-        assumption, drawn without building per-node objects."""
+        assumption, drawn without building per-node objects.
+
+        ``backend`` selects nothing: numpy is the only implementation.  The
+        parameter is checked and otherwise ignored because the perf ledger
+        (``benchmarks/ledger``) still passes ``backend="numpy"``; it goes
+        when the ledger stops passing it."""
+        if backend not in ("auto", "numpy"):
+            raise ValueError(
+                f"backend={backend!r}: the columnar backend option was "
+                "removed (numpy is the only implementation); drop the "
+                "argument")
         if n < 2:
             raise ValueError("need at least two processes")
-        sim = cls(network=network, seed=seed, backend=backend,
-                  workers=workers)
+        sim = cls(network=network, seed=seed, workers=workers)
         sim.config = config if config is not None else LpbcastConfig()
         sim._pids = list(range(n))
         sim._index = {pid: pid for pid in sim._pids}
@@ -445,38 +429,28 @@ class ColumnarRoundSimulation:
         return sim
 
     def _bootstrap_views(self, n: int, k: int) -> None:
-        if self.backend == "numpy":
-            rng = _np.random.default_rng(derive_seed(self.seed,
-                                                     "columnar-views"))
-            # Draw k peers per row from the other n-1 processes: sample in
-            # [0, n-2], shift indices >= own row by one to skip self, then
-            # redraw rows containing duplicates until none remain (expected
-            # duplicate rate ~ k^2/2n per row, so this converges fast).
-            # int32 throughout and sorted in place — a view is a set, slot
-            # order carries no meaning — so the only full-size allocation
-            # is the matrix _start() keeps: at n=1M materialising per-row
-            # lists, or int64 scratch copies, would cost more than every
-            # packed column combined.
-            mat = rng.integers(0, n - 1, size=(n, k), dtype=_np.int32)
-            mat += mat >= _np.arange(n, dtype=_np.int32)[:, None]
-            mat.sort(axis=1)
-            bad = _np.flatnonzero((mat[:, 1:] == mat[:, :-1]).any(axis=1))
-            while bad.size:
-                redraw = rng.integers(0, n - 1, size=(bad.size, k),
-                                      dtype=_np.int32)
-                redraw += redraw >= bad[:, None]
-                redraw.sort(axis=1)
-                mat[bad] = redraw
-                bad = bad[(redraw[:, 1:] == redraw[:, :-1]).any(axis=1)]
-            self._view_rows = mat
-        else:
-            rng = derive_rng(self.seed, "columnar-views")
-            rows: List[List[int]] = []
-            for i in range(n):
-                others = list(range(n))
-                others.pop(i)
-                rows.append(rng.sample(others, k))
-            self._view_rows = rows
+        rng = _np.random.default_rng(derive_seed(self.seed, "columnar-views"))
+        # Draw k peers per row from the other n-1 processes: sample in
+        # [0, n-2], shift indices >= own row by one to skip self, then
+        # redraw rows containing duplicates until none remain (expected
+        # duplicate rate ~ k^2/2n per row, so this converges fast).
+        # int32 throughout and sorted in place — a view is a set, slot
+        # order carries no meaning — so the only full-size allocation
+        # is the matrix _start() keeps: at n=1M materialising per-row
+        # lists, or int64 scratch copies, would cost more than every
+        # packed column combined.
+        mat = rng.integers(0, n - 1, size=(n, k), dtype=_np.int32)
+        mat += mat >= _np.arange(n, dtype=_np.int32)[:, None]
+        mat.sort(axis=1)
+        bad = _np.flatnonzero((mat[:, 1:] == mat[:, :-1]).any(axis=1))
+        while bad.size:
+            redraw = rng.integers(0, n - 1, size=(bad.size, k),
+                                  dtype=_np.int32)
+            redraw += redraw >= bad[:, None]
+            redraw.sort(axis=1)
+            mat[bad] = redraw
+            bad = bad[(redraw[:, 1:] == redraw[:, :-1]).any(axis=1)]
+        self._view_rows = mat
 
     def add_node(self, node) -> None:
         """Ingest one prebuilt protocol node (pid, config, initial view);
@@ -516,57 +490,40 @@ class ColumnarRoundSimulation:
                 "the columnar engine does not support causal-delivery "
                 "configurations (causal_delivery=True); use the serial "
                 "or sharded engine")
-        index = self._index
-        prebuilt = _np is not None and isinstance(self._view_rows, _np.ndarray)
-        if prebuilt:
+        self._words = bitset.words_for(n)
+        self._alive = _np.full(self._words, _np.uint64(0xFFFFFFFFFFFFFFFF),
+                               dtype=_np.uint64)
+        tail = n & 63
+        if tail:  # clear the pad bits past node n-1
+            self._alive[-1] = _np.uint64((1 << tail) - 1)
+        if isinstance(self._view_rows, _np.ndarray):
             # build() path: rows are already an index matrix of uniform
             # width with no out-of-system references.
-            rows = None
-            view_cap = int(self._view_rows.shape[1])
+            self._view_mat = self._view_rows
+            self._view_len = _np.full(n, self._view_mat.shape[1],
+                                      dtype=_np.int64)
         else:
             # Ingest path: view rows arrive as pids; normalise to indices,
             # dropping references to processes outside the system.
+            index = self._index
             rows = [[index[p] for p in row if p in index]
                     for row in self._view_rows]
-            view_cap = max((len(row) for row in rows), default=0)
-        if self.backend == "numpy":
-            self._words = bitset.words_for(n)
-            self._alive = _np.full(self._words, _np.uint64(0xFFFFFFFFFFFFFFFF),
-                                   dtype=_np.uint64)
-            tail = n & 63
-            if tail:  # clear the pad bits past node n-1
-                self._alive[-1] = _np.uint64((1 << tail) - 1)
-            if prebuilt:
-                self._view_mat = self._view_rows
-                self._view_len = _np.full(n, view_cap, dtype=_np.int64)
-            else:
-                self._view_len = _np.array([len(row) for row in rows],
-                                           dtype=_np.int64)
-                mat = _np.zeros((n, max(view_cap, 1)), dtype=_np.int32)
-                for i, row in enumerate(rows):
-                    if row:
-                        mat[i, :len(row)] = row
-                self._view_mat = mat
-            self._stats = {
-                name: _np.zeros(n, dtype=_np.int64)
-                for name in ("published", "delivered", "duplicates",
-                             "gossips_sent", "gossips_received",
-                             "events_dropped")
-            }
-            self._delivered = _np.zeros((0, self._words), dtype=_np.uint64)
-            self._active = _np.zeros((0, self._words), dtype=_np.uint64)
-        else:
-            self._alive = bitset.int_full_mask(n)
-            self._view_len = array("q", (len(row) for row in rows))
-            self._view_mat = rows
-            self._stats = {
-                name: array("q", bytes(8 * n))
-                for name in ("published", "delivered", "duplicates",
-                             "gossips_sent", "gossips_received",
-                             "events_dropped")
-            }
-            self._delivered = []  # list of int bitsets, one per event
-            self._active = []
+            self._view_len = _np.array([len(row) for row in rows],
+                                       dtype=_np.int64)
+            mat = _np.zeros((n, max(int(self._view_len.max()), 1)),
+                            dtype=_np.int32)
+            for i, row in enumerate(rows):
+                if row:
+                    mat[i, :len(row)] = row
+            self._view_mat = mat
+        self._stats = {
+            name: _np.zeros(n, dtype=_np.int64)
+            for name in ("published", "delivered", "duplicates",
+                         "gossips_sent", "gossips_received",
+                         "events_dropped")
+        }
+        self._delivered = _np.zeros((0, self._words), dtype=_np.uint64)
+        self._active = _np.zeros((0, self._words), dtype=_np.uint64)
         self._view_rows = []  # consumed
         self._event_cap = 0
         self._n = n
@@ -596,20 +553,19 @@ class ColumnarRoundSimulation:
 
     # -- event registry ----------------------------------------------------
     def _grow_events(self) -> None:
-        if self.backend == "numpy":
-            new_cap = max(8, 2 * self._event_cap)
-            if self._shm is not None:
-                self._shm.grow_events(new_cap)
-            else:
-                grown_d = _np.zeros((new_cap, self._words), dtype=_np.uint64)
-                grown_a = _np.zeros((new_cap, self._words), dtype=_np.uint64)
-                if self._event_cap:
-                    used = len(self._notifications) - 1
-                    grown_d[:used] = self._delivered[:used]
-                    grown_a[:used] = self._active[:used]
-                self._delivered = grown_d
-                self._active = grown_a
-            self._event_cap = new_cap
+        new_cap = max(8, 2 * self._event_cap)
+        if self._shm is not None:
+            self._shm.grow_events(new_cap)
+        else:
+            grown_d = _np.zeros((new_cap, self._words), dtype=_np.uint64)
+            grown_a = _np.zeros((new_cap, self._words), dtype=_np.uint64)
+            if self._event_cap:
+                used = len(self._notifications) - 1
+                grown_d[:used] = self._delivered[:used]
+                grown_a[:used] = self._active[:used]
+            self._delivered = grown_d
+            self._active = grown_a
+        self._event_cap = new_cap
 
     def _publish(self, index: int, payload, now: float) -> Notification:
         self._ensure_started()
@@ -619,16 +575,11 @@ class ColumnarRoundSimulation:
         note = make_notification(origin, seq, payload, created_at=now)
         self._notifications.append(note)
         event = len(self._notifications) - 1
-        if self.backend == "numpy":
-            if event >= self._event_cap:
-                self._grow_events()
-            bit = _np.uint64(1) << _np.uint64(index & 63)
-            self._delivered[event, index >> 6] |= bit
-            self._active[event, index >> 6] |= bit
-        else:
-            bit = 1 << index
-            self._delivered.append(bit)
-            self._active.append(bit)
+        if event >= self._event_cap:
+            self._grow_events()
+        bit = _np.uint64(1) << _np.uint64(index & 63)
+        self._delivered[event, index >> 6] |= bit
+        self._active[event, index >> 6] |= bit
         self._stats["published"][index] += 1
         self._stats["delivered"][index] += 1
         self._notify_delivery(index, note, now)
@@ -667,37 +618,34 @@ class ColumnarRoundSimulation:
         self._fault_injector = FaultInjector(plan, self.seeds.rng("faults"))
         return self._fault_injector
 
+    # Until the first round, publish or effective crash freezes membership
+    # (``_start``), every ingested process is alive: the reads below answer
+    # from ``_pids``/``_index`` and leave ``add_node`` open, as the serial
+    # engine does.
     def _is_alive(self, index: int) -> bool:
-        if self.backend == "numpy":
-            word = self._alive[index >> 6]
-            return bool((word >> _np.uint64(index & 63)) & _np.uint64(1))
-        return bool((self._alive >> index) & 1)
+        if not self._started:
+            return True
+        word = self._alive[index >> 6]
+        return bool((word >> _np.uint64(index & 63)) & _np.uint64(1))
 
     def _set_alive(self, index: int, flag: bool) -> None:
-        if self.backend == "numpy":
-            bit = _np.uint64(1) << _np.uint64(index & 63)
-            if flag:
-                self._alive[index >> 6] |= bit
-            else:
-                self._alive[index >> 6] &= ~bit
+        bit = _np.uint64(1) << _np.uint64(index & 63)
+        if flag:
+            self._alive[index >> 6] |= bit
         else:
-            if flag:
-                self._alive |= 1 << index
-            else:
-                self._alive &= ~(1 << index)
+            self._alive[index >> 6] &= ~bit
 
     def crash(self, pid: ProcessId) -> None:
         """Fail-stop ``pid`` immediately (Sec. 4.1)."""
-        self._ensure_started()
         index = self._index.get(pid)
         if index is not None and self._is_alive(index):
+            self._ensure_started()
             self._set_alive(index, False)
             self.telemetry.emit("crash", float(self.round), pid=pid)
 
     def recover(self, pid: ProcessId) -> bool:
         """Un-crash ``pid`` with its retained state; no re-join handshake
         (declared divergence from the serial recovery path)."""
-        self._ensure_started()
         index = self._index.get(pid)
         if index is None or self._is_alive(index):
             return False
@@ -705,17 +653,13 @@ class ColumnarRoundSimulation:
         return True
 
     def alive(self, pid: ProcessId) -> bool:
-        self._ensure_started()
         index = self._index.get(pid)
         return index is not None and self._is_alive(index)
 
     def alive_count(self) -> int:
-        self._ensure_started()
-        if self._n == 0:
-            return 0
-        if self.backend == "numpy":
-            return bitset.popcount_words(self._alive)
-        return bitset.int_popcount(self._alive)
+        if self._n == 0:  # no columns (yet): every ingested process
+            return len(self._pids)
+        return bitset.popcount_words(self._alive)
 
     def add_round_hook(self, hook) -> None:
         self._hooks.append(hook)
@@ -810,11 +754,6 @@ class ColumnarRoundSimulation:
         return drops, partitions
 
     def _gossip_round(self, now: float) -> int:
-        if self.backend == "numpy":
-            return self._gossip_round_np(now)
-        return self._gossip_round_py(now)
-
-    def _gossip_round_np(self, now: float) -> int:
         """The coordinator's round, for any worker count: the schedule-
         determined senders and ``sim.sends`` total are computed here —
         never by a worker — so the honoured series cannot depend on
@@ -877,9 +816,9 @@ class ColumnarRoundSimulation:
                 note = self._notifications[event]
                 for index in new_idx:
                     self._notify_delivery(int(index), note, now)
-        self._truncate_events_np(events)
+        self._truncate_events(events)
 
-    def _truncate_events_np(self, events: int) -> None:
+    def _truncate_events(self, events: int) -> None:
         """Bound per-node events-buffer occupancy by ``events_max``,
         dropping oldest entries first (serial drops uniformly at random —
         a declared divergence that keeps the pass branch-free).
@@ -907,106 +846,6 @@ class ColumnarRoundSimulation:
         for event in range(events):
             self._active[event] = bitset.pack_bools(active[event])
 
-    def _gossip_round_py(self, now: float) -> int:
-        cfg = self.config
-        fanout = cfg.fanout
-        rng = self._rng
-        alive_bits = self._alive
-        paused = set(self._paused_indices())
-        drops = self._active_drop_windows()
-        partitions = self._active_partitions()
-        events = len(self._notifications)
-        digest_mode = cfg.digest_implies_delivery
-        total_sends = 0
-        arrivals_by_sender: List = []
-        senders: List[int] = []
-        for i in range(self._n):
-            if not (alive_bits >> i) & 1 or i in paused:
-                continue
-            view = self._view_mat[i]
-            if not view:
-                continue
-            senders.append(i)
-            self._stats["gossips_sent"][i] += 1
-            k = min(fanout, len(view))
-            total_sends += k * (1 + cfg.membership_boost)
-            targets = rng.sample(view, k)
-            landed = []
-            for t in targets:
-                if self.loss_rate > 0.0 and rng.random() < self.loss_rate:
-                    continue
-                dropped = False
-                for window in drops:
-                    if (window.src is not None
-                            and self._pids[i] != window.src):
-                        continue
-                    if (window.dst is not None
-                            and self._pids[t] != window.dst):
-                        continue
-                    if rng.random() < window.rate:
-                        dropped = True
-                        break
-                if dropped:
-                    continue
-                if any(p.blocks(self._pids[i], self._pids[t])
-                       for p in partitions):
-                    continue
-                if not (alive_bits >> t) & 1:
-                    continue
-                landed.append(t)
-                self._stats["gossips_received"][t] += 1
-                self.messages_delivered += 1
-            arrivals_by_sender.append((i, landed))
-        if events:
-            spread = self._delivered if digest_mode else self._active
-            newly: Dict[int, List[int]] = {}
-            for sender, landed in arrivals_by_sender:
-                if not landed:
-                    continue
-                for event in range(events):
-                    if not (spread[event] >> sender) & 1:
-                        continue
-                    row_d = self._delivered[event]
-                    for t in landed:
-                        if (row_d >> t) & 1:
-                            self._stats["duplicates"][t] += 1
-                        elif (alive_bits >> t) & 1:
-                            newly.setdefault(event, []).append(t)
-            # "events <- empty" for everyone that gossiped, before the
-            # merge: a process infected this round keeps its fresh entry.
-            sent_mask = 0
-            for i in senders:
-                sent_mask |= 1 << i
-            for event in range(events):
-                self._active[event] &= ~sent_mask
-            for event, indices in newly.items():
-                note = self._notifications[event]
-                for t in indices:
-                    if (self._delivered[event] >> t) & 1:
-                        continue
-                    bit = 1 << t
-                    self._delivered[event] |= bit
-                    self._active[event] |= bit
-                    self._stats["delivered"][t] += 1
-                    if self._has_listeners:
-                        self._notify_delivery(t, note, now)
-            events_max = cfg.events_max
-            if events > events_max:
-                for i in range(self._n):
-                    occupancy = sum((self._active[e] >> i) & 1
-                                    for e in range(events))
-                    if occupancy <= events_max:
-                        continue
-                    to_drop = occupancy - events_max
-                    for event in range(events):  # oldest first
-                        if to_drop == 0:
-                            break
-                        if (self._active[event] >> i) & 1:
-                            self._active[event] &= ~(1 << i)
-                            self._stats["events_dropped"][i] += 1
-                            to_drop -= 1
-        return total_sends
-
     # -- telemetry ---------------------------------------------------------
     def _sync_engine_counters(self) -> None:
         """Per-round counter deltas, mirroring the serial engine's emission
@@ -1027,37 +866,28 @@ class ColumnarRoundSimulation:
 
     # -- aggregates --------------------------------------------------------
     def _view_of(self, index: int) -> List[ProcessId]:
-        self._ensure_started()
-        if self.backend == "numpy":
-            row = self._view_mat[index, :self._view_len[index]]
-            return [self._pids[int(i)] for i in row]
-        return [self._pids[i] for i in self._view_mat[index]]
+        if not self._started:
+            # Rows still hold pids (build(): pid == index), unfiltered.
+            return [int(p) for p in self._view_rows[index]
+                    if p in self._index]
+        row = self._view_mat[index, :self._view_len[index]]
+        return [self._pids[i] for i in row.tolist()]
 
     def memory_bytes(self) -> int:
         """Resident footprint of the dense columns (views, alive words,
         event bitmaps, stat counters) — the bench harness's bytes-per-node
         read.  Shared-memory segments are counted once (the coordinator's
-        views; worker mappings alias the same pages)."""
-        self._ensure_started()
+        views; worker mappings alias the same pages).  Before the columns
+        exist only ``build()``'s view matrix is resident."""
         if self._n == 0:
-            return 0
-        if self.backend == "numpy":
-            total = (self._alive.nbytes + self._view_mat.nbytes
-                     + self._view_len.nbytes
-                     + self._delivered.nbytes + self._active.nbytes)
-            total += sum(col.nbytes for col in self._stats.values())
-            if self._shm is not None:
-                total += self._shm.scratch_bytes()
-            return int(total)
-        import sys
-        total = sys.getsizeof(self._alive)
-        total += sum(sys.getsizeof(row) + 8 * len(row)
-                     for row in self._view_mat)
-        total += sum(sys.getsizeof(row)
-                     for row in self._delivered + self._active)
-        total += sum(sys.getsizeof(col) for col in self._stats.values())
-        total += sys.getsizeof(self._view_len)
-        return total
+            return getattr(self._view_rows, "nbytes", 0)
+        total = (self._alive.nbytes + self._view_mat.nbytes
+                 + self._view_len.nbytes
+                 + self._delivered.nbytes + self._active.nbytes)
+        total += sum(col.nbytes for col in self._stats.values())
+        if self._shm is not None:
+            total += self._shm.scratch_bytes()
+        return int(total)
 
     def node_aggregates(self, pids: Optional[Sequence[ProcessId]] = None):
         """Summed stats/occupancy/in-degree over the alive processes,
@@ -1066,96 +896,55 @@ class ColumnarRoundSimulation:
         from the stat columns; subs occupancy is not modelled (0)."""
         from .aggregates import NodeAggregates
 
-        self._ensure_started()
         agg = NodeAggregates()
-        if self._n == 0:
+        n = len(self._pids)
+        if n == 0:
             return agg
-        if pids is None:
-            wanted = None
-        else:
-            wanted = [self._index[p] for p in pids
-                      if p in self._index and self._is_alive(self._index[p])]
+        if self._started:
+            mask = bitset.unpack_bools(self._alive, n)
+        else:  # no columns yet: everyone alive, no stats, no events
+            mask = _np.ones(n, dtype=bool)
+        if pids is not None:
+            keep = _np.zeros(n, dtype=bool)
+            keep[[self._index[p] for p in pids if p in self._index]] = True
+            mask &= keep
+        idx = _np.flatnonzero(mask)
+        agg.count = int(idx.size)
+        for name, column in self._stats.items():
+            total = int(column[idx].sum())
+            if total:  # zero sums are absent, as in aggregate_nodes
+                agg.stat_sums[name] = total
         events = len(self._notifications)
-        if self.backend == "numpy":
-            mask = bitset.unpack_bools(self._alive, self._n)
-            if wanted is not None:
-                keep = _np.zeros(self._n, dtype=bool)
-                if wanted:
-                    keep[wanted] = True
-                mask &= keep
-            idx = _np.nonzero(mask)[0]
-            agg.count = int(idx.size)
-            for name, column in self._stats.items():
-                total = int(column[idx].sum())
-                if total:
-                    agg.stat_sums[name] = total
-            if events and idx.size:
-                mask_words = bitset.pack_bools(mask)
-                occupancy = sum(
-                    bitset.popcount_words(self._active[e] & mask_words)
-                    for e in range(events))
-                agg.occupancy_sums["events"] = int(occupancy)
-                ids = _np.zeros(self._n, dtype=_np.int64)
-                for e in range(events):
-                    ids += bitset.unpack_bools(self._delivered[e], self._n)
-                agg.occupancy_sums["event_ids"] = int(
-                    _np.minimum(ids[idx], self.config.event_ids_max).sum())
-            else:
-                agg.occupancy_sums["events"] = 0
-                agg.occupancy_sums["event_ids"] = 0
-            agg.occupancy_sums["subs"] = 0
-            for i in idx:
-                i = int(i)
-                agg.graph_nodes.add(self._pids[i])
-                row = self._view_mat[i, :self._view_len[i]]
-                for t in row:
-                    pid = self._pids[int(t)]
-                    agg.graph_nodes.add(pid)
-                    agg.in_degree[pid] = agg.in_degree.get(pid, 0) + 1
+        if events and idx.size:
+            mask_words = bitset.pack_bools(mask)
+            occupancy = sum(
+                bitset.popcount_words(self._active[e] & mask_words)
+                for e in range(events))
+            agg.occupancy_sums["events"] = int(occupancy)
+            ids = _np.zeros(n, dtype=_np.int64)
+            for e in range(events):
+                ids += bitset.unpack_bools(self._delivered[e], n)
+            agg.occupancy_sums["event_ids"] = int(
+                _np.minimum(ids[idx], self.config.event_ids_max).sum())
         else:
-            indices = (range(self._n) if wanted is None else wanted)
-            for i in indices:
-                if wanted is None and not (self._alive >> i) & 1:
-                    continue
-                agg.count += 1
-                for name, column in self._stats.items():
-                    if column[i]:
-                        agg.stat_sums[name] = \
-                            agg.stat_sums.get(name, 0) + column[i]
-                occupancy = sum((self._active[e] >> i) & 1
-                                for e in range(events))
-                ids = sum((self._delivered[e] >> i) & 1
-                          for e in range(events))
-                agg.occupancy_sums["events"] = \
-                    agg.occupancy_sums.get("events", 0) + occupancy
-                agg.occupancy_sums["event_ids"] = \
-                    agg.occupancy_sums.get("event_ids", 0) + min(
-                        ids, self.config.event_ids_max)
-                agg.occupancy_sums.setdefault("subs", 0)
-                agg.graph_nodes.add(self._pids[i])
-                for t in self._view_mat[i]:
-                    pid = self._pids[t]
-                    agg.graph_nodes.add(pid)
-                    agg.in_degree[pid] = agg.in_degree.get(pid, 0) + 1
-        # Drop zero-valued stat sums to match aggregate_nodes' shape.
-        agg.stat_sums = {k: v for k, v in agg.stat_sums.items() if v}
+            agg.occupancy_sums["events"] = 0
+            agg.occupancy_sums["event_ids"] = 0
+        agg.occupancy_sums["subs"] = 0
+        for i in idx.tolist():
+            agg.graph_nodes.add(self._pids[i])
+            for pid in self._view_of(i):
+                agg.graph_nodes.add(pid)
+                agg.in_degree[pid] = agg.in_degree.get(pid, 0) + 1
         return agg
 
     # -- reliability reads -------------------------------------------------
     def delivery_ratio(self, event: int = 0) -> float:
         """Fraction of currently-alive processes that delivered event row
         ``event`` — the infection-curve read at scale."""
-        self._ensure_started()
-        if event >= len(self._notifications) or self._n == 0:
+        if event >= len(self._notifications):
             return 0.0
-        if self.backend == "numpy":
-            total = bitset.popcount_words(self._alive)
-            if not total:
-                return 0.0
-            got = bitset.popcount_words(self._delivered[event] & self._alive)
-            return got / total
-        total = bitset.int_popcount(self._alive)
+        total = bitset.popcount_words(self._alive)
         if not total:
             return 0.0
-        got = bitset.int_popcount(self._delivered[event] & self._alive)
+        got = bitset.popcount_words(self._delivered[event] & self._alive)
         return got / total

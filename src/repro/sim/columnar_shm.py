@@ -16,7 +16,7 @@ Determinism contract
 --------------------
 * **Honoured counters are worker-count-independent.**  The coordinator —
   never a worker — computes the senders and the schedule-determined
-  ``sim.sends`` total (the engine's ``_gossip_round_np``), applies the
+  ``sim.sends`` total (the engine's ``_gossip_round``), applies the
   fault schedule, and owns ``sim.rounds``/``faults.*``.  The honoured
   fingerprint is therefore byte-identical for any ``workers`` value and
   matches the serial engine.

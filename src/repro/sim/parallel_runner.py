@@ -1075,7 +1075,6 @@ FACTORY_DEFAULTS = {
     "start_method": None,
     "wire_format": "binary",
     "workers": 1,
-    "backend": "auto",
 }
 
 _ROUND_KWARGS = frozenset(
@@ -1107,7 +1106,7 @@ ENGINE_REGISTRY: Dict[str, EngineSpec] = {
             name="columnar",
             summary="array-backed vectorized rounds for mega-scale n",
             factory=_build_columnar,
-            accepts=frozenset({"network", "seed", "workers", "backend"}),
+            accepts=frozenset({"network", "seed", "workers"}),
         ),
     )
 }
@@ -1131,7 +1130,7 @@ def create_simulation(engine: str = "serial", **kwargs):
 
     Accepted kwargs are validated against the :data:`ENGINE_REGISTRY` entry
     of the chosen engine: ``shards``/``start_method``/``wire_format`` apply
-    to the sharded engine only, ``workers``/``backend`` to the columnar
+    to the sharded engine only, ``workers`` to the columnar
     engine only (``workers=N`` runs the round passes across N shared-memory
     worker processes; the honoured fingerprint is identical for every
     worker count), ``max_reply_generations``/``on_node_error`` to the round

@@ -11,8 +11,6 @@ def build_metered(n=20, rounds=8, fanout=3):
     cfg = LpbcastConfig(fanout=fanout, view_max=8)
     nodes = build_lpbcast_nodes(n, cfg, seed=0)
     meter = BandwidthMeter()
-    for node in nodes:
-        meter.instrument(node)
     sim = RoundSimulation(seed=0)
     sim.add_round_hook(meter.on_round)
     sim.add_nodes(nodes)
@@ -50,8 +48,6 @@ class TestBandwidthMeter:
         cfg = LpbcastConfig(fanout=3, view_max=8)
         nodes = build_lpbcast_nodes(20, cfg, seed=1)
         meter = BandwidthMeter()
-        for node in nodes:
-            meter.instrument(node)
         sim = RoundSimulation(seed=1)
         sim.add_round_hook(meter.on_round)
         sim.add_nodes(nodes)

@@ -89,9 +89,19 @@ class TestDeployment:
         cluster, nodes, log = build_cluster(n=4, seed=6)
         cluster.start()
         cluster.stop()
+        cluster.stop()
         before = threading.active_count()
         time.sleep(0.1)
         assert threading.active_count() <= before
+
+    def test_stop_before_start_closes_every_socket(self):
+        # The shape of `try: ... finally: cluster.stop()` around a start
+        # that never happened: no "cannot join thread" error, no bound
+        # socket left behind.
+        cluster, nodes, log = build_cluster(n=4, seed=6)
+        cluster.stop()
+        assert all(host._sock.fileno() == -1 for host in cluster.hosts)
+        cluster.stop()
 
     def test_with_node_ships_returned_messages(self):
         cluster, nodes, log = build_cluster(n=4, seed=7)

@@ -21,7 +21,7 @@ def build_cluster(n=4, period=0.03, seed=1, wire_format="binary"):
 
 
 class TestWireFormats:
-    @pytest.mark.parametrize("wire_format", ["binary", "json", "text"])
+    @pytest.mark.parametrize("wire_format", ["binary", "json"])
     def test_broadcast_delivers_in_every_format(self, wire_format):
         cluster, nodes, log = build_cluster(n=6, seed=21,
                                             wire_format=wire_format)
@@ -43,23 +43,23 @@ class TestWireFormats:
         cluster = LocalDeployment(nodes)
         assert all(h.wire_format == "binary" for h in cluster.hosts)
 
-    def test_legacy_text_datagram_accepted_by_binary_host(self):
-        # An old peer speaking pid|json must still be understood.
+    def test_text_datagram_is_a_decode_error_not_a_message(self):
+        # The retired pid|json format fails the frame version check.
         from repro.core.codec import to_json
         from repro.core.message import SubscriptionRequest
 
         cluster, nodes, log = build_cluster(n=2, seed=22)
         with cluster:
             host = cluster.host(nodes[0].pid)
-            before = host.datagrams_received
             sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
             text = f"{nodes[1].pid}|{to_json(SubscriptionRequest(99))}"
             sock.sendto(text.encode("utf-8"), host.address)
             sock.close()
-            cluster.wait_until(lambda: host.datagrams_received > before,
-                               timeout=3.0)
-            assert host.datagrams_received > before
-            assert host.decode_errors == 0
+            cluster.wait_until(lambda: host.decode_errors > 0, timeout=3.0)
+            cluster.run_for(0.1)
+            assert host.decode_errors == 1
+            assert host.with_node(
+                lambda node: node.stats.join_requests_served) == 0
 
 
 class TestByteCounters:

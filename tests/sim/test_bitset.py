@@ -1,10 +1,8 @@
 """Property tests for the bit-packed boolean columns.
 
 Every helper is checked against the naive boolean-array model it
-replaces, on both halves of the module: numpy ``uint64`` words and
-python-int bitsets.  The two halves share one layout (node ``i`` at bit
-``i & 63`` of word ``i >> 6``), so a cross-backend round-trip is also
-pinned: packing the same flags must describe the same set bits.
+replaces, and the layout the engine's single-bit reads and writes rely on
+(node ``i`` at bit ``i & 63`` of word ``i >> 6``) is pinned.
 """
 
 from __future__ import annotations
@@ -17,14 +15,6 @@ from hypothesis import strategies as st
 from repro.sim import bitset
 
 flag_lists = st.lists(st.booleans(), min_size=0, max_size=300)
-
-
-def _words_to_int(words: np.ndarray) -> int:
-    """Numpy words → the equivalent python-int bitset."""
-    value = 0
-    for index, word in enumerate(words.tolist()):
-        value |= word << (64 * index)
-    return value
 
 
 class TestWordsFor:
@@ -94,40 +84,14 @@ class TestNumpyWords:
         expect[indices] = True
         assert np.array_equal(bitset.unpack_bools(words, n), expect)
 
+    @given(flag_lists)
+    @settings(max_examples=200, deadline=None)
+    def test_node_i_is_bit_i_mod_64_of_word_i_div_64(self, flags):
+        words = bitset.pack_bools(np.array(flags, dtype=bool)).tolist()
+        assert [bool(words[i >> 6] >> (i & 63) & 1)
+                for i in range(len(flags))] == flags
+
     def test_zero_words(self):
         words = bitset.zero_words(130)
         assert words.size == 3
         assert bitset.popcount_words(words) == 0
-
-
-class TestPythonInts:
-    @given(flag_lists)
-    @settings(max_examples=200, deadline=None)
-    def test_pack_unpack_round_trip(self, flags):
-        value = bitset.int_pack(flags)
-        assert bitset.int_unpack(value, len(flags)) == list(flags)
-
-    @given(flag_lists)
-    @settings(max_examples=200, deadline=None)
-    def test_popcount_matches_sum(self, flags):
-        assert bitset.int_popcount(bitset.int_pack(flags)) == sum(flags)
-
-    @given(flag_lists)
-    @settings(max_examples=200, deadline=None)
-    def test_indices_match_enumerate(self, flags):
-        value = bitset.int_pack(flags)
-        assert bitset.int_indices(value, len(flags)) == \
-            [i for i, f in enumerate(flags) if f]
-
-    def test_full_mask(self):
-        assert bitset.int_full_mask(0) == 0
-        assert bitset.int_full_mask(3) == 0b111
-        assert bitset.int_popcount(bitset.int_full_mask(100)) == 100
-
-
-class TestCrossBackend:
-    @given(flag_lists)
-    @settings(max_examples=200, deadline=None)
-    def test_same_layout(self, flags):
-        words = bitset.pack_bools(np.array(flags, dtype=bool))
-        assert _words_to_int(words) == bitset.int_pack(flags)

@@ -1,4 +1,4 @@
-"""ColumnarRoundSimulation: honoured parity, backends, aggregates, scale.
+"""ColumnarRoundSimulation: honoured parity, aggregates, early reads, scale.
 
 The columnar engine's correctness story has two halves, and both are pinned
 here: the **honoured** counter subset must match the serial engine
@@ -26,15 +26,11 @@ from repro.sim.columnar_runner import (
     honoured_records,
     is_honoured_record,
 )
-from repro.telemetry import counter_records
+from repro.telemetry import counter_fingerprint, counter_records
 
-try:
-    import numpy  # noqa: F401
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMPY = False
-
-BACKENDS = ["python"] + (["numpy"] if HAVE_NUMPY else [])
+#: Worker counts the parity checks run on (1 = the in-process round, whose
+#: test id predates the removal of the second backend).
+WORKERS = pytest.mark.parametrize("workers", [1, 2], ids=["numpy", "workers2"])
 
 
 def fault_plan():
@@ -48,18 +44,21 @@ def fault_plan():
             .pause(11, at=3, duration=4))
 
 
-def run_engine(engine, *, backend="auto", n=30, rounds=12, seed=17,
-               loss=0.05, plan=None, publishes=4):
+def run_engine(engine, *, workers=1, n=30, rounds=12, seed=17,
+               loss=0.05, plan=None, publishes=4, ingest=None):
     cfg = LpbcastConfig(fanout=3, view_max=8)
     nodes = build_lpbcast_nodes(n, cfg, seed=seed)
     network = NetworkModel(loss_rate=loss, rng=derive_rng(seed, "dst-network"))
     if engine == "columnar":
         sim = ColumnarRoundSimulation(network=network, seed=seed,
-                                      backend=backend)
+                                      workers=workers)
     else:
         extra = {"shards": 2} if engine == "sharded" else {}
         sim = create_simulation(engine, network=network, seed=seed, **extra)
-    sim.add_nodes(nodes)
+    if ingest is None:
+        sim.add_nodes(nodes)
+    else:
+        ingest(sim, nodes)
     log = DeliveryLog().attach(sim.nodes.values())
     if plan is not None:
         sim.use_fault_plan(plan)
@@ -89,31 +88,45 @@ def run_engine(engine, *, backend="auto", n=30, rounds=12, seed=17,
 
 
 class TestHonouredParity:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_fault_free_scenario_matches_serial(self, backend):
+    @WORKERS
+    def test_fault_free_scenario_matches_serial(self, workers):
         serial, _, _, _ = run_engine("serial", plan=None, loss=0.0)
-        columnar, _, _, _ = run_engine("columnar", backend=backend,
+        columnar, _, _, _ = run_engine("columnar", workers=workers,
                                        plan=None, loss=0.0)
         assert honoured_records(serial) == honoured_records(columnar)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_fault_plan_scenario_matches_serial(self, backend):
+    @WORKERS
+    def test_fault_plan_scenario_matches_serial(self, workers):
         serial, _, s_alive, _ = run_engine("serial", plan=fault_plan())
-        columnar, _, c_alive, _ = run_engine("columnar", backend=backend,
+        columnar, _, c_alive, _ = run_engine("columnar", workers=workers,
                                              plan=fault_plan())
         assert honoured_records(serial) == honoured_records(columnar)
         assert s_alive == c_alive
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="needs both backends")
-    def test_backends_agree_on_honoured_fingerprint(self):
-        # The honoured series consume no randomness, so repro artifacts
-        # recorded on a numpy machine replay on a stdlib-only one.
-        np_records, _, _, _ = run_engine("columnar", backend="numpy",
-                                         plan=fault_plan())
-        py_records, _, _, _ = run_engine("columnar", backend="python",
-                                         plan=fault_plan())
-        assert (honoured_fingerprint(np_records)
-                == honoured_fingerprint(py_records))
+    def test_reads_before_first_round_do_not_freeze_membership(self):
+        # alive()/alive_count()/crash()/recover() of an unknown pid,
+        # memory_bytes(), node_aggregates() and a handle's view used to
+        # allocate the columns, after which add_nodes raised "frozen".
+        def ingest_between_reads(sim, nodes):
+            half = len(nodes) // 2
+            assert not sim.alive(3)
+            assert sim.alive_count() == 0
+            sim.add_nodes(nodes[:half])
+            assert sim.alive(3) and not sim.alive(half)
+            assert sim.alive_count() == half
+            sim.crash(999)
+            assert not sim.recover(999) and not sim.recover(3)
+            assert sim.memory_bytes() == 0
+            assert sim.node_aggregates().count == half
+            assert set(sim.nodes[3].view) <= set(range(half))
+            sim.add_nodes(nodes[half:])
+
+        plain, _, _, plain_agg = run_engine("columnar", plan=fault_plan())
+        early, _, _, early_agg = run_engine("columnar", plan=fault_plan(),
+                                            ingest=ingest_between_reads)
+        assert honoured_fingerprint(early) == honoured_fingerprint(plain)
+        assert early == plain  # the reads drew nothing either
+        assert early_agg == plain_agg
 
 
 class TestDeclaredDivergences:
@@ -197,8 +210,25 @@ class TestEngineBasics:
         assert sim.alive_count() == 10
 
     def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            ColumnarRoundSimulation(backend="fortran")
+        for backend in ("python", "fortran"):
+            with pytest.raises(ValueError, match="backend option was removed"):
+                ColumnarRoundSimulation.build(10, seed=6, backend=backend)
+
+    def test_backend_is_gone_from_constructor_and_factory(self):
+        with pytest.raises(TypeError):
+            ColumnarRoundSimulation(backend="numpy")
+        with pytest.raises(ValueError, match="unknown create_simulation"):
+            create_simulation("columnar", backend="numpy")
+
+    def test_build_backend_numpy_selects_nothing(self):
+        def fingerprint(**kwargs):
+            sim = ColumnarRoundSimulation.build(
+                200, LpbcastConfig(view_max=8), seed=12, **kwargs)
+            sim.nodes[0].lpb_cast("x", 0.0)
+            sim.run(6)
+            return counter_fingerprint(sim.telemetry)
+
+        assert fingerprint(backend="numpy") == fingerprint()
 
     def test_dissemination_reaches_everyone(self):
         sim = ColumnarRoundSimulation.build(200, LpbcastConfig(), seed=8)

@@ -4,7 +4,7 @@ Delivery counts are a declared divergence of the columnar engine — its
 draws come from its own streams — but the *curve* is what the engine is
 for, so two things are held here: push-only spread actually spreads, and
 the mean time to 99 % coverage stays within a stated distance of serial's
-on every backend and worker count.  A cheap precursor of a conformance
+on every worker count.  A cheap precursor of a conformance
 oracle, not a replacement.
 """
 
@@ -17,13 +17,9 @@ from repro.sim import (
     create_simulation,
 )
 
-try:
-    import numpy  # noqa: F401
-    VARIANTS = [{"backend": "numpy"}, {"backend": "python"},
-                {"backend": "numpy", "workers": 2}]
-except ImportError:  # pragma: no cover
-    VARIANTS = [{"backend": "python"}]
-IDS = ["workers2" if "workers" in v else v["backend"] for v in VARIANTS]
+#: Worker counts each curve check runs on (1 = the in-process round, whose
+#: test id predates the removal of the second backend).
+WORKERS = pytest.mark.parametrize("workers", [1, 2], ids=["numpy", "workers2"])
 
 
 def infection_curve(sim, rounds, count):
@@ -55,10 +51,10 @@ class TestPushOnlySpread:
         sim.add_nodes(build_lpbcast_nodes(self.N, self.CFG, seed=self.SEED))
         return infection_curve(sim, self.ROUNDS, serial_count)[-1]
 
-    @pytest.mark.parametrize("kwargs", VARIANTS, ids=IDS)
-    def test_curve_passes_half_and_lands_near_serial(self, kwargs,
+    @WORKERS
+    def test_curve_passes_half_and_lands_near_serial(self, workers,
                                                      serial_final):
-        sim = ColumnarRoundSimulation(seed=self.SEED, **kwargs)
+        sim = ColumnarRoundSimulation(seed=self.SEED, workers=workers)
         with sim:
             sim.add_nodes(build_lpbcast_nodes(self.N, self.CFG,
                                               seed=self.SEED))
@@ -88,7 +84,7 @@ def rounds_to_coverage(sim, count, target):
 
 class TestCurveGuard:
     """Mean rounds to 99 % coverage, digest mode, n=1000, seeds 1-5: the
-    columnar engine (any backend or worker count) within 0.75 round of the
+    columnar engine (any worker count) within 0.75 round of the
     serial engine.  Measured when the sampler changed: serial 7.50,
     columnar 6.96-7.03 — the gap is serial's evolving, not-quite-uniform
     views, and was the same with the old selection (7.05 by whole rounds)."""
@@ -105,13 +101,13 @@ class TestCurveGuard:
             total += rounds_to_coverage(sim, serial_count, 0.99 * self.N)
         return total / len(self.SEEDS)
 
-    @pytest.mark.parametrize("kwargs", VARIANTS, ids=IDS)
-    def test_mean_rounds_to_99_percent_matches_serial(self, kwargs,
+    @WORKERS
+    def test_mean_rounds_to_99_percent_matches_serial(self, workers,
                                                       serial_mean):
         total = 0.0
         for seed in self.SEEDS:
             with ColumnarRoundSimulation.build(self.N, self.CFG, seed=seed,
-                                               **kwargs) as sim:
+                                               workers=workers) as sim:
                 total += rounds_to_coverage(
                     sim, lambda s: s.delivery_ratio(0) * self.N,
                     0.99 * self.N)

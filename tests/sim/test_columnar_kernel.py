@@ -10,6 +10,7 @@ arrays.  What the changed draws do to the infection curve is held in
 
 import copy
 
+import numpy as np
 import pytest
 
 from repro.core import LpbcastConfig
@@ -19,10 +20,7 @@ from repro.sim.columnar_runner import (
     slab_round,
     slab_senders,
 )
-
-np = pytest.importorskip("numpy")
-
-from repro.sim.columnar_shm import _worker_round  # noqa: E402  (needs numpy)
+from repro.sim.columnar_shm import _worker_round
 
 #: Upper 0.1 % points of chi-square, by degrees of freedom.
 CHI2_999 = {4: 18.47, 6: 22.46, 23: 49.73, 24: 51.18}

@@ -30,8 +30,6 @@ from repro.sim import (
 from repro.sim.columnar_runner import honoured_fingerprint, honoured_records
 from repro.telemetry import counter_records
 
-numpy = pytest.importorskip("numpy")
-
 
 def run_columnar(workers, *, n=30, rounds=10, seed=23, loss=0.05,
                  plan=None, publishes=3):
@@ -158,10 +156,6 @@ class TestWorkersValidation:
     def test_workers_must_be_a_positive_int(self, bad):
         with pytest.raises((TypeError, ValueError)):
             ColumnarRoundSimulation(seed=1, workers=bad)
-
-    def test_python_backend_rejects_multicore(self):
-        with pytest.raises(ValueError, match="numpy backend"):
-            ColumnarRoundSimulation(seed=1, backend="python", workers=2)
 
     def test_harness_rejects_workers_for_non_columnar_engines(self):
         spec = ScenarioSpec(seed=1, n=12, rounds=4, publishes=2)

@@ -45,8 +45,6 @@ def run_engine(engine, *, tracing=False, faults=False, with_meter=False,
     meter = None
     if with_meter:
         meter = BandwidthMeter()
-        for node in nodes:
-            meter.instrument(node)
         sim.add_round_hook(meter.on_round)
     if faults:
         sim.use_fault_plan(
