@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-slow coverage fuzz bench bench-figures bench-hotpath ledger-smoke examples loc check clean
+.PHONY: install test test-slow coverage fuzz bench bench-figures bench-hotpath ledger-smoke pairs examples loc check clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -36,6 +36,15 @@ bench-hotpath:
 ledger-smoke:
 	$(PYTHON) benchmarks/ledger/run.py --smoke
 	$(PYTHON) -m pytest benchmarks/ledger -q
+
+# Alternating parent/change runs of one ledger workload, with the verdict
+# a claimed gain must meet.  Prints only; never records.
+#   make pairs PARENT=/root/scratch/parent WORKLOAD=udp_stream \
+#       METRIC=cpu_us_per_delivery [SEEDS=1-10]
+SEEDS ?= 1-10
+pairs:
+	$(PYTHON) benchmarks/ledger_pairs.py --parent $(PARENT) --change . \
+	    --workload $(WORKLOAD) --seeds $(SEEDS) $(if $(METRIC),--metric $(METRIC))
 
 bench-figures:
 	$(PYTHON) -m pytest benchmarks/bench_fig2_fanout.py \

@@ -37,7 +37,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..core.ids import ProcessId
 from ..core.message import Outgoing
 from ..telemetry import Telemetry
-from ..wire import decode_frame, pack_datagrams
+from ..wire import DatagramPlan, decode_frame, pack_datagrams
 
 Address = Tuple[str, int]
 
@@ -50,6 +50,21 @@ _RECV_BUFSIZE = _MAX_DATAGRAM + 1
 _RECV_TIMEOUT = 0.05
 
 _WIRE_FORMATS = ("binary", "json")
+
+#: Per-pid ``udp.*`` counter -> its :meth:`LocalDeployment.datagram_counters` key.
+_DATAGRAM_COUNTERS = {
+    "udp.datagrams_sent": "sent",
+    "udp.datagrams_received": "received",
+    "udp.datagrams_lost_injected": "lost_injected",
+    "udp.datagrams_oversize": "oversize",
+    "udp.gossips_split": "split",
+    "udp.datagrams_truncated": "truncated",
+    "udp.datagrams_send_errors": "send_errors",
+    "udp.datagrams_to_unknown": "to_unknown",
+    "udp.decode_errors": "decode_errors",
+    "udp.bytes_sent": "bytes_sent",
+    "udp.bytes_received": "bytes_received",
+}
 
 
 class UdpProcessHost:
@@ -265,6 +280,8 @@ class UdpProcessHost:
         for out in outgoings:
             address = self.directory.get(out.destination)
             if address is None:
+                # Counted (the engines' ``sim.to_unknown``), before a verdict.
+                self._count("udp.datagrams_to_unknown")
                 continue
             copies, delay_s = 1, 0.0
             if self.fault_injector is not None:
@@ -278,8 +295,11 @@ class UdpProcessHost:
             groups.setdefault((address, copies, delay_s), []).append(
                 out.message
             )
+        # A tick's F targets share one gossip object and a frame never names
+        # its destination: pack each distinct group of objects once per call.
+        plans: Dict[Tuple[int, ...], DatagramPlan] = {}
         for (address, copies, delay_s), messages in groups.items():
-            for datagram in self._encode_datagrams(messages):
+            for datagram in self._encode_datagrams(messages, plans):
                 for _ in range(copies):
                     if delay_s > 0:
                         timer = threading.Timer(
@@ -290,13 +310,18 @@ class UdpProcessHost:
                     else:
                         self._transmit(datagram, address)
 
-    def _encode_datagrams(self, messages: List[object]) -> List[bytes]:
-        """Encode one destination's messages into capped datagrams,
-        counting and tracing splits and undeliverable oversize messages."""
-        with self.telemetry.time("time.codec", op="encode"):
-            plan = pack_datagrams(self.node.pid, messages,
-                                  fmt=self.wire_format,
-                                  max_bytes=_MAX_DATAGRAM)
+    def _encode_datagrams(self, messages: List[object],
+                          plans: dict) -> List[bytes]:
+        """One destination's messages as capped datagrams, packed on first
+        sight within the calling ``_send_all``; splits and undeliverable
+        oversize messages are counted and traced per destination."""
+        key = tuple(map(id, messages))
+        plan = plans.get(key)
+        if plan is None:
+            with self.telemetry.time("time.codec", op="encode"):
+                plan = plans[key] = pack_datagrams(
+                    self.node.pid, messages, fmt=self.wire_format,
+                    max_bytes=_MAX_DATAGRAM)
         for message, size in plan.oversize:
             self._note_oversize(message, size)
         for message, size, parts in plan.splits:
@@ -426,17 +451,16 @@ class LocalDeployment:
     def datagram_counters(self) -> Dict[str, int]:
         """Cluster-wide datagram accounting with drop causes kept distinct —
         the numbers a loss-rate experiment should report alongside
-        :meth:`total_datagrams`."""
-        return {
-            "sent": sum(h.datagrams_sent for h in self.hosts),
-            "received": sum(h.datagrams_received for h in self.hosts),
-            "lost_injected": sum(h.datagrams_lost_injected for h in self.hosts),
-            "oversize": sum(h.datagrams_oversize for h in self.hosts),
-            "split": sum(h.gossips_split for h in self.hosts),
-            "truncated": sum(h.datagrams_truncated for h in self.hosts),
-            "send_errors": sum(h.datagrams_send_errors for h in self.hosts),
-            "dropped": sum(h.datagrams_dropped for h in self.hosts),
-            "decode_errors": sum(h.decode_errors for h in self.hosts),
-            "bytes_sent": sum(h.bytes_sent for h in self.hosts),
-            "bytes_received": sum(h.bytes_received for h in self.hosts),
-        }
+        :meth:`total_datagrams`.  One :meth:`Telemetry.snapshot`, so all
+        keys are read at the same instant; but a sender counts after
+        ``sendto`` returns, possibly after its receiver did, so cross-host
+        relations (``received <= sent``) hold on a stopped deployment."""
+        totals = dict.fromkeys(_DATAGRAM_COUNTERS.values(), 0)
+        counters = self.telemetry.snapshot()["counters"]
+        for (name, _labels), value in counters.items():
+            key = _DATAGRAM_COUNTERS.get(name)
+            if key is not None:
+                totals[key] += value
+        totals["dropped"] = (totals["lost_injected"] + totals["oversize"]
+                             + totals["send_errors"])
+        return totals

@@ -28,17 +28,13 @@ from __future__ import annotations
 
 import threading
 import time as _time
-from contextlib import contextmanager
+from contextlib import nullcontext
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .events import TraceBuffer, TraceEvent, TraceTag
 
 #: Canonical label identity: sorted ``(key, value)`` pairs.
 LabelKey = Tuple[Tuple[str, object], ...]
-
-#: Lazily bound :func:`repro.wire.wire_bytes_of` (the wire package imports
-#: core modules, so binding at import time here would risk a cycle).
-_wire_bytes_of = None
 
 
 def _label_key(labels: Dict) -> LabelKey:
@@ -80,6 +76,23 @@ class _Hist:
 
     def as_tuple(self) -> Tuple[int, float, float, float]:
         return (self.count, self.total, self.minimum, self.maximum)
+
+
+class _Timer:
+    """What :meth:`Telemetry.time` returns: a slotted object, not a
+    generator — there is one per datagram, encode, tick and delivery."""
+
+    __slots__ = ("_observe", "_name", "_labels", "_started")
+
+    def __init__(self, observe, name: str, labels: Dict) -> None:
+        self._observe, self._name, self._labels = observe, name, labels
+
+    def __enter__(self) -> None:
+        self._started = _time.perf_counter()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._observe(self._name, _time.perf_counter() - self._started,
+                      **self._labels)
 
 
 class Telemetry:
@@ -152,15 +165,10 @@ class Telemetry:
                     hist = self._hists[key] = _Hist()
                 hist.observe(value)
 
-    @contextmanager
-    def time(self, name: str, **labels):
-        """``perf_counter`` phase timer; observes the elapsed seconds into
-        the histogram ``name``."""
-        started = _time.perf_counter()
-        try:
-            yield
-        finally:
-            self.observe(name, _time.perf_counter() - started, **labels)
+    def time(self, name: str, **labels) -> _Timer:
+        """``perf_counter`` phase timer: ``with telemetry.time(name):``
+        observes the block's elapsed seconds into the histogram ``name``."""
+        return _Timer(self.observe, name, labels)
 
     def emit(self, kind: str, at: float, pid: Optional[int] = None,
              peer: Optional[int] = None, force: bool = False,
@@ -175,7 +183,8 @@ class Telemetry:
             self.trace.append(event)
 
     # -- engine conveniences -------------------------------------------------
-    def record_send(self, round_no: int, src, out) -> None:
+    def record_send(self, round_no: int, src, out,
+                    sizes: Optional[Dict[int, int]] = None) -> None:
         """Account one outgoing protocol message at emission time.
 
         Updates the ``sim.sends`` family (per round and kind), the element
@@ -184,7 +193,9 @@ class Telemetry:
         must not inflate element totals), and the per-sender ledger.  With
         :attr:`count_wire_bytes` on, each message is additionally sized with
         the binary wire codec into ``sim.send_bytes`` (messages without a
-        binary form count into ``sim.send_bytes_unsized`` instead).
+        binary form count into ``sim.send_bytes_unsized`` instead);
+        ``sizes`` memoises that by message identity across one batch, where
+        a tick's gossip is a single object for all F targets.
         """
         message = out.message
         kind = type(message).__name__
@@ -196,11 +207,14 @@ class Telemetry:
             self.inc("sim.sends_unsized", 1, round=round_no)
         self.inc("sim.sends_by_sender", 1, src=src)
         if self.count_wire_bytes:
-            global _wire_bytes_of
-            if _wire_bytes_of is None:
-                from ..wire import wire_bytes_of as _wb
-                _wire_bytes_of = _wb
-            wire_size = _wire_bytes_of(message)
+            if sizes is None:
+                sizes = {}
+            wire_size = sizes.get(id(message))
+            if wire_size is None:
+                # Imported here: the wire package imports core modules, so
+                # a module-level import would risk a cycle.
+                from ..wire import wire_bytes_of
+                wire_size = sizes[id(message)] = wire_bytes_of(message)
             if wire_size < 0:
                 self.inc("sim.send_bytes_unsized", 1, round=round_no)
             else:
@@ -225,8 +239,9 @@ class Telemetry:
         if not outgoings:
             return
         if self.tracing or self._lock is not None or self.count_wire_bytes:
+            sizes: Dict[int, int] = {}
             for out in outgoings:
-                self.record_send(round_no, src, out)
+                self.record_send(round_no, src, out, sizes)
             return
         counters = self._counters
         if round_no != self._send_cache_round:
@@ -300,13 +315,15 @@ class Telemetry:
         return sorted({metric for metric, _ in self._counters})
 
     def snapshot(self) -> Dict[str, Dict]:
-        """Plain-dict view of every metric (export layer input)."""
-        return {
-            "counters": dict(self._counters),
-            "gauges": dict(self._gauges),
-            "histograms": {key: h.as_tuple()
-                           for key, h in self._hists.items()},
-        }
+        """Plain-dict view of every metric (export layer input) — one
+        consistent read: a thread-safe registry copies under its lock."""
+        with self._lock or nullcontext():
+            return {
+                "counters": dict(self._counters),
+                "gauges": dict(self._gauges),
+                "histograms": {key: h.as_tuple()
+                               for key, h in self._hists.items()},
+            }
 
     # -- shard merge ---------------------------------------------------------
     def drain_delta(self) -> tuple:

@@ -54,6 +54,7 @@ from .varint import (
     read_svarint,
     read_svarint_run,
     read_uvarint,
+    unzigzag,
     write_svarint,
     write_uvarint,
 )
@@ -92,6 +93,9 @@ TAG_GOSSIP_CAUSAL = 0x10
 TAG_RETR_RESPONSE_CAUSAL = 0x11
 
 _F64 = struct.Struct("<d")
+
+#: One-byte zigzag varints decoded by lookup (the digest reader's hot case).
+_UNZIGZAG_BYTE = tuple(map(unzigzag, range(0x80)))
 
 
 # -- field primitives ---------------------------------------------------------
@@ -203,46 +207,88 @@ def _w_event_ids(buf: bytearray, event_ids) -> None:
     Each run is ``(zigzag origin delta, length, zigzag seq deltas)``; the
     first seq of a run is a delta from 0, later seqs are deltas from their
     predecessor, so the in-sequence digests the paper's per-sender buffers
-    maintain cost about one byte per id.
+    maintain cost about one byte per id.  The hot loop of every gossip:
+    the one-byte case is inlined, :func:`write_uvarint` takes the rest.
     """
-    write_uvarint(buf, len(event_ids))
+    total = len(event_ids)
+    write_uvarint(buf, total)
+    append = buf.append
     previous_origin = 0
-    index, total = 0, len(event_ids)
+    index = 0
     while index < total:
-        origin = event_ids[index].origin
+        origin = event_ids[index][0]
         run_end = index + 1
-        while run_end < total and event_ids[run_end].origin == origin:
+        while run_end < total and event_ids[run_end][0] == origin:
             run_end += 1
-        write_svarint(buf, origin - previous_origin)
-        write_uvarint(buf, run_end - index)
+        delta = origin - previous_origin
+        folded = delta * 2 if delta >= 0 else -delta * 2 - 1
+        if folded < 0x80:
+            append(folded)
+        else:
+            write_uvarint(buf, folded)
+        if run_end - index < 0x80:
+            append(run_end - index)
+        else:
+            write_uvarint(buf, run_end - index)
         previous_seq = 0
-        for position in range(index, run_end):
-            seq = event_ids[position].seq
-            write_svarint(buf, seq - previous_seq)
+        while index < run_end:
+            seq = event_ids[index][1]
+            delta = seq - previous_seq
+            folded = delta * 2 if delta >= 0 else -delta * 2 - 1
+            if folded < 0x80:
+                append(folded)
+            else:
+                write_uvarint(buf, folded)
             previous_seq = seq
+            index += 1
         previous_origin = origin
-        index = run_end
 
 
 def _r_event_ids(data, pos: int, limit: int) -> Tuple[Tuple[EventId, ...], int]:
+    """Inverse of :func:`_w_event_ids` in one pass: one-byte values are
+    decoded inline; a wider one — or the end of the input, which reads as
+    one here — goes to the public readers, whose truncation and 10-byte-cap
+    errors therefore stay the only ones."""
     count, pos = read_uvarint(data, pos)
     if count > limit:
         raise CodecError(f"event-id list length {count} exceeds input size")
+    end = len(data)
     out: List[EventId] = []
     append = out.append
-    previous_origin = 0
-    while len(out) < count:
-        delta, pos = read_svarint(data, pos)
-        origin = previous_origin + delta
-        run_length, pos = read_uvarint(data, pos)
-        if run_length < 1 or len(out) + run_length > count:
+    # tuple.__new__ skips the namedtuple's generated Python-level __new__.
+    new, make, small = tuple.__new__, EventId, _UNZIGZAG_BYTE
+    origin = 0
+    remaining = count
+    while remaining:
+        byte = data[pos] if pos < end else 0x80
+        if byte < 0x80:
+            origin += small[byte]
+            pos += 1
+        else:
+            delta, pos = read_svarint(data, pos)
+            origin += delta
+        byte = data[pos] if pos < end else 0x80
+        if byte < 0x80:
+            run_length = byte
+            pos += 1
+        else:
+            run_length, pos = read_uvarint(data, pos)
+        if run_length < 1 or run_length > remaining:
             raise CodecError(f"malformed event-id run of length {run_length}")
-        seq_deltas, pos = read_svarint_run(data, pos, run_length)
-        previous_seq = 0
-        for seq_delta in seq_deltas:
-            previous_seq += seq_delta
-            append(EventId(origin, previous_seq))
-        previous_origin = origin
+        remaining -= run_length
+        seq = 0
+        while run_length:
+            byte = data[pos] if pos < end else 0x80
+            if byte >= 0x80:
+                deltas, pos = read_svarint_run(data, pos, run_length)
+                for delta in deltas:
+                    seq += delta
+                    append(new(make, (origin, seq)))
+                break
+            seq += small[byte]
+            pos += 1
+            append(new(make, (origin, seq)))
+            run_length -= 1
     return tuple(out), pos
 
 

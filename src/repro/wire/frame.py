@@ -8,9 +8,10 @@ destination::
     varint   message count
     N ×      varint length prefix + encoded message
 
-The version byte keeps the JSON codec on the wire for debugging (and makes
-both formats distinguishable from the legacy ``pid|json`` text datagrams,
-whose first byte is an ASCII digit).  :func:`pack_datagrams` is the send
+The version byte keeps the JSON codec on the wire for debugging; anything
+that starts with another byte is a decode error, never a parsed message.
+A frame names its sender and never its destination, so the same bytes
+serve every target of a gossip.  :func:`pack_datagrams` is the send
 path: it batches messages per destination into as few frames as fit the
 datagram cap, *splits* gossips whose single-message frame would exceed the
 cap into several smaller gossips instead of dropping them, and reports the

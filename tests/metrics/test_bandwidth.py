@@ -136,3 +136,32 @@ class TestByteAccounting:
         assert traffic.wire_bytes > 0
         assert traffic.wire_bytes != traffic.elements
         assert meter.total_elements() != meter.total_wire_bytes()
+
+    def test_fingerprint_is_the_one_taken_before_sizes_were_memoised(self):
+        # Taken at the parent of the change that sized each distinct message
+        # once per ``record_sends`` batch (serial, n=16, seed=5, 6 rounds).
+        from repro.telemetry import counter_fingerprint
+
+        sim, meter = self._run("serial")
+        assert meter.total_wire_bytes() == 5994
+        assert counter_fingerprint(sim.telemetry) == (
+            "8f6db028518d1f1d791928ba41abc343"
+            "bdf374d771446012ec89e63b9a4270d8")
+
+    def test_one_encode_per_tick(self, monkeypatch):
+        # A tick hands one gossip object to its F targets: sized once.
+        import repro.wire.binary as binary
+
+        calls = []
+        original = binary.encode_binary
+
+        def counting(message, **kwargs):
+            calls.append(message)
+            return original(message, **kwargs)
+
+        monkeypatch.setattr(binary, "encode_binary", counting)
+        sim, meter = self._run("serial", n=16, rounds=6)
+        ticks = 16 * 6
+        assert meter.total_messages() == 3 * ticks
+        assert len(calls) == ticks
+        assert len({id(message) for message in calls}) == ticks

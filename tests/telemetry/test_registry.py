@@ -1,5 +1,8 @@
 """Tests for the telemetry registry, trace buffer and shard-merge path."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.telemetry import Telemetry, TraceBuffer, TraceEvent
@@ -52,6 +55,53 @@ class TestCounters:
         count, total, minimum, maximum = t.histogram_stats("time.tick")
         assert count == 1
         assert 0.0 <= minimum <= total
+
+    def test_time_observes_labels_when_the_block_raises(self):
+        t = Telemetry()
+        with pytest.raises(KeyError):
+            with t.time("time.codec", op="decode"):
+                raise KeyError("inside")
+        assert t.histogram_stats("time.codec", op="decode")[0] == 1
+
+    def test_time_is_a_method_returning_enter_and_exit(self):
+        # The ledger's tracer fetches ``Telemetry.__dict__["time"]`` and
+        # drives the returned object by hand, around spans of its own.
+        t = Telemetry()
+        manager = Telemetry.__dict__["time"](t, "time.tick")
+        assert manager.__enter__() is None
+        assert t.histogram_stats("time.tick") is None
+        assert not manager.__exit__(None, None, None)
+        assert t.histogram_stats("time.tick")[0] == 1
+
+    def test_snapshot_of_a_thread_safe_registry_is_one_read(self):
+        # Writers keep adding series while the reader copies: without the
+        # lock the copy dies of "dictionary changed size during iteration".
+        t = Telemetry(thread_safe=True)
+        writers, series = 3, 4000
+
+        def write(worker):
+            for index in range(series):
+                t.observe("time.codec", 1.0, worker=worker, index=index)
+                t.inc("udp.bytes_sent", 2, worker=worker, index=index)
+
+        threads = [threading.Thread(target=write, args=(worker,))
+                   for worker in range(writers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            while any(thread.is_alive() for thread in threads):
+                snap = t.snapshot()
+                assert len(snap["histograms"]) <= writers * series
+            for thread in threads:
+                thread.join(10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        snap = t.snapshot()
+        assert len(snap["histograms"]) == writers * series
+        assert sum(snap["counters"].values()) == 2 * writers * series
 
     def test_thread_safe_registry_counts(self):
         t = Telemetry(thread_safe=True)

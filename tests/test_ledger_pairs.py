@@ -1,0 +1,97 @@
+"""The paired-run tool's arithmetic: seed parsing, alternation, verdicts.
+
+``benchmarks/ledger_pairs.py`` normally spends minutes in subprocesses;
+here ``run_once`` is replaced by a table of canned results.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "ledger_pairs", ROOT / "benchmarks" / "ledger_pairs.py")
+pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(pairs)
+
+
+def test_parse_seeds():
+    assert pairs.parse_seeds("1-4,9,11-12") == [1, 2, 3, 4, 9, 11, 12]
+    assert pairs.parse_seeds("7") == [7]
+    with pytest.raises(ValueError):
+        pairs.parse_seeds("5-4")
+
+
+class TestSummarise:
+    parent = [100.0, 104.0, 98.0, 101.0, 99.0, 103.0, 97.0, 102.0, 100.0, 101.0]
+
+    def verdict(self, change, claimed, better="lower", bound=0.25):
+        return pairs.summarise("m", better, bound, self.parent, change, claimed)
+
+    def test_claim_met_needs_nine_wins_and_a_gap_beyond_the_parents_iqr(self):
+        line, met = self.verdict([v - 30 for v in self.parent], claimed=True)
+        assert met and "CLAIM MET: 10/10" in line
+        # Wins every pair, but by less than the parent's own spread.
+        line, met = self.verdict([v - 1 for v in self.parent], claimed=True)
+        assert not met and "NOT MET" in line
+        # A large median gap with two pairs lost.
+        change = [v - 30 for v in self.parent]
+        change[0] = change[1] = 200.0
+        line, met = self.verdict(change, claimed=True)
+        assert not met and "8/10" in line
+
+    def test_direction_follows_better(self):
+        line, met = self.verdict([v + 30 for v in self.parent], claimed=True,
+                                 better="higher")
+        assert met
+        line, met = self.verdict([v + 30 for v in self.parent], claimed=True)
+        assert not met and "0/10" in line
+
+    def test_unclaimed_metric_is_judged_against_its_bound(self):
+        line, met = self.verdict([v * 1.3 for v in self.parent], claimed=False)
+        assert not met and "WORSE by 30.0%" in line
+        line, met = self.verdict([v * 1.1 for v in self.parent], claimed=False)
+        assert met and "no worse" in line
+        # Spread wider than a tight bound: unresolved, unless every run of
+        # the change beats every run of the parent.
+        line, met = self.verdict(list(self.parent), claimed=False, bound=0.01)
+        assert met and "unresolved" in line
+        line, met = self.verdict([v - 50 for v in self.parent], claimed=False,
+                                 bound=0.01)
+        assert met and "no worse" in line
+
+
+def test_main_alternates_sides_and_reports_failed_operations(
+        tmp_path, monkeypatch, capsys):
+    declared = {"run_seconds": 10, "end_to_end": [
+        {"name": "cpu_us_per_delivery", "better": "lower", "bound": 0.25},
+        {"name": "delivered_fraction", "better": "higher", "bound": 0.005}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(declared))
+    parent = tmp_path / "parent"
+    parent.mkdir()
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        side = "parent" if checkout == parent.resolve() else "change"
+        calls.append((side, workload, seed, seconds))
+        cpu = 1800.0 + seed if side == "parent" else 1100.0 + seed
+        return {"correct": True, "attempted": 2400,
+                "failed": 15 if (side, seed) == ("change", 2) else 0,
+                "metrics": {"cpu_us_per_delivery": {"value": cpu},
+                            "delivered_fraction": {"value": 1.0}}}
+
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    status = pairs.main(["--parent", str(parent), "--change", str(tmp_path),
+                         "--workload", "udp_stream", "--seeds", "1-4",
+                         "--metric", "cpu_us_per_delivery"])
+    assert [side for side, *_ in calls] == [
+        "parent", "change", "change", "parent",
+        "parent", "change", "change", "parent"]
+    assert {call[1:] for call in calls} == {
+        ("udp_stream", seed, 10) for seed in (1, 2, 3, 4)}
+    output = capsys.readouterr().out
+    assert "CLAIM MET: 4/4 pairs won" in output
+    assert "change: failed 15 of 9600 operations" in output
+    assert status == 1      # a larger share of operations failed

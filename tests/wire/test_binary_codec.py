@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.codec import CodecError, wire_size
 from repro.core.events import Notification, Unsubscription
@@ -27,6 +29,14 @@ from repro.wire import (
     decode_binary,
     encode_binary,
     wire_bytes_of,
+)
+from repro.wire.binary import _r_event_ids, _w_event_ids
+from repro.wire.varint import (
+    read_svarint,
+    read_svarint_run,
+    read_uvarint,
+    write_svarint,
+    write_uvarint,
 )
 
 NOTE = Notification(EventId(3, 7), "payload", 12.5)
@@ -188,3 +198,144 @@ class TestSizing:
         ids = tuple(EventId(7, seq) for seq in range(1, 101))
         blob = encode_binary(RetransmitRequest(0, ids))
         assert len(blob) < 2 * len(ids)  # ~1 byte/id plus a small header
+
+
+# -- the digest codec against its reference ----------------------------------
+#
+# ``_w_event_ids`` / ``_r_event_ids`` are hand-inlined single-pass loops.
+# The pair below is what they replaced — one public varint call per field,
+# attribute access, the generated ``EventId.__new__`` — kept here as the
+# oracle: same bytes out, same ids back, same verdict on damaged input.
+
+def reference_w_event_ids(buf, event_ids):
+    write_uvarint(buf, len(event_ids))
+    previous_origin = 0
+    index, total = 0, len(event_ids)
+    while index < total:
+        origin = event_ids[index].origin
+        run_end = index + 1
+        while run_end < total and event_ids[run_end].origin == origin:
+            run_end += 1
+        write_svarint(buf, origin - previous_origin)
+        write_uvarint(buf, run_end - index)
+        previous_seq = 0
+        for position in range(index, run_end):
+            seq = event_ids[position].seq
+            write_svarint(buf, seq - previous_seq)
+            previous_seq = seq
+        previous_origin = origin
+        index = run_end
+
+
+def reference_r_event_ids(data, pos, limit):
+    count, pos = read_uvarint(data, pos)
+    if count > limit:
+        raise CodecError(f"event-id list length {count} exceeds input size")
+    out = []
+    previous_origin = 0
+    while len(out) < count:
+        delta, pos = read_svarint(data, pos)
+        origin = previous_origin + delta
+        run_length, pos = read_uvarint(data, pos)
+        if run_length < 1 or len(out) + run_length > count:
+            raise CodecError(f"malformed event-id run of length {run_length}")
+        seq_deltas, pos = read_svarint_run(data, pos, run_length)
+        previous_seq = 0
+        for seq_delta in seq_deltas:
+            previous_seq += seq_delta
+            out.append(EventId(origin, previous_seq))
+        previous_origin = origin
+    return tuple(out), pos
+
+
+# Zigzag deltas change width at |d| = 64 (one -> two bytes) and 8192 (two ->
+# three); 2**67 keeps every difference of two values inside the ten-byte cap.
+_EDGES = [0, 1, -1, 63, 64, -64, -65, 127, 128, 8191, 8192, -8192, -8193,
+          2**31, 2**62, 2**67, -2**67]
+_numbers = st.one_of(st.sampled_from(_EDGES), st.integers(-130, 130),
+                     st.integers(-2**67, 2**67))
+
+
+def _id_lists(run_lengths, max_runs):
+    """Lists of ``(origin, seq)`` pairs built run by run, so long runs and
+    length-1 runs both occur; seqs inside a run ascend, descend and jump."""
+    run = st.tuples(_numbers, run_lengths).flatmap(
+        lambda shape: st.tuples(
+            st.just(shape[0]),
+            st.one_of(
+                _numbers.map(lambda first: [first + step
+                                            for step in range(shape[1])]),
+                st.lists(_numbers, min_size=shape[1], max_size=shape[1]))))
+    return st.lists(run, max_size=max_runs).map(
+        lambda runs: [(origin, seq) for origin, seqs in runs for seq in seqs])
+
+
+_any_ids = _id_lists(st.sampled_from([1, 1, 2, 5, 127, 128, 300]), 6)
+_short_ids = _id_lists(st.integers(1, 4), 5)
+
+
+def _outcome(reader, data):
+    try:
+        return reader(data, 0, len(data))
+    except CodecError:
+        return CodecError
+
+
+class TestDigestCodecAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(pairs=_any_ids, plain=st.booleans())
+    def test_writer_emits_the_reference_bytes(self, pairs, plain):
+        expected = bytearray()
+        reference_w_event_ids(expected, [EventId(*pair) for pair in pairs])
+        ids = pairs if plain else [EventId(*pair) for pair in pairs]
+        written = bytearray(b"\xaa")       # appends, never rewrites
+        _w_event_ids(written, ids)
+        assert written == b"\xaa" + expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(pairs=_any_ids, offset=st.integers(0, 3))
+    def test_reader_returns_the_reference_ids(self, pairs, offset):
+        record = bytearray(offset)
+        reference_w_event_ids(record, [EventId(*pair) for pair in pairs])
+        data = bytes(record) + b"\x00\x05"  # the section is not the last
+        ids, pos = _r_event_ids(data, offset, len(data))
+        assert (ids, pos) == reference_r_event_ids(data, offset, len(data))
+        assert ids == tuple(pairs) and pos == len(record)
+        assert all(type(event_id) is EventId for event_id in ids)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pairs=_short_ids)
+    def test_damaged_records_get_the_reference_verdict(self, pairs):
+        record = bytearray()
+        reference_w_event_ids(record, [EventId(*pair) for pair in pairs])
+        damaged = [bytes(record[:cut]) for cut in range(len(record))]
+        for position, byte in enumerate(record):
+            for other in {byte ^ (1 << bit) for bit in range(8)} | {0, 0xFF}:
+                if other != byte:
+                    corrupt = bytearray(record)
+                    corrupt[position] = other
+                    damaged.append(bytes(corrupt))
+        for data in damaged:
+            assert (_outcome(_r_event_ids, data)
+                    == _outcome(reference_r_event_ids, data)), data.hex()
+
+    def test_every_check_still_fires(self):
+        def read(data):
+            return _r_event_ids(data, 0, len(data))
+
+        with pytest.raises(CodecError, match="exceeds input"):
+            read(b"\x05\x02")                       # count > limit
+        with pytest.raises(CodecError, match="run of length 0"):
+            read(b"\x01\x02\x00\x02")                 # run_length < 1
+        with pytest.raises(CodecError, match="run of length 3"):
+            read(b"\x02\x02\x03\x02\x02\x02")         # run overruns count
+        with pytest.raises(CodecError, match="truncated"):
+            read(b"\x02\x02\x02\x02")                 # second seq missing
+        with pytest.raises(CodecError, match="longer than 10"):
+            read(b"\x01\x02\x01" + b"\x80" * 11)
+        blob = encode_binary(RetransmitRequest(3, (EventId(4, 2),)))
+        with pytest.raises(CodecError, match="trailing"):
+            decode_binary(blob + b"\x00")
+        for too_wide in (EventId(0, 2**69), EventId(-2**69 - 1, 0)):
+            with pytest.raises(WireEncodeError, match="outside uvarint"):
+                encode_binary(RetransmitRequest(3, (too_wide,)))
