@@ -37,8 +37,10 @@ ledger-smoke:
 	$(PYTHON) benchmarks/ledger/run.py --smoke
 	$(PYTHON) -m pytest benchmarks/ledger -q
 
-# Alternating parent/change runs of one ledger workload, with the verdict
-# a claimed gain must meet.  Prints only; never records.
+# Alternating parent/change runs of one ledger workload (or a comma list:
+# one table each, METRIC claimed on the first), with the verdict a claimed
+# gain must meet and, where run.py prints them, whether the counter
+# fingerprints agree.  Prints only; never records.
 #   make pairs PARENT=/root/scratch/parent WORKLOAD=udp_stream \
 #       METRIC=cpu_us_per_delivery [SEEDS=1-10]
 SEEDS ?= 1-10

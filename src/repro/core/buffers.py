@@ -17,13 +17,18 @@ paper's pseudocode:
 All random choices are drawn from an injected ``random.Random`` so that whole
 simulations are reproducible from a single seed.
 
-Hot-path note: eviction loops here dominate large-n simulation profiles, so
-:meth:`RandomDropBuffer.truncate` inlines the eviction draw when the stream is
-a plain ``random.Random``.  The inlined draw replicates
-``Random.randrange(n)`` bit-for-bit (``getrandbits(n.bit_length())``
-rejection sampling — CPython's ``_randbelow``), so optimized and
-straightforward runs consume identical random streams; the telemetry parity
-suite pins this with a pre-optimization golden counter record.
+Hot-path note: reception (Figure 1(a)) dominates the object-per-node engines'
+profiles, and most of that is Python dispatch per element, not the algorithm.
+So :meth:`RandomDropBuffer.truncate` inlines the eviction draw when the stream
+is a plain ``random.Random`` — ``Random.randrange(n)`` bit-for-bit
+(``getrandbits(n.bit_length())`` rejection sampling, CPython's
+``_randbelow``) — and each phase is one bulk pass on the structure that owns
+the index: :meth:`RandomDropBuffer.absorb` for ``subs``,
+:meth:`FifoBuffer.missing` for ``eventIds``, ``PartialView.admit`` for
+``view``.  Both make the same draws in the same order as the per-element
+methods, which stay as the only path keyed buffers and custom generators have
+and as the reference the tests compare against; the telemetry parity suite
+pins the streams with a pre-optimization golden counter record.
 """
 
 from __future__ import annotations
@@ -180,6 +185,40 @@ class RandomDropBuffer(Generic[T]):
         self.add(item)
         return self.truncate()
 
+    def absorb(self, items) -> None:
+        """:meth:`add_all` then :meth:`truncate`, returning neither result
+        (Phase 2 feeding ``subs``).  With identity keys and a plain
+        ``random.Random`` it is one pass — :meth:`truncate`'s draws in the
+        same order, swap-removing on the list alone, the survivors' positions
+        re-derived once at the end; otherwise the composition itself."""
+        rng = self._rng
+        if not self._key_is_identity or type(rng) is not random.Random:
+            self.add_all(items)
+            self.truncate()
+            return
+        held = self._items
+        index = self._index
+        n = len(held)
+        for item in items:
+            if item not in index:
+                index[item] = n
+                n += 1
+                held.append(item)
+        max_size = self.max_size
+        if n <= max_size:
+            return
+        getrandbits = rng.getrandbits
+        while n > max_size:
+            k = n.bit_length()
+            pos = getrandbits(k)
+            while pos >= n:
+                pos = getrandbits(k)
+            last = held.pop()
+            n -= 1
+            if pos < n:
+                held[pos] = last
+        self._index = dict(zip(held, range(n)))
+
     def clear(self) -> None:
         self._items.clear()
         self._index.clear()
@@ -287,6 +326,12 @@ class FifoBuffer(Generic[T]):
         if not self._items:
             raise IndexError("buffer is empty")
         return next(iter(self._items))
+
+    def missing(self, items) -> List[T]:
+        """The elements of ``items`` not held, in order, repeats kept — a
+        received digest read against the whole buffer in one pass."""
+        held = self._items
+        return [item for item in items if item not in held]
 
     def __contains__(self, item: object) -> bool:
         return item in self._items
@@ -449,6 +494,10 @@ class CompactEventIdDigest:
             return False
         digest = self._senders.get(event_id[0])
         return digest is not None and digest.contains(event_id[1])
+
+    def missing(self, event_ids) -> List[EventId]:
+        """The ids of ``event_ids`` not recorded as delivered, in order."""
+        return [event_id for event_id in event_ids if event_id not in self]
 
     def add(self, event_id: EventId) -> None:
         """Record ``event_id`` as delivered."""

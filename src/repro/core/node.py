@@ -287,7 +287,7 @@ class LpbcastNode:
 
         if self.config.retransmissions and gossip.event_ids:
             missing = self.retransmitter.select_missing(
-                gossip.event_ids, self.event_ids, now
+                self.event_ids.missing(gossip.event_ids), self.event_ids, now
             )
             if missing:
                 self.stats.retransmit_requests_sent += 1
@@ -357,16 +357,27 @@ class LpbcastNode:
             self._deliver(notification, now)
             self._stage_for_forwarding(notification)
             self.retransmitter.on_received(notification.event_id)
-        if self.config.digest_implies_delivery:
-            for event_id in gossip.event_ids:
-                if event_id in event_ids:
-                    continue
-                # The synthetic notification stands in for a payload this
-                # node never received: it must not enter the retransmission
-                # archive, or a later retransmission / push-back could serve
-                # a ``payload=None`` ghost in place of the real event.
-                self._deliver(Notification(event_id, None, now), now,
-                              archivable=False)
+        if not self.config.digest_implies_delivery:
+            return
+        fresh = event_ids.missing(gossip.event_ids)
+        if not fresh:
+            return  # the usual reception: every advertised id already known
+        # Delivering into a full FIFO evicts its oldest id; if that id comes
+        # later in this digest it reads as new again and is re-delivered.  So
+        # only a store that cannot evict during the walk (room for all of
+        # ``fresh``, or the compact digest, whose known set only grows) may
+        # skip the ids it knew at the start.
+        may_evict = (not self._compact_ids
+                     and len(event_ids) + len(fresh) > event_ids.max_size)
+        for event_id in (gossip.event_ids if may_evict else fresh):
+            if event_id in event_ids:
+                continue  # known, or named earlier in this digest
+            # The synthetic notification stands in for a payload this
+            # node never received: it must not enter the retransmission
+            # archive, or a later retransmission / push-back could serve
+            # a ``payload=None`` ghost in place of the real event.
+            self._deliver(Notification(event_id, None, now), now,
+                          archivable=False)
 
     def _deliver(self, notification: Notification, now: float,
                  archivable: bool = True, record_id: bool = True) -> None:

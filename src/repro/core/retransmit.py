@@ -119,6 +119,8 @@ class RetransmissionEngine:
         return len(self._pending)
 
     def _expire(self, now: float) -> None:
+        if not self._pending:
+            return
         expired = [eid for eid, deadline in self._pending.items() if deadline <= now]
         for eid in expired:
             del self._pending[eid]

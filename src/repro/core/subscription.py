@@ -17,7 +17,7 @@ Two concerns live here:
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, KeysView, List, Optional, Tuple
 
 from .events import Unsubscription
 from .ids import ProcessId
@@ -45,14 +45,22 @@ class UnsubscriptionBuffer:
 
     def truncate(self) -> List[Unsubscription]:
         """Random eviction down to the bound; returns evictees."""
+        if len(self._timestamps) <= self.max_size:
+            return []
+        # One copy, not one per draw: a dict keeps insertion order across
+        # ``pop``, so ``pids`` stays equal to ``list(self._timestamps)``.
+        pids = list(self._timestamps)
         evicted: List[Unsubscription] = []
-        while len(self._timestamps) > self.max_size:
-            pid = self._rng.choice(list(self._timestamps))
+        while len(pids) > self.max_size:
+            pid = self._rng.choice(pids)
+            pids.remove(pid)
             evicted.append(Unsubscription(pid, self._timestamps.pop(pid)))
         return evicted
 
     def purge_obsolete(self, now: float, ttl: float) -> List[Unsubscription]:
         """Drop entries whose timestamp is at least ``ttl`` old."""
+        if not self._timestamps:
+            return []
         expired = [
             Unsubscription(pid, ts)
             for pid, ts in self._timestamps.items()
@@ -68,7 +76,14 @@ class UnsubscriptionBuffer:
             return True
         return False
 
+    def pids(self) -> KeysView[ProcessId]:
+        """Live view of the buffered process ids: ``in`` on it is a plain
+        dict lookup, for callers testing many pids (Phase 2)."""
+        return self._timestamps.keys()
+
     def snapshot(self) -> Tuple[Unsubscription, ...]:
+        if not self._timestamps:
+            return ()
         return tuple(
             Unsubscription(pid, ts) for pid, ts in self._timestamps.items()
         )

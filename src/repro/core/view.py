@@ -54,6 +54,25 @@ class PartialView:
         self._items.append(pid)
         return True
 
+    def admit(self, candidates, dead=()) -> List[ProcessId]:
+        """Phase 2's adds as one pass: insert every candidate that is not
+        the owner, not already present and not in ``dead`` (anything
+        supporting ``in``; an empty one is not consulted at all).  Returns
+        the pids added, in order; like :meth:`add` it does not truncate."""
+        if dead:
+            candidates = [pid for pid in candidates if pid not in dead]
+        owner = self.owner
+        index = self._index
+        n = len(index)
+        added: List[ProcessId] = []
+        for pid in candidates:
+            if pid not in index and pid != owner:
+                index[pid] = n
+                n += 1
+                added.append(pid)
+        self._items.extend(added)
+        return added
+
     def remove(self, pid: ProcessId) -> bool:
         """Remove ``pid`` if present (Phase 1 unsubscription handling)."""
         pos = self._index.pop(pid, None)
@@ -184,6 +203,19 @@ class WeightedPartialView(PartialView):
         added = super().add(pid)
         if added:
             self._weights[pid] = 0
+        return added
+
+    def admit(self, candidates, dead=()) -> List[ProcessId]:
+        """As the uniform view's, and a candidate already in the view has
+        its weight increased (a repeat within ``candidates`` included)."""
+        added: List[ProcessId] = []
+        for pid in candidates:
+            if pid in dead:
+                continue
+            if pid in self:
+                self.note_awareness(pid)
+            elif self.add(pid):
+                added.append(pid)
         return added
 
     def note_awareness(self, pid: ProcessId) -> None:

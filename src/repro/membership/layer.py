@@ -82,8 +82,6 @@ class PartialViewMembership:
         self.subs: RandomDropBuffer[ProcessId] = RandomDropBuffer(subs_max, rng)
         self.unsubs = UnsubscriptionBuffer(unsubs_max, rng)
         self.unsubscribed = False
-        self.unsubs_applied = 0
-        self.view_evictions = 0
 
     # -- incoming (Figure 1(a), Phases I and II) ----------------------------
     def apply_membership(
@@ -103,64 +101,53 @@ class PartialViewMembership:
             # an empty truncate draws no randomness, so skipping it keeps
             # runs bit-identical while sparing the call per reception.
             return
-        view = self.view
+        remove = self.view.remove
         buffered = self.unsubs
         ttl = self.unsub_ttl
         for unsub in unsubs:
-            if unsub.is_obsolete(now, ttl):
-                continue
-            if view.remove(unsub.pid):
-                self.unsubs_applied += 1
+            pid, timestamp = unsub
+            if now - timestamp >= ttl:
+                continue  # obsolete (Sec. 3.4): neither applied nor forwarded
+            remove(pid)
             buffered.add(unsub)
         buffered.truncate()
 
     def _phase2_subscriptions(self, subs: Tuple[ProcessId, ...]) -> None:
         if not subs:
             return  # view/subs already within bounds: no adds, no draws
-        weighted = self.weighted and isinstance(self.view, WeightedPartialView)
+        # One pass per structure, in the order Figure 1(a) feeds ``subs``.
+        #
+        # Death-certificate check (implementation note): while a process's
+        # unsubscription is buffered locally, stale subscriptions for it
+        # recirculating through other processes' ``subs`` buffers must not
+        # re-add it, or the "gradual removal ... from local views"
+        # (Sec. 3.2) never converges.  The certificate expires with the
+        # unsubscription's timestamp (Sec. 3.4), after which a genuine
+        # re-subscription is accepted again.
         view = self.view
-        unsubs = self.unsubs
-        pending = self.subs
-        owner = self.owner
-        for new_sub in subs:
-            if new_sub == owner:
-                continue
-            # Death-certificate check (implementation note): while a process's
-            # unsubscription is buffered locally, stale subscriptions for it
-            # recirculating through other processes' ``subs`` buffers must not
-            # re-add it, or the "gradual removal ... from local views"
-            # (Sec. 3.2) never converges.  The certificate expires with the
-            # unsubscription's timestamp (Sec. 3.4), after which a genuine
-            # re-subscription is accepted again.
-            if new_sub in unsubs:
-                continue
-            if new_sub in view:
-                if weighted:
-                    view.note_awareness(new_sub)
-                continue
-            if view.add(new_sub):
-                pending.add(new_sub)
-        evicted = view.truncate()
-        if evicted:
-            self.view_evictions += len(evicted)
-            pending.add_all(evicted)
-        pending.truncate()
+        added = view.admit(subs, dead=self.unsubs.pids())
+        self.subs.absorb(added + view.truncate())
 
     # -- outgoing ------------------------------------------------------------
     def membership_payload(
         self, now: float, advertise_self: bool = True
     ) -> Tuple[Tuple[ProcessId, ...], Tuple[Unsubscription, ...]]:
-        subs_payload = list(self.subs)
+        subs = self.subs
+        payload = subs.snapshot()
         if self.weighted and isinstance(self.view, WeightedPartialView):
             # Sec. 6.1: "when constructing subs, a process preferably adds
             # entries from its view with a small weight."
-            room = max(0, self.subs.max_size - len(subs_payload))
-            for pid in self.view.select_for_subs(room):
-                if pid not in self.subs:
-                    subs_payload.append(pid)
-        if advertise_self and not self.unsubscribed:
-            subs_payload.append(self.owner)
-        return tuple(dict.fromkeys(subs_payload)), self.unsubs.snapshot()
+            room = max(0, subs.max_size - len(payload))
+            payload += tuple(
+                pid for pid in self.view.select_for_subs(room) if pid not in subs
+            )
+        # Neither ``subs`` nor ``view`` repeats a pid and the view never holds
+        # its owner, so the owner sitting in ``subs`` is the only way the
+        # payload could carry a duplicate.
+        if (advertise_self and not self.unsubscribed
+                and not subs.contains_key(self.owner)):
+            payload += (self.owner,)
+        return payload, self.unsubs.snapshot()
 
     # -- maintenance -----------------------------------------------------------
     def purge(self, now: float) -> None:
@@ -186,9 +173,7 @@ class PartialViewMembership:
     def add(self, pid: ProcessId) -> bool:
         added = self.view.add(pid)
         if added:
-            evicted = self.view.truncate()
-            self.subs.add_all(evicted)
-            self.subs.truncate()
+            self.subs.absorb(self.view.truncate())
         return added
 
     def remove(self, pid: ProcessId) -> bool:

@@ -118,6 +118,29 @@ class TestRandomDropBuffer:
         assert len(evicted) == 1
 
 
+class TestAbsorb:
+    def test_equals_add_all_then_truncate_and_keeps_the_index(self):
+        fused = RandomDropBuffer(3, random.Random(4))
+        plain = RandomDropBuffer(3, random.Random(4))
+        for batch in ([1, 2], [2, 3, 4, 5, 3], [], [6]):
+            assert fused.absorb(batch) is None
+            plain.add_all(batch)
+            plain.truncate()
+            assert tuple(fused) == tuple(plain)
+            assert fused._rng.getstate() == plain._rng.getstate()
+        assert all(item in fused for item in tuple(fused))
+        assert not fused.add(tuple(fused)[0]) and fused.add(99)
+
+    def test_keyed_buffer_takes_the_composition(self):
+        fused = RandomDropBuffer(2, random.Random(4), key=abs)
+        plain = RandomDropBuffer(2, random.Random(4), key=abs)
+        fused.absorb([1, -1, 2, 3, -3, 4])
+        plain.add_all([1, -1, 2, 3, -3, 4])
+        plain.truncate()
+        assert tuple(fused) == tuple(plain) and len(fused) == 2
+        assert fused._rng.getstate() == plain._rng.getstate()
+
+
 class TestFifoBuffer:
     def test_evicts_oldest(self):
         buf = FifoBuffer(3)

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.events import Unsubscription
 from repro.core.subscription import JoinState, UnsubscriptionBuffer
@@ -58,6 +60,55 @@ class TestUnsubscriptionBuffer:
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             UnsubscriptionBuffer(-1)
+
+
+def reference_truncate(buf: UnsubscriptionBuffer):
+    """``UnsubscriptionBuffer.truncate`` as it was before it stopped copying
+    the whole buffer for every eviction: the reference for draws, evictees
+    and their order."""
+    evicted = []
+    while len(buf._timestamps) > buf.max_size:
+        pid = buf._rng.choice(list(buf._timestamps))
+        evicted.append(Unsubscription(pid, buf._timestamps.pop(pid)))
+    return evicted
+
+
+class TestTruncateKeepsItsDraws:
+    @given(
+        entries=st.lists(
+            st.tuples(st.integers(0, 40), st.floats(0.0, 50.0)), max_size=60),
+        discarded=st.lists(st.integers(0, 40), max_size=10),
+        capacity=st.integers(0, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_evictees_buffer_and_stream_as_the_per_draw_copy(
+            self, entries, discarded, capacity, seed):
+        twins = [UnsubscriptionBuffer(capacity, random.Random(seed))
+                 for _ in range(2)]
+        for buf in twins:
+            # Refreshed timestamps and removals in between: the insertion
+            # order the draws index into is not simply the order of arrival.
+            for pid, timestamp in entries:
+                buf.add(Unsubscription(pid, timestamp))
+            for pid in discarded:
+                buf.discard(pid)
+        new, old = twins
+        assert new.truncate() == reference_truncate(old)
+        assert new.snapshot() == old.snapshot()
+        assert new._rng.getstate() == old._rng.getstate()
+        assert len(new) <= capacity
+        assert new.truncate() == []          # within its bound: no draw
+        assert new._rng.getstate() == old._rng.getstate()
+
+    def test_quiet_buffer_short_cuts(self):
+        buf = UnsubscriptionBuffer(3, random.Random(0))
+        assert buf.snapshot() == () and buf.purge_obsolete(9.0, 1.0) == []
+        pids = buf.pids()                    # a live view, not a copy
+        assert not pids
+        buf.add(Unsubscription(4, 1.0))
+        assert 4 in pids and 5 not in pids
+        assert buf.purge_obsolete(9.0, 1.0) == [Unsubscription(4, 1.0)]
+        assert not pids
 
 
 class TestJoinState:

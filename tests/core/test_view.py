@@ -148,3 +148,36 @@ class TestWeightedPartialView:
     def test_weighted_view_still_excludes_owner(self):
         view = WeightedPartialView(7, 5, random.Random(0))
         assert not view.add(7)
+
+
+class TestAdmit:
+    """Phase 2's adds as one pass (``tests/membership/test_bulk_phase2.py``
+    compares it with the per-element loop draw for draw)."""
+
+    def test_returns_what_it_added_in_order(self):
+        view = PartialView(0, 3, random.Random(0))
+        view.add(5)
+        assert view.admit([7, 0, 5, 9, 7, 11]) == [7, 9, 11]
+        assert tuple(view) == (5, 7, 9, 11)          # not truncated
+        assert view.remove(9) and tuple(view) == (5, 7, 11)
+
+    def test_dead_is_consulted_only_when_it_holds_something(self):
+        class Certificates(dict):
+            lookups = 0
+
+            def __contains__(self, pid):
+                Certificates.lookups += 1
+                return super().__contains__(pid)
+
+        view = PartialView(0, 10, random.Random(0))
+        dead = Certificates()
+        assert view.admit([1, 2], dead) == [1, 2] and Certificates.lookups == 0
+        dead[3] = 0.0
+        assert view.admit([3, 4], dead) == [4] and Certificates.lookups == 2
+
+    def test_weighted_notes_awareness_for_known_and_repeated(self):
+        view = WeightedPartialView(0, 10, random.Random(0))
+        view.add(5)
+        assert view.admit([5, 6, 6, 0, 8], {8: 0.0}.keys()) == [6]
+        assert (view.weight_of(5), view.weight_of(6)) == (1, 1)
+        assert 8 not in view and 0 not in view

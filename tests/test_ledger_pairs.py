@@ -95,3 +95,79 @@ def test_main_alternates_sides_and_reports_failed_operations(
     assert "CLAIM MET: 4/4 pairs won" in output
     assert "change: failed 15 of 9600 operations" in output
     assert status == 1      # a larger share of operations failed
+
+
+def test_workload_list_gets_a_table_each_and_fingerprints_are_compared(
+        tmp_path, monkeypatch, capsys):
+    declared = {"run_seconds": 10, "end_to_end": [
+        {"name": "deliveries_per_s", "better": "higher", "bound": 0.25},
+        {"name": "cpu_us_per_delivery", "better": "lower", "bound": 0.25}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(declared))
+    parent = tmp_path / "parent"
+    parent.mkdir()
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        side = "parent" if checkout == parent.resolve() else "change"
+        calls.append((workload, seed, side))
+        faster = side == "change" and workload == "serial_stream"
+        slower = side == "change" and workload == "udp_stream"
+        result = {"correct": True, "attempted": 100, "failed": 0, "metrics": {
+            "deliveries_per_s": {"value": (36000.0 if faster else 27000.0) + seed},
+            "cpu_us_per_delivery": {"value": (1500.0 if slower else 1000.0) + seed}}}
+        if workload == "serial_stream":          # deterministic: run.py prints it
+            result["fingerprint"] = f"print-of-seed-{seed}"
+        elif workload == "async_stream":         # ... and here the change moved it
+            result["fingerprint"] = f"{side if seed == 2 else 'same'}-{seed}"
+        return result
+
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    argv = ["--parent", str(parent), "--change", str(tmp_path), "--seeds", "1-2",
+            "--metric", "deliveries_per_s"]
+    status = pairs.main(argv + ["--workload", "serial_stream,async_stream,udp_stream"])
+    output = capsys.readouterr().out
+    # Workloads in the order given, each with its own alternation from seed 1.
+    assert [call[0] for call in calls] == (
+        ["serial_stream"] * 4 + ["async_stream"] * 4 + ["udp_stream"] * 4)
+    assert [call[2] for call in calls] == ["parent", "change", "change", "parent"] * 3
+    tables = output.split(" pairs, --seconds 10 --trace 0")
+    assert len(tables) == 4
+    serial, async_, udp = tables[1:]
+    # --metric is a claim on the first workload only; elsewhere the same
+    # metric is judged against its bound like every other.
+    assert "CLAIM MET: 2/2 pairs won" in serial
+    assert "CLAIM" not in async_ and "CLAIM" not in udp
+    assert "fingerprints equal on 2 of 2 seeds" in serial
+    assert "   1 fingerprint print-of-seed-1 on both sides" in serial
+    assert "fingerprints equal on 1 of 2 seeds" in async_
+    assert "   2 fingerprint parent parent-2 change change-2" in async_
+    assert "fingerprint" not in udp              # nothing printed, nothing said
+    assert "WORSE by 49.9%" in udp
+    assert "2 of 3 workloads acceptable; not: udp_stream" in output
+    assert status == 1
+
+    # A differing fingerprint is information, not a verdict.
+    assert pairs.main(argv + ["--workload", "serial_stream,async_stream"]) == 0
+    assert "2 of 2 workloads acceptable" in capsys.readouterr().out
+
+
+def test_run_once_reads_the_result_line_and_the_fingerprint(tmp_path, monkeypatch):
+    stdout = ("== serial_stream  seed=3 seconds=10.0\n"
+              "    counter fingerprint: 842098b3\n"
+              "  checks: 5/5 passed\n"
+              '{"correct": true, "attempted": 1, "failed": 0, "metrics": {}}\n')
+    seen = {}
+
+    def fake_run(command, **kwargs):
+        seen["command"], seen["cwd"] = command, kwargs["cwd"]
+        return pairs.subprocess.CompletedProcess(command, 0, stdout=stdout)
+
+    monkeypatch.setattr(pairs.subprocess, "run", fake_run)
+    result = pairs.run_once(tmp_path, "serial_stream", 3, 10)
+    assert result["fingerprint"] == "842098b3" and result["correct"] is True
+    assert seen["cwd"] == tmp_path and "--record" not in seen["command"]
+    assert seen["command"][1:] == [
+        "benchmarks/ledger/run.py", "--workload", "serial_stream", "--seed", "3",
+        "--seconds", "10", "--trace", "0"]
+    stdout = stdout.replace("    counter fingerprint: 842098b3\n", "")
+    assert "fingerprint" not in pairs.run_once(tmp_path, "udp_stream", 3, 10)
