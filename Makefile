@@ -20,9 +20,13 @@ coverage:
 	    && $(PYTHON) -m pytest tests/ --cov=repro --cov-report=term-missing \
 	    || echo "pytest-cov not installed; run: pip install -e .[test,cov]"
 
+# The self-test plus the three object-engine campaigns CI's fuzz-smoke job
+# runs (plain, Byzantine, causal): serial == sharded on 25 scenarios each.
 fuzz:
 	$(PYTHON) -m repro fuzz --self-test --quiet
 	$(PYTHON) -m repro fuzz --count 25 --seed 2026 --quiet
+	$(PYTHON) -m repro fuzz --byzantine --count 25 --seed 2026 --quiet
+	$(PYTHON) -m repro fuzz --causal --count 25 --seed 2026 --quiet
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

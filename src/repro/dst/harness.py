@@ -83,11 +83,10 @@ def _run_round_engine(spec: ScenarioSpec, engine: str) -> RunOutcome:
     nodes = build_lpbcast_nodes(spec.n, cfg, seed=spec.seed)
     network = NetworkModel(loss_rate=spec.loss_rate,
                            rng=derive_rng(spec.seed, "dst-network"))
-    # Explicit binary cross-shard format: the differential oracle runs with
-    # the compact wire codec on the sharded side, so serial-vs-sharded
-    # bit-identity also certifies the codec round trip under fuzzing.
-    extra = ({"shards": spec.shards, "wire_format": "binary"}
-             if engine == "sharded" else {})
+    # Cross-shard payloads travel in the compact wire codec, so
+    # serial-vs-sharded bit-identity also certifies the codec round trip
+    # under fuzzing.
+    extra = {"shards": spec.shards} if engine == "sharded" else {}
     sim = create_simulation(engine, network=network, seed=spec.seed, **extra)
     sim.add_nodes(nodes)
     log = DeliveryLog().attach(sim.nodes.values())
@@ -207,7 +206,6 @@ def _run_async_engine(spec: ScenarioSpec) -> RunOutcome:
     runtime.run_rounds(spec.rounds, round_duration=period)
     if mutation is not None:
         mutation.apply_post_run(runtime, spec, "async")
-    alive = sum(1 for p in pids if runtime.alive(p))
     return RunOutcome(
         engine="async",
         spec=spec,
@@ -215,7 +213,7 @@ def _run_async_engine(spec: ScenarioSpec) -> RunOutcome:
         records=counter_records(runtime.telemetry),
         violations=list(monitor.violations),
         deliveries=log.total_deliveries,
-        alive=alive,
+        alive=runtime.alive_count(),
     )
 
 

@@ -1,17 +1,21 @@
 """Simulation substrates: round-based and discrete-event gossip runners.
 
 * :class:`~repro.sim.round_runner.RoundSimulation` — synchronous gossip
-  rounds, the setting of the paper's simulations (Sec. 5.1).
+  rounds, the setting of the paper's simulations (Sec. 5.1).  Its
+  :class:`~repro.sim.round_runner.EngineCore` base and its round body are
+  what the next two engines schedule differently, not re-implement.
 * :class:`~repro.sim.parallel_runner.ShardedRoundSimulation` — the same
-  round semantics executed across multiple worker processes, bit-identical
-  to the serial engine for the same root seed; pick engines with
-  :func:`~repro.sim.parallel_runner.create_simulation`.
+  round body executed across multiple worker processes, bit-identical to
+  the serial engine for the same root seed (the DST oracle's second
+  opinion).
 * :class:`~repro.sim.async_runner.AsyncGossipRuntime` — non-synchronized
   periodic gossips over a discrete-event kernel, standing in for the
   paper's 125-workstation testbed (Sec. 5.2).
 * :class:`~repro.sim.columnar_runner.ColumnarRoundSimulation` — the same
   round vocabulary over dense arrays for mega-scale runs (n >= 100k),
   honouring a schedule-deterministic counter subset bit-identically.
+* :mod:`~repro.sim.engines` — the registry behind the single ``engine=``
+  knob, :func:`~repro.sim.engines.create_simulation`.
 * :class:`~repro.sim.network.NetworkModel` — i.i.d. loss ε, latency models,
   link filters; :class:`~repro.sim.network.CrashPlan` — fail-stop schedule
   bounded by τ.
@@ -22,6 +26,7 @@ from .async_runner import AsyncGossipRuntime
 from .churn import ChurnScript
 from .columnar_runner import ColumnarRoundSimulation
 from .engine import EventHandle, Simulator
+from .engines import ENGINES, create_simulation
 from .network import (
     CrashEvent,
     CrashPlan,
@@ -35,10 +40,8 @@ from .network import (
 )
 from .parallel_runner import (
     DEFAULT_SHARDS,
-    ENGINES,
     NodeProxy,
     ShardedRoundSimulation,
-    create_simulation,
 )
 from .round_runner import GossipProcess, RoundSimulation
 from .rng import SeedSequence, derive_rng, derive_seed

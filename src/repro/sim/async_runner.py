@@ -16,23 +16,27 @@ Substitution note (DESIGN.md §4): the measured quantities — delivery
 reliability as a function of the view bound ``l`` and the digest bound
 ``|eventIds|m`` — depend only on protocol and buffer dynamics under these
 timing assumptions, not on the 2001 Solaris/Fast-Ethernet hardware.
+
+The runtime is a *scheduler* over :class:`~repro.sim.round_runner.EngineCore`
+— the process table, crash/revive, fault-plan install, verdict tracing and
+counter accounting are the round engines' own code.  What it keeps to
+itself is time: ``send`` turns a fault verdict into latencies on the event
+kernel (a delay is extra latency, a replay a late second copy) where the
+round engines move queue entries between rounds.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from ..core.ids import ProcessId
 from ..core.message import Outgoing
-from ..telemetry import Telemetry
-from .aggregates import NodeAggregates, aggregate_nodes
 from .engine import Simulator
 from .network import NetworkModel
-from .round_runner import GossipProcess
-from .rng import SeedSequence
+from .round_runner import EngineCore, GossipProcess
 
 
-class AsyncGossipRuntime:
+class AsyncGossipRuntime(EngineCore):
     """Runs gossip processes with independent periodic timers."""
 
     def __init__(
@@ -41,24 +45,14 @@ class AsyncGossipRuntime:
         seed: int = 0,
         default_period: float = 1.0,
     ) -> None:
-        self.seeds = SeedSequence(seed)
+        super().__init__(network, seed)
         self.sim = Simulator()
-        self.network = network if network is not None else NetworkModel(
-            loss_rate=0.0, rng=self.seeds.rng("network")
-        )
         self.default_period = default_period
-        self.nodes: Dict[ProcessId, GossipProcess] = {}
-        self.crashed: set = set()
-        self.messages_delivered = 0
-        #: Engine-native observability (repro.telemetry); the ``round``
-        #: label on this runtime is the integer part of simulated time,
-        #: i.e. one bucket per default gossip period.
-        self.telemetry = Telemetry()
-        self._tele_baseline: Dict[str, int] = {}
         self._tick_listeners: List[Callable[[ProcessId, float], None]] = []
-        self._fault_injector = None
         self._fault_round_duration = default_period
-        self._mutate_message = None
+
+    def _clock(self) -> float:
+        return self.sim.now
 
     # -- construction ------------------------------------------------------
     def add_node(self, node: GossipProcess, period: Optional[float] = None) -> None:
@@ -69,10 +63,6 @@ class AsyncGossipRuntime:
         node_period = period if period is not None else self._period_of(node)
         phase = self.seeds.rng("phase", node.pid).uniform(0.0, node_period)
         self.sim.schedule(phase, lambda: self._tick(node.pid, node_period))
-
-    def add_nodes(self, nodes: Sequence[GossipProcess]) -> None:
-        for node in nodes:
-            self.add_node(node)
 
     def _period_of(self, node: GossipProcess) -> float:
         config = getattr(node, "config", None)
@@ -85,16 +75,8 @@ class AsyncGossipRuntime:
         self._tick_listeners.append(listener)
 
     # -- runtime control ---------------------------------------------------
-    def crash(self, pid: ProcessId) -> None:
-        if pid not in self.crashed:
-            self.crashed.add(pid)
-            self.telemetry.emit("crash", self.sim.now, pid=pid)
-
     def crash_at(self, pid: ProcessId, at: float) -> None:
         self.sim.schedule_at(at, lambda: self.crash(pid))
-
-    def alive(self, pid: ProcessId) -> bool:
-        return pid in self.nodes and pid not in self.crashed
 
     def call_at(self, at: float, action: Callable[[], None]) -> None:
         """Schedule an arbitrary action (publish, join, partition heal...)."""
@@ -135,15 +117,11 @@ class AsyncGossipRuntime:
         apply at each send; paused processes skip gossips but keep their
         timers.  Returns the installed injector.
         """
-        from ..faults.byzantine import mutate_message
-        from ..faults.injector import FaultInjector
-
-        self._fault_injector = FaultInjector(plan, self.seeds.rng("faults"))
-        self._mutate_message = mutate_message
         if round_duration is not None:
             if round_duration <= 0:
                 raise ValueError("round_duration must be positive")
             self._fault_round_duration = round_duration
+        injector = super().use_fault_plan(plan)
         period = self._fault_round_duration
         for fault in plan.crashes:
             self.sim.schedule_at((fault.at - 1) * period,
@@ -151,10 +129,10 @@ class AsyncGossipRuntime:
             if fault.recover_at is not None:
                 self.sim.schedule_at((fault.recover_at - 1) * period,
                                      lambda f=fault: self._fault_revive(f))
-        return self._fault_injector
+        return injector
 
     def _fault_crash(self, pid: ProcessId) -> None:
-        if pid in self.nodes and pid not in self.crashed:
+        if self.alive(pid):
             self.crash(pid)
             self._fault_injector.stats.crashes_applied += 1
 
@@ -166,20 +144,14 @@ class AsyncGossipRuntime:
         through a contact (Sec. 3.4), restarting its gossip timer at a fresh
         random phase."""
         pid = fault.pid
-        if pid not in self.crashed or pid not in self.nodes:
+        if not self.recover(pid):
             return
-        self.crashed.discard(pid)
         self._fault_injector.stats.recoveries_applied += 1
-        contact = fault.contact
-        if contact is None or not self.alive(contact):
-            candidates = [p for p in self.nodes
-                          if p != pid and p not in self.crashed]
-            contact = self._fault_injector.pick_contact(candidates)
-        if contact is None:
+        joins = self._rejoin(fault)
+        if joins is None:
             return
-        node = self.nodes[pid]
-        self.send(pid, node.start_join(contact, self.sim.now))
-        period = self._period_of(node)
+        self.send(pid, joins)
+        period = self._period_of(self.nodes[pid])
         phase = self.seeds.rng("fault-revive-phase", pid,
                                fault.recover_at).uniform(0.0, period)
         self.sim.schedule(phase, lambda: self._tick(pid, period))
@@ -228,7 +200,9 @@ class AsyncGossipRuntime:
     def run_until(self, deadline: float) -> None:
         with self.telemetry.time("time.round"):
             self.sim.run_until(deadline)
-        self._sync_engine_counters()
+        # The ``round`` label on this runtime is the integer part of
+        # simulated time, i.e. one bucket per default gossip period.
+        self._sync_engine_counters(int(self.sim.now))
 
     def run_rounds(self, rounds: int,
                    round_duration: Optional[float] = None) -> None:
@@ -286,50 +260,3 @@ class AsyncGossipRuntime:
         self.telemetry.record_sends(int(self.sim.now), dst, replies)
         if replies:
             self.send(dst, replies)
-
-    # -- telemetry ---------------------------------------------------------
-    def _trace_verdict(self, verdict, src: ProcessId,
-                       dst: ProcessId) -> None:
-        if not self.telemetry.tracing:
-            return
-        at = self.sim.now
-        if verdict.action == "drop":
-            self.telemetry.emit("fault.drop", at, pid=src, peer=dst)
-        elif verdict.action == "delay":
-            self.telemetry.emit("fault.delay", at, pid=src, peer=dst,
-                                delay=verdict.delay)
-        elif verdict.copies > 1:
-            self.telemetry.emit("fault.duplicate", at, pid=src, peer=dst,
-                                copies=verdict.copies)
-
-    def _sync_engine_counters(self) -> None:
-        """Fold the runtime's accounting attributes into the telemetry
-        registry as deltas labelled with the current time bucket."""
-        updates = {
-            "sim.delivered": self.messages_delivered,
-            "net.offered": self.network.messages_offered,
-            "net.dropped": self.network.messages_dropped,
-            "net.cut": getattr(self.network, "messages_cut", 0),
-        }
-        if self._fault_injector is not None:
-            for name, value in self._fault_injector.stats.as_dict().items():
-                updates[f"faults.{name}"] = value
-        bucket = int(self.sim.now)
-        for name, value in updates.items():
-            last = self._tele_baseline.get(name, 0)
-            if value != last:
-                self.telemetry.inc(name, value - last, round=bucket)
-                self._tele_baseline[name] = value
-        alive = sum(1 for pid in self.nodes if pid not in self.crashed)
-        self.telemetry.set_gauge("sim.alive", float(alive))
-
-    def node_aggregates(self, pids: Optional[Sequence[ProcessId]] = None
-                        ) -> NodeAggregates:
-        """Summed node stats over alive processes — the same recorder feed
-        the round engines expose (see :mod:`repro.sim.aggregates`)."""
-        if pids is None:
-            targets = [n for pid, n in self.nodes.items()
-                       if pid not in self.crashed]
-        else:
-            targets = [self.nodes[p] for p in pids if self.alive(p)]
-        return aggregate_nodes(targets)

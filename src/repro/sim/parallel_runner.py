@@ -32,18 +32,27 @@ messages by their destination-shard signature, encoding each group exactly
 once — so a gossip fanned out to targets on every other shard crosses the
 serialization layer once total, not once per destination mailbox (the win
 shows up in the ``time.shard.sync`` timer).  Batches travel in the compact
-binary wire format of :mod:`repro.wire.shard` by default
-(``wire_format="binary"``), with an automatic whole-batch pickle fallback
-for messages the binary codec cannot carry faithfully and a
-``wire_format="pickle"`` knob forcing the legacy path.
+binary wire format of :mod:`repro.wire.shard`, with an automatic
+whole-batch pickle fallback for messages the binary codec cannot carry
+faithfully (there is no knob: the batch's content decides).
+
+One round body
+--------------
+The round itself — order of crashes, hooks, tick, shuffle, fault verdicts,
+generations, carryover, accounting — is :class:`RoundSimulation`'s, run
+unmodified.  This engine supplies only what actually differs: where a
+payload lives (the :class:`_Ref` queue entries and the four entry hooks the
+verdict interpreter reads them through) and how it travels between
+processes (``_tick_phase`` / ``_delivery_phase`` / ``_round_end``).  That is
+what makes it the DST oracle's second opinion rather than a second copy.
 
 Surface
 -------
 The engine exposes the same ``run_round`` / ``run`` / ``run_until`` / hook /
 observer / ``inject`` / ``crash`` surface as :class:`RoundSimulation` (it is
 a subclass), so workloads, churn scripts and benchmarks switch engines via
-the single ``engine=`` knob of :func:`create_simulation`.  After ``start()``
-(implicit on the first round), ``sim.nodes[pid]`` holds a
+the single ``engine=`` knob of :func:`repro.sim.engines.create_simulation`.
+After ``start()`` (implicit on the first round), ``sim.nodes[pid]`` holds a
 :class:`NodeProxy`: mutating entry points (``lpb_cast``, ``start_join``,
 ``try_unsubscribe``, ``add_delivery_listener``, generic ``call``) are
 forwarded to the owning shard; plain attribute reads serve the last synced
@@ -63,7 +72,6 @@ import multiprocessing
 import os
 import pickle
 import traceback
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.ids import ProcessId
@@ -108,16 +116,11 @@ def _byzantine_codec():
 # Worker side
 # ---------------------------------------------------------------------------
 
-#: Valid cross-shard batch encodings (see :mod:`repro.wire.shard`).
-SHARD_WIRE_FORMATS = ("binary", "pickle")
-
-
 class _ShardState:
     """Node storage and command execution inside one shard process."""
 
-    def __init__(self, shard: int, wire_format: str = "binary") -> None:
+    def __init__(self, shard: int) -> None:
         self.shard = shard
-        self.wire_format = wire_format
         self.nodes: Dict[ProcessId, object] = {}
         self.gidx: Dict[ProcessId, int] = {}     # global insertion index
         self.recording: set = set()              # pids with main-side listeners
@@ -228,7 +231,7 @@ class _ShardState:
         ``(entries, blobs)`` where ``entries`` is ``[(handle, group, idx)]``
         and ``blobs`` maps group id to the encoded message list
         (:func:`~repro.wire.pack_messages` — compact binary with a pickle
-        fallback, or forced pickle via ``wire_format="pickle"``).
+        fallback).
         """
         outbox = self.outbox
         msg_obj: Dict[int, object] = {}
@@ -250,8 +253,7 @@ class _ShardState:
         blobs: Dict[int, Dict[int, bytes]] = {d: {} for d in wants}
         pack_messages, _ = _wire_codecs()
         for group, (signature, mids) in enumerate(groups.items()):
-            blob = pack_messages([msg_obj[mid] for mid in mids],
-                                 self.wire_format)
+            blob = pack_messages([msg_obj[mid] for mid in mids])
             for dst_shard in signature:
                 blobs[dst_shard][group] = blob
             for idx, mid in enumerate(mids):
@@ -360,9 +362,9 @@ def _picklable(exc: Exception) -> Exception:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
-def _shard_main(conn, shard: int, wire_format: str = "binary") -> None:
+def _shard_main(conn, shard: int) -> None:
     """Command loop of one shard process (top-level for spawn support)."""
-    state = _ShardState(shard, wire_format=wire_format)
+    state = _ShardState(shard)
     dispatch = {
         "add": lambda cmd: state.do_add(cmd[1]),
         "ops": lambda cmd: state.do_ops(cmd[1]),
@@ -486,7 +488,6 @@ class ShardedRoundSimulation(RoundSimulation):
         on_node_error: str = "raise",
         shards: Optional[int] = None,
         start_method: Optional[str] = None,
-        wire_format: str = "binary",
     ) -> None:
         super().__init__(network=network, seed=seed,
                          max_reply_generations=max_reply_generations,
@@ -494,12 +495,7 @@ class ShardedRoundSimulation(RoundSimulation):
         shards = DEFAULT_SHARDS if shards is None else shards
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        if wire_format not in SHARD_WIRE_FORMATS:
-            raise ValueError(
-                f"wire_format must be one of {SHARD_WIRE_FORMATS}"
-            )
         self.shards = shards
-        self.wire_format = wire_format
         self._start_method = start_method
         self._started = False
         self._closed = False
@@ -514,7 +510,6 @@ class ShardedRoundSimulation(RoundSimulation):
         self._staged: Dict[ProcessId, object] = {}
         self._pending_ops: Dict[int, List[tuple]] = {}
         self._op_counter = 0
-        self._carryover_refs: List[_Ref] = []
         self._main_messages: Dict[int, object] = {}
         self._main_counter = 0
         self._record_buffer: List[tuple] = []
@@ -537,8 +532,7 @@ class ShardedRoundSimulation(RoundSimulation):
         ctx = multiprocessing.get_context(method)
         for shard in range(self.shards):
             parent, child = ctx.Pipe()
-            proc = ctx.Process(target=_shard_main,
-                               args=(child, shard, self.wire_format),
+            proc = ctx.Process(target=_shard_main, args=(child, shard),
                                daemon=True,
                                name=f"repro-shard-{shard}")
             proc.start()
@@ -621,7 +615,6 @@ class ShardedRoundSimulation(RoundSimulation):
         """Swap the (now shipped) main copy for a proxy + tripwire."""
         self._replicas[pid] = node
         self.nodes[pid] = NodeProxy(pid, self, self._shard_of[pid])
-        self._alive_cache = None  # cached list would hold the shipped copy
         self._tether(node, pid)
 
     def _tether(self, node: object, pid: ProcessId) -> None:
@@ -651,74 +644,40 @@ class ShardedRoundSimulation(RoundSimulation):
             raise ValueError(f"duplicate process id {pid}")
         shard = self._register(pid)
         self.nodes[pid] = node       # real until shipped at the next flush
-        self._alive_cache = None
         self._staged[pid] = node
         self._queue_op(shard, ("addnode", None, pid))
 
     def inject(self, src: ProcessId, outgoings: Sequence[Outgoing]) -> None:
         for out in outgoings:
-            handle = self._main_counter
-            self._main_counter += 1
-            self._main_messages[handle] = out.message
-            self._carryover_refs.append(
-                _Ref(_MAIN, handle, src, out.destination)
-            )
+            self._carryover.append(_Ref(_MAIN, self._hold(out.message),
+                                        src, out.destination))
 
-    # -- fault injection (ref-queue overrides) -------------------------------
-    def _release_delayed(self, entries: List) -> None:
-        self._carryover_refs.extend(entries)
+    def _hold(self, message: object) -> int:
+        """Keep a coordinator-held payload; returns its fresh handle."""
+        handle = self._main_counter
+        self._main_counter += 1
+        self._main_messages[handle] = message
+        return handle
 
-    def _fault_expand(self, queue: List[_Ref]) -> List[_Ref]:
-        """Ref-queue twin of the serial expansion: one verdict per entry in
-        shuffled order, so the fault stream is consumed identically and the
-        expanded queues line up position-for-position across engines."""
-        expanded: List[_Ref] = []
-        for ref in queue:
-            verdict = self._fault_injector.decide(ref.src, ref.dst)
-            self._trace_verdict(verdict, ref.src, ref.dst)
-            if verdict.action == "drop":
-                if ref.owner == _MAIN:
-                    self._main_messages.pop(ref.handle, None)
-                continue
-            if verdict.action == "delay":
-                self._delayed_faults.append(
-                    (self.round + verdict.delay, ref)
-                )
-                continue
-            if verdict.replay:
-                # Byzantine replay: an unmutated stale ref re-enters with
-                # the carryover ``replay`` rounds later (fresh handle for
-                # coordinator-held payloads — the inline path pops them).
-                if ref.owner == _MAIN:
-                    handle = self._main_counter
-                    self._main_counter += 1
-                    self._main_messages[handle] = \
-                        self._main_messages[ref.handle]
-                    stale = _Ref(_MAIN, handle, ref.src, ref.dst)
-                else:
-                    stale = _Ref(ref.owner, ref.handle, ref.src, ref.dst)
-                self._delayed_faults.append(
-                    (self.round + verdict.replay, stale)
-                )
-            if verdict.mutation is not None:
-                ref.mut = verdict.mutation
-            expanded.append(ref)
-            for _ in range(verdict.copies - 1):
-                if ref.owner == _MAIN:
-                    # The inline delivery path pops coordinator-held
-                    # payloads, so each extra copy needs its own handle.
-                    handle = self._main_counter
-                    self._main_counter += 1
-                    self._main_messages[handle] = \
-                        self._main_messages[ref.handle]
-                    expanded.append(_Ref(_MAIN, handle, ref.src, ref.dst,
-                                         verdict.mutation))
-                else:
-                    expanded.append(
-                        _Ref(ref.owner, ref.handle, ref.src, ref.dst,
-                             verdict.mutation)
-                    )
-        return expanded
+    # -- queue-entry hooks: entries are refs, payloads stay where they are ----
+    def _endpoints(self, ref: _Ref) -> Tuple[ProcessId, ProcessId]:
+        return ref.src, ref.dst
+
+    def _copy_of(self, ref: _Ref) -> _Ref:
+        handle = ref.handle
+        if ref.owner == _MAIN:
+            # The inline delivery path pops coordinator-held payloads, so
+            # every extra copy needs a handle of its own.
+            handle = self._hold(self._main_messages[handle])
+        return _Ref(ref.owner, handle, ref.src, ref.dst, ref.mut)
+
+    def _mutated(self, ref: _Ref, mutation: tuple) -> _Ref:
+        ref.mut = mutation  # applied by the owning shard at delivery time
+        return ref
+
+    def _discard(self, ref: _Ref) -> None:
+        if ref.owner == _MAIN:
+            self._main_messages.pop(ref.handle, None)
 
     # -- proxy services -----------------------------------------------------
     def _queue_op(self, shard: int, op: tuple) -> None:
@@ -800,50 +759,9 @@ class ShardedRoundSimulation(RoundSimulation):
             raise RuntimeError("engine already closed/collected")
         super().run_round()  # wraps _run_round_body in the time.round timer
 
-    def _run_round_body(self) -> None:
-        self.round += 1
-        now = float(self.round)
-        self._record_buffer = []
-        self._staged_trace = []
-        if self.telemetry.tracing:
-            self.telemetry.emit("round.start", now, alive=self.alive_count())
-
-        if self._crash_plan is not None:
-            for event in self._crash_plan.crashes_before(now):
-                self.crash(event.pid)
-
-        if self._fault_injector is not None:
-            self._fault_round_start(now)
-
-        for hook in self._hooks:
-            hook(self.round, self)
-
-        with self.telemetry.time("time.tick"):
-            queue = self._tick_phase(now)
-        generation = 0
-        with self.telemetry.time("time.delivery"):
-            while queue and generation <= self.max_reply_generations:
-                self._shuffle_rng.shuffle(queue)
-                if self._fault_injector is not None:
-                    queue = self._fault_expand(queue)
-                queue = self._delivery_phase(now, generation, queue)
-                generation += 1
-        self._carryover_refs.extend(queue)
-
-        self._replay_records()
-        self.telemetry.append_trace_ordered(self._staged_trace)
-        self._staged_trace = []
-        self._sync_engine_counters()
-        if self.telemetry.tracing:
-            self.telemetry.emit("round.end", now, alive=self.alive_count(),
-                                delivered=self.messages_delivered)
-        with self.telemetry.time("time.observers"):
-            for observer in self._observers:
-                observer(self.round, self)
-
     def _tick_phase(self, now: float) -> List[_Ref]:
         retain: Dict[int, List[int]] = {s: [] for s in range(self.shards)}
-        for ref in self._carryover_refs:
+        for ref in self._carryover:
             if ref.owner != _MAIN:
                 retain[ref.owner].append(ref.handle)
         # Messages held back by delay faults still live in shard outboxes;
@@ -875,8 +793,8 @@ class ShardedRoundSimulation(RoundSimulation):
             errors.extend(errs)
         self._handle_worker_errors(errors, op_phase=True)
         tick_meta.sort(key=lambda t: (t[0], t[1]))
-        queue = list(self._carryover_refs)
-        self._carryover_refs = []
+        queue = self._carryover
+        self._carryover = []
         queue.extend(_Ref(shard, handle, src, dst)
                      for _, _, shard, handle, src, dst in tick_meta)
         self._op_counter = 0
@@ -962,15 +880,17 @@ class ShardedRoundSimulation(RoundSimulation):
             for listener in self._listeners_by_pid.get(pid, ()):
                 listener(pid, notification, at)
 
-    def _replay_records(self) -> None:
-        """Replay worker-side delivery records through the saved main-side
-        listeners, in the canonical (phase, position) order the serial
-        engine would have invoked them."""
-        if not self._record_buffer:
-            return
+    def _round_end(self) -> None:
+        """Replay the round's worker-side delivery records through the
+        saved main-side listeners, and its worker-side trace events, in the
+        canonical (phase, position) order the serial engine would have
+        produced them; then the shared accounting."""
         self._record_buffer.sort(key=lambda r: (r[0], r[1]))
         self._dispatch_records(self._record_buffer)
         self._record_buffer = []
+        self.telemetry.append_trace_ordered(self._staged_trace)
+        self._staged_trace = []
+        super()._round_end()
 
     # -- state access --------------------------------------------------------
     def node_aggregates(self, pids: Optional[Sequence[ProcessId]] = None
@@ -1022,146 +942,5 @@ class ShardedRoundSimulation(RoundSimulation):
                     node._listeners = list(self._listeners_by_pid.get(pid, []))
                 self._replicas[pid] = node
                 self.nodes[pid] = node
-            self._alive_cache = None  # proxies swapped back for real nodes
             self.close()
         return dict(self.nodes)
-
-
-# ---------------------------------------------------------------------------
-# Engine selection
-# ---------------------------------------------------------------------------
-
-def _build_serial(**kw):
-    return RoundSimulation(**kw)
-
-
-def _build_sharded(**kw):
-    return ShardedRoundSimulation(**kw)
-
-
-def _build_async(**kw):
-    from .async_runner import AsyncGossipRuntime
-
-    return AsyncGossipRuntime(**kw)
-
-
-def _build_columnar(**kw):
-    from .columnar_runner import ColumnarRoundSimulation
-
-    return ColumnarRoundSimulation(**kw)
-
-
-@dataclass(frozen=True)
-class EngineSpec:
-    """One registered engine: how to build it, and which factory kwargs it
-    honours.  ``create_simulation`` validates every call against this table,
-    so a kwarg an engine would silently ignore is rejected instead."""
-
-    name: str
-    summary: str
-    factory: Callable[..., object]
-    accepts: frozenset
-
-
-#: Factory-kwarg defaults.  A kwarg explicitly set to a *non-default* value
-#: for an engine that does not accept it is an error; passing the default is
-#: always legal (it cannot change behaviour).
-FACTORY_DEFAULTS = {
-    "network": None,
-    "seed": 0,
-    "max_reply_generations": 4,
-    "on_node_error": "raise",
-    "shards": None,
-    "start_method": None,
-    "wire_format": "binary",
-    "workers": 1,
-}
-
-_ROUND_KWARGS = frozenset(
-    {"network", "seed", "max_reply_generations", "on_node_error"})
-
-ENGINE_REGISTRY: Dict[str, EngineSpec] = {
-    spec.name: spec
-    for spec in (
-        EngineSpec(
-            name="serial",
-            summary="single-process synchronous rounds (paper Sec. 5.1)",
-            factory=_build_serial,
-            accepts=_ROUND_KWARGS,
-        ),
-        EngineSpec(
-            name="sharded",
-            summary="multi-process rounds, bit-identical to serial",
-            factory=_build_sharded,
-            accepts=_ROUND_KWARGS
-            | frozenset({"shards", "start_method", "wire_format"}),
-        ),
-        EngineSpec(
-            name="async",
-            summary="non-synchronized periodic gossip (testbed substitute)",
-            factory=_build_async,
-            accepts=frozenset({"network", "seed"}),
-        ),
-        EngineSpec(
-            name="columnar",
-            summary="array-backed vectorized rounds for mega-scale n",
-            factory=_build_columnar,
-            accepts=frozenset({"network", "seed", "workers"}),
-        ),
-    )
-}
-
-ENGINES = tuple(ENGINE_REGISTRY)
-
-
-def create_simulation(engine: str = "serial", **kwargs):
-    """Build an engine by name — the single ``engine=`` knob.
-
-    ``"serial"`` is the paper's single-process Sec. 5.1 runner;
-    ``"sharded"`` partitions the nodes over ``shards`` worker processes and
-    produces bit-identical runs for the same root seed (see
-    :mod:`repro.sim.parallel_runner`); ``"async"`` is the
-    non-synchronized-timer testbed substitute
-    (:class:`~repro.sim.async_runner.AsyncGossipRuntime`), driven by
-    ``run_rounds`` instead of ``run`` and *not* part of the bit-identity
-    contract; ``"columnar"`` is the array-backed vectorized engine for
-    n >= 100k (:class:`~repro.sim.columnar_runner.ColumnarRoundSimulation`),
-    validated against serial on the honoured-metric subset only.
-
-    Accepted kwargs are validated against the :data:`ENGINE_REGISTRY` entry
-    of the chosen engine: ``shards``/``start_method``/``wire_format`` apply
-    to the sharded engine only, ``workers`` to the columnar
-    engine only (``workers=N`` runs the round passes across N shared-memory
-    worker processes; the honoured fingerprint is identical for every
-    worker count), ``max_reply_generations``/``on_node_error`` to the round
-    engines only, ``network``/``seed`` everywhere.  A kwarg set to a
-    non-default value for an engine that cannot honour it raises
-    ``ValueError`` naming the engines that can — a ``shards=8`` or
-    ``workers=4`` request must not silently run single-process.
-    """
-    spec = ENGINE_REGISTRY.get(engine)
-    if spec is None:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of {ENGINES}")
-    unknown = sorted(set(kwargs) - set(FACTORY_DEFAULTS))
-    if unknown:
-        raise ValueError(
-            f"unknown create_simulation kwarg(s) {unknown}; "
-            f"accepted: {sorted(FACTORY_DEFAULTS)}")
-    rejected = sorted(
-        name for name, value in kwargs.items()
-        if name not in spec.accepts and value != FACTORY_DEFAULTS[name]
-    )
-    if rejected:
-        honouring = {
-            name: sorted(s.name for s in ENGINE_REGISTRY.values()
-                         if name in s.accepts)
-            for name in rejected
-        }
-        detail = "; ".join(f"{name!r} applies to {engines}"
-                           for name, engines in honouring.items())
-        raise ValueError(
-            f"engine {engine!r} does not accept {rejected}: {detail}")
-    final = {name: kwargs.get(name, FACTORY_DEFAULTS[name])
-             for name in spec.accepts}
-    return spec.factory(**final)

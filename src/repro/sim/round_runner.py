@@ -58,165 +58,59 @@ RoundObserver = Callable[[int, "RoundSimulation"], None]
 """Invoked at the end of a round: ``observer(round_number, sim)``."""
 
 
-class _CrashedSet(set):
-    """``sim.crashed`` with alive-cache invalidation on every mutation.
+class EngineCore:
+    """What every object-per-node engine keeps and accounts the same way.
 
-    ``sim.crashed`` is a documented public attribute, and hooks and tests
-    mutate it directly (historically the only way to revive a process was
-    ``sim.crashed.discard(pid)``).  A direct mutation used to leave
-    ``_alive_cache`` stale — ``alive_count()`` and ``alive_nodes()`` then
-    disagreed for the rest of the run and a revived node silently skipped
-    its ticks.  Tying invalidation to the set itself closes every such
-    path, including ones no engine method mediates.
+    :class:`RoundSimulation` (and through it the sharded engine) and
+    :class:`~repro.sim.async_runner.AsyncGossipRuntime` are schedulers over
+    this core: they differ in *when* a node ticks and a message arrives,
+    not in how processes are kept, crashed and revived, how a fault plan is
+    installed, how a struck verdict is traced, or how the accounting reaches
+    the telemetry registry.  A subclass supplies its clock (:meth:`_clock`)
+    and its own ``add_node``.
     """
 
-    __slots__ = ("_owner",)
-
-    def __init__(self, owner: "RoundSimulation") -> None:
-        super().__init__()
-        self._owner = owner
-
-    def _invalidate(self) -> None:
-        self._owner._alive_cache = None
-
-    def add(self, pid) -> None:
-        set.add(self, pid)
-        self._invalidate()
-
-    def discard(self, pid) -> None:
-        set.discard(self, pid)
-        self._invalidate()
-
-    def remove(self, pid) -> None:
-        set.remove(self, pid)
-        self._invalidate()
-
-    def pop(self):
-        value = set.pop(self)
-        self._invalidate()
-        return value
-
-    def clear(self) -> None:
-        set.clear(self)
-        self._invalidate()
-
-    def update(self, *others) -> None:
-        set.update(self, *others)
-        self._invalidate()
-
-    def difference_update(self, *others) -> None:
-        set.difference_update(self, *others)
-        self._invalidate()
-
-    def intersection_update(self, *others) -> None:
-        set.intersection_update(self, *others)
-        self._invalidate()
-
-    def symmetric_difference_update(self, other) -> None:
-        set.symmetric_difference_update(self, other)
-        self._invalidate()
-
-    def __ior__(self, other):
-        set.__ior__(self, other)
-        self._invalidate()
-        return self
-
-    def __isub__(self, other):
-        set.__isub__(self, other)
-        self._invalidate()
-        return self
-
-    def __iand__(self, other):
-        set.__iand__(self, other)
-        self._invalidate()
-        return self
-
-    def __ixor__(self, other):
-        set.__ixor__(self, other)
-        self._invalidate()
-        return self
-
-
-class RoundSimulation:
-    """Drives a set of gossip processes through synchronous rounds."""
-
-    def __init__(
-        self,
-        network: Optional[NetworkModel] = None,
-        seed: int = 0,
-        max_reply_generations: int = 4,
-        on_node_error: str = "raise",
-    ) -> None:
-        if on_node_error not in ("raise", "crash"):
-            raise ValueError("on_node_error must be 'raise' or 'crash'")
+    def __init__(self, network: Optional[NetworkModel], seed: int) -> None:
         self.seeds = SeedSequence(seed)
         self.network = network if network is not None else NetworkModel(
             loss_rate=0.0, rng=self.seeds.rng("network")
         )
-        self.max_reply_generations = max_reply_generations
-        #: "raise" propagates a node's exception (deterministic test runs);
-        #: "crash" converts it into a fail-stop of that node — what a real
-        #: deployment's process supervisor would observe.
-        self.on_node_error = on_node_error
-        self.node_errors: List[tuple] = []
         #: Engine-native observability (see repro.telemetry): the engine
         #: counts every emitted message itself, so instruments never wrap
         #: node methods and sharded workers count exactly like serial runs.
         self.telemetry = Telemetry()
         self._tele_baseline: Dict[str, int] = {}
-        self._shuffle_rng: random.Random = self.seeds.rng("delivery-order")
         self.nodes: Dict[ProcessId, GossipProcess] = {}
-        self.crashed: set = _CrashedSet(self)
-        #: Incrementally maintained alive-node list: rebuilt lazily after a
-        #: membership change (``add_node``/``crash``/fault recovery) instead
-        #: of once per use — the round loop used to rescan all nodes several
-        #: times per round.
-        self._alive_cache: Optional[List[GossipProcess]] = None
-        self.round = 0
+        #: Fail-stopped pids, a subset of ``nodes``.  A plain set: hooks and
+        #: tests may mutate it directly, every reader derives from it.
+        self.crashed: set = set()
         self.messages_delivered = 0
         #: Messages addressed to a process that fail-stopped (Sec. 4.1).
         self.messages_to_crashed = 0
         #: Messages addressed to a process this simulation never knew about
         #: (e.g. a stale view entry for a process that was never added) —
         #: distinct from crashes, which are fail-stops of known processes.
+        #: The async runtime discards both kinds unseen: there the two
+        #: counters stay 0.
         self.messages_to_unknown = 0
-        self._carryover: List[Tuple[ProcessId, Outgoing]] = []
-        self._hooks: List[RoundHook] = []
-        self._observers: List[RoundObserver] = []
-        self._crash_plan: Optional[CrashPlan] = None
-        #: Fault-injection state (see repro.faults): the attached injector,
-        #: the pids whose ticks are suppressed this round, and messages held
-        #: back by delay faults as (due_round, entry) pairs.
+        #: The attached :class:`~repro.faults.injector.FaultInjector` and the
+        #: Byzantine mutation applier, both set by :meth:`use_fault_plan`.
         self._fault_injector = None
-        self._fault_paused: frozenset = frozenset()
-        self._delayed_faults: List[tuple] = []
         self._mutate_message = None
 
-    # -- construction ------------------------------------------------------
-    def add_node(self, node: GossipProcess) -> None:
-        if node.pid in self.nodes:
-            raise ValueError(f"duplicate process id {node.pid}")
-        self.nodes[node.pid] = node
-        self._alive_cache = None
+    def _clock(self) -> float:
+        """The engine's time coordinate: what trace events are stamped
+        with and what a rejoining node is handed as ``now``."""
+        raise NotImplementedError
 
     def add_nodes(self, nodes: Sequence[GossipProcess]) -> None:
         for node in nodes:
             self.add_node(node)
 
-    def add_round_hook(self, hook: RoundHook) -> None:
-        self._hooks.append(hook)
-
-    def add_observer(self, observer: RoundObserver) -> None:
-        self._observers.append(observer)
-
-    def use_crash_plan(self, plan: CrashPlan) -> None:
-        """Attach a pre-drawn fail-stop schedule (applied as rounds pass)."""
-        self._crash_plan = plan
-
     def use_fault_plan(self, plan) -> "object":
         """Attach a :class:`~repro.faults.plan.FaultPlan`; its faults draw
         from the dedicated ``"faults"`` stream, so runs with the same root
-        seed and plan replay bit-for-bit (on this and the sharded engine).
+        seed and plan replay bit-for-bit (and serial equals sharded).
         Returns the installed :class:`~repro.faults.injector.FaultInjector`
         (its ``stats`` count the faults that actually struck)."""
         from ..faults.byzantine import mutate_message
@@ -226,13 +120,12 @@ class RoundSimulation:
         self._mutate_message = mutate_message
         return self._fault_injector
 
-    # -- runtime control ---------------------------------------------------
+    # -- liveness ----------------------------------------------------------
     def crash(self, pid: ProcessId) -> None:
         """Fail-stop ``pid`` immediately (no recovery, Sec. 4.1)."""
         if pid in self.nodes and pid not in self.crashed:
             self.crashed.add(pid)
-            self._alive_cache = None
-            self.telemetry.emit("crash", float(self.round), pid=pid)
+            self.telemetry.emit("crash", self._clock(), pid=pid)
 
     def recover(self, pid: ProcessId) -> bool:
         """Un-crash ``pid``; returns whether a revival happened.
@@ -240,8 +133,8 @@ class RoundSimulation:
         The symmetric counterpart of :meth:`crash` — revival keeps the
         node's retained state but performs no membership re-join (the fault
         injector's recovery path layers the Sec. 3.4 re-subscription on
-        top).  Safe to call from round hooks: the alive list is invalidated
-        immediately, so the revived node ticks in the same round.
+        top).  Safe to call from round hooks: the revived node ticks in the
+        same round.
         """
         if pid not in self.crashed or pid not in self.nodes:
             return False
@@ -255,23 +148,143 @@ class RoundSimulation:
         """Number of alive processes — O(1), ``crashed`` ⊆ ``nodes``."""
         return len(self.nodes) - len(self.crashed)
 
-    def _alive_list(self) -> List[GossipProcess]:
-        """The maintained alive-node list, in node-insertion order.  Shared
-        internal object: callers must not mutate it (a membership change
-        invalidates and rebuilds it)."""
-        cache = self._alive_cache
-        if cache is None:
-            crashed = self.crashed
-            if crashed:
-                cache = [n for pid, n in self.nodes.items()
-                         if pid not in crashed]
-            else:
-                cache = list(self.nodes.values())
-            self._alive_cache = cache
-        return cache
-
     def alive_nodes(self) -> List[GossipProcess]:
-        return list(self._alive_list())
+        """The alive nodes, in node-insertion order (a fresh list)."""
+        crashed = self.crashed
+        if not crashed:
+            return list(self.nodes.values())
+        return [n for pid, n in self.nodes.items() if pid not in crashed]
+
+    def _rejoin(self, fault) -> Optional[List[Outgoing]]:
+        """The Sec. 3.4 re-subscription of the just-revived ``fault.pid``:
+        its join request through the planned contact (a fault-stream draw
+        over the alive processes when that one is down or unnamed), or
+        ``None`` when nobody is left alive to rejoin through."""
+        pid = fault.pid
+        contact = fault.contact
+        if contact is None or not self.alive(contact):
+            candidates = [p for p in self.nodes
+                          if p != pid and p not in self.crashed]
+            contact = self._fault_injector.pick_contact(candidates)
+        if contact is None:
+            return None
+        now = self._clock()
+        self.telemetry.emit("recovery", now, pid=pid, peer=contact)
+        return self.nodes[pid].start_join(contact, now)
+
+    # -- telemetry ---------------------------------------------------------
+    def _trace_verdict(self, verdict, src: ProcessId,
+                       dst: ProcessId) -> None:
+        """Trace a fault verdict that struck (no event for plain delivery)."""
+        if not self.telemetry.tracing:
+            return
+        at = self._clock()
+        if verdict.action == "drop":
+            self.telemetry.emit("fault.drop", at, pid=src, peer=dst)
+        elif verdict.action == "delay":
+            self.telemetry.emit("fault.delay", at, pid=src, peer=dst,
+                                delay=verdict.delay)
+        else:
+            if verdict.copies > 1:
+                self.telemetry.emit("fault.duplicate", at, pid=src, peer=dst,
+                                    copies=verdict.copies)
+            if verdict.mutation is not None:
+                self.telemetry.emit("fault.byzantine", at, pid=src, peer=dst,
+                                    mutation=verdict.mutation[0])
+            if verdict.replay:
+                self.telemetry.emit("fault.replay", at, pid=src, peer=dst,
+                                    lag=verdict.replay)
+
+    def _sync_engine_counters(self, bucket: int) -> None:
+        """Fold the engine's plain accounting attributes (and the fault
+        injector's strike counters) into the telemetry registry as deltas
+        labelled ``round=bucket``.  Consumes no randomness — bit-identity
+        of the run is unaffected."""
+        updates = {
+            "sim.delivered": self.messages_delivered,
+            "sim.to_crashed": self.messages_to_crashed,
+            "sim.to_unknown": self.messages_to_unknown,
+            "net.offered": self.network.messages_offered,
+            "net.dropped": self.network.messages_dropped,
+            "net.cut": getattr(self.network, "messages_cut", 0),
+        }
+        if self._fault_injector is not None:
+            for name, value in self._fault_injector.stats.as_dict().items():
+                updates[f"faults.{name}"] = value
+        for name, value in updates.items():
+            last = self._tele_baseline.get(name, 0)
+            if value != last:
+                self.telemetry.inc(name, value - last, round=bucket)
+                self._tele_baseline[name] = value
+        self.telemetry.set_gauge("sim.alive", float(self.alive_count()))
+
+    def node_aggregates(self, pids: Optional[Sequence[ProcessId]] = None
+                        ) -> NodeAggregates:
+        """Summed stats/occupancy/in-degree over the alive nodes (optionally
+        restricted to ``pids``) — the :class:`~repro.sim.recorder.RunRecorder`
+        feed.  The sharded engine overrides this with a shard-local
+        aggregation, so for the same seed both engines return equal values
+        without shipping node state."""
+        if pids is None:
+            targets = self.alive_nodes()
+        else:
+            targets = [self.nodes[p] for p in pids if self.alive(p)]
+        return aggregate_nodes(targets)
+
+
+class RoundSimulation(EngineCore):
+    """Drives a set of gossip processes through synchronous rounds."""
+
+    def __init__(
+        self,
+        network: Optional[NetworkModel] = None,
+        seed: int = 0,
+        max_reply_generations: int = 4,
+        on_node_error: str = "raise",
+    ) -> None:
+        if on_node_error not in ("raise", "crash"):
+            raise ValueError("on_node_error must be 'raise' or 'crash'")
+        super().__init__(network, seed)
+        self.max_reply_generations = max_reply_generations
+        #: "raise" propagates a node's exception (deterministic test runs);
+        #: "crash" converts it into a fail-stop of that node — what a real
+        #: deployment's process supervisor would observe.
+        self.on_node_error = on_node_error
+        self.node_errors: List[tuple] = []
+        self._shuffle_rng: random.Random = self.seeds.rng("delivery-order")
+        self.round = 0
+        #: Queue entries waiting for the next round.  What an entry *is* is
+        #: the engine's business — ``(src, Outgoing)`` here, payload
+        #: references on the sharded engine; the round body and the verdict
+        #: interpreter touch one only through the entry hooks below.
+        self._carryover: List = []
+        self._hooks: List[RoundHook] = []
+        self._observers: List[RoundObserver] = []
+        self._crash_plan: Optional[CrashPlan] = None
+        #: Fault-injection state (see repro.faults): the pids whose ticks
+        #: are suppressed this round, and entries held back by delay and
+        #: replay verdicts as (due_round, entry) pairs.
+        self._fault_paused: frozenset = frozenset()
+        self._delayed_faults: List[tuple] = []
+
+    def _clock(self) -> float:
+        return float(self.round)
+
+    # -- construction ------------------------------------------------------
+    def add_node(self, node: GossipProcess) -> None:
+        if node.pid in self.nodes:
+            raise ValueError(f"duplicate process id {node.pid}")
+        self.nodes[node.pid] = node
+
+    def add_round_hook(self, hook: RoundHook) -> None:
+        self._hooks.append(hook)
+
+    def add_observer(self, observer: RoundObserver) -> None:
+        self._observers.append(observer)
+
+    def use_crash_plan(self, plan: CrashPlan) -> None:
+        """Attach a pre-drawn fail-stop schedule (applied as rounds pass)."""
+        self._crash_plan = plan
 
     def inject(self, src: ProcessId, outgoings: Sequence[Outgoing]) -> None:
         """Queue externally produced messages (e.g. a join request from a
@@ -284,6 +297,10 @@ class RoundSimulation:
             self._run_round_body()
 
     def _run_round_body(self) -> None:
+        """The one round body.  An engine is the three phases it calls —
+        :meth:`_tick_phase`, :meth:`_delivery_phase`, :meth:`_round_end` —
+        plus the entry hooks :meth:`_fault_expand` reads a queue through;
+        order, shuffle and verdict handling are shared."""
         self.round += 1
         now = float(self.round)
         telemetry = self.telemetry
@@ -299,56 +316,75 @@ class RoundSimulation:
                 self.crash(event.pid)
 
         if self._fault_injector is not None:
-            self._fault_round_start(now)
+            self._fault_round_start()
 
         for hook in self._hooks:
             hook(self.round, self)
 
-        queue: List[Tuple[ProcessId, Outgoing]] = list(self._carryover)
-        self._carryover = []
-        round_no = self.round
-        paused = self._fault_paused
         with telemetry.time("time.tick"):
-            append = queue.append
-            for node in self._alive_list():
-                pid = node.pid
-                if pid in paused:
-                    continue  # slow-node fault: no tick, still receives
-                try:
-                    ticked = node.on_tick(now)
-                except Exception as exc:
-                    self._handle_node_error(pid, "on_tick", exc)
-                    continue
-                if ticked:
-                    telemetry.record_sends(round_no, pid, ticked)
-                    for out in ticked:
-                        append((pid, out))
+            queue = self._tick_phase(now)
 
         generation = 0
         with telemetry.time("time.delivery"):
             shuffle = self._shuffle_rng.shuffle
-            deliver = self._deliver
             while queue and generation <= self.max_reply_generations:
                 shuffle(queue)
                 if self._fault_injector is not None:
                     queue = self._fault_expand(queue)
-                # One shared replies list per generation; _deliver appends
-                # into it instead of allocating a fresh list per message.
-                replies: List[Tuple[ProcessId, Outgoing]] = []
-                for src, out in queue:
-                    deliver(src, out, now, replies)
-                queue = replies
+                queue = self._delivery_phase(now, generation, queue)
                 generation += 1
         # Anything still queued (deep reply chains) is delayed one round.
         self._carryover.extend(queue)
 
-        self._sync_engine_counters()
+        self._round_end()
         if telemetry.tracing:
             telemetry.emit("round.end", now, alive=self.alive_count(),
                            delivered=self.messages_delivered)
         with telemetry.time("time.observers"):
             for observer in self._observers:
                 observer(self.round, self)
+
+    def _tick_phase(self, now: float) -> List:
+        """The round's first queue: the carryover, then every alive,
+        unpaused node's tick output in node-insertion order."""
+        queue = self._carryover
+        self._carryover = []
+        telemetry = self.telemetry
+        round_no = self.round
+        paused = self._fault_paused
+        append = queue.append
+        for node in self.alive_nodes():
+            pid = node.pid
+            if pid in paused:
+                continue  # slow-node fault: no tick, still receives
+            try:
+                ticked = node.on_tick(now)
+            except Exception as exc:
+                self._handle_node_error(pid, "on_tick", exc)
+                continue
+            if ticked:
+                telemetry.record_sends(round_no, pid, ticked)
+                for out in ticked:
+                    append((pid, out))
+        return queue
+
+    def _delivery_phase(self, now: float, generation: int,
+                        queue: List) -> List:
+        """Deliver one shuffled, verdict-expanded generation; returns the
+        replies it produced (the next generation's queue)."""
+        # One shared replies list per generation; _deliver appends into it
+        # instead of allocating a fresh list per message.
+        replies: List[Tuple[ProcessId, Outgoing]] = []
+        deliver = self._deliver
+        for src, out in queue:
+            deliver(src, out, now, replies)
+        return replies
+
+    def _round_end(self) -> None:
+        """Close the round's accounting — before ``round.end`` and the
+        observers, so observers always read current totals."""
+        self._sync_engine_counters(self.round)
+        self.telemetry.inc("sim.rounds", 1)
 
     def run(self, rounds: int) -> None:
         for _ in range(rounds):
@@ -372,104 +408,80 @@ class RoundSimulation:
             remaining -= 1
 
     # -- fault injection ---------------------------------------------------
-    def _fault_round_start(self, now: float) -> None:
+    def _fault_round_start(self) -> None:
         """Apply the plan's round-start actions: crashes, recoveries (with
         the Sec. 3.4 re-subscription), the paused-pid set, and the release
-        of delay-fault messages that come due this round.
+        of held-back entries that come due this round.
 
-        The ordering (recovery joins before released delays, both ahead of
-        tick output) is part of the serial/sharded determinism contract —
-        the sharded override replays exactly this sequence over refs.
+        The ordering (recovery joins before released entries, both ahead of
+        tick output) is part of the serial/sharded determinism contract.
         """
         actions = self._fault_injector.round_start(self.round)
         for fault in actions.crashes:
             self.crash(fault.pid)
         for fault in actions.recoveries:
-            self._fault_recover(fault, now)
+            # Crash-with-recovery exercises the Sec. 3.3/3.4 membership path.
+            if self.recover(fault.pid):
+                self.inject(fault.pid, self._rejoin(fault) or ())
         self._fault_paused = actions.paused
-        due: List = []
         later: List[tuple] = []
-        for due_round, entry in self._delayed_faults:
-            (due if due_round <= self.round else later).append(
-                (due_round, entry)
-            )
+        for held in self._delayed_faults:
+            if held[0] <= self.round:
+                self._carryover.append(held[1])
+            else:
+                later.append(held)
         self._delayed_faults = later
-        self._release_delayed([entry for _, entry in due])
 
-    def _release_delayed(self, entries: List) -> None:
-        self._carryover.extend(entries)
-
-    def _fault_recover(self, fault, now: float) -> None:
-        """Un-crash ``fault.pid`` and re-subscribe it through a contact —
-        crash-with-recovery exercises the Sec. 3.3/3.4 membership path."""
-        pid = fault.pid
-        if not self.recover(pid):
-            return
-        contact = fault.contact
-        if contact is None or not self.alive(contact):
-            candidates = [p for p in self.nodes
-                          if p != pid and p not in self.crashed]
-            contact = self._fault_injector.pick_contact(candidates)
-        if contact is None:
-            return  # nobody left alive to rejoin through
-        self.telemetry.emit("recovery", now, pid=pid, peer=contact)
-        node = self.nodes[pid]
-        self.inject(pid, node.start_join(contact, now))
-
-    def _fault_expand(self, queue: List[Tuple[ProcessId, Outgoing]]
-                      ) -> List[Tuple[ProcessId, Outgoing]]:
-        """One injector verdict per queued message, in shuffled order:
-        drops vanish, delays move to the hold-back list, duplicates appear
-        immediately after their original, Byzantine mutations rewrite the
-        delivered copy, and replays schedule an extra stale copy."""
-        expanded: List[Tuple[ProcessId, Outgoing]] = []
-        for src, out in queue:
-            verdict = self._fault_injector.decide(src, out.destination)
-            self._trace_verdict(verdict, src, out.destination)
+    def _fault_expand(self, queue: List) -> List:
+        """The one verdict interpreter: one injector verdict per queued
+        entry, in shuffled order — drops vanish, delays move to the
+        hold-back list, duplicates appear immediately after their original,
+        Byzantine mutations rewrite the delivered copy, and replays schedule
+        an extra stale, unmutated copy that re-enters with the carryover
+        ``replay`` rounds later and receives its own verdict then."""
+        expanded: List = []
+        decide = self._fault_injector.decide
+        held = self._delayed_faults
+        for entry in queue:
+            src, dst = self._endpoints(entry)
+            verdict = decide(src, dst)
+            self._trace_verdict(verdict, src, dst)
             if verdict.action == "drop":
+                self._discard(entry)
                 continue
             if verdict.action == "delay":
-                self._delayed_faults.append(
-                    (self.round + verdict.delay, (src, out))
-                )
+                held.append((self.round + verdict.delay, entry))
                 continue
             if verdict.replay:
-                # Byzantine replay: a stale, unmutated copy re-enters with
-                # the carryover ``replay`` rounds later and receives its own
-                # verdict then (matching the sharded engine exactly).
-                self._delayed_faults.append(
-                    (self.round + verdict.replay, (src, out))
-                )
+                held.append((self.round + verdict.replay,
+                             self._copy_of(entry)))
             if verdict.mutation is not None:
-                mutated = self._mutate_message(out.message, verdict.mutation,
-                                               out.destination)
-                if mutated is not out.message:
-                    out = Outgoing(out.destination, mutated)
-            for _ in range(verdict.copies):
-                expanded.append((src, out))
+                entry = self._mutated(entry, verdict.mutation)
+            expanded.append(entry)
+            for _ in range(verdict.copies - 1):
+                expanded.append(self._copy_of(entry))
         return expanded
 
-    def _trace_verdict(self, verdict, src: ProcessId,
-                       dst: ProcessId) -> None:
-        """Trace a fault verdict that struck (no event for plain delivery)."""
-        if not self.telemetry.tracing:
-            return
-        at = float(self.round)
-        if verdict.action == "drop":
-            self.telemetry.emit("fault.drop", at, pid=src, peer=dst)
-        elif verdict.action == "delay":
-            self.telemetry.emit("fault.delay", at, pid=src, peer=dst,
-                                delay=verdict.delay)
-        else:
-            if verdict.copies > 1:
-                self.telemetry.emit("fault.duplicate", at, pid=src, peer=dst,
-                                    copies=verdict.copies)
-            if verdict.mutation is not None:
-                self.telemetry.emit("fault.byzantine", at, pid=src, peer=dst,
-                                    kind=verdict.mutation[0])
-            if verdict.replay:
-                self.telemetry.emit("fault.replay", at, pid=src, peer=dst,
-                                    lag=verdict.replay)
+    # -- queue-entry hooks (what the sharded engine overrides) --------------
+    def _endpoints(self, entry) -> Tuple[ProcessId, ProcessId]:
+        """``(src, dst)`` of a queue entry."""
+        return entry[0], entry[1].destination
+
+    def _copy_of(self, entry):
+        """A second delivery of ``entry`` (duplicate or stale replay)."""
+        return entry  # immutable here: the same pair may be queued twice
+
+    def _mutated(self, entry, mutation: tuple):
+        """``entry`` with a Byzantine ``mutation`` applied to its payload."""
+        src, out = entry
+        mutated = self._mutate_message(out.message, mutation,
+                                       out.destination)
+        if mutated is out.message:
+            return entry
+        return src, Outgoing(out.destination, mutated)
+
+    def _discard(self, entry) -> None:
+        """``entry`` was dropped by a verdict; nothing is held for it."""
 
     # -- delivery ----------------------------------------------------------
     def _admit(self, src: ProcessId, dst: ProcessId) -> bool:
@@ -523,42 +535,3 @@ class RoundSimulation:
             raise exc
         self.node_errors.append((pid, where, exc))
         self.crash(pid)
-
-    # -- telemetry ---------------------------------------------------------
-    def _sync_engine_counters(self) -> None:
-        """Fold the engine's plain accounting attributes (and the fault
-        injector's strike counters) into the telemetry registry as per-round
-        deltas.  Runs at the end of every round, before observers, so
-        observers always read current totals.  Consumes no randomness —
-        bit-identity of the run is unaffected."""
-        updates = {
-            "sim.delivered": self.messages_delivered,
-            "sim.to_crashed": self.messages_to_crashed,
-            "sim.to_unknown": self.messages_to_unknown,
-            "net.offered": self.network.messages_offered,
-            "net.dropped": self.network.messages_dropped,
-            "net.cut": getattr(self.network, "messages_cut", 0),
-        }
-        if self._fault_injector is not None:
-            for name, value in self._fault_injector.stats.as_dict().items():
-                updates[f"faults.{name}"] = value
-        for name, value in updates.items():
-            last = self._tele_baseline.get(name, 0)
-            if value != last:
-                self.telemetry.inc(name, value - last, round=self.round)
-                self._tele_baseline[name] = value
-        self.telemetry.set_gauge("sim.alive", float(self.alive_count()))
-        self.telemetry.inc("sim.rounds", 1)
-
-    def node_aggregates(self, pids: Optional[Sequence[ProcessId]] = None
-                        ) -> NodeAggregates:
-        """Summed stats/occupancy/in-degree over the alive nodes (optionally
-        restricted to ``pids``) — the :class:`~repro.sim.recorder.RunRecorder`
-        feed.  The sharded engine overrides this with a shard-local
-        aggregation, so for the same seed both engines return equal values
-        without shipping node state."""
-        if pids is None:
-            targets = self._alive_list()
-        else:
-            targets = [self.nodes[p] for p in pids if self.alive(p)]
-        return aggregate_nodes(targets)

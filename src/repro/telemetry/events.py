@@ -31,11 +31,14 @@ RECOVERY = "recovery"
 FAULT_DROP = "fault.drop"
 FAULT_DELAY = "fault.delay"
 FAULT_DUPLICATE = "fault.duplicate"
+FAULT_BYZANTINE = "fault.byzantine"
+FAULT_REPLAY = "fault.replay"
 INVARIANT_VIOLATION = "invariant.violation"
 
 TRACE_KINDS = (
     ROUND_START, ROUND_END, SEND, RECEIVE, DELIVER, EVICTION, CRASH,
-    RECOVERY, FAULT_DROP, FAULT_DELAY, FAULT_DUPLICATE, INVARIANT_VIOLATION,
+    RECOVERY, FAULT_DROP, FAULT_DELAY, FAULT_DUPLICATE, FAULT_BYZANTINE,
+    FAULT_REPLAY, INVARIANT_VIOLATION,
 )
 
 

@@ -8,7 +8,8 @@ no *faithful* binary form — a custom message type, or a notification
 payload (tuple, non-string dict keys, NaN) that the JSON embedding would
 alter.  The fallback keeps the engine's bit-identity contract intact: a
 decoded cross-shard message is always equal to the object the serial
-engine would have passed by reference.
+engine would have passed by reference.  It is automatic and it is the only
+way a batch travels as pickle: no option selects the format.
 
 Blob layout: a one-byte format marker (:data:`BLOB_PICKLE` /
 :data:`BLOB_BINARY`), then either the pickle bytes or a varint count
@@ -28,31 +29,22 @@ BLOB_PICKLE = 0x00
 BLOB_BINARY = 0x02
 
 
-def pack_messages(messages: Sequence[object],
-                  wire_format: str = "binary") -> bytes:
-    """Message batch → self-describing blob.
-
-    ``wire_format="binary"`` tries the strict binary codec and silently
-    falls back to pickle when any message is not faithfully encodable;
-    ``"pickle"`` forces the legacy path (the escape hatch for debugging a
-    suspected codec divergence).
-    """
-    if wire_format == "binary":
-        try:
-            buf = bytearray([BLOB_BINARY])
-            write_uvarint(buf, len(messages))
-            for message in messages:
-                blob = encode_binary(message, strict_payloads=True)
-                write_uvarint(buf, len(blob))
-                buf += blob
-            return bytes(buf)
-        except WireEncodeError:
-            pass
-    elif wire_format != "pickle":
-        raise ValueError(f"unknown shard wire format {wire_format!r}")
-    return bytes([BLOB_PICKLE]) + pickle.dumps(
-        list(messages), protocol=pickle.HIGHEST_PROTOCOL
-    )
+def pack_messages(messages: Sequence[object]) -> bytes:
+    """Message batch → self-describing blob: the strict binary codec, or
+    pickle for the whole batch when any message is not faithfully
+    encodable.  The batch's content decides — there is no format option."""
+    try:
+        buf = bytearray([BLOB_BINARY])
+        write_uvarint(buf, len(messages))
+        for message in messages:
+            blob = encode_binary(message, strict_payloads=True)
+            write_uvarint(buf, len(blob))
+            buf += blob
+        return bytes(buf)
+    except WireEncodeError:
+        return bytes([BLOB_PICKLE]) + pickle.dumps(
+            list(messages), protocol=pickle.HIGHEST_PROTOCOL
+        )
 
 
 def unpack_messages(blob: bytes) -> List[object]:

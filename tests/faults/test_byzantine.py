@@ -167,10 +167,10 @@ def _byz_plan():
             .poison_view(4, rate=0.5, count=2, start=1, stop=10))
 
 
-def _byz_run(engine, cfg, n=24, rounds=12, seed=11, wire="binary"):
+def _byz_run(engine, cfg, n=24, rounds=12, seed=11):
     nodes = build_lpbcast_nodes(n, cfg, seed=seed)
     network = NetworkModel(loss_rate=0.05, rng=random.Random(seed + 1))
-    extra = {"shards": 2, "wire_format": wire} if engine == "sharded" else {}
+    extra = {"shards": 2} if engine == "sharded" else {}
     sim = create_simulation(engine, network=network, seed=seed, **extra)
     sim.add_nodes(nodes)
     sim.use_fault_plan(_byz_plan())
@@ -214,16 +214,6 @@ class TestEngineParityUnderByzantinePlans:
         assert tele.counter_total("sim.sends", kind="EchoMessage") > 0
         assert tele.counter_total("sim.sends", kind="ReadyMessage") > 0
         assert tele.counter_total("sim.delivered") > 0
-
-    def test_wire_format_does_not_perturb_byzantine_runs(self):
-        # Binary vs forced-pickle cross-shard encoding on the *sharded*
-        # engine (where wire_format actually applies — the old version of
-        # this test compared two serial runs, which only agreed because the
-        # factory silently ignored the kwarg).
-        cfg = LpbcastConfig(fanout=3, view_max=8)
-        binary = _byz_run("sharded", cfg, wire="binary")
-        as_pickle = _byz_run("sharded", cfg, wire="pickle")
-        assert _counters(binary) == _counters(as_pickle)
 
 
 def _separation_run(seed, double_echo, engine="serial"):

@@ -262,14 +262,14 @@ class TestFactory:
 
     def test_columnar_engine_registered(self):
         from repro.sim.columnar_runner import ColumnarRoundSimulation
-        from repro.sim.parallel_runner import ENGINES
+        from repro.sim.engines import ENGINES
 
         assert "columnar" in ENGINES
         sim = create_simulation("columnar", seed=3)
         assert isinstance(sim, ColumnarRoundSimulation)
 
     def test_unknown_kwarg_rejected_for_every_engine(self):
-        from repro.sim.parallel_runner import ENGINES
+        from repro.sim.engines import ENGINES
 
         for engine in ENGINES:
             with pytest.raises(ValueError,
@@ -287,11 +287,17 @@ class TestFactory:
     def test_default_values_are_legal_everywhere(self):
         # Passing a default cannot change behaviour, so generic call sites
         # may forward the full kwarg set without per-engine plumbing.
-        sim = create_simulation("serial", shards=None, wire_format="binary")
+        sim = create_simulation("serial", shards=None, start_method=None)
         assert type(sim) is RoundSimulation
 
+    def test_sharded_wire_format_knob_is_gone(self):
+        # The cross-shard batch format is decided by the batch's content
+        # (binary, whole-batch pickle fallback); no option forces it.
+        with pytest.raises(ValueError, match="unknown create_simulation kwarg"):
+            create_simulation("sharded", wire_format="pickle")
+
     def test_registry_accepts_only_known_kwargs(self):
-        from repro.sim.parallel_runner import ENGINE_REGISTRY, FACTORY_DEFAULTS
+        from repro.sim.engines import ENGINE_REGISTRY, FACTORY_DEFAULTS
 
         for spec in ENGINE_REGISTRY.values():
             assert spec.accepts <= set(FACTORY_DEFAULTS), spec.name
@@ -353,10 +359,10 @@ class TestCrossShardWireFormat:
     """The cross-shard batch format: compact binary with a pickle fallback
     that preserves the engine's bit-identity contract."""
 
-    def _fetch_blob(self, message, wire_format="binary"):
+    def _fetch_blob(self, message):
         from repro.sim.parallel_runner import _ShardState
 
-        state = _ShardState(0, wire_format=wire_format)
+        state = _ShardState(0)
         handle = state._stash(1, Outgoing(2, message))
         served = state.do_fetch({1: [handle]})
         _entries, blobs = served[1]
@@ -391,18 +397,6 @@ class TestCrossShardWireFormat:
         decoded = unpack_messages(blob)
         assert decoded == [message]
         assert decoded[0].events[0].payload == ("tu", "ple")
-
-    def test_pickle_format_forced_by_knob(self):
-        from repro.core.message import GossipMessage
-        from repro.wire.shard import BLOB_PICKLE
-
-        blob = self._fetch_blob(GossipMessage(sender=1),
-                                wire_format="pickle")
-        assert blob[0] == BLOB_PICKLE
-
-    def test_unknown_wire_format_rejected(self):
-        with pytest.raises(ValueError, match="wire_format"):
-            ShardedRoundSimulation(shards=2, wire_format="xml")
 
     def test_sharded_run_with_tuple_payloads_matches_serial(self):
         # End-to-end: a workload whose payloads defeat the binary codec

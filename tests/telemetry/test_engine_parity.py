@@ -306,8 +306,7 @@ def causal_golden_run(engine, shards=2):
                                 seed=CAUSAL_GOLDEN_SEED)
     network = NetworkModel(loss_rate=0.08,
                            rng=random.Random(CAUSAL_GOLDEN_SEED + 1))
-    extra = ({"shards": shards, "wire_format": "binary"}
-             if engine == "sharded" else {})
+    extra = {"shards": shards} if engine == "sharded" else {}
     sim = create_simulation(engine, network=network,
                             seed=CAUSAL_GOLDEN_SEED, **extra)
     sim.add_nodes(nodes)
@@ -346,3 +345,151 @@ class TestCausalGoldenCounterRecord:
                    for node in serial.nodes.values()) > 0
         assert sum(node.stats.causal_deps_solicited
                    for node in serial.nodes.values()) > 0
+
+
+# -- faulted golden counter record -------------------------------------------
+# The goldens above carry at most drop/duplicate/delay, and "serial ==
+# sharded" still passes when both engines change together.  This record pins
+# a plan composing every verdict the interpreter handles — drop, duplicate,
+# delay, a partition with heal, crash-with-recovery, pause, and the
+# Byzantine replay / equivocate / poison mutations — to values taken from
+# the revision *before* the engines shared one round body and one verdict
+# interpreter: one hash for serial and sharded (any shard count), a second
+# for the async runtime under the same plan.  Regenerate after an
+# intentional protocol change with::
+#
+#     PYTHONPATH=src python - <<'EOF'
+#     from tests.telemetry.test_engine_parity import faulted_run, golden_sha256
+#     print(golden_sha256(faulted_run("serial")[0]))
+#     print(golden_sha256(faulted_run("async")[0]))
+#     EOF
+
+FAULTED_N = 48
+FAULTED_ROUNDS = 14
+FAULTED_SEED = 20261001
+FAULTED_PUBLISHES = 5
+FAULTED_GOLDEN_SHA256 = \
+    "e0f2592487d3a7ce76c954d3d23c07e3e0d81b3a168be3c48d44ea0e9183c88f"
+FAULTED_ASYNC_GOLDEN_SHA256 = \
+    "b6f905a23ea69d5159ab9059494c4c35c9cfa36ff29d4d5a13407cfe33b63ec0"
+
+
+def faulted_plan(n=FAULTED_N):
+    return (FaultPlan()
+            .drop(0.06, start=2, stop=FAULTED_ROUNDS)
+            .duplicate(0.05)
+            .delay(0.04, delay=2)
+            .partition(range(0, n // 4), range(n // 4, n), start=4, heal=9)
+            .crash(3, at=3, recover_at=8)
+            .pause(11, at=5, duration=3)
+            .replay_stale(5, rate=0.5, lag=2, start=1, stop=12)
+            .equivocate(1, rate=0.6, start=1, stop=10, variants=2)
+            .poison_view(4, rate=0.5, count=2, start=1, stop=10))
+
+
+def faulted_run(engine, shards=2, tracing=False):
+    """The composed-plan scenario on ``engine``; returns (sim, injector).
+    Publishers are fixed by round number (pids 20..24: never crashed,
+    paused or Byzantine), so no engine state feeds the workload."""
+    cfg = LpbcastConfig(fanout=3, view_max=10, retransmissions=True,
+                        digest_implies_delivery=False)
+    nodes = build_lpbcast_nodes(FAULTED_N, cfg, seed=FAULTED_SEED)
+    network = NetworkModel(loss_rate=0.05,
+                           rng=random.Random(FAULTED_SEED + 1))
+    extra = {"shards": shards} if engine == "sharded" else {}
+    sim = create_simulation(engine, network=network, seed=FAULTED_SEED,
+                            **extra)
+    sim.add_nodes(nodes)
+    sim.telemetry.tracing = tracing
+    injector = sim.use_fault_plan(faulted_plan())
+
+    def publish(round_no, at):
+        sim.nodes[nodes[19 + round_no].pid].lpb_cast(f"evt-{round_no}", at)
+
+    if engine == "async":
+        period = cfg.gossip_period
+        for r in range(1, FAULTED_PUBLISHES + 1):
+            sim.call_at((r - 0.5) * period,
+                        lambda r=r: publish(r, sim.now))
+        sim.run_rounds(FAULTED_ROUNDS, round_duration=period)
+        return sim, injector
+
+    def publish_hook(round_no, s):
+        if round_no <= FAULTED_PUBLISHES:
+            publish(round_no, float(round_no))
+
+    sim.add_round_hook(publish_hook)
+    try:
+        sim.run(FAULTED_ROUNDS)
+    finally:
+        close = getattr(sim, "close", None)
+        if close is not None:
+            close()
+    return sim, injector
+
+
+FAULTED_ENGINES = (("serial", {}), ("sharded", {"shards": 2}),
+                   ("sharded", {"shards": 3}), ("async", {}))
+
+
+class TestFaultedGoldenCounterRecord:
+    @pytest.mark.parametrize("engine,kwargs", FAULTED_ENGINES)
+    def test_engines_reproduce_the_faulted_golden_record(self, engine,
+                                                         kwargs):
+        sim, injector = faulted_run(engine, **kwargs)
+        expected = (FAULTED_ASYNC_GOLDEN_SHA256 if engine == "async"
+                    else FAULTED_GOLDEN_SHA256)
+        assert golden_sha256(sim) == expected
+        # Non-vacuity: every verdict the plan composes actually struck.
+        stats = injector.stats
+        for name in ("dropped", "partition_blocked", "duplicated",
+                     "delayed", "crashes_applied", "recoveries_applied",
+                     "equivocated", "replayed", "poisoned"):
+            assert getattr(stats, name) > 0, name
+        assert sim.telemetry.counter_total(
+            "sim.sends", kind="RetransmitRequest") > 0
+
+
+class TestFaultVerdictTracing:
+    """Every verdict that struck is traced, on every object engine, by the
+    one ``_trace_verdict`` — and tracing never perturbs the counters."""
+
+    @pytest.mark.parametrize("engine,kwargs", FAULTED_ENGINES)
+    def test_traced_verdicts_match_injector_stats(self, engine, kwargs):
+        traced, injector = faulted_run(engine, tracing=True, **kwargs)
+        plain, _ = faulted_run(engine, **kwargs)
+        assert golden_sha256(traced) == golden_sha256(plain)
+        stats = injector.stats
+        trace = traced.telemetry.trace
+        assert len(trace.of_kind("fault.replay")) == stats.replayed > 0
+        struck = stats.equivocated + stats.forged + stats.poisoned
+        byzantine = trace.of_kind("fault.byzantine")
+        assert len(byzantine) == struck > 0
+        assert {e.data["mutation"] for e in byzantine} == \
+            {"equivocate", "poison"}
+        assert len(trace.of_kind("recovery")) == stats.recoveries_applied
+        assert len(trace.of_kind("fault.drop")) == \
+            stats.dropped + stats.partition_blocked
+        assert len(trace.of_kind("fault.delay")) == stats.delayed
+
+    def test_serial_and_sharded_trace_the_same_verdicts(self):
+        serial, _ = faulted_run("serial", tracing=True)
+        sharded, _ = faulted_run("sharded", shards=3, tracing=True)
+        assert trace_multiset(serial) == trace_multiset(sharded)
+
+    def test_traced_byzantine_chaos_scenario_returns(self):
+        # Used to raise TypeError: the event's data field was named
+        # ``kind``, colliding with ``Telemetry.emit``'s first parameter.
+        from repro.faults.chaos import run_chaos_scenario
+
+        result = run_chaos_scenario("steady_state", n=24, rounds=12, seed=5,
+                                    byzantine_nodes=2, byzantine_rate=0.5,
+                                    tracing=True)
+        kinds = result.telemetry.trace.counts()
+        assert kinds["fault.byzantine"] > 0
+
+    def test_every_emitted_fault_kind_is_registered(self):
+        from repro.telemetry import TRACE_KINDS
+
+        traced, _ = faulted_run("serial", tracing=True)
+        assert set(traced.telemetry.trace.counts()) <= set(TRACE_KINDS)
