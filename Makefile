@@ -20,8 +20,9 @@ coverage:
 	    && $(PYTHON) -m pytest tests/ --cov=repro --cov-report=term-missing \
 	    || echo "pytest-cov not installed; run: pip install -e .[test,cov]"
 
-# The self-test plus the three object-engine campaigns CI's fuzz-smoke job
-# runs (plain, Byzantine, causal): serial == sharded on 25 scenarios each.
+# The self-test (7/7 planted bugs) plus the three object-engine campaigns
+# CI's fuzz-smoke job runs (plain — long-stream family included —, Byzantine,
+# causal): serial == sharded on 25 scenarios each.
 fuzz:
 	$(PYTHON) -m repro fuzz --self-test --quiet
 	$(PYTHON) -m repro fuzz --count 25 --seed 2026 --quiet

@@ -3,10 +3,15 @@
 The paper measures the reliability-vs-``|eventIds|m`` dependence but leaves
 it unmodelled (Sec. 5.2 calls a precise expression "a difficult task").
 ``repro.analysis.buffers`` supplies a conservative first-order model:
-reliability ≈ P(infection latency ≤ id-survival horizon B/λ).  This bench
-runs a steady-state load (λ = 10 fresh notifications per round, continuous)
-and sweeps B, checking that the model (a) lower-bounds the measurement,
-(b) matches its monotone saturating shape, and (c) agrees at both extremes.
+reliability ≈ P(infection latency ≤ B/λ), the horizon after which — were
+every fresh id to arrive out of order — the out-of-order budget B folds a
+waiting id and writes its gap off.  This bench runs a steady-state load
+(λ = 10 fresh notifications per round, continuous) and sweeps B, checking
+that the model (a) lower-bounds the measurement, (b) is monotone and
+saturating like it, and (c) agrees at the generous end.  In-sequence
+delivery uses no budget, so the measurement sits at 1 across the sweep and
+the bound is loose at small B (it was tighter against the FIFO ``eventIds``,
+whose wrap the rise of the old measurement recorded).
 """
 
 import random
@@ -87,6 +92,6 @@ def test_buffer_model_vs_measurement(benchmark):
     assert all(b >= a - 0.05 for a, b in zip(measurements, measurements[1:]))
     # (c) agreement at the generous end.
     assert abs(predictions[-1] - measurements[-1]) < 0.05
-    # And the knee is real: both rise substantially across the sweep.
-    assert measurements[-1] - measurements[0] > 0.2
+    # The model's knee is real; the measurement has none left to show.
     assert predictions[-1] - predictions[0] > 0.5
+    assert min(measurements) > 0.99

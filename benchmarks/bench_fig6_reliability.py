@@ -7,13 +7,21 @@ gossip timers, latency < T, loss ε = 0.05.
 (a) reliability vs view size l (|eventIds|m = 60): very weak dependence —
     the paper's own headline is that "the variation in terms of reliability
     is only very weak";
-(b) reliability vs |eventIds|m (l = 15): strong dependence — once ids are
-    purged from all buffers before global infection, dissemination of that
-    notification stops.
+(b) reliability vs |eventIds|m (l = 15).  **Declared divergence.**  The
+    paper's curve rises strongly because its ``eventIds`` is the FIFO of
+    Figure 1(a): "once ids are purged from all buffers before global
+    infection, dissemination of that notification stops".  Here ``eventIds``
+    is the per-sender form Sec. 3.2 itself recommends, which forgets nothing:
+    the x-axis bounds only the ids held *out of order*, no id is ever purged,
+    and the curve is flat at 1 — except at its starved end, where the
+    co-varied ``|events|m = max(|eventIds|m, 10)`` purges notifications before
+    their first gossip.  (Taken with a FIFO at the same load — 400 ids
+    against 60 — the old curve, 0.30 -> 0.96, measured the wrap: evicted ids
+    re-advertised, re-delivered and re-inserted for ever.)  pbcast keeps its
+    FIFO id list, and Fig. 7(b) its loss.
 
 Load is scaled relative to the paper's 40 events/process/round (see
-EXPERIMENTS.md): the buffer-pressure ratio, not the absolute rate, drives
-these curves.
+EXPERIMENTS.md).
 """
 
 import figlib
@@ -50,10 +58,11 @@ def test_fig6b_reliability_vs_event_id_buffer(benchmark):
         title="Figure 6(b): reliability vs notification list size (l=15)",
     ))
 
-    # Strong, essentially monotone increase (allow small seed noise).
-    assert reliabilities[-1] - reliabilities[0] > 0.3
+    # Declared divergence (module docstring): monotone within seed noise,
+    # but flat — no id is ever purged, so nothing stops spreading.
     for a, b in zip(reliabilities, reliabilities[1:]):
-        assert b >= a - 0.05
-    # Starved buffers hurt badly; generous buffers approach full reliability.
-    assert reliabilities[0] < 0.6
-    assert reliabilities[-1] > 0.9
+        assert b >= a - 0.01
+    assert all(r > 0.9 for r in reliabilities)
+    assert all(r > 0.999 for size, r in zip(sizes, reliabilities) if size >= 20)
+    # What loss there is sits at the starved end and comes from |events|m.
+    assert reliabilities[0] < reliabilities[-1]

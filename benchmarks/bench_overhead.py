@@ -119,7 +119,9 @@ def test_wire_sizes(benchmark):
             events=tuple(
                 Notification(EventId(2, s), "x" * 32, 0.0) for s in range(1, 11)
             ),
-            event_ids=tuple(EventId(3, s) for s in range(1, 61)),
+            # 60 ids held out of order (the bound), over 12 origins.
+            event_ids=tuple((origin, 40, tuple(range(42, 52, 2)))
+                            for origin in range(3, 15)),
         )
         return wire_size(empty), wire_size(loaded)
 

@@ -2,27 +2,21 @@
 
 The paper measures the strong dependence of reliability on ``|eventIds|m``
 but does not model it ("a more precise expression of the delivery
-reliability would thus furthermore depend on l, n, and |events|m ...  Such
-parameters are hardly ever taken into consideration during the analysis of
-broadcast algorithms", Sec. 5.2).  This module supplies the first-order
-model the measurements suggest:
+reliability would thus furthermore depend on l, n, and |events|m ...",
+Sec. 5.2).  This module supplies a first-order, deliberately conservative
+model, stated for the store ``eventIds`` is (per sender a frontier, and at
+most ``B = |eventIds|m`` ids held *out of order*):
 
-* under a system-wide publication rate of ``λ`` fresh notifications per
-  round, every delivery pushes one id into each holder's bounded FIFO
-  ``eventIds``, so an id is evicted roughly ``B/λ`` rounds after delivery
-  (``B = |eventIds|m``);
-* an event stops spreading once its id has been purged everywhere, so a
-  process is reached only if its infection latency is below that survival
-  horizon;
-* hence  reliability ≈ P(latency ≤ B/λ),  with the latency law taken from
-  the Eqs. 2–3 chain (:class:`~repro.analysis.latency.LatencyAnalysis`).
+* an id delivered out of order waits for the gap before it to close; if,
+  worst case, each of the ``λ`` fresh notifications per round lands out of
+  order, the budget folds it — writing the gap off — ``B/λ`` rounds later;
+* a notification that has not arrived by then is lost to that process,
+  hence  reliability ≈ P(latency ≤ B/λ),  the latency law taken from the
+  Eqs. 2–3 chain (:class:`~repro.analysis.latency.LatencyAnalysis`).
 
-The model is deliberately *conservative*: it ignores that every newly
-infected process restarts the id's survival clock in its own buffer (the
-wavefront keeps the id alive at the epidemic's edge), so it lower-bounds
-measured reliability — while reproducing the curve's shape, its knee
-position, and both extremes.  ``benchmarks/bench_buffer_model.py`` compares
-it against steady-state measurement.
+In-sequence delivery uses no budget at all, so this lower-bounds the
+measurement by a wide margin while keeping the curve's shape, knee and
+both extremes; ``benchmarks/bench_buffer_model.py`` compares the two.
 """
 
 from __future__ import annotations
@@ -35,8 +29,8 @@ from .latency import LatencyAnalysis
 
 
 def id_survival_rounds(event_ids_max: int, publish_rate: float) -> float:
-    """Rounds a delivered id survives in a bounded FIFO ``eventIds`` buffer
-    under ``publish_rate`` fresh notifications per round."""
+    """Rounds an id held out of order waits before the budget folds it,
+    were every one of ``publish_rate`` fresh ids a round out of order."""
     if event_ids_max < 0:
         raise ValueError("event_ids_max must be non-negative")
     if publish_rate <= 0:

@@ -12,7 +12,6 @@ Public surface:
 from .buffers import (
     CompactEventIdDigest,
     FifoBuffer,
-    FifoEventIdBuffer,
     FrequencyAwareEventBuffer,
     RandomDropBuffer,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "EventId",
     "FifoBuffer",
     "FifoDeliveryGate",
-    "FifoEventIdBuffer",
     "FrequencyAwareEventBuffer",
     "GossipMessage",
     "JoinState",

@@ -7,12 +7,12 @@ paper's pseudocode:
 
 * ``remove random element``   — used for ``unSubs``, ``subs`` and ``events``
   (:class:`RandomDropBuffer`);
-* ``remove oldest element``   — used for ``eventIds``
-  (:class:`FifoEventIdBuffer`, generically :class:`FifoBuffer`);
-* the per-sender digest optimization sketched in Sec. 3.2: "the buffer can be
-  optimized by only retaining for each sender the identifiers of notifications
-  delivered since the last one delivered in sequence"
-  (:class:`CompactEventIdDigest`).
+* ``remove oldest element``   — Figure 1(a)'s policy for ``eventIds``, kept
+  for pbcast's id list (:class:`FifoBuffer`);
+* for lpbcast's own ``eventIds``, the per-sender form of Sec. 3.2: "only
+  retaining for each sender the identifiers of notifications delivered
+  since the last one delivered in sequence" (:class:`CompactEventIdDigest`)
+  — a FIFO that forgets an id takes its next advertisement for news.
 
 All random choices are drawn from an injected ``random.Random`` so that whole
 simulations are reproducible from a single seed.
@@ -24,11 +24,12 @@ is a plain ``random.Random`` — ``Random.randrange(n)`` bit-for-bit
 (``getrandbits(n.bit_length())`` rejection sampling, CPython's
 ``_randbelow``) — and each phase is one bulk pass on the structure that owns
 the index: :meth:`RandomDropBuffer.absorb` for ``subs``,
-:meth:`FifoBuffer.missing` for ``eventIds``, ``PartialView.admit`` for
-``view``.  Both make the same draws in the same order as the per-element
-methods, which stay as the only path keyed buffers and custom generators have
-and as the reference the tests compare against; the telemetry parity suite
-pins the streams with a pre-optimization golden counter record.
+:meth:`CompactEventIdDigest.missing` / ``unseen`` for ``eventIds``,
+``PartialView.admit`` for ``view``.  The passes make the same draws in the
+same order as the per-element methods, which stay as the only path keyed
+buffers and custom generators have and as the reference the tests compare
+against; the telemetry parity suite pins the streams with a
+pre-optimization golden counter record.
 """
 
 from __future__ import annotations
@@ -43,12 +44,11 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Set,
     Tuple,
     TypeVar,
 )
 
-from .ids import EventId, ProcessId
+from .ids import DigestEntry, EventId, ProcessId
 
 T = TypeVar("T", bound=Hashable)
 
@@ -264,15 +264,13 @@ class RandomDropBuffer(Generic[T]):
 class FifoBuffer(Generic[T]):
     """A bounded duplicate-free collection evicting the *oldest* element.
 
-    Used for ``eventIds`` ("remove oldest element from eventIds",
-    Figure 1(a)) and for the retransmission archive.  Re-adding an existing
-    element does not refresh its age — Figure 1(a) only inserts fresh ids, and
-    keeping insertion age makes "oldest" well defined.
+    "remove oldest element from eventIds" (Figure 1(a)) as written: pbcast's
+    delivered-id list, where an evicted id may be delivered again.  Re-adding
+    an existing element does not refresh its age — Figure 1(a) only inserts
+    fresh ids, and keeping insertion age makes "oldest" well defined.
 
-    :meth:`snapshot` is cached: every gossip emission wires the ``eventIds``
-    digest (Figure 1(b)), but between deliveries the buffer is unchanged, so
-    the tuple is rebuilt only after a mutation.  Mutators invalidate the
-    cache; no-op adds (item already present, nothing evicted) keep it.
+    :meth:`snapshot` is cached between mutations; no-op adds (item already
+    present, nothing evicted) keep it.
     """
 
     def __init__(self, max_size: int) -> None:
@@ -327,12 +325,6 @@ class FifoBuffer(Generic[T]):
             raise IndexError("buffer is empty")
         return next(iter(self._items))
 
-    def missing(self, items) -> List[T]:
-        """The elements of ``items`` not held, in order, repeats kept — a
-        received digest read against the whole buffer in one pass."""
-        held = self._items
-        return [item for item in items if item not in held]
-
     def __contains__(self, item: object) -> bool:
         return item in self._items
 
@@ -344,17 +336,6 @@ class FifoBuffer(Generic[T]):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({list(self._items)!r}, max={self.max_size})"
-
-
-class FifoEventIdBuffer(FifoBuffer[EventId]):
-    """``eventIds`` exactly as in the Figure 1(a) pseudocode.
-
-    A plain bounded FIFO of event identifiers.  This is the variant whose
-    bound ``|eventIds|m`` the measurements of Fig. 6(b) sweep: once an id is
-    evicted, a late copy of the same notification is no longer recognized as
-    a duplicate and is re-delivered/re-forwarded, and reliability accounting
-    treats re-deliveries as duplicates.
-    """
 
 
 class FrequencyAwareEventBuffer:
@@ -432,118 +413,116 @@ class FrequencyAwareEventBuffer:
         return iter(self._items.values())
 
 
-class _SenderDigest:
-    """Delivered-id record for one originator.
-
-    ``last_in_seq`` is the largest s such that every sequence number 1..s has
-    been delivered; ``out_of_order`` holds delivered sequence numbers beyond
-    the gap.  Whenever the gap closes, the record compacts itself.
-    """
-
-    __slots__ = ("last_in_seq", "out_of_order")
-
-    def __init__(self) -> None:
-        self.last_in_seq = 0
-        self.out_of_order: Set[int] = set()
-
-    def contains(self, seq: int) -> bool:
-        return seq <= self.last_in_seq or seq in self.out_of_order
-
-    def add(self, seq: int) -> None:
-        if self.contains(seq):
-            return
-        if seq == self.last_in_seq + 1:
-            self.last_in_seq = seq
-            while self.last_in_seq + 1 in self.out_of_order:
-                self.last_in_seq += 1
-                self.out_of_order.remove(self.last_in_seq)
-        else:
-            self.out_of_order.add(seq)
-
-    def pending_count(self) -> int:
-        return len(self.out_of_order)
-
-
 class CompactEventIdDigest:
-    """The per-sender digest optimization of Sec. 3.2.
-
-    "the buffer can be optimized by only retaining for each sender the
+    """``eventIds`` as Sec. 3.2 prescribes it: per sender, only "the
     identifiers of notifications delivered since the last one delivered in
-    sequence."
+    sequence".
 
-    Memory is bounded by ``max_out_of_order`` *out-of-order* entries in total
-    across all senders; in-sequence prefixes cost O(1) per sender regardless
-    of how many notifications they summarize.  When the out-of-order budget
-    overflows, the oldest-inserted out-of-order entries are folded away by
-    advancing that sender's ``last_in_seq`` — a deliberate over-approximation
-    (ids below ``last_in_seq`` read as delivered) that preserves the
-    at-most-once delivery guarantee while keeping memory constant, at the
-    price of possibly suppressing genuinely missing notifications, the same
-    qualitative trade-off as evicting from ``eventIds``.
+    Per origin a *frontier* — every sequence number up to it is delivered —
+    and, in one insertion-ordered table across origins, the *extras*
+    delivered out of order beyond it; ``len(store)`` counts the extras and
+    ``max_out_of_order`` (``|eventIds|m``) bounds them.  A frontier costs
+    O(1) however many ids it stands for, so memory, :meth:`snapshot` and
+    :meth:`missing` are O(publishers + gaps) and a delivered id is known for
+    good.  On overflow the oldest extra is folded into its origin's frontier,
+    which then covers the ids skipped over too: the known set only grows,
+    at-most-once delivery always holds, and the bound trades completeness.
     """
 
     def __init__(self, max_out_of_order: int = 256) -> None:
         if max_out_of_order < 0:
             raise ValueError("max_out_of_order must be non-negative")
         self.max_out_of_order = max_out_of_order
-        self._senders: Dict[ProcessId, _SenderDigest] = {}
-        self._insertion_order: "OrderedDict[EventId, None]" = OrderedDict()
+        self._frontier: Dict[ProcessId, int] = {}
+        self._extras: Dict[EventId, None] = {}  # oldest insertion first
+        self._snapshot: Optional[Tuple[DigestEntry, ...]] = None
 
     def __contains__(self, event_id: object) -> bool:
         if not isinstance(event_id, tuple) or len(event_id) != 2:
             return False
-        digest = self._senders.get(event_id[0])
-        return digest is not None and digest.contains(event_id[1])
+        return (event_id[1] <= self._frontier.get(event_id[0], 0)
+                or event_id in self._extras)
 
-    def missing(self, event_ids) -> List[EventId]:
-        """The ids of ``event_ids`` not recorded as delivered, in order."""
-        return [event_id for event_id in event_ids if event_id not in self]
+    def __len__(self) -> int:
+        return len(self._extras)
 
-    def add(self, event_id: EventId) -> None:
-        """Record ``event_id`` as delivered."""
-        digest = self._senders.get(event_id.origin)
-        if digest is None:
-            digest = self._senders[event_id.origin] = _SenderDigest()
-        if digest.contains(event_id.seq):
-            return
-        digest.add(event_id.seq)
-        if event_id.seq > digest.last_in_seq:
-            self._insertion_order[event_id] = None
-        else:
-            # The gap closed; drop tracking entries the compaction absorbed.
-            self._compact_tracking(event_id.origin, digest)
-        self._enforce_budget()
+    def add(self, event_id: EventId) -> int:
+        """Record ``event_id`` as delivered; returns how many never-delivered
+        ids a fold wrote off (0 unless the extras overflowed)."""
+        origin, seq = event_id
+        frontiers, extras = self._frontier, self._extras
+        frontier = frontiers.get(origin, 0)
+        if seq <= frontier or (seq > frontier + 1 and event_id in extras):
+            return 0
+        self._snapshot = None
+        written_off = 0
+        if seq > frontier + 1:
+            frontiers.setdefault(origin, 0)
+            extras[event_id] = None
+            if len(extras) <= self.max_out_of_order:
+                return 0
+            # Fold the oldest extra (and its origin's extras below it) in.
+            origin, seq = next(iter(extras))
+            absorbed = [held for held in extras
+                        if held[0] == origin and held[1] <= seq]
+            for held in absorbed:
+                del extras[held]
+            written_off = seq - frontiers[origin] - len(absorbed)
+        # In sequence (or folded): on through the extras that continue it.
+        while extras and (origin, seq + 1) in extras:
+            seq += 1
+            del extras[(origin, seq)]
+        frontiers[origin] = seq
+        return written_off
 
-    def _compact_tracking(self, origin: ProcessId, digest: _SenderDigest) -> None:
-        absorbed = [
-            eid
-            for eid in self._insertion_order
-            if eid.origin == origin and eid.seq <= digest.last_in_seq
-        ]
-        for eid in absorbed:
-            del self._insertion_order[eid]
+    def snapshot(self) -> Tuple[DigestEntry, ...]:
+        """The digest of every gossip (Figure 1(b)): per origin ``(origin,
+        frontier, extras)``, extras ascending; cached between mutations."""
+        snap = self._snapshot
+        if snap is None:
+            beyond: Dict[ProcessId, List[int]] = {}
+            for origin, seq in self._extras:
+                beyond.setdefault(origin, []).append(seq)
+            snap = self._snapshot = tuple([
+                (origin, frontier,
+                 tuple(sorted(beyond[origin])) if origin in beyond else ())
+                for origin, frontier in self._frontier.items()])
+        return snap
 
-    def _enforce_budget(self) -> None:
-        while len(self._insertion_order) > self.max_out_of_order:
-            oldest, _ = self._insertion_order.popitem(last=False)
-            digest = self._senders[oldest.origin]
-            # Fold: advance the in-sequence pointer past the evicted entry.
-            if oldest.seq > digest.last_in_seq:
-                for seq in range(digest.last_in_seq + 1, oldest.seq + 1):
-                    digest.out_of_order.discard(seq)
-                digest.last_in_seq = max(digest.last_in_seq, oldest.seq)
-                while digest.last_in_seq + 1 in digest.out_of_order:
-                    digest.last_in_seq += 1
-                    digest.out_of_order.remove(digest.last_in_seq)
-                self._compact_tracking(oldest.origin, digest)
+    def missing(self, digest) -> List[EventId]:
+        """The ids a received ``digest`` names that are not known here,
+        origin by origin, ascending.  An entry at or behind the local
+        frontier with no extras costs one compare; otherwise only its gap is
+        enumerated, at most ``max_out_of_order`` ids of it (the newest), so a
+        far-ahead or forged frontier costs a bounded walk.  Reading moves no
+        local frontier: only :meth:`add` does."""
+        out: List[EventId] = []
+        held = self._extras
+        known = self._frontier.get
+        cap = self.max_out_of_order
+        new, make = tuple.__new__, EventId
+        for origin, frontier, extras in digest:
+            mine = known(origin, 0)
+            if frontier <= mine and not extras:
+                continue
+            # At most len(held) of them are held: this far down is enough.
+            first = max(mine, frontier - cap - len(held)) + 1
+            fresh = [new(make, (origin, seq))
+                     for seq in (*range(first, frontier + 1), *extras)
+                     if seq > mine]
+            if held:
+                fresh = [event_id for event_id in fresh if event_id not in held]
+            out += fresh[len(fresh) - cap:] if len(fresh) > cap else fresh
+        return out
 
-    def out_of_order_count(self) -> int:
-        """Total out-of-order entries currently tracked (memory proxy)."""
-        return sum(d.pending_count() for d in self._senders.values())
+    def unseen(self, notifications) -> list:
+        """The ``notifications`` whose id is not known, in order — the
+        carried events of a gossip read in one pass."""
+        known = self._frontier.get
+        held = self._extras
+        return [n for n in notifications
+                if n[0][1] > known(n[0][0], 0) and n[0] not in held]
 
     def last_in_sequence(self, origin: ProcessId) -> int:
-        digest = self._senders.get(origin)
-        return digest.last_in_seq if digest is not None else 0
-
-    def senders(self) -> Tuple[ProcessId, ...]:
-        return tuple(self._senders)
+        """``origin``'s frontier: every seq up to it is delivered."""
+        return self._frontier.get(origin, 0)

@@ -18,6 +18,7 @@ reachable behind a version byte.
 from __future__ import annotations
 
 import json
+from operator import ge
 from typing import Any, Callable, Dict
 
 from ..loggers.messages import (
@@ -56,6 +57,20 @@ def _dec_event_id(data) -> EventId:
         return EventId(int(origin), int(seq))
     except (TypeError, ValueError) as exc:
         raise CodecError(f"malformed event id: {data!r}") from exc
+
+
+def _dec_digest_entry(data) -> tuple:
+    """One ``[origin, frontier, [extras]]`` digest entry, held to what the
+    binary record can carry: extras ascend strictly past the frontier."""
+    try:
+        origin, frontier, extras = data
+        entry = (int(origin), int(frontier), tuple(map(int, extras)))
+    except (TypeError, ValueError) as exc:
+        raise CodecError(f"malformed digest entry: {data!r}") from exc
+    if entry[1] < 0 or any(map(ge, (entry[1],) + entry[2], entry[2])):
+        raise CodecError(
+            f"digest extras do not ascend past the frontier: {data!r}")
+    return entry
 
 
 def _enc_notification(n: Notification) -> dict:
@@ -98,7 +113,7 @@ def _enc_gossip(m: GossipMessage) -> dict:
         "sub": list(m.subs),
         "uns": [_enc_unsub(u) for u in m.unsubs],
         "ev": [_enc_notification(n) for n in m.events],
-        "ids": [_enc_event_id(e) for e in m.event_ids],
+        "ids": list(m.event_ids),  # (origin, frontier, extras): JSON arrays
     }
     if m.heartbeats:
         encoded["hb"] = [[pid, counter] for pid, counter in m.heartbeats]
@@ -117,7 +132,7 @@ def _dec_gossip(d: dict) -> GossipMessage:
         subs=tuple(int(p) for p in d.get("sub", ())),
         unsubs=tuple(_dec_unsub(u) for u in d.get("uns", ())),
         events=tuple(_dec_notification(n) for n in d.get("ev", ())),
-        event_ids=tuple(_dec_event_id(e) for e in d.get("ids", ())),
+        event_ids=tuple(_dec_digest_entry(e) for e in d.get("ids", ())),
         heartbeats=heartbeats,
     )
 

@@ -19,8 +19,10 @@ class LpbcastConfig:
     * ``fanout`` — F, gossip targets per period (default 3, Sec. 4.3).
     * ``view_max`` — l = \\|view\\|m, the partial-view bound.
     * ``events_max`` — \\|events\\|m, pending-notification buffer bound.
-    * ``event_ids_max`` — \\|eventIds\\|m, delivered-id digest bound (the
-      "notification list size" swept in Fig. 6(b); 60 in Fig. 6(a)).
+    * ``event_ids_max`` — \\|eventIds\\|m, the delivered-id bound (the
+      "notification list size" swept in Fig. 6(b); 60 in Fig. 6(a)): how
+      many ids the per-sender store of Sec. 3.2 holds *out of order* (an
+      in-sequence prefix is one frontier), and one digest entry names as new.
     * ``subs_max`` / ``unsubs_max`` — \\|subs\\|m / \\|unSubs\\|m.
     * ``gossip_period`` — T, in simulated time units (the round runner treats
       one round as one period).
@@ -77,7 +79,6 @@ class LpbcastConfig:
     digest_implies_delivery: bool = True
     archive_max: int = 120
     retransmit_request_max: int = 20
-    compact_event_ids: bool = False
     join_timeout: float = 5.0
     #: Byzantine-tolerant delivery variant: hold payloads until a sampled
     #: Echo quorum and then a Ready quorum confirm a single digest per event

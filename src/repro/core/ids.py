@@ -10,17 +10,23 @@ reporting.
 Event (notification) identifiers follow Sec. 3.2: "We suppose that these
 identifiers are unique, and include the identifier of the originator."  An
 :class:`EventId` is therefore an ``(origin, seq)`` pair where ``seq`` is a
-per-originator sequence number.  The per-sender sequencing is what enables the
-compact digest optimization implemented in
-:class:`repro.core.buffers.CompactEventIdDigest`.
+per-originator sequence number.  The per-sender sequencing is what lets
+``eventIds`` — and every gossip's digest, one :data:`DigestEntry` per origin
+— be a frontier plus the few ids delivered out of order beyond it
+(:class:`repro.core.buffers.CompactEventIdDigest`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, NamedTuple, Optional
+from typing import Dict, Iterator, NamedTuple, Optional, Tuple
 
 ProcessId = int
 """Alias documenting intent: process identifiers are ordered distinct ints."""
+
+DigestEntry = Tuple[ProcessId, int, Tuple[int, ...]]
+"""``(origin, frontier, extras)``: every seq ``1..frontier`` of ``origin`` is
+delivered, and so are the ``extras``, ascending seqs beyond it.  A plain
+tuple — digests are built and read in the reception hot path."""
 
 
 class EventId(NamedTuple):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .events import Notification, Unsubscription
-from .ids import EventId, ProcessId
+from .ids import DigestEntry, EventId, ProcessId
 
 
 def payload_digest(payload) -> int:
@@ -43,16 +43,16 @@ def payload_digest(payload) -> int:
 class GossipMessage:
     """One periodic gossip (Figure 1(b)).
 
-    ``event_ids`` is the digest of delivered notifications; under the plain
-    Figure 1 algorithm it is informational (and feeds retransmissions when
-    they are enabled).
+    ``event_ids`` is the digest of delivered notifications, one
+    :data:`~repro.core.ids.DigestEntry` per origin; under the plain Figure 1
+    algorithm it is informational (and feeds retransmissions when enabled).
     """
 
     sender: ProcessId
     subs: Tuple[ProcessId, ...] = ()
     unsubs: Tuple[Unsubscription, ...] = ()
     events: Tuple[Notification, ...] = ()
-    event_ids: Tuple[EventId, ...] = ()
+    event_ids: Tuple[DigestEntry, ...] = ()
     #: Optional piggybacked heartbeat counters ((pid, counter), ...) for the
     #: gossip-style failure detector (repro.failuredetector, paper ref [29]).
     heartbeats: Tuple[Tuple[ProcessId, int], ...] = ()
@@ -62,10 +62,13 @@ class GossipMessage:
 
         Benches use this to compare per-gossip overhead across protocols and
         parameterizations; it deliberately counts elements, not bytes, since
-        the paper reasons about list lengths.
+        the paper reasons about list lengths (the digest's is the ids it names).
         """
-        return (1 + len(self.subs) + len(self.unsubs) + len(self.events)
-                + len(self.event_ids) + len(self.heartbeats))
+        size = (1 + len(self.subs) + len(self.unsubs) + len(self.events)
+                + len(self.heartbeats))
+        for _origin, frontier, extras in self.event_ids:
+            size += frontier + len(extras)
+        return size
 
 
 @dataclass(frozen=True)

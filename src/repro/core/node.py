@@ -13,8 +13,8 @@ Reception follows the three phases of Figure 1(a) in order:
 I.   unsubscriptions update ``view`` and ``unSubs`` (random truncation);
 II.  subscriptions update ``view``; overflow evictees are recycled into
      ``subs`` (random truncation);
-III. fresh notifications are delivered, recorded in ``eventIds`` (oldest-drop)
-     and staged in ``events`` (random-drop) for forwarding.
+III. fresh notifications are delivered, recorded in ``eventIds`` (per sender,
+     Sec. 3.2) and staged in ``events`` (random-drop) for forwarding.
 
 Phases I–II are delegated to
 :class:`~repro.membership.layer.PartialViewMembership` — the paper presents
@@ -26,24 +26,24 @@ the separation while the node preserves the monolithic phase ordering.
 Emission follows Figure 1(b): every period the node ships its ``subs`` plus
 its own id, its ``unSubs``, the staged ``events`` (cleared afterwards — every
 notification is gossiped at most once per process) and its ``eventIds``
-digest, to ``F`` targets drawn uniformly from ``view``.
+digest (an entry per origin: O(publishers + gaps) to send and to read), to
+``F`` targets drawn uniformly from ``view``.
 
 Optional behaviours, each mapped to a section of the paper, are switched from
 :class:`~repro.core.config.LpbcastConfig`: weighted views (Sec. 6.1),
-membership gossip frequency (Sec. 6.1), digest-driven retransmissions
-(Sec. 3.2), and the compact per-sender id digest (Sec. 3.2).
+membership gossip frequency (Sec. 6.1) and digest-driven retransmissions
+(Sec. 3.2).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Union
+from typing import Callable, Iterable, List, Optional
 
 from ..membership.layer import PartialViewMembership
 from .buffers import (
     CompactEventIdDigest,
-    FifoEventIdBuffer,
     FrequencyAwareEventBuffer,
     RandomDropBuffer,
 )
@@ -152,11 +152,7 @@ class LpbcastNode:
             self.events = RandomDropBuffer(
                 cfg.events_max, self.rng, key=_notification_key
             )
-        self.event_ids: Union[FifoEventIdBuffer, CompactEventIdDigest]
-        if cfg.compact_event_ids:
-            self.event_ids = CompactEventIdDigest(cfg.event_ids_max)
-        else:
-            self.event_ids = FifoEventIdBuffer(cfg.event_ids_max)
+        self.event_ids = CompactEventIdDigest(cfg.event_ids_max)
 
         self.archive = NotificationArchive(cfg.archive_max)
         self.retransmitter = RetransmissionEngine(
@@ -165,7 +161,6 @@ class LpbcastNode:
 
         # Hot-path flags resolved once: reception/delivery run per message,
         # and isinstance dispatch on buffer variants is measurable at scale.
-        self._compact_ids = cfg.compact_event_ids
         self._weighted_events = cfg.weighted_events
         self._archiving = cfg.retransmissions or cfg.push_back
         self._double_echo = cfg.double_echo
@@ -286,8 +281,9 @@ class LpbcastNode:
             self._phase3_notifications(gossip, now)
 
         if self.config.retransmissions and gossip.event_ids:
+            # ``missing`` read the digest against the store already.
             missing = self.retransmitter.select_missing(
-                self.event_ids.missing(gossip.event_ids), self.event_ids, now
+                self.event_ids.missing(gossip.event_ids), (), now
             )
             if missing:
                 self.stats.retransmit_requests_sent += 1
@@ -308,10 +304,16 @@ class LpbcastNode:
 
     def _push_back(self, gossip: GossipMessage) -> List[Notification]:
         """Gossip push (Sec. 2.3 fn. 5): send the sender retransmittable
-        notifications its digest shows it is missing.  The sender's digest
-        is bounded knowledge, so this may over-push; the receiver's own
-        duplicate detection absorbs it."""
-        sender_has = set(gossip.event_ids)
+        notifications its digest shows it is missing.  A digest split
+        across datagrams shows only part of what the sender has, so this may
+        over-push; the receiver's own duplicate detection absorbs it."""
+        sender_has = {origin: (frontier, extras)
+                      for origin, frontier, extras in gossip.event_ids}
+
+        def lacks(event_id: EventId) -> bool:
+            frontier, extras = sender_has.get(event_id[0], (0, ()))
+            return event_id[1] > frontier and event_id[1] not in extras
+
         pushed: List[Notification] = []
         pushed_ids: set = set()
         budget = self.config.retransmit_request_max
@@ -319,13 +321,13 @@ class LpbcastNode:
             if len(pushed) >= budget:
                 return pushed
             event_id = notification.event_id
-            if event_id not in sender_has:
+            if lacks(event_id):
                 pushed.append(notification)
                 pushed_ids.add(event_id)
         for event_id in self.archive:
             if len(pushed) >= budget:
                 break
-            if event_id not in sender_has and event_id not in pushed_ids:
+            if lacks(event_id) and event_id not in pushed_ids:
                 notification = self.archive.get(event_id)
                 if notification is not None:
                     pushed.append(notification)
@@ -346,8 +348,13 @@ class LpbcastNode:
         """
         weighted_events = self._weighted_events
         event_ids = self.event_ids
-        for notification in gossip.events:
-            if notification.event_id in event_ids:
+        carried = gossip.events
+        if carried and not weighted_events:
+            # The known leave in one pass (Sec. 6.1 notes them one by one).
+            carried = event_ids.unseen(carried)
+            self.stats.duplicates += len(gossip.events) - len(carried)
+        for notification in carried:
+            if notification.event_id in event_ids:  # known, or carried twice
                 self.stats.duplicates += 1
                 if weighted_events:
                     # Sec. 6.1 applied to events: a duplicate is evidence the
@@ -359,19 +366,10 @@ class LpbcastNode:
             self.retransmitter.on_received(notification.event_id)
         if not self.config.digest_implies_delivery:
             return
-        fresh = event_ids.missing(gossip.event_ids)
-        if not fresh:
-            return  # the usual reception: every advertised id already known
-        # Delivering into a full FIFO evicts its oldest id; if that id comes
-        # later in this digest it reads as new again and is re-delivered.  So
-        # only a store that cannot evict during the walk (room for all of
-        # ``fresh``, or the compact digest, whose known set only grows) may
-        # skip the ids it knew at the start.
-        may_evict = (not self._compact_ids
-                     and len(event_ids) + len(fresh) > event_ids.max_size)
-        for event_id in (gossip.event_ids if may_evict else fresh):
+        # The usual reception names nothing new: no turns.
+        for event_id in event_ids.missing(gossip.event_ids):
             if event_id in event_ids:
-                continue  # known, or named earlier in this digest
+                continue  # named twice, or folded over earlier in this walk
             # The synthetic notification stands in for a payload this
             # node never received: it must not enter the retransmission
             # archive, or a later retransmission / push-back could serve
@@ -382,7 +380,7 @@ class LpbcastNode:
     def _deliver(self, notification: Notification, now: float,
                  archivable: bool = True, record_id: bool = True) -> None:
         """LPB-DELIVER: hand the notification to the application and record
-        its id (bounded, oldest-drop).  ``archivable=False`` marks synthetic
+        its id (for good).  ``archivable=False`` marks synthetic
         digest-implied deliveries, which carry no payload worth serving.
         ``record_id=False`` marks causal-mode releases, whose ids (and
         archive copies) were already recorded at *receipt* by
@@ -392,12 +390,9 @@ class LpbcastNode:
             for listener in self._listeners:
                 listener(self.pid, notification, now)
         if record_id:
-            if self._compact_ids:
-                self.event_ids.add(notification.event_id)
-            else:
-                evicted = self.event_ids.add(notification.event_id)
-                if evicted:
-                    self.stats.event_ids_evicted += len(evicted)
+            written_off = self.event_ids.add(notification.event_id)
+            if written_off:
+                self.stats.event_ids_evicted += written_off
             if archivable and self._archiving:
                 self.archive.add(notification)
 
@@ -461,12 +456,9 @@ class LpbcastNode:
         forwarding stage, retransmission archive and pending-request clear —
         so its identity and payload keep spreading while delivery waits on
         the gate."""
-        if self._compact_ids:
-            self.event_ids.add(notification.event_id)
-        else:
-            evicted = self.event_ids.add(notification.event_id)
-            if evicted:
-                self.stats.event_ids_evicted += len(evicted)
+        written_off = self.event_ids.add(notification.event_id)
+        if written_off:
+            self.stats.event_ids_evicted += written_off
         if self._archiving:
             self.archive.add(notification)
         self._stage_for_forwarding(notification)
@@ -656,22 +648,8 @@ class LpbcastNode:
             subs=subs,
             unsubs=unsubs,
             events=tuple(self.events),
-            event_ids=self._wire_digest(),
+            event_ids=self.event_ids.snapshot(),  # cached between deliveries
         )
-
-    def _wire_digest(self) -> tuple:
-        """Digest payload: the ``eventIds`` snapshot (Figure 1(b)), cached by
-        the buffer between deliveries so idle ticks stop rebuilding an
-        unchanged tuple.  With the compact digest, enumerate each sender's
-        in-sequence frontier."""
-        if self._compact_ids:
-            ids: List[EventId] = []
-            for origin in self.event_ids.senders():
-                last = self.event_ids.last_in_sequence(origin)
-                if last > 0:
-                    ids.append(EventId(origin, last))
-            return tuple(ids)
-        return self.event_ids.snapshot()
 
     # ------------------------------------------------------------------
     # Join / leave — Sec. 3.4
@@ -770,8 +748,9 @@ class LpbcastNode:
         return self._join.integrated
 
     def has_delivered(self, event_id: EventId) -> bool:
-        """Whether ``event_id`` is still recorded as delivered.  Note this is
-        bounded knowledge: ids evicted from ``eventIds`` are forgotten."""
+        """Whether ``event_id`` reads as delivered: it was (a delivered id is
+        never forgotten), or a fold past ``event_ids_max`` out-of-order ids
+        skipped over it (``stats.event_ids_evicted`` counts those)."""
         return event_id in self.event_ids
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -46,10 +46,10 @@ class RunOutcome:
 
 
 def _publish_hook(spec: ScenarioSpec, pids):
-    """The seeded workload: one publish per round for the first
-    ``spec.publishes`` rounds — two from *distinct* publishers on causal
-    specs, where concurrent publications are what give the hold-back queue
-    dependencies to order.
+    """The seeded workload: ``spec.burst`` publishes (one, outside the
+    long-stream family) per round for the first ``spec.publishes`` rounds,
+    from *distinct* publishers — two on causal specs, where concurrent
+    publications are what give the hold-back queue dependencies to order.
 
     The publisher draw depends only on coordinator-maintained state (the
     alive set and the paused set), which both round engines evolve
@@ -63,15 +63,7 @@ def _publish_hook(spec: ScenarioSpec, pids):
             return
         paused = getattr(sim, "_fault_paused", frozenset())
         ready = [p for p in pids if sim.alive(p) and p not in paused]
-        if not ready:
-            return
-        if not spec.causal:
-            pid = ready[pub_rng.randrange(len(ready))]
-            sim.nodes[pid].lpb_cast(f"dst-{round_no}", float(round_no))
-            return
-        for k in range(2):
-            if not ready:
-                return
+        for k in range(min(2 if spec.causal else spec.burst, len(ready))):
             pid = ready.pop(pub_rng.randrange(len(ready)))
             sim.nodes[pid].lpb_cast(f"dst-{round_no}-{k}", float(round_no))
 
@@ -190,10 +182,9 @@ def _run_async_engine(spec: ScenarioSpec) -> RunOutcome:
                 and not (injector is not None
                          and injector.is_paused(p, round_no))
             ]
-            if not ready:
-                return
-            pid = ready[pub_rng.randrange(len(ready))]
-            runtime.nodes[pid].lpb_cast(f"dst-{round_no}", runtime.now)
+            for _ in range(min(spec.burst, len(ready))):
+                pid = ready.pop(pub_rng.randrange(len(ready)))
+                runtime.nodes[pid].lpb_cast(f"dst-{round_no}", runtime.now)
 
         return fire
 

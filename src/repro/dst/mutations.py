@@ -125,6 +125,27 @@ def _dropped_dependency_post_build(sim, spec, engine) -> None:
             gate._ready = lambda notification: True
 
 
+def _forget_frontier_post_build(sim, spec, engine) -> None:
+    """Make one node of the *serial* engine forget a frontier mid-run.
+
+    The ``eventIds`` frontier of the first origin the victim (lowest pid)
+    knows drops back to zero, so every later digest naming that origin reads
+    as news and the victim delivers again (under retransmissions: solicits,
+    then delivers again) ids it already delivered — ``no-duplicate-delivery``
+    must fire at whatever distance.  Serial-only, like every engine-local bug.
+    """
+    if engine != "serial":
+        return
+    store = sim.nodes[min(sim.nodes)].event_ids
+
+    def forget(round_no, _sim) -> None:
+        if round_no == max(2, spec.rounds // 2) and store._frontier:
+            store._frontier[next(iter(store._frontier))] = 0
+            store._snapshot = None
+
+    sim.add_round_hook(forget)
+
+
 def _columnar_undercount_post_run(sim, spec, engine) -> None:
     """Lose one honoured gossip send from the *columnar* engine's counters.
 
@@ -215,6 +236,13 @@ MUTATIONS: Dict[str, Mutation] = {
             expected_kind="invariant",
             post_build=_dropped_dependency_post_build,
             family="causal",
+        ),
+        Mutation(
+            name="forget-the-frontier",
+            description="one serial-engine node's eventIds drops an origin's "
+                        "frontier to zero mid-run (delivered ids read as new)",
+            expected_kind="invariant",
+            post_build=_forget_frontier_post_build,
         ),
         Mutation(
             name="double-defect",

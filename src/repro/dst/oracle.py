@@ -5,7 +5,7 @@ fault plan is *data*, not a bug — so the oracle only judges properties that
 must hold under **every** schedule:
 
 1. **Invariants** (:class:`~repro.faults.invariants.InvariantMonitor`):
-   duplicate-delivery inside the ``|eventIds|m`` window, buffer bounds,
+   an id delivered twice (at any distance), buffer bounds,
    view-excludes-owner, unsubscription TTL expiry, crashed-process silence.
 2. **Differential engine identity**: the serial and sharded engines must
    produce byte-identical canonical counter records for the same spec —

@@ -91,6 +91,8 @@ def _candidates(spec: ScenarioSpec) -> Iterator[ScenarioSpec]:
         yield spec.with_overrides(loss_rate=0.0)
     if spec.publishes > 1:
         yield spec.with_overrides(publishes=1)
+    if spec.burst > 1:
+        yield spec.with_overrides(burst=1)
     if spec.retransmissions:
         yield spec.with_overrides(retransmissions=False)
     # 5. Fine steps on the big axes.

@@ -50,6 +50,9 @@ class ScenarioSpec:
     retransmissions: bool = False
     loss_rate: float = 0.0
     publishes: int = 1
+    #: Notifications per publishing round, from distinct processes (the
+    #: long-stream family's way to many ids); causal specs publish two.
+    burst: int = 1
     shards: int = 2
     #: Run the Byzantine-tolerant double-echo delivery variant (majority
     #: echo/ready thresholds derived from ``n``; implies the payload-only
@@ -85,6 +88,8 @@ class ScenarioSpec:
             raise ValueError("publishes must be within [0, rounds]")
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValueError("loss_rate must be in [0, 1)")
+        if self.burst < 1:
+            raise ValueError("burst must be >= 1")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
         if self.double_echo and self.retransmissions:
@@ -174,7 +179,7 @@ class ScenarioSpec:
         """One-line summary for reports and progress lines."""
         return (f"seed={self.seed} n={self.n} rounds={self.rounds} "
                 f"F={self.fanout} l={self.view_max} loss={self.loss_rate} "
-                f"publishes={self.publishes} shards={self.shards} "
+                f"publishes={self.publishes}x{self.burst} shards={self.shards} "
                 f"plan=[{self.plan.describe()}]"
                 + (" double-echo" if self.double_echo else "")
                 + (f" causal(holdback={self.causal_holdback_max})"
@@ -183,7 +188,7 @@ class ScenarioSpec:
 
     def size(self) -> int:
         """Rough scenario magnitude — the shrinker's progress metric."""
-        return (self.n + self.rounds + self.publishes
+        return (self.n + self.rounds + self.publishes + self.burst - 1
                 + self.plan.fault_count()
                 + (1 if self.loss_rate > 0 else 0)
                 + (1 if self.retransmissions else 0))
@@ -204,6 +209,7 @@ class ScenarioSpec:
             "retransmissions": self.retransmissions,
             "loss_rate": self.loss_rate,
             "publishes": self.publishes,
+            "burst": self.burst,
             "shards": self.shards,
             "double_echo": self.double_echo,
             "causal": self.causal,
@@ -231,6 +237,7 @@ class ScenarioSpec:
             retransmissions=data["retransmissions"],
             loss_rate=data["loss_rate"],
             publishes=data["publishes"],
+            burst=data.get("burst", 1),
             shards=data["shards"],
             double_echo=data.get("double_echo", False),
             causal=data.get("causal", False),
@@ -326,7 +333,10 @@ def generate_spec(
     faults) draws from one stream derived from ``seed``, so the same seed
     always yields the same spec, independent of interpreter hash seeds or
     platform.  Ranges stay modest on purpose: DST wants many small hostile
-    scenarios, not few big ones.
+    scenarios, not few big ones.  One plain scenario in five (decided on
+    its own stream, so the others keep their specs) is a *long stream*:
+    default-sized buffers and over twice ``event_ids_max`` published ids,
+    the regime in which a FIFO ``eventIds`` re-delivered for ever.
 
     ``byzantine=True`` samples from the adversarial family instead (its own
     derivation stream, so the plain family's seeds are untouched): small
@@ -374,12 +384,19 @@ def generate_spec(
         )
     else:
         plan = FaultPlan()
+    burst = 1
+    if derive_rng(seed, "dst-long-stream").random() < 0.2:
+        events_max = LpbcastConfig().events_max
+        event_ids_max = LpbcastConfig().event_ids_max
+        publishes = max(publishes, rounds // 2)
+        burst = 2 * event_ids_max // publishes + 1
     return ScenarioSpec(
         seed=seed, n=n, rounds=rounds, fanout=fanout, view_max=view_max,
         events_max=events_max, event_ids_max=event_ids_max,
         subs_max=subs_max, unsubs_max=unsubs_max,
         retransmissions=retransmissions, loss_rate=loss_rate,
-        publishes=publishes, shards=shards, plan=plan, mutation=mutation,
+        publishes=publishes, burst=burst, shards=shards, plan=plan,
+        mutation=mutation,
     ).validate()
 
 

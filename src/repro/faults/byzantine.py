@@ -21,8 +21,9 @@ Spec vocabulary (first element selects the behavior):
   events (``event_id.origin == src``), choosing the variant by destination
   (``dst % variants``), so different receivers get conflicting payloads for
   the same event id.
-* ``("forge", victim, seq)`` — append ``EventId(victim, seq)`` to the
-  digest, advertising an event the victim never published.
+* ``("forge", victim, seq)`` — write ``seq`` into the victim's digest entry
+  as an extra (a new entry when the digest has none for the victim),
+  advertising an event the victim never published.
 * ``("poison", pid)`` — append a fabricated process id to the gossip's
   subscriptions, injecting a ghost member into receivers' views.
 
@@ -36,7 +37,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional, Tuple
 
-from ..core.ids import EventId, ProcessId
+from ..core.ids import ProcessId
 from ..core.message import GossipMessage
 
 
@@ -77,10 +78,14 @@ def mutate_message(message, spec: Optional[Tuple],
         return replace(message, events=rewritten)
     if kind == "forge":
         victim, seq = spec[1], spec[2]
-        forged = EventId(victim, seq)
-        if forged in message.event_ids:
+        digest = {origin: (frontier, extras)
+                  for origin, frontier, extras in message.event_ids}
+        frontier, extras = digest.get(victim, (0, ()))
+        if seq <= frontier or seq in extras:
             return message
-        return replace(message, event_ids=message.event_ids + (forged,))
+        digest[victim] = (frontier, tuple(sorted(extras + (seq,))))
+        return replace(message, event_ids=tuple(
+            (origin, *entry) for origin, entry in digest.items()))
     if kind == "poison":
         ghost = spec[1]
         if ghost in message.subs:

@@ -5,17 +5,13 @@ The reliability numbers of Sec. 5.2 are only meaningful if the protocol's
 attaches to a running round simulation and checks, as the run progresses:
 
 ``no-duplicate-delivery``
-    No process LPB-DELIVERs the same event id twice while that id is
-    provably still in its bounded ``eventIds`` buffer.  The buffer is FIFO
-    with capacity ``|eventIds|_m``, so a second delivery fewer than
-    ``|eventIds|_m`` deliveries after the first cannot be explained by
-    eviction — it is a duplicate-suppression bug.  Re-deliveries *after* the
-    id may have been evicted are legitimate (bounded memory is the paper's
-    explicit trade-off) and reset the baseline instead.
+    No process LPB-DELIVERs the same event id twice, ever: ``eventIds``
+    keeps a frontier per sender (Sec. 3.2), so a delivered id is never
+    forgotten and no distance between two deliveries excuses the second.
 ``buffer-bounds``
     ``|view| ≤ l``, ``|subs| ≤ |subs|_m``, ``|unSubs| ≤ |unSubs|_m``,
-    ``|events| ≤ |events|_m`` and ``|eventIds| ≤ |eventIds|_m`` after every
-    round.
+    ``|events| ≤ |events|_m`` and (ids held out of order)
+    ``|eventIds| ≤ |eventIds|_m`` after every round.
 ``view-excludes-owner``
     A process never holds itself in its own view (Sec. 3.2's views are over
     *other* processes).
@@ -146,10 +142,7 @@ class InvariantMonitor:
         if self.poison_grace < 1:
             raise ValueError("poison_grace must be >= 1")
         self._sim = None
-        # (pid, event id) -> per-pid delivery counter at last delivery.
-        self._last_seen: Dict[Tuple[ProcessId, EventId], int] = {}
-        self._delivery_count: Dict[ProcessId, int] = {}
-        self._id_window: Dict[ProcessId, int] = {}
+        self._delivered: set = set()  # every (pid, event id) so far
         # pid -> gossips_sent observed when the crash was first seen.
         self._gossip_baseline: Dict[ProcessId, int] = {}
         # -- protocol-invariant state (agreement / validity / hygiene) -----
@@ -208,9 +201,6 @@ class InvariantMonitor:
             node.add_delivery_listener(self._on_delivery)
         self._watched.add(pid)
         cfg = getattr(node, "config", None)
-        window = getattr(cfg, "event_ids_max", None)
-        if window is not None:
-            self._id_window[pid] = window
         if getattr(cfg, "causal_delivery", False):
             self._causal_pids.add(pid)
 
@@ -241,8 +231,6 @@ class InvariantMonitor:
 
     # -- delivery-path checks ------------------------------------------------
     def _on_delivery(self, pid: ProcessId, notification, now: float) -> None:
-        count = self._delivery_count.get(pid, 0) + 1
-        self._delivery_count[pid] = count
         sim = self._sim
 
         if (sim is not None and pid in sim.crashed
@@ -254,17 +242,10 @@ class InvariantMonitor:
                        f"crashed process delivered {notification!r}")
 
         key = (pid, notification.event_id)
-        first = self._last_seen.get(key)
-        window = self._id_window.get(pid)
-        if first is not None and window is not None:
-            if count - first < window:
-                self._flag(
-                    "no-duplicate-delivery", pid,
-                    f"event {notification.event_id} delivered again after "
-                    f"{count - first} deliveries — inside the |eventIds|m="
-                    f"{window} window, so it cannot have been evicted",
-                )
-        self._last_seen[key] = count
+        if key in self._delivered:
+            self._flag("no-duplicate-delivery", pid,
+                       f"event {notification.event_id} delivered again")
+        self._delivered.add(key)
         if pid in self._causal_pids:
             self._check_causality(pid, notification)
         self._check_protocol_delivery(pid, notification)
@@ -382,13 +363,9 @@ class InvariantMonitor:
             ("events", node.events, cfg.events_max),
             ("event_ids", node.event_ids, cfg.event_ids_max),
         ):
-            try:
-                size = len(buf)
-            except TypeError:
-                continue  # e.g. the compact digest is bounded structurally
-            if size > bound:
+            if len(buf) > bound:
                 self._flag("buffer-bounds", pid,
-                           f"|{label}| = {size} exceeds its bound {bound}")
+                           f"|{label}| = {len(buf)} exceeds its bound {bound}")
 
         if pid in node.view:
             self._flag("view-excludes-owner", pid,

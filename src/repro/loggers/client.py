@@ -71,12 +71,8 @@ class LoggedLpbcastNode(LpbcastNode):
 
     def frontier(self) -> Tuple[EventId, ...]:
         """One EventId(origin, last_in_sequence) per known origin."""
-        entries = []
-        for origin in self._frontier.senders():
-            last = self._frontier.last_in_sequence(origin)
-            if last > 0:
-                entries.append(EventId(origin, last))
-        return tuple(entries)
+        return tuple(EventId(origin, last)
+                     for origin, last, _ in self._frontier.snapshot() if last)
 
     def has_contiguously_delivered(self, event_id: EventId) -> bool:
         """Unbounded ground truth used by the strong-guarantee tests."""

@@ -32,7 +32,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from ..core.buffers import FifoEventIdBuffer
+from ..core.buffers import FifoBuffer
 from ..core.events import Notification
 from ..core.ids import EventId, ProcessId
 from ..core.message import Outgoing
@@ -108,7 +108,7 @@ class PbcastNode:
                 initial_view=initial_view,
             )
 
-        self.event_ids = FifoEventIdBuffer(cfg.event_ids_max)
+        self.event_ids: FifoBuffer[EventId] = FifoBuffer(cfg.event_ids_max)
         self._store: "OrderedDict[EventId, _StoredMessage]" = OrderedDict()
         self._multicast_oracle: Optional[MulticastOracle] = None
         self.stats = PbcastStats()

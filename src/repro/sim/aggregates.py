@@ -99,14 +99,9 @@ def aggregate_nodes(nodes: Iterable) -> NodeAggregates:
                     agg.stat_sums[name] = agg.stat_sums.get(name, 0) + value
         for name in OCCUPANCY_FIELDS:
             buf = getattr(node, name, None)
-            if buf is None:
-                continue
-            try:
-                size = len(buf)
-            except TypeError:
-                continue  # structurally bounded digests have no len
-            agg.occupancy_sums[name] = \
-                agg.occupancy_sums.get(name, 0) + size
+            if buf is not None:
+                agg.occupancy_sums[name] = \
+                    agg.occupancy_sums.get(name, 0) + len(buf)
         view = getattr(node, "view", None)
         if view is not None:
             try:

@@ -5,8 +5,9 @@ infection progress, buffer occupancies, view statistics, network counters —
 into plain dictionaries that can be inspected in-process or exported as
 JSON lines for offline analysis.  This is the observability layer a
 production operator would want: the reliability loss of Fig. 6 shows up
-here as ``event_ids_occupancy`` pinned at its bound while
-``events_dropped`` climbs.
+here as ``events_dropped_total`` climbing; ``event_ids_occupancy`` is the
+mean count of ids held *out of order* (what ``|eventIds|m`` bounds) and
+``event_ids_evicted_total`` the never-delivered ids its folds wrote off.
 
 Engines that expose ``node_aggregates()`` (all repro engines do) feed the
 recorder through :mod:`repro.sim.aggregates`: shards sum their own alive

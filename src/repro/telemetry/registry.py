@@ -256,6 +256,7 @@ class Telemetry:
         unsized_key = self._send_unsized_key
         sender_key = ("sim.sends_by_sender", (("src", src),))
         get = counters.get
+        sized, elements = None, 0  # a tick's gossip is one object, F targets
         for out in outgoings:
             message = out.message
             kind = type(message).__name__
@@ -264,9 +265,11 @@ class Telemetry:
                 skey = kind_keys[kind] = (
                     "sim.sends", (("kind", kind), ("round", round_no)))
             counters[skey] = get(skey, 0) + 1
-            size = getattr(message, "size_estimate", None)
-            if callable(size):
-                counters[elements_key] = get(elements_key, 0) + size()
+            if message is not sized:
+                size = getattr(message, "size_estimate", None)
+                sized, elements = message, size() if callable(size) else None
+            if elements is not None:
+                counters[elements_key] = get(elements_key, 0) + elements
             else:
                 counters[unsized_key] = get(unsized_key, 0) + 1
             counters[sender_key] = get(sender_key, 0) + 1

@@ -3,13 +3,13 @@
 One tagged binary record per protocol message type — the same set of
 types :mod:`repro.core.codec` maps to JSON — built from varints
 (:mod:`repro.wire.varint`), 8-byte IEEE doubles for timestamps, and
-length-prefixed UTF-8 for strings.  Event-id digests use the Sec. 3.2
-per-sender structure: the id list is encoded as *runs* of consecutive ids
-sharing an origin, each run carrying a zigzag origin delta, a length, and
-zigzag sequence-number deltas — so both the grouped compact digest
-(:class:`~repro.core.buffers.CompactEventIdDigest` frontiers) and plain
-FIFO snapshots shrink to a few bytes per id, while any ordering round-trips
-exactly.
+length-prefixed UTF-8 for strings.  A gossip's ``eventIds`` digest travels
+as the Sec. 3.2 per-sender structure it is: per origin a zigzag origin
+delta, the frontier, and the extras beyond it as a count and ascending gaps
+— O(publishers + gaps) bytes however long the streams.  Plain id lists
+(retransmit requests, causal ``deps``, pbcast digests) are *runs* of ids
+sharing an origin, each run a zigzag origin delta, a length, and zigzag
+sequence-number deltas, so any ordering round-trips exactly.
 
 Notification payloads are opaque to the protocol and travel as embedded
 compact JSON, exactly as lossy or faithful as the JSON wire format itself.
@@ -292,6 +292,77 @@ def _r_event_ids(data, pos: int, limit: int) -> Tuple[Tuple[EventId, ...], int]:
     return tuple(out), pos
 
 
+def _w_digest(buf: bytearray, digest) -> None:
+    """The gossip digest section: an entry count, then per origin ``zigzag
+    origin delta, frontier, extras count, gaps`` — each gap the distance from
+    the previous extra (the first from the frontier): it must be positive."""
+    write_uvarint(buf, len(digest))
+    append = buf.append
+    previous_origin = 0
+    for origin, frontier, extras in digest:
+        delta = origin - previous_origin
+        previous_origin = origin
+        for value in (delta * 2 if delta >= 0 else -delta * 2 - 1,
+                      frontier, len(extras)):
+            if 0 <= value < 0x80:  # the usual field, as in _w_event_ids
+                append(value)
+            else:
+                write_uvarint(buf, value)
+        for seq in extras:
+            if seq <= frontier:
+                raise WireEncodeError(
+                    f"digest extras of origin {origin} do not ascend past "
+                    f"the frontier: {extras!r}")
+            write_uvarint(buf, seq - frontier)
+            frontier = seq
+
+
+def _r_digest(data, pos: int, limit: int) -> Tuple[tuple, int]:
+    """Inverse of :func:`_w_digest`, the entry's three fields decoded inline
+    like :func:`_r_event_ids`; a zero gap (extras that repeat) is malformed."""
+    count, pos = read_uvarint(data, pos)
+    if count > limit:
+        raise CodecError(f"digest length {count} exceeds input size")
+    end = len(data)
+    out: List[tuple] = []
+    small = _UNZIGZAG_BYTE
+    origin = 0
+    for _ in range(count):
+        byte = data[pos] if pos < end else 0x80
+        if byte < 0x80:
+            origin += small[byte]
+            pos += 1
+        else:
+            delta, pos = read_svarint(data, pos)
+            origin += delta
+        byte = data[pos] if pos < end else 0x80
+        if byte < 0x80:
+            frontier = byte
+            pos += 1
+        else:
+            frontier, pos = read_uvarint(data, pos)
+        byte = data[pos] if pos < end else 0x80
+        if byte < 0x80:
+            beyond = byte
+            pos += 1
+        else:
+            beyond, pos = read_uvarint(data, pos)
+            if beyond > limit:
+                raise CodecError(
+                    f"digest extras count {beyond} exceeds input size")
+        extras = []
+        seq = frontier
+        for _ in range(beyond):
+            gap, pos = read_uvarint(data, pos)
+            if not gap:
+                raise CodecError(
+                    f"digest extras of origin {origin} do not ascend")
+            seq += gap
+            extras.append(seq)
+        out.append((origin, frontier, tuple(extras)))
+    return tuple(out), pos
+
+
 def _w_notification(buf: bytearray, n: Notification, strict: bool,
                     allow_deps: bool = False) -> None:
     """Base 3-field notification record.
@@ -426,7 +497,7 @@ def _enc_gossip(buf: bytearray, m: GossipMessage, strict: bool,
         _w_notifications_causal(buf, m.events, strict)
     else:
         _w_notifications(buf, m.events, strict)
-    _w_event_ids(buf, m.event_ids)
+    _w_digest(buf, m.event_ids)
     _w_heartbeats(buf, m.heartbeats)
 
 
@@ -439,7 +510,7 @@ def _dec_gossip(data, pos: int, limit: int,
         events, pos = _r_notifications_causal(data, pos, limit)
     else:
         events, pos = _r_notifications(data, pos, limit)
-    event_ids, pos = _r_event_ids(data, pos, limit)
+    event_ids, pos = _r_digest(data, pos, limit)
     heartbeats, pos = _r_heartbeats(data, pos, limit)
     return GossipMessage(sender=sender, subs=subs, unsubs=unsubs,
                          events=events, event_ids=event_ids,

@@ -3,13 +3,14 @@
 A *frame* is one datagram/blob carrying many protocol messages to the same
 destination::
 
-    byte 0   version — FRAME_JSON (0x01) or FRAME_BINARY (0x02)
+    byte 0   version — FRAME_JSON (0x01) or FRAME_BINARY (0x03)
     varint   zigzag sender pid
     varint   message count
     N ×      varint length prefix + encoded message
 
 The version byte keeps the JSON codec on the wire for debugging; anything
-that starts with another byte is a decode error, never a parsed message.
+that starts with another byte (0x02 included: binary frames whose digest was
+an id list) is a decode error, never a parsed message.
 A frame names its sender and never its destination, so the same bytes
 serve every target of a gossip.  :func:`pack_datagrams` is the send
 path: it batches messages per destination into as few frames as fit the
@@ -36,7 +37,7 @@ from .varint import (
 )
 
 FRAME_JSON = 0x01
-FRAME_BINARY = 0x02
+FRAME_BINARY = 0x03
 
 _VERSIONS = (FRAME_JSON, FRAME_BINARY)
 
@@ -144,7 +145,8 @@ def _gossip_of(message):
 def _halve(gossip):
     """Split a gossip's carried elements into two non-empty halves, taking
     elements field-by-field so progress is guaranteed whenever the gossip
-    carries at least two elements in total."""
+    carries at least two elements in total.  A digest splits between its
+    per-origin entries; each half is a digest in its own right."""
     fields = ("subs", "unsubs", "events", "event_ids", "heartbeats")
     lengths = [len(getattr(gossip, name)) for name in fields]
     total = sum(lengths)

@@ -4,7 +4,8 @@ Each entry pairs a message object with the exact bytes
 :func:`~repro.wire.binary.encode_binary` must produce for it.  These
 fixtures are the format's compatibility contract: an encoder change that
 alters any vector is a wire-format break and must bump the frame version
-byte rather than silently change what peers and shards exchange.
+byte rather than silently change what peers and shards exchange (0x02 ->
+0x03 re-pinned the three gossip vectors: per-origin digest entries, same ids).
 :func:`check_golden_vectors` is asserted by the unit tests *and* by
 ``bench_hotpath.py --check`` (the CI perf-smoke job), so a drift fails
 fast in both places.
@@ -39,10 +40,10 @@ def _vectors() -> List[Tuple[object, str]]:
                 subs=(1, 2),
                 unsubs=(Unsubscription(9, 4.5),),
                 events=(Notification(EventId(3, 1), "text", 2.0),),
-                event_ids=(EventId(3, 1), EventId(3, 2), EventId(7, 12)),
+                event_ids=((3, 2, ()), (7, 0, (12,))),
             ),
             "010602020201120000000000001240010602000000000000004006227465"
-            "787422030602020208011800",
+            "787422020602000800010c00",
         ),
         (
             GossipMessage(sender=2, heartbeats=((2, 17), (5, 3))),
@@ -57,9 +58,8 @@ def _vectors() -> List[Tuple[object, str]]:
         ),
         (
             TopicEnvelope("t", GossipMessage(sender=1,
-                                             event_ids=(EventId(1, 1),
-                                                        EventId(1, 2)))),
-            "0d01740102000000020202020200",
+                                             event_ids=((1, 2, ()),))),
+            "0d017401020000000102020000",
         ),
         # Double-echo records: digests are payload_digest() values — the
         # first 8 bytes of the payload's canonical-JSON sha256, so the
@@ -83,9 +83,9 @@ def _vectors() -> List[Tuple[object, str]]:
                 sender=3,
                 events=(Notification(EventId(3, 2), "x", 1.0,
                                      deps=(EventId(1, 4), EventId(3, 1))),),
-                event_ids=(EventId(3, 2),),
+                event_ids=((3, 2, ()),),
             ),
-            "10060000010604000000000000f03f03227822020201080401020106010400",
+            "10060000010604000000000000f03f03227822020201080401020106020000",
         ),
         (
             RetransmitResponse(

@@ -7,9 +7,9 @@ import pytest
 from repro.core.buffers import (
     CompactEventIdDigest,
     FifoBuffer,
-    FifoEventIdBuffer,
     RandomDropBuffer,
 )
+from repro.core.events import Notification
 from repro.core.ids import EventId
 
 
@@ -214,24 +214,13 @@ class TestFifoBuffer:
             FifoBuffer(-2)
 
 
-class TestFifoEventIdBuffer:
-    def test_event_id_semantics(self):
-        buf = FifoEventIdBuffer(2)
-        buf.add(EventId(1, 1))
-        buf.add(EventId(1, 2))
-        evicted = buf.add(EventId(2, 1))
-        assert evicted == [EventId(1, 1)]
-        assert EventId(1, 1) not in buf  # forgotten: duplicate detection bounded
-        assert EventId(1, 2) in buf
-
-
 class TestCompactEventIdDigest:
     def test_in_sequence_compaction(self):
         digest = CompactEventIdDigest()
         for seq in (1, 2, 3):
             digest.add(EventId(7, seq))
         assert digest.last_in_sequence(7) == 3
-        assert digest.out_of_order_count() == 0
+        assert len(digest) == 0
         assert EventId(7, 2) in digest
         assert EventId(7, 4) not in digest
 
@@ -240,7 +229,7 @@ class TestCompactEventIdDigest:
         digest.add(EventId(7, 1))
         digest.add(EventId(7, 3))
         assert digest.last_in_sequence(7) == 1
-        assert digest.out_of_order_count() == 1
+        assert len(digest) == 1
         assert EventId(7, 3) in digest
         assert EventId(7, 2) not in digest
 
@@ -250,7 +239,7 @@ class TestCompactEventIdDigest:
         digest.add(EventId(7, 3))
         digest.add(EventId(7, 2))
         assert digest.last_in_sequence(7) == 3
-        assert digest.out_of_order_count() == 0
+        assert len(digest) == 0
 
     def test_multiple_senders_independent(self):
         digest = CompactEventIdDigest()
@@ -258,23 +247,75 @@ class TestCompactEventIdDigest:
         digest.add(EventId(2, 5))
         assert digest.last_in_sequence(1) == 1
         assert digest.last_in_sequence(2) == 0
-        assert set(digest.senders()) == {1, 2}
+        assert digest.snapshot() == ((1, 1, ()), (2, 0, (5,)))
 
     def test_budget_folds_oldest(self):
         digest = CompactEventIdDigest(max_out_of_order=2)
         digest.add(EventId(1, 10))
         digest.add(EventId(1, 20))
-        digest.add(EventId(1, 30))  # overflows: (1,10) folded away
-        # Folding advances the frontier past seq 10: over-approximation.
-        assert digest.last_in_sequence(1) >= 10
-        assert EventId(1, 10) in digest
+        # Overflows: (1,10), the oldest, is folded into the frontier, which
+        # writes off the nine ids it skipped over.
+        assert digest.add(EventId(1, 30)) == 9
+        assert digest.last_in_sequence(1) == 10
+        assert digest.snapshot() == ((1, 10, (20, 30)),)
+        assert EventId(1, 7) in digest      # over-approximation
         assert EventId(1, 30) in digest
+
+    def test_fold_takes_the_oldest_inserted_and_what_continues_it(self):
+        digest = CompactEventIdDigest(max_out_of_order=3)
+        written_off = [digest.add(EventId(origin, seq))
+                       for origin, seq in ((2, 9), (1, 5), (1, 3), (1, 4))]
+        # (2,9) was the oldest: folded, eight ids written off; origin 1 waits.
+        assert written_off == [0, 0, 0, 8]
+        assert digest.snapshot() == ((2, 9, ()), (1, 0, (3, 4, 5)))
+        # (1,5) is next; 3 and 4 lie below it and go with it (delivered, so
+        # not counted): only seqs 1 and 2 are written off.
+        assert digest.add(EventId(3, 2)) == 2
+        assert digest.snapshot() == ((2, 9, ()), (1, 5, ()), (3, 0, (2,)))
+        digest.add(EventId(1, 7))
+        digest.add(EventId(1, 8))
+        assert digest.add(EventId(1, 6)) == 0       # a gap closing frees room
+        assert digest.snapshot() == ((2, 9, ()), (1, 8, ()), (3, 0, (2,)))
+
+    def test_snapshot_cached_between_mutations(self):
+        digest = CompactEventIdDigest()
+        digest.add(EventId(1, 1))
+        digest.add(EventId(1, 3))
+        first = digest.snapshot()
+        assert first == ((1, 1, (3,)),)
+        assert digest.snapshot() is first
+        digest.add(EventId(1, 1))           # known: no mutation
+        digest.add(EventId(1, 3))
+        assert digest.snapshot() is first
+        digest.add(EventId(1, 2))           # closes the gap
+        assert digest.snapshot() == ((1, 3, ()),)
+
+    def test_missing_reads_a_digest_origin_by_origin(self):
+        digest = CompactEventIdDigest()
+        for seq in (1, 2, 4):
+            digest.add(EventId(1, seq))
+        theirs = ((2, 0, (1,)), (1, 3, (4, 6)), (3, 0, ()))
+        assert digest.missing(theirs) == [
+            EventId(2, 1), EventId(1, 3), EventId(1, 6)]
+        assert digest.missing(()) == []
+        assert digest.missing(iter(((1, 2, ()),))) == []   # behind: one compare
+
+    def test_unseen_keeps_the_unknown_notifications_in_order(self):
+        digest = CompactEventIdDigest()
+        for seq in (1, 2, 4):
+            digest.add(EventId(1, seq))
+        carried = [Notification(EventId(1, seq), {"unhashable": []}, 0.0)
+                   for seq in (3, 1, 4, 5, 3)]
+        carried.append(Notification(EventId(2, 1), None, 0.0))
+        assert digest.unseen(carried) == [carried[0], carried[3], carried[4],
+                                          carried[5]]
+        assert digest.unseen(()) == []
 
     def test_duplicate_add_is_noop(self):
         digest = CompactEventIdDigest()
         digest.add(EventId(1, 2))
         digest.add(EventId(1, 2))
-        assert digest.out_of_order_count() == 1
+        assert len(digest) == 1
 
     def test_contains_rejects_foreign_types(self):
         digest = CompactEventIdDigest()

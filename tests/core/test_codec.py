@@ -31,7 +31,7 @@ FULL_GOSSIP = GossipMessage(
     subs=(1, 2),
     unsubs=(Unsubscription(9, 4.5),),
     events=(notification(3, 1, {"k": [1, 2]}), notification(3, 2, "text")),
-    event_ids=(EventId(3, 1), EventId(7, 12)),
+    event_ids=((3, 1, ()), (7, 0, (12,))),
 )
 
 ALL_MESSAGES = [
@@ -90,6 +90,18 @@ class TestErrors:
             decode_message({"@": "g"})  # missing sender
         with pytest.raises(CodecError):
             decode_message({"@": "g", "s": 1, "ids": [["x"]]})
+
+    @pytest.mark.parametrize("entry, message", [
+        ([3, 1], "malformed digest entry"),         # the old [origin, seq] pair
+        ([3, 1, 4], "malformed digest entry"),
+        ([3, -1, []], "do not ascend past the frontier"),
+        ([3, 2, [2]], "do not ascend past the frontier"),
+        ([3, 2, [5, 5]], "do not ascend past the frontier"),
+        ([3, 2, [6, 4]], "do not ascend past the frontier"),
+    ])
+    def test_digest_entries_held_to_the_binary_record(self, entry, message):
+        with pytest.raises(CodecError, match=message):
+            decode_message({"@": "g", "s": 1, "ids": [entry]})
 
     def test_invalid_json(self):
         with pytest.raises(CodecError, match="invalid JSON"):

@@ -43,6 +43,12 @@ class TestValidation:
         with pytest.raises(ValueError, match=field):
             LpbcastConfig(**{field: -1})
 
+    def test_the_id_store_is_not_an_option(self):
+        # One eventIds representation (the Sec. 3.2 per-sender store): the
+        # knob that selected between two is gone, not defaulted.
+        with pytest.raises(TypeError, match="compact_event_ids"):
+            LpbcastConfig(compact_event_ids=True)
+
     def test_gossip_period_positive(self):
         with pytest.raises(ValueError):
             LpbcastConfig(gossip_period=0.0)

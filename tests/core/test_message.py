@@ -35,9 +35,10 @@ class TestGossipMessage:
             subs=(2, 3),
             unsubs=(Unsubscription(4, 0.0),),
             events=(notification(1, 1),),
-            event_ids=(EventId(1, 1), EventId(1, 2)),
+            event_ids=((1, 2, ()), (7, 0, (4,))),
         )
-        assert g.size_estimate() == 1 + 2 + 1 + 1 + 2
+        # The digest counts for the ids it names: 1#1, 1#2 and 7#4.
+        assert g.size_estimate() == 1 + 2 + 1 + 1 + 3
 
     def test_empty_gossip_has_header_only(self):
         assert GossipMessage(sender=1).size_estimate() == 1

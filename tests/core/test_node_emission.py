@@ -2,7 +2,7 @@
 
 from repro.core import GossipMessage
 
-from ..helpers import gossip, make_node, notification
+from ..helpers import gossip, ids_named, make_node, notification
 
 
 def tick_gossips(node, now=1.0):
@@ -48,7 +48,8 @@ class TestEmission:
         node.on_gossip(gossip(events=(n,)), now=0.5)
         tick_gossips(node, now=1.0)
         second = tick_gossips(node, now=2.0)
-        assert all(n.event_id in o.message.event_ids for o in second)
+        assert all(n.event_id in ids_named(o.message.event_ids)
+                   for o in second)
 
     def test_same_gossip_object_to_all_targets(self):
         node = make_node(view=(1, 2, 3, 4, 5), fanout=3)

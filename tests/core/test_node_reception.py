@@ -1,5 +1,6 @@
 """Tests for gossip reception — the three phases of Figure 1(a)."""
 
+import pickle
 import random
 
 from repro.core import LpbcastConfig, LpbcastNode
@@ -121,12 +122,17 @@ class TestPhase3Notifications:
 
     def test_event_ids_bounded_oldest_dropped(self):
         node = make_node(view=(2,), event_ids_max=3)
-        events = tuple(notification(2, seq) for seq in range(1, 6))
+        events = tuple(notification(2, seq) for seq in (3, 5, 7, 9))
         node.on_gossip(gossip(events=events), now=1.0)
-        # Oldest ids were evicted; a late duplicate of seq 1 is re-delivered.
-        assert not node.has_delivered(EventId(2, 1))
-        assert node.has_delivered(EventId(2, 5))
+        # Four ids out of order against a bound of three: the oldest (seq 3)
+        # was folded into origin 2's frontier, which wrote off seqs 1 and 2.
+        assert len(node.event_ids) == 3
+        assert node.event_ids.last_in_sequence(2) == 3
         assert node.stats.event_ids_evicted == 2
+        # They read as delivered now: a late copy is a duplicate, not news.
+        assert node.has_delivered(EventId(2, 1))
+        node.on_gossip(gossip(events=(notification(2, 1),)), now=2.0)
+        assert (node.stats.delivered, node.stats.duplicates) == (4, 1)
 
     def test_digest_implies_delivery_default(self):
         node = make_node(view=(2,))
@@ -152,6 +158,32 @@ class TestPhase3Notifications:
         node.on_gossip(gossip(events=(n1,)), now=1.0)
         node.on_gossip(gossip(event_ids=(n1.event_id,)), now=2.0)
         assert node.stats.delivered == 1
+
+
+class TestIdStoreTravelsWithTheNode:
+    def test_node_pickled_into_a_shard_keeps_its_id_store(self):
+        # The sharded engine ships nodes to its workers by pickle: frontiers,
+        # extras and the order the extras arrived in (which decides the next
+        # fold) must all arrive.
+        node = make_node(view=(2,), event_ids_max=3)
+        held = [EventId(1, 1), EventId(1, 6), EventId(2, 4), EventId(1, 4)]
+        node.on_gossip(gossip(event_ids=held), now=1.0)
+        assert node.event_ids.snapshot() == ((1, 1, (4, 6)), (2, 0, (4,)))
+        clone = pickle.loads(pickle.dumps(node))
+        assert clone.event_ids.snapshot() == node.event_ids.snapshot()
+        assert list(clone.event_ids._extras) == list(node.event_ids._extras)
+        deliveries = []
+        clone.add_delivery_listener(
+            lambda pid, n, now: deliveries.append(n.event_id))
+        clone.on_gossip(gossip(event_ids=held), now=2.0)
+        assert deliveries == []                      # nothing is news twice
+        for twin in (node, clone):                   # a fourth extra: a fold
+            twin.on_gossip(gossip(event_ids=(EventId(3, 5),)), now=3.0)
+        assert deliveries == [EventId(3, 5)]
+        assert clone.event_ids.snapshot() == node.event_ids.snapshot() \
+            == ((1, 4, (6,)), (2, 0, (4,)), (3, 0, (5,)))  # (1,4) was oldest
+        # ... and its fold wrote off (1,2) and (1,3), on both.
+        assert clone.stats.event_ids_evicted == node.stats.event_ids_evicted == 2
 
 
 class TestDispatch:

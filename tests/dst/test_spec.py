@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.core import LpbcastConfig
 from repro.dst import (
     MIN_N,
     ScenarioSpec,
+    check_scenario,
     generate_spec,
     restrict_plan,
     spec_seeds,
@@ -49,6 +51,58 @@ class TestGenerateSpec:
         seeds = spec_seeds(0, 10)
         assert seeds == spec_seeds(0, 10)
         assert len(set(seeds)) == 10
+
+
+class TestLongStreamFamily:
+    """One plain scenario in five publishes far more ids than
+    ``event_ids_max`` into default-sized buffers."""
+
+    SEEDS = range(60)
+
+    def test_family_is_drawn_by_the_plain_generator(self):
+        long = [generate_spec(seed) for seed in self.SEEDS]
+        long = [spec for spec in long if spec.burst > 1]
+        assert 5 <= len(long) <= 25               # about one in five
+        defaults = LpbcastConfig()
+        for spec in long:
+            spec.validate()
+            assert spec.event_ids_max == defaults.event_ids_max
+            assert spec.events_max == defaults.events_max
+            assert spec.publishes * spec.burst > 2 * spec.event_ids_max
+            assert spec.publishes <= spec.rounds
+            assert f"publishes={spec.publishes}x{spec.burst}" in spec.describe()
+            assert ScenarioSpec.from_json(spec.to_json()) == spec
+
+    def test_the_others_keep_the_spec_they_had(self):
+        # The family is decided on a stream of its own: a scenario outside
+        # it is what the generator drew before the family existed, pinned
+        # here by one spec's fields.
+        spec = generate_spec(2)
+        assert (spec.burst, spec.n, spec.rounds, spec.publishes,
+                spec.event_ids_max, spec.events_max) == (1, 9, 35, 8, 61, 23)
+
+    def test_short_horizons_still_publish_a_long_stream(self):
+        for seed in self.SEEDS:
+            spec = generate_spec(seed, max_n=24, max_rounds=16)
+            if spec.burst > 1:
+                assert spec.publishes * spec.burst > 2 * spec.event_ids_max
+
+    def test_burst_validated_counted_and_defaulted(self):
+        with pytest.raises(ValueError, match="burst"):
+            ScenarioSpec(seed=0, n=8, rounds=10, burst=0).validate()
+        one = ScenarioSpec(seed=0, n=8, rounds=10)
+        assert ScenarioSpec(seed=0, n=8, rounds=10, burst=4).size() \
+            == one.size() + 3
+        data = one.to_dict()
+        del data["burst"]                   # an artifact written before
+        assert ScenarioSpec.from_dict(data) == one
+
+    def test_long_stream_delivers_each_id_once_on_every_round_engine(self):
+        spec = next(spec for spec in map(generate_spec, self.SEEDS)
+                    if spec.burst > 1 and spec.n <= 30)
+        report = check_scenario(spec)
+        assert report.ok, report.summary()
+        assert report.fingerprints["serial"] == report.fingerprints["sharded"]
 
 
 class TestByzantineFamily:

@@ -3,10 +3,11 @@ cross-engine identity under lying plans, and the plain-vs-double-echo
 agreement separation the layer exists to demonstrate."""
 
 import random
+import tracemalloc
 
 import pytest
 
-from repro.core import LpbcastConfig
+from repro.core import LpbcastConfig, LpbcastNode
 from repro.core.events import Notification
 from repro.core.ids import EventId
 from repro.core.message import GossipMessage, SubscriptionAck
@@ -19,6 +20,7 @@ from repro.faults import (
     mutate_message,
 )
 from repro.sim import build_lpbcast_nodes, create_simulation, NetworkModel
+from repro.wire import decode_binary, encode_binary
 
 from ..helpers import small_system
 
@@ -31,7 +33,7 @@ def _gossip(sender=1, payload="truth"):
             Notification(EventId(sender, 1), payload, 0.0),
             Notification(EventId(99, 4), "someone-else's", 0.0),
         ),
-        event_ids=(EventId(sender, 1),),
+        event_ids=((sender, 1, ()),),
     )
 
 
@@ -62,11 +64,21 @@ class TestMutateMessage:
         message = _gossip(sender=1)
         seq = FORGE_SEQ_BASE + 17
         forged = mutate_message(message, ("forge", 9, seq), dst=5)
-        assert EventId(9, seq) in forged.event_ids
-        assert message.event_ids == (EventId(1, 1),)  # original untouched
+        # The victim had no entry: it gets one, naming the forged id alone.
+        assert forged.event_ids == ((1, 1, ()), (9, 0, (seq,)))
+        assert message.event_ids == ((1, 1, ()),)  # original untouched
         # Idempotent: a digest already carrying the forged id is returned
         # as-is.
         assert mutate_message(forged, ("forge", 9, seq), dst=5) is forged
+
+    def test_forge_writes_into_the_victims_entry(self):
+        message = GossipMessage(1, event_ids=((9, 3, (7, 12)), (1, 1, ())))
+        forged = mutate_message(message, ("forge", 9, 10), dst=5)
+        assert forged.event_ids == ((9, 3, (7, 10, 12)), (1, 1, ()))
+        assert decode_binary(encode_binary(forged)) == forged  # still ascending
+        # An id the entry already stands for needs no forging.
+        assert mutate_message(message, ("forge", 9, 2), dst=5) is message
+        assert mutate_message(message, ("forge", 9, 12), dst=5) is message
 
     def test_poison_appends_ghost_subscription(self):
         message = _gossip(sender=1)
@@ -79,6 +91,52 @@ class TestMutateMessage:
     def test_unknown_spec_rejected(self):
         with pytest.raises(ValueError, match="unknown byzantine"):
             mutate_message(_gossip(), ("time-travel",), dst=5)
+
+
+class TestFarAheadDigest:
+    """A digest entry is a claim, not a loop bound: a frontier far ahead of
+    anything published (forged, or merely from a long-lived origin) names at
+    most ``event_ids_max`` ids as new and costs a bounded walk."""
+
+    VICTIM = 9
+
+    def _node(self):
+        node = LpbcastNode(0, LpbcastConfig(), random.Random(0),
+                           initial_view=(1, 2, 3))
+        node.delivered = []
+        node.add_delivery_listener(
+            lambda pid, n, now: node.delivered.append(n.event_id))
+        return node
+
+    def test_delivers_at_most_event_ids_max_and_allocates_accordingly(self):
+        node = self._node()
+        far = GossipMessage(5, event_ids=((self.VICTIM, 2**40, ()),))
+        tracemalloc.start()
+        try:
+            node.handle_message(5, far, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000        # nothing proportional to the frontier
+        cap = node.config.event_ids_max
+        assert node.delivered == [EventId(self.VICTIM, seq)
+                                  for seq in range(2**40 - cap + 1, 2**40 + 1)]
+        # Reading the digest moved no frontier: the genuine stream is intact.
+        assert node.event_ids.last_in_sequence(self.VICTIM) == 0
+        genuine = Notification(EventId(self.VICTIM, 1), "real", 2.0)
+        node.handle_message(self.VICTIM,
+                            GossipMessage(self.VICTIM, events=(genuine,)), 2.0)
+        assert node.delivered[-1] == genuine.event_id
+        assert node.event_ids.last_in_sequence(self.VICTIM) == 1
+
+    def test_never_delivers_an_id_twice(self):
+        node = self._node()
+        far = GossipMessage(5, event_ids=((self.VICTIM, 2**40, (2**41,)),
+                                          (self.VICTIM, 2**40, ())))
+        for now in range(1, 6):        # the same claim, repeated and re-sent
+            node.handle_message(5, far, float(now))
+        assert len(node.delivered) == len(set(node.delivered))
+        assert len(node.event_ids) <= node.config.event_ids_max
 
 
 class TestProtocolInvariants:

@@ -111,24 +111,21 @@ class TestDoubleDeliveryCaught:
         assert excinfo.value.violation.invariant == "no-duplicate-delivery"
         assert excinfo.value.violation.pid == rogue.pid
 
-    def test_redelivery_after_possible_eviction_is_legitimate(self):
-        # Soundness: with |eventIds|m = 3, a second delivery 3+ deliveries
-        # after the first could be an evicted id coming back — the paper's
-        # accepted trade-off, not a bug.
+    def test_redelivery_is_a_violation_at_any_distance(self):
+        # An id is delivered once, ever: however many deliveries lie between
+        # (here far more than any |eventIds|m), the second is a violation.
         monitor = InvariantMonitor(mode="collect")
         monitor._sim = types.SimpleNamespace(crashed=set(), round=1)
-        monitor._id_window[1] = 3
         event = types.SimpleNamespace(event_id=EventId(9, 1))
-        filler = [types.SimpleNamespace(event_id=EventId(9, s))
-                  for s in range(2, 5)]
         monitor._on_delivery(1, event, 0.0)
-        for notif in filler:
-            monitor._on_delivery(1, notif, 0.0)
-        monitor._on_delivery(1, event, 1.0)  # 4 deliveries later: legal
+        for seq in range(2, 500):
+            monitor._on_delivery(
+                1, types.SimpleNamespace(event_id=EventId(9, seq)), 0.0)
+        monitor._on_delivery(2, event, 0.0)  # another process: its first
         assert monitor.ok
-        monitor._on_delivery(1, event, 2.0)  # 1 delivery later: a duplicate
-        assert [v.invariant for v in monitor.violations] == [
-            "no-duplicate-delivery"
+        monitor._on_delivery(1, event, 1.0)
+        assert [(v.invariant, v.pid) for v in monitor.violations] == [
+            ("no-duplicate-delivery", 1)
         ]
 
 
@@ -146,6 +143,20 @@ class TestNodeStateChecks:
                     if v.invariant == "buffer-bounds"]
         assert breaches and breaches[0].pid == nodes[0].pid
         assert "|view|" in breaches[0].detail
+
+    def test_out_of_order_ids_are_held_to_event_ids_max(self):
+        sim, nodes, _ = small_system(n=12, seed=2)
+        monitor = InvariantMonitor(mode="collect").attach(sim)
+        for seq in (3, 5, 7):               # three ids beyond a gap
+            nodes[0].event_ids.add(EventId(99, seq))
+        sim.run(1)
+        assert monitor.ok                    # 3 <= the default bound of 60
+        nodes[0].config = LpbcastConfig(fanout=3, view_max=8, event_ids_max=2)
+        sim.run(1)
+        breaches = [v for v in monitor.violations
+                    if v.invariant == "buffer-bounds"]
+        assert breaches and breaches[0].pid == nodes[0].pid
+        assert "|event_ids| = 3 exceeds its bound 2" in breaches[0].detail
 
     def test_owner_in_view_is_flagged(self):
         sim, nodes, _ = small_system(n=10, seed=3)

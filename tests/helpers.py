@@ -6,6 +6,7 @@ import random
 from typing import List, Optional
 
 from repro.core import GossipMessage, LpbcastConfig, LpbcastNode
+from repro.core.buffers import CompactEventIdDigest
 from repro.core.events import Notification, Unsubscription
 from repro.core.ids import EventId
 from repro.metrics import DeliveryLog
@@ -23,6 +24,23 @@ def make_node(
     return LpbcastNode(pid, config, random.Random(seed), initial_view=view)
 
 
+def digest_of(event_ids) -> tuple:
+    """The digest a process that delivered exactly ``event_ids`` (in that
+    order) gossips: per-origin ``(origin, frontier, extras)`` entries."""
+    event_ids = list(event_ids)
+    store = CompactEventIdDigest(max_out_of_order=len(event_ids))
+    for event_id in event_ids:
+        store.add(event_id)
+    return store.snapshot()
+
+
+def ids_named(digest) -> set:
+    """Every ``EventId`` a digest stands for."""
+    return {EventId(origin, seq)
+            for origin, frontier, extras in digest
+            for seq in (*range(1, frontier + 1), *extras)}
+
+
 def gossip(
     sender: int = 99,
     subs: tuple = (),
@@ -30,8 +48,11 @@ def gossip(
     events: tuple = (),
     event_ids: tuple = (),
 ) -> GossipMessage:
+    """``event_ids`` are the ids the digest is to name (see
+    :func:`digest_of`)."""
     return GossipMessage(
-        sender, subs=subs, unsubs=unsubs, events=events, event_ids=event_ids
+        sender, subs=subs, unsubs=unsubs, events=events,
+        event_ids=digest_of(event_ids),
     )
 
 

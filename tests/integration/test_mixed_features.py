@@ -73,8 +73,7 @@ class TestEverythingOnLpbcast:
         assert complete >= 0.9 * len(orders)
 
     def test_compact_digests_under_async_runtime(self):
-        cfg = LpbcastConfig(fanout=3, view_max=8, compact_event_ids=True,
-                            event_ids_max=64)
+        cfg = LpbcastConfig(fanout=3, view_max=8, event_ids_max=64)
         nodes = build_lpbcast_nodes(20, cfg, seed=18)
         net = NetworkModel(loss_rate=0.05, rng=random.Random(19),
                            latency=constant_latency(0.1))

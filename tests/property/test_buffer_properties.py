@@ -12,6 +12,8 @@ from repro.core.buffers import (
 )
 from repro.core.ids import EventId
 
+from ..helpers import ids_named
+
 items = st.lists(st.integers(min_value=0, max_value=50), max_size=60)
 capacities = st.integers(min_value=0, max_value=20)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -144,4 +146,63 @@ class TestCompactDigestProperties:
         digest = CompactEventIdDigest(max_out_of_order=budget)
         for event_id in ids:
             digest.add(event_id)
-        assert len(digest._insertion_order) <= budget
+            assert len(digest) <= budget
+
+    @given(ops=st.lists(st.tuples(st.sampled_from("ab"), event_ids),
+                        max_size=80))
+    def test_two_stores_agree_with_plain_sets(self, ops):
+        # The model: a delivered-id store is a set.  Without overflow the
+        # frontier/extras form must answer exactly as the set does.
+        stores = {who: CompactEventIdDigest(max_out_of_order=10_000)
+                  for who in "ab"}
+        sets = {who: set() for who in "ab"}
+        universe = [EventId(origin, seq)
+                    for origin in range(7) for seq in range(1, 33)]
+        for who, event_id in ops:
+            assert stores[who].add(event_id) == 0          # nothing folded
+            sets[who].add(event_id)
+            for mine, other in ("ab", "ba"):
+                store, theirs = stores[mine], stores[other].snapshot()
+                assert ids_named(store.snapshot()) == sets[mine]
+                assert store.snapshot() is store.snapshot()    # cached
+                assert [e for e in universe if e in store] \
+                    == [e for e in universe if e in sets[mine]]
+                missing = store.missing(theirs)
+                assert len(missing) == len(set(missing))       # each id once
+                assert set(missing) == sets[other] - sets[mine]
+                origins = [origin for origin, _, _ in theirs]
+                assert missing == sorted(
+                    missing, key=lambda e: (origins.index(e.origin), e.seq))
+                assert type(missing[0]) is EventId if missing else True
+
+    @given(ids=st.lists(event_ids, max_size=60),
+           budget=st.integers(min_value=0, max_value=6))
+    def test_overflow_only_grows_and_counts_what_it_wrote_off(self, ids,
+                                                              budget):
+        store = CompactEventIdDigest(max_out_of_order=budget)
+        delivered, known, written_off = set(), set(), 0
+        for event_id in ids:
+            if event_id in store:
+                continue        # the node takes it for a duplicate
+            written_off += store.add(event_id)
+            delivered.add(event_id)
+            grown = ids_named(store.snapshot())
+            assert grown >= known | delivered                  # only grows
+            assert written_off == len(grown - delivered)
+            known = grown
+
+    @given(ids=st.lists(event_ids, max_size=40),
+           far=st.integers(min_value=31, max_value=2**62),
+           budget=st.integers(min_value=0, max_value=6))
+    def test_one_entry_names_at_most_the_budget_and_the_newest(self, ids,
+                                                               far, budget):
+        store = CompactEventIdDigest(max_out_of_order=budget)
+        for event_id in ids:
+            store.add(event_id)
+        before = store.snapshot()
+        missing = store.missing(((3, far, (far + 2,)),))
+        assert store.snapshot() is before      # reading moves no frontier
+        unknown = [seq for seq in (far + 2, *range(far, far - 40, -1))
+                   if EventId(3, seq) not in store]
+        assert missing == [EventId(3, seq)
+                           for seq in sorted(unknown[:budget])]

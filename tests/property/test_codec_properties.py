@@ -54,13 +54,22 @@ heartbeats = st.lists(
     st.tuples(pids, st.integers(min_value=0, max_value=10**6)), max_size=5
 ).map(tuple)
 
+# A gossip's digest: per-origin (origin, frontier, extras) entries in any
+# origin order, extras ascending past the frontier by gaps of every width.
+digest_entries = st.tuples(
+    pids, st.integers(min_value=0, max_value=10_000),
+    st.lists(st.integers(min_value=1, max_value=300), max_size=4),
+).map(lambda e: (e[0], e[1], tuple(
+    e[1] + sum(e[2][:k + 1]) for k in range(len(e[2])))))
+digests_of_ids = st.lists(digest_entries, max_size=6).map(tuple)
+
 gossips = st.builds(
     GossipMessage,
     sender=pids,
     subs=st.lists(pids, max_size=6).map(tuple),
     unsubs=st.lists(unsubs, max_size=4).map(tuple),
     events=st.lists(notifications, max_size=4).map(tuple),
-    event_ids=st.lists(event_ids, max_size=6).map(tuple),
+    event_ids=digests_of_ids,
     heartbeats=heartbeats,
 )
 

@@ -33,6 +33,7 @@ from repro.wire import (
 
 from .test_codec_properties import (
     any_message as core_messages,
+    digests_of_ids,
     event_ids,
     gossips,
     heartbeats,
@@ -76,7 +77,7 @@ causal_gossips = st.builds(
     subs=st.lists(pids, max_size=4).map(tuple),
     unsubs=st.lists(unsubs, max_size=3).map(tuple),
     events=st.lists(causal_notifications, min_size=1, max_size=4).map(tuple),
-    event_ids=st.lists(event_ids, max_size=5).map(tuple),
+    event_ids=digests_of_ids,
     heartbeats=heartbeats,
 )
 causal_responses = st.builds(

@@ -114,8 +114,11 @@ class TestExport:
         assert texts["serial"] == texts["sharded"]
 
     def test_buffer_pressure_visible_under_load(self):
-        # Starved id buffers pin at their bound and evictions climb —
-        # the Fig. 6 mechanism, visible in the operational record.
+        # Starved buffers, visible in the operational record: ``events``
+        # purges notifications before their first gossip (the Fig. 6
+        # mechanism), while ``eventIds`` — bounded at ten ids held *out of
+        # order* — keeps all 140 streams' ids in ten frontiers and writes
+        # nothing off.
         from repro.core import LpbcastConfig
         from repro.sim import BroadcastWorkload, RoundSimulation, build_lpbcast_nodes
 
@@ -129,9 +132,12 @@ class TestExport:
         sim.add_round_hook(workload.on_round)
         recorder = RunRecorder(nodes)
         sim.add_observer(recorder.on_round)
-        sim.run(8)
-        assert recorder.last()["event_ids_occupancy"] == pytest.approx(10.0)
-        assert recorder.last()["event_ids_evicted_total"] > 0
+        sim.run(12)
+        last = recorder.last()
+        assert last["events_dropped_total"] > 0
+        assert last["event_ids_occupancy"] <= 10
+        assert last["event_ids_evicted_total"] == 0
+        assert last["delivered_total"] == 140 * 20       # each id, once
 
 
 class TestAllEngines:

@@ -30,7 +30,7 @@ from repro.wire import (
     encode_binary,
     wire_bytes_of,
 )
-from repro.wire.binary import _r_event_ids, _w_event_ids
+from repro.wire.binary import _r_digest, _r_event_ids, _w_digest, _w_event_ids
 from repro.wire.varint import (
     read_svarint,
     read_svarint_run,
@@ -52,8 +52,7 @@ SAMPLES = [
         subs=(3, 1, 9),
         unsubs=(Unsubscription(2, 0.25),),
         events=(NOTE, Notification(EventId(8, 1), None, 0.0)),
-        event_ids=(EventId(1, 5), EventId(1, 6), EventId(1, 7),
-                   EventId(2, 1)),
+        event_ids=((2, 1, ()), (1, 4, (5, 6, 9)), (300, 0, (200,))),
         heartbeats=((4, 100), (5, 3)),
     ),
     SubscriptionRequest(12),
@@ -69,7 +68,7 @@ SAMPLES = [
     RecoveryResponse(14, (NOTE,), False),
     TopicEnvelope("alerts", GossipMessage(sender=2, subs=(1,))),
     GossipMessage(sender=42, events=(CAUSAL_NOTE, NOTE),
-                  event_ids=(EventId(3, 8),)),
+                  event_ids=((3, 8, ()),)),
     RetransmitResponse(6, (CAUSAL_NOTE,)),
 ]
 
@@ -89,8 +88,9 @@ class TestRoundTrip:
         assert decode_binary(encode_binary(message)).event_ids == ids
 
     def test_negative_and_large_integers(self):
-        message = GossipMessage(sender=2**40,
-                                event_ids=(EventId(-5, 2**33),))
+        message = GossipMessage(
+            sender=2**40,
+            event_ids=((-5, 2**33, (2**33 + 1, 2**60)), (-2**40, 0, ())))
         assert decode_binary(encode_binary(message)) == message
 
     def test_float_timestamps_exact(self):
@@ -274,6 +274,19 @@ _any_ids = _id_lists(st.sampled_from([1, 1, 2, 5, 127, 128, 300]), 6)
 _short_ids = _id_lists(st.integers(1, 4), 5)
 
 
+def _damaged(record):
+    """Every prefix truncation of ``record`` and every single-byte
+    corruption of it (each bit flipped, 0x00, 0xFF)."""
+    damaged = [bytes(record[:cut]) for cut in range(len(record))]
+    for position, byte in enumerate(record):
+        for other in {byte ^ (1 << bit) for bit in range(8)} | {0, 0xFF}:
+            if other != byte:
+                corrupt = bytearray(record)
+                corrupt[position] = other
+                damaged.append(bytes(corrupt))
+    return damaged
+
+
 def _outcome(reader, data):
     try:
         return reader(data, 0, len(data))
@@ -308,14 +321,7 @@ class TestDigestCodecAgainstReference:
     def test_damaged_records_get_the_reference_verdict(self, pairs):
         record = bytearray()
         reference_w_event_ids(record, [EventId(*pair) for pair in pairs])
-        damaged = [bytes(record[:cut]) for cut in range(len(record))]
-        for position, byte in enumerate(record):
-            for other in {byte ^ (1 << bit) for bit in range(8)} | {0, 0xFF}:
-                if other != byte:
-                    corrupt = bytearray(record)
-                    corrupt[position] = other
-                    damaged.append(bytes(corrupt))
-        for data in damaged:
+        for data in _damaged(record):
             assert (_outcome(_r_event_ids, data)
                     == _outcome(reference_r_event_ids, data)), data.hex()
 
@@ -339,3 +345,148 @@ class TestDigestCodecAgainstReference:
         for too_wide in (EventId(0, 2**69), EventId(-2**69 - 1, 0)):
             with pytest.raises(WireEncodeError, match="outside uvarint"):
                 encode_binary(RetransmitRequest(3, (too_wide,)))
+
+
+# -- the gossip digest record against its reference --------------------------
+#
+# ``_w_digest`` / ``_r_digest`` carry a gossip's per-origin ``(origin,
+# frontier, extras)`` entries.  The pair below spells the layout with one
+# public varint call per field — ``zigzag origin delta, frontier, extras
+# count, ascending gaps past the frontier`` — and is the oracle.
+
+def reference_w_digest(buf, digest):
+    write_uvarint(buf, len(digest))
+    previous_origin = 0
+    for origin, frontier, extras in digest:
+        write_svarint(buf, origin - previous_origin)
+        write_uvarint(buf, frontier)
+        write_uvarint(buf, len(extras))
+        previous = frontier
+        for seq in extras:
+            assert seq > previous
+            write_uvarint(buf, seq - previous)
+            previous = seq
+        previous_origin = origin
+
+
+def reference_r_digest(data, pos, limit):
+    count, pos = read_uvarint(data, pos)
+    if count > limit:
+        raise CodecError(f"digest length {count} exceeds input size")
+    out = []
+    origin = 0
+    for _ in range(count):
+        delta, pos = read_svarint(data, pos)
+        origin += delta
+        frontier, pos = read_uvarint(data, pos)
+        beyond, pos = read_uvarint(data, pos)
+        if beyond > limit:
+            raise CodecError(f"digest extras count {beyond} exceeds input size")
+        extras, seq = [], frontier
+        for _ in range(beyond):
+            gap, pos = read_uvarint(data, pos)
+            if gap == 0:
+                raise CodecError(f"digest extras of origin {origin} do not ascend")
+            seq += gap
+            extras.append(seq)
+        out.append((origin, frontier, tuple(extras)))
+    return tuple(out), pos
+
+
+# Unsigned varints change width at 128 (one -> two bytes) and 16384; 2**62
+# leaves a frontier plus its gaps inside the ten-byte cap (2**70 - 1).
+_UNSIGNED = [0, 1, 63, 64, 127, 128, 300, 16383, 16384, 2**31, 2**62]
+_frontiers = st.one_of(st.sampled_from(_UNSIGNED), st.integers(0, 130))
+_gaps = st.one_of(st.sampled_from(_UNSIGNED[1:]), st.integers(1, 130))
+
+
+def _digests(extras_counts, max_entries):
+    """Digests built entry by entry: origins in any order (negative deltas,
+    repeats), frontiers and gaps across the varint widths."""
+    entry = st.tuples(_numbers, _frontiers, extras_counts).flatmap(
+        lambda shape: st.lists(_gaps, min_size=shape[2], max_size=shape[2]).map(
+            lambda gaps: (shape[0], shape[1], tuple(
+                shape[1] + sum(gaps[:k + 1]) for k in range(len(gaps))))))
+    return st.lists(entry, max_size=max_entries).map(tuple)
+
+
+_any_digests = _digests(st.sampled_from([0, 0, 1, 1, 2, 127, 128, 300]), 5)
+_short_digests = _digests(st.integers(0, 3), 4)
+
+
+class TestGossipDigestRecord:
+    @settings(max_examples=150, deadline=None)
+    @given(digest=_any_digests, offset=st.integers(0, 3))
+    def test_round_trip_and_reference_bytes(self, digest, offset):
+        expected = bytearray(offset)
+        reference_w_digest(expected, digest)
+        written = bytearray(offset)        # appends, never rewrites
+        _w_digest(written, digest)
+        assert written == expected
+        data = bytes(written) + b"\x00\x05"  # the section is not the last
+        assert _r_digest(data, offset, len(data)) == (digest, len(written))
+        assert reference_r_digest(data, offset, len(data))[0] == digest
+        message = GossipMessage(sender=7, event_ids=digest)
+        assert decode_binary(encode_binary(message)) == message
+
+    def test_empty_digest_is_one_byte(self):
+        written = bytearray()
+        _w_digest(written, ())
+        assert written == b"\x00" and _r_digest(b"\x00", 0, 1) == ((), 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(digest=_short_digests)
+    def test_truncated_and_corrupted_records_get_the_reference_verdict(
+            self, digest):
+        record = bytearray()
+        reference_w_digest(record, digest)
+        for data in _damaged(record):
+            # A CodecError or a well-formed digest — never another exception,
+            # and never a different reading than the field-by-field one.
+            outcome = _outcome(_r_digest, data)
+            assert outcome == _outcome(reference_r_digest, data), data.hex()
+            if outcome is not CodecError:
+                for _origin, frontier, extras in outcome[0]:
+                    assert frontier >= 0
+                    assert list(extras) == sorted(set(extras))
+                    assert not extras or extras[0] > frontier
+
+    def test_every_check_fires_by_message(self):
+        def read(data):
+            return _r_digest(data, 0, len(data))
+
+        with pytest.raises(CodecError, match="digest length 5 exceeds input"):
+            read(b"\x05\x02")                         # entry count > limit
+        with pytest.raises(CodecError, match="extras count 300 exceeds input"):
+            read(b"\x01\x02\x03\xac\x02\x01")           # extras count > limit
+        with pytest.raises(CodecError, match="origin 1 do not ascend"):
+            read(b"\x01\x02\x03\x02\x01\x00")           # a zero gap: repeats
+        with pytest.raises(CodecError, match="truncated"):
+            read(b"\x01\x02\x03\x02\x01")               # second gap missing
+        with pytest.raises(CodecError, match="truncated"):
+            read(b"\x02\x02\x03\x00")                   # second entry missing
+        with pytest.raises(CodecError, match="longer than 10"):
+            read(b"\x01\x02" + b"\x80" * 11)
+        blob = encode_binary(GossipMessage(3, event_ids=((4, 2, (5,)),)))
+        with pytest.raises(CodecError, match="trailing"):
+            decode_binary(blob + b"\x00")
+
+    @pytest.mark.parametrize("extras", [(2,), (1,), (5, 5), (6, 4), (0,)])
+    def test_extras_that_do_not_ascend_past_the_frontier_have_no_encoding(
+            self, extras):
+        with pytest.raises(WireEncodeError, match="do not ascend past"):
+            encode_binary(GossipMessage(3, event_ids=((4, 2, extras),)))
+
+    def test_out_of_range_fields_are_encode_errors(self):
+        for entry in ((4, -1, ()), (4, 2**70, ()), (2**69, 1, ()),
+                      (4, 1, (2**70 + 1,))):
+            with pytest.raises(WireEncodeError, match="outside uvarint"):
+                encode_binary(GossipMessage(3, event_ids=(entry,)))
+
+    def test_a_long_stream_costs_what_its_gaps_cost(self):
+        # 4 publishers x 10,000 ids each, two of them with a gap: a handful
+        # of bytes, where the id list cost about one byte per id.
+        digest = ((1, 10_000, ()), (2, 9_990, (9_992, 9_995)),
+                  (3, 10_000, ()), (4, 7, (9,)))
+        blob = encode_binary(GossipMessage(0, event_ids=digest))
+        assert len(blob) - len(encode_binary(GossipMessage(0))) == 18

@@ -22,7 +22,7 @@ def make_gossip(sender=1, n_events=3, payload="x" * 40):
         sender=sender,
         events=tuple(Notification(EventId(sender, seq), payload, float(seq))
                      for seq in range(1, n_events + 1)),
-        event_ids=tuple(EventId(2, seq) for seq in range(1, 6)),
+        event_ids=tuple((origin, 5, (7, 9)) for origin in range(2, 7)),
     )
 
 
@@ -74,6 +74,15 @@ class TestFrameDecodeErrors:
             with pytest.raises(CodecError):
                 decode_frame(frame[:cut])
 
+    def test_previous_binary_version_is_a_decode_error(self):
+        # 0x02 frames carried the gossip digest as an id list; there is no
+        # second decoder, so such a frame is refused whole.
+        frame = bytearray(encode_frame(1, [make_gossip()]))
+        assert frame[0] == FRAME_BINARY == 0x03
+        frame[0] = 0x02
+        with pytest.raises(CodecError, match="unsupported wire version byte 0x02"):
+            decode_frame(bytes(frame))
+
     def test_trailing_bytes_rejected(self):
         frame = encode_frame(5, [SubscriptionRequest(2)]) + b"\x00"
         with pytest.raises(CodecError):
@@ -117,6 +126,27 @@ class TestSplitOversize:
         assert parts is not None
         assert all(isinstance(p, TopicEnvelope) and p.topic == "t"
                    for p, _v, _b in parts)
+
+    @pytest.mark.parametrize("fmt", ["binary", "json"])
+    def test_digest_alone_over_the_cap_covers_every_entry_once(self, fmt):
+        # 200 origins with gaps: the digest by itself outgrows a 256-byte
+        # datagram, so it travels as several gossips, each a digest in its
+        # own right, together naming exactly what the original named.
+        digest = tuple((origin * 7, 300 + origin, (400 + origin, 900))
+                       for origin in range(200))
+        big = GossipMessage(sender=1, subs=(4, 5), event_ids=digest)
+        plan = pack_datagrams(1, [big], fmt=fmt, max_bytes=256)
+        assert plan.oversize == [] and len(plan.splits) == 1
+        assert all(len(datagram) <= 256 for datagram in plan.datagrams)
+        parts = [m for d in plan.datagrams for m in decode_frame(d)[1]]
+        assert len(parts) == plan.splits[0][2] > 1
+        assert tuple(e for part in parts for e in part.event_ids) == digest
+        assert tuple(s for part in parts for s in part.subs) == big.subs
+        # Both formats decode to equal messages, part by part.
+        other = pack_datagrams(1, parts, max_bytes=65_000,
+                               fmt="json" if fmt == "binary" else "binary")
+        assert [m for d in other.datagrams
+                for m in decode_frame(d)[1]] == parts
 
     def test_single_huge_element_unsplittable(self):
         gossip = GossipMessage(
