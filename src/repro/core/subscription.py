@@ -36,66 +36,55 @@ class UnsubscriptionBuffer:
             raise ValueError("max_size must be non-negative")
         self.max_size = max_size
         self._rng = rng if rng is not None else random.Random()
-        self._timestamps: Dict[ProcessId, float] = {}
+        self._entries: Dict[ProcessId, Unsubscription] = {}
 
     def add(self, unsub: Unsubscription) -> None:
-        existing = self._timestamps.get(unsub.pid)
-        if existing is None or unsub.timestamp > existing:
-            self._timestamps[unsub.pid] = unsub.timestamp
+        existing = self._entries.get(unsub.pid)
+        if existing is None or unsub.timestamp > existing.timestamp:
+            self._entries[unsub.pid] = unsub
 
     def truncate(self) -> List[Unsubscription]:
         """Random eviction down to the bound; returns evictees."""
-        if len(self._timestamps) <= self.max_size:
+        if len(self._entries) <= self.max_size:
             return []
         # One copy, not one per draw: a dict keeps insertion order across
-        # ``pop``, so ``pids`` stays equal to ``list(self._timestamps)``.
-        pids = list(self._timestamps)
+        # ``pop``, so ``pids`` stays equal to ``list(self._entries)``.
+        pids = list(self._entries)
         evicted: List[Unsubscription] = []
         while len(pids) > self.max_size:
             pid = self._rng.choice(pids)
             pids.remove(pid)
-            evicted.append(Unsubscription(pid, self._timestamps.pop(pid)))
+            evicted.append(self._entries.pop(pid))
         return evicted
 
     def purge_obsolete(self, now: float, ttl: float) -> List[Unsubscription]:
         """Drop entries whose timestamp is at least ``ttl`` old."""
-        if not self._timestamps:
-            return []
-        expired = [
-            Unsubscription(pid, ts)
-            for pid, ts in self._timestamps.items()
-            if now - ts >= ttl
-        ]
+        expired = ([] if not self._entries else  # the usual case, per tick
+                   [unsub for unsub in self._entries.values()
+                    if now - unsub.timestamp >= ttl])
         for unsub in expired:
-            del self._timestamps[unsub.pid]
+            del self._entries[unsub.pid]
         return expired
 
     def discard(self, pid: ProcessId) -> bool:
-        if pid in self._timestamps:
-            del self._timestamps[pid]
-            return True
-        return False
+        return self._entries.pop(pid, None) is not None
 
     def pids(self) -> KeysView[ProcessId]:
         """Live view of the buffered process ids: ``in`` on it is a plain
         dict lookup, for callers testing many pids (Phase 2)."""
-        return self._timestamps.keys()
+        return self._entries.keys()
 
     def snapshot(self) -> Tuple[Unsubscription, ...]:
-        if not self._timestamps:
-            return ()
-        return tuple(
-            Unsubscription(pid, ts) for pid, ts in self._timestamps.items()
-        )
+        return tuple(self._entries.values()) if self._entries else ()
 
     def __contains__(self, pid: object) -> bool:
-        return pid in self._timestamps
+        return pid in self._entries
 
     def __len__(self) -> int:
-        return len(self._timestamps)
+        return len(self._entries)
 
     def __iter__(self) -> Iterator[ProcessId]:
-        return iter(self._timestamps)
+        return iter(self._entries)
 
 
 class JoinState:

@@ -10,8 +10,8 @@ delivery, buffer truncation) instead of ``n`` per-node ticks.  The passes
 are numpy array operations; numpy is a hard dependency of the package and
 there is no other implementation of the round.
 
-Partner selection in O(F)
--------------------------
+The round kernel: O(F) selection, no temporaries
+------------------------------------------------
 Fig. 1(b) says "choose F random members in view" and Sec. 4 shows the
 infection probability ``p`` does not depend on the view size ``l``; neither
 does a round here.  :func:`sample_view_slots` draws pick ``i`` uniformly in
@@ -21,7 +21,15 @@ over the ``l`` slots — the distribution of ``gossip_targets``'
 ``rng.sample``.  Selection, admission and event spread form one kernel,
 :func:`slab_round`, that reads columns and writes three output buffers;
 the single-core round runs it on ``[0, n)``, each shared-memory worker on
-its slab, and one ``_merge_round`` applies the result.
+its slab, and one ``_merge_round`` applies the result.  It walks its
+senders in blocks of ``BLOCK``: slot arithmetic runs with ``out=`` in a few
+cache-resident scratch rows, and one flat ``take`` of the view matrix puts a
+block's targets where its draws were.  That ``[take, m]`` buffer and the
+senders live in the simulation's :class:`SlabScratch` and the admission mask
+exists only when something can fail, so a steady-state round allocates only
+``bincount``'s results.  **The draw order is the contract** — the picks, then
+loss, then each active drop window, one ``random((take, m))`` each — so the
+block size changes no output bit (``test_columnar_state_golden.py``).
 
 Bit-packed state (n = 1,000,000)
 --------------------------------
@@ -150,18 +158,80 @@ def honoured_fingerprint(records: Sequence) -> str:
 # ---------------------------------------------------------------------------
 
 
-def slab_senders(alive, view_len, paused, fanout: int, lo: int, hi: int):
+#: Senders per kernel block (cache-sized); any value gives the same bits.
+BLOCK = 4096
+
+
+class SlabScratch:
+    """A slab kernel's state between rounds: ``[take, m]`` draws and targets,
+    a block of scratch rows, the last senders.  Dropped with its owner."""
+
+    def __init__(self) -> None:
+        self._held: Dict[str, object] = {}
+        self.seen = None  # (alive, paused, view_len) the senders came from
+        self.senders = self.sent_words = None  # the triple; as a packed mask
+
+    def array(self, role: str, shape, dtype):
+        """``role``'s C-contiguous array, reallocated only when outgrown."""
+        size = int(_np.prod(shape))
+        held = self._held.get(role)
+        if held is None or held.size < size or held.dtype != dtype:
+            held = self._held[role] = _np.empty(size, dtype=dtype)
+        return held[:size].reshape(shape)
+
+    def nbytes(self) -> int:
+        return sum(array.nbytes for array in
+                   (*self._held.values(), *(self.senders or ())))
+
+
+def slab_senders(alive, view_len, paused, fanout: int, lo: int, hi: int,
+                 scratch: Optional[SlabScratch] = None):
     """Senders of slab ``[lo, hi)`` — alive, not paused, non-empty view —
     as ``(indices, |view|, min(F, |view|))``.  Depends only on the schedule,
     so the coordinator's honoured ``sim.sends`` total is the third column
-    summed over ``[0, n)`` whatever the worker count."""
+    summed over ``[0, n)`` whatever the worker count.  With a ``scratch``
+    it is recomputed only when the alive flags, the paused set or
+    ``view_len`` differ from the last round's (an n-byte compare)."""
+    seen = scratch.seen if scratch is not None else None
+    if (seen is not None and seen[1] == paused and seen[2] is view_len
+            and _np.array_equal(seen[0], alive)):
+        return scratch.senders
     mask = alive[lo:hi] & (view_len[lo:hi] > 0)
     for index in paused:
         if lo <= index < hi:
             mask[index - lo] = False
     s_idx = _np.flatnonzero(mask) + lo
     lens = view_len[s_idx]
-    return s_idx, lens, _np.minimum(fanout, lens)
+    senders = s_idx, lens, _np.minimum(fanout, lens)
+    if scratch is not None:
+        scratch.seen, scratch.senders = (alive, paused, view_len), senders
+        scratch.sent_words = bitset.mask_from_indices(s_idx, alive.size)
+    return senders
+
+
+def _sample_blocks(draws, lens, scratch: SlabScratch):
+    """:func:`sample_view_slots` by ``BLOCK``s of senders: yields pick ``i``'s
+    slots for senders ``[lo, hi)`` in scratch that the next step overwrites."""
+    take, m = draws.shape
+    rows = scratch.array("rows", (take + 1, BLOCK), _np.intp)
+    scaled = scratch.array("scaled", (BLOCK,), _np.float64)
+    for lo in range(0, m, BLOCK):
+        hi = min(lo + BLOCK, m)
+        picks, spare = rows[:take, :hi - lo], rows[take, :hi - lo]
+        for i in range(take):
+            pick = picks[i]
+            _np.subtract(lens[lo:hi], i, out=spare)
+            _np.maximum(spare, 1, out=spare)
+            pick[:] = _np.multiply(draws[i, lo:hi], spare,
+                                   out=scaled[:hi - lo])  # truncating cast
+            for prev in picks[:i]:  # this sender's earlier picks, ascending
+                _np.greater_equal(pick, prev, out=spare)
+                _np.add(pick, spare, out=pick)
+            yield i, lo, hi, pick
+            for prev in picks[:i] if i + 1 < take else ():
+                _np.minimum(prev, pick, out=spare)
+                _np.maximum(prev, pick, out=pick)
+                prev[:] = spare
 
 
 def sample_view_slots(rng, lens, take: int):
@@ -176,23 +246,14 @@ def sample_view_slots(rng, lens, take: int):
     ``<= i`` (in bounds for any view matrix at least ``take`` wide)."""
     draws = rng.random((take, lens.size))
     slots = _np.empty(draws.shape, dtype=_np.int64)
-    earlier: List = []  # this sender's picks so far, ascending
-    for i in range(take):
-        pick = slots[i]
-        pick[:] = draws[i] * _np.maximum(lens - i, 1)  # truncating cast
-        for prev in earlier:
-            pick += pick >= prev
-        if i + 1 < take:
-            for j, prev in enumerate(earlier):
-                earlier[j], pick = (_np.minimum(prev, pick),
-                                    _np.maximum(prev, pick))
-            earlier.append(pick)
+    for i, lo, hi, pick in _sample_blocks(draws, lens, SlabScratch()):
+        slots[i, lo:hi] = pick
     return slots
 
 
 def slab_round(rng, senders, view_mat, alive, loss: float, drops, partitions,
-               spread, delivered, events: int,
-               arrivals_out, dups_out, fresh_out) -> int:
+               spread, delivered, events: int, arrivals_out, dups_out,
+               fresh_out, scratch: Optional[SlabScratch] = None) -> int:
     """One slab's share of a gossip round (Fig. 1(b), vectorised).
 
     ``senders`` is :func:`slab_senders`' triple and must be non-empty;
@@ -202,52 +263,78 @@ def slab_round(rng, senders, view_mat, alive, loss: float, drops, partitions,
     admitted arrivals and duplicate receptions are added to
     ``arrivals_out`` / ``dups_out``; targets hit by a carrier of event
     ``e`` that had not delivered it are OR-ed into ``fresh_out[e]``.  Reads
-    no engine state and writes nothing else; returns the number of admitted
-    arrivals."""
+    no engine state, writes nothing else but ``scratch`` (fresh if omitted),
+    returns the admitted arrivals.  Draws: picks, loss, each drop window."""
     s_idx, lens, k = senders
-    n = alive.size
-    take = int(k.max())
-    slots = sample_view_slots(rng, lens, take)
-    targets = view_mat[s_idx, slots].astype(_np.int64)
-    survive = _np.arange(take)[:, None] < k
+    scratch = scratch or SlabScratch()
+    n, m, cap, take = alive.size, s_idx.size, view_mat.shape[1], int(k.max())
+    draws = rng.random(out=scratch.array("draws", (take, m), _np.float64))
+    targets = draws.view(_np.int64)  # a block's targets replace its draws
+    peers = view_mat.reshape(-1)
+    index = scratch.array("index", (BLOCK,), _np.intp)
+    near = scratch.array("near", (BLOCK,), view_mat.dtype)
+    for i, lo, hi, pick in _sample_blocks(draws, lens, scratch):
+        flat = _np.multiply(s_idx[lo:hi], cap, out=index[:hi - lo])
+        flat += pick
+        targets[i, lo:hi] = peers.take(flat, out=near[:hi - lo], mode="clip")
 
-    # Admission: i.i.d. network loss, drop-rate windows, partitions,
-    # crashed receivers.  One vectorized draw per (pick, sender).
-    if loss > 0.0:
-        survive &= rng.random(targets.shape) >= loss
-    for rate, src_index, dst_index in drops:
-        hit = rng.random(targets.shape) < rate
-        if src_index is not None:
-            hit &= s_idx == src_index
-        if dst_index is not None:
-            hit &= targets == dst_index
-        survive &= ~hit
-    for a_indices, b_indices, direction in partitions:
-        side_a = _np.zeros(n, dtype=bool)
-        side_b = _np.zeros(n, dtype=bool)
-        side_a[a_indices] = True
-        side_b[b_indices] = True
-        blocked = _np.zeros(targets.shape, dtype=bool)
-        if direction in ("both", "a-to-b"):
-            blocked |= side_a[s_idx] & side_b[targets]
-        if direction in ("both", "b-to-a"):
-            blocked |= side_b[s_idx] & side_a[targets]
-        survive &= ~blocked
-    survive &= alive[targets]
-
-    arrivals = targets[survive]
-    if arrivals.size:
-        arrivals_out += _np.bincount(arrivals, minlength=n)
+    # Admission: i.i.d. network loss, drop-rate windows, partitions, crashed
+    # receivers — and no mask at all in a round where nothing can fail.
+    survive = None
+    if (loss > 0.0 or drops or partitions or int(k.min()) < take
+            or not alive.all()):
+        survive = _np.arange(take)[:, None] < k
+        if loss > 0.0:
+            survive &= rng.random(targets.shape) >= loss
+        for rate, src_index, dst_index in drops:
+            hit = rng.random(targets.shape) < rate
+            if src_index is not None:
+                hit &= s_idx == src_index
+            if dst_index is not None:
+                hit &= targets == dst_index
+            survive &= ~hit
+        for a_indices, b_indices, direction in partitions:
+            side_a, side_b = _np.zeros((2, n), dtype=bool)
+            side_a[a_indices] = side_b[b_indices] = True
+            if direction in ("both", "a-to-b"):
+                survive &= ~(side_a[s_idx] & side_b[targets])
+            if direction in ("both", "b-to-a"):
+                survive &= ~(side_b[s_idx] & side_a[targets])
+        survive &= alive[targets]
+    arrivals = targets.reshape(-1) if survive is None else targets[survive]
+    counts = _np.bincount(arrivals, minlength=n)
+    arrivals_out += counts
 
     # Event spread: a gossip from a carrier of event e reaches the receiver
-    # with e (in its digest, or in its events buffer — the caller's choice
-    # of ``spread``).
+    # with e (digest or events buffer: the caller's ``spread``).  A row nobody
+    # carries is skipped and one everybody carries reuses ``counts``; else the
+    # smaller side, carriers or the rest, is gathered and counted.
     for event in range(events):
-        carriers = bitset.unpack_bools(spread[event], n)[s_idx]
-        if not carriers.any():
+        carried = bitset.popcount_words(spread[event])
+        if not carried:
             continue
-        hits = _np.bincount(targets[survive & carriers], minlength=n)
-        had = bitset.unpack_bools(delivered[event], n)
+        hits = counts
+        if carried < n:
+            flags = bitset.unpack_bools(spread[event], n)
+            carriers = flags[s_idx]
+            few = _np.count_nonzero(carriers) * 2 <= m
+            cols = _np.flatnonzero(carriers if few else ~carriers)
+            if cols.size:
+                hit = scratch.array("hit", (take, cols.size), _np.int64)
+                targets.take(cols, axis=1, mode="clip", out=hit)
+                if survive is not None:
+                    hit = hit[survive.take(cols, axis=1)]
+                hits = _np.bincount(hit.reshape(-1), minlength=n)
+                if not few:
+                    _np.subtract(counts, hits, out=hits)
+            elif few:  # no sender carries it
+                continue
+        if (carried if spread is delivered
+                else bitset.popcount_words(delivered[event])) == n:
+            dups_out += hits
+            continue
+        had = (flags if spread is delivered
+               else bitset.unpack_bools(delivered[event], n))
         _np.add(dups_out, hits, out=dups_out, where=had)
         fresh_out[event] |= bitset.pack_bools((hits > 0) & ~had)
     return int(arrivals.size)
@@ -392,6 +479,7 @@ class ColumnarRoundSimulation:
         self._event_cap = 0
         self._stats: Dict[str, object] = {}
         self._shm = None         # ShmRoundExecutor when workers > 1
+        self._scratch = SlabScratch()  # the kernel's persistent buffers
 
         self._rng = _np.random.default_rng(derive_seed(seed, "columnar"))
 
@@ -538,9 +626,10 @@ class ColumnarRoundSimulation:
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
-        """Reap worker processes and shared-memory segments (no-op for
-        ``workers=1``).  The engine remains readable but cannot run further
-        rounds in multi-core mode."""
+        """Release the kernel's round buffers and reap worker processes
+        and shared-memory segments.  The engine remains readable but cannot
+        run further rounds in multi-core mode."""
+        self._scratch = SlabScratch()
         if self._shm is not None:
             self._shm.close()
             self._shm = None
@@ -714,42 +803,24 @@ class ColumnarRoundSimulation:
                 observer(self.round, self)
 
     # -- vectorized gossip -------------------------------------------------
-    def _paused_indices(self) -> List[int]:
-        if not self._fault_paused:
-            return []
-        return [self._index[p] for p in self._fault_paused
-                if p in self._index]
-
-    def _active_drop_windows(self):
-        if self._fault_injector is None:
-            return []
-        r = self.round
-        return [d for d in self._fault_injector.plan.drops
-                if d.start <= r < d.stop]
-
-    def _active_partitions(self):
-        if self._fault_injector is None:
-            return []
-        r = self.round
-        return [p for p in self._fault_injector.plan.partitions
-                if p.start <= r < p.heal]
-
     def _fault_windows(self):
         """The round's active drop-rate and partition windows in index
         form — what :func:`slab_round` takes and what crosses the pipe to
         the shared-memory workers."""
-        index = self._index
+        if self._fault_injector is None:
+            return [], []
+        plan, r, index = self._fault_injector.plan, self.round, self._index
         drops = [
             (window.rate,
              index.get(window.src, -1) if window.src is not None else None,
              index.get(window.dst, -1) if window.dst is not None else None)
-            for window in self._active_drop_windows()
+            for window in plan.drops if window.start <= r < window.stop
         ]
         partitions = [
             ([index[p] for p in part.side_a if p in index],
              [index[p] for p in part.side_b if p in index],
              getattr(part, "direction", "both"))
-            for part in self._active_partitions()
+            for part in plan.partitions if part.start <= r < part.heal
         ]
         return drops, partitions
 
@@ -761,9 +832,10 @@ class ColumnarRoundSimulation:
         the worker pool; :meth:`_merge_round` applies what it found."""
         cfg = self.config
         alive = bitset.unpack_bools(self._alive, self._n)
-        paused = self._paused_indices()
+        paused = [self._index[p] for p in self._fault_paused
+                  if p in self._index]
         senders = slab_senders(alive, self._view_len, paused, cfg.fanout,
-                               0, self._n)
+                               0, self._n, self._scratch)
         s_idx = senders[0]
         if s_idx.size == 0:
             return 0
@@ -785,14 +857,13 @@ class ColumnarRoundSimulation:
                 self._rng, senders, self._view_mat, alive, self.loss_rate,
                 drops, partitions, spread, self._delivered, events,
                 self._stats["gossips_received"], self._stats["duplicates"],
-                fresh)
+                fresh, self._scratch)
         self.messages_delivered += admitted
         if events:
-            self._merge_round(s_idx, spread, fresh, events, now)
+            self._merge_round(spread, fresh, events, now)
         return int(senders[2].sum()) * (1 + cfg.membership_boost)
 
-    def _merge_round(self, s_idx, spread, fresh, events: int,
-                     now: float) -> None:
+    def _merge_round(self, spread, fresh, events: int, now: float) -> None:
         """Apply one round's slab results: "events <- empty" for carriers
         that gossiped (Fig. 1(b): buffered payloads are forwarded once),
         then the new infections in ``fresh`` (``uint64[events, words]``),
@@ -800,11 +871,10 @@ class ColumnarRoundSimulation:
         senders' bits are cleared *before* the merge so a process infected
         this round keeps its fresh events-buffer entry for the next one
         even though it, too, gossiped this round."""
-        sent_words = bitset.mask_from_indices(s_idx, self._n)
         for event in range(events):
-            if not (spread[event] & sent_words).any():
+            if not (spread[event] & self._scratch.sent_words).any():
                 continue
-            self._active[event] &= ~sent_words
+            self._active[event] &= ~self._scratch.sent_words
             new = fresh[event] & ~self._delivered[event] & self._alive
             if not new.any():
                 continue
@@ -875,16 +945,17 @@ class ColumnarRoundSimulation:
 
     def memory_bytes(self) -> int:
         """Resident footprint of the dense columns (views, alive words,
-        event bitmaps, stat counters) — the bench harness's bytes-per-node
-        read.  Shared-memory segments are counted once (the coordinator's
-        views; worker mappings alias the same pages).  Before the columns
-        exist only ``build()``'s view matrix is resident."""
+        event bitmaps, stat counters) and the kernel's persistent buffers —
+        the bench harness's bytes-per-node read.  Shared-memory segments are
+        counted once (the coordinator's views; worker mappings alias the same
+        pages).  Before the columns exist only ``build()``'s view matrix is."""
         if self._n == 0:
             return getattr(self._view_rows, "nbytes", 0)
         total = (self._alive.nbytes + self._view_mat.nbytes
                  + self._view_len.nbytes
                  + self._delivered.nbytes + self._active.nbytes)
         total += sum(col.nbytes for col in self._stats.values())
+        total += self._scratch.nbytes()
         if self._shm is not None:
             total += self._shm.scratch_bytes()
         return int(total)
@@ -930,11 +1001,24 @@ class ColumnarRoundSimulation:
             agg.occupancy_sums["events"] = 0
             agg.occupancy_sums["event_ids"] = 0
         agg.occupancy_sums["subs"] = 0
-        for i in idx.tolist():
-            agg.graph_nodes.add(self._pids[i])
-            for pid in self._view_of(i):
-                agg.graph_nodes.add(pid)
-                agg.in_degree[pid] = agg.in_degree.get(pid, 0) + 1
+        if self._started:
+            # The alive rows' filled slots, <= 64k rows to a bincount so
+            # the gathered copy stays small at n = 1M.
+            degree = _np.zeros(n, dtype=_np.int64)
+            slots = _np.arange(self._view_mat.shape[1])
+            for rows in _np.array_split(idx, (idx.size >> 16) + 1):
+                filled = slots < self._view_len[rows, None]
+                degree += _np.bincount(self._view_mat[rows][filled],
+                                       minlength=n)
+            known = _np.flatnonzero(degree)
+            agg.in_degree = {self._pids[i]: d for i, d in
+                             zip(known.tolist(), degree[known].tolist())}
+        else:  # rows still hold pids: the pre-run read, never at scale
+            for i in idx.tolist():
+                for pid in self._view_of(i):
+                    agg.in_degree[pid] = agg.in_degree.get(pid, 0) + 1
+        agg.graph_nodes = set(agg.in_degree)
+        agg.graph_nodes.update(self._pids[i] for i in idx.tolist())
         return agg
 
     # -- reliability reads -------------------------------------------------

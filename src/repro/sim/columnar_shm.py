@@ -35,10 +35,11 @@ Determinism contract
 
 Workers hold no protocol state of their own: everything they read is a
 shared view, everything they write is their private scratch row, so the
-only per-round traffic on the pipe is the command dict and a two-field
-acknowledgement (status, admitted arrivals).  Event-capacity growth allocates fresh segments (names
-are broadcast with the next command; workers re-attach lazily), keeping
-round-time allocation out of the steady state.
+only per-round traffic on the pipe is the command dict and a three-field
+acknowledgement (status, admitted arrivals, private kernel-buffer bytes).
+Event-capacity growth allocates fresh segments (names are broadcast with the
+next command; workers re-attach lazily), keeping round-time allocation out
+of the steady state.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import bitset
-from .columnar_runner import slab_round, slab_senders
+from .columnar_runner import SlabScratch, slab_round, slab_senders
 from .rng import derive_seed
 
 #: Roles whose segments are replaced when event capacity grows.
@@ -95,15 +96,17 @@ def _refresh_segments(cache: Dict, segs: Dict) -> Dict[str, np.ndarray]:
 
 
 def _worker_round(views: Dict[str, np.ndarray], cmd: Dict, static: Dict,
-                  rng) -> int:
+                  rng, scratch: Optional[SlabScratch] = None) -> int:
     """One worker's share of a gossip round: the engine's own
     :func:`~repro.sim.columnar_runner.slab_round` — the very function the
     single-core pass runs on ``[0, n)`` — on senders ``[lo, hi)`` with this
-    worker's stream.  Writes land only in this worker's scratch rows;
-    returns the admitted arrivals."""
+    worker's stream and persistent ``scratch``.  Writes land only in this
+    worker's scratch rows; returns the admitted arrivals."""
+    scratch = scratch or SlabScratch()
     alive = bitset.unpack_bools(views["alive"], static["n"])
     senders = slab_senders(alive, views["viewlen"], cmd["paused"],
-                           static["fanout"], static["lo"], static["hi"])
+                           static["fanout"], static["lo"], static["hi"],
+                           scratch)
     if senders[0].size == 0:
         return 0
     wid = static["worker"]
@@ -114,7 +117,7 @@ def _worker_round(views: Dict[str, np.ndarray], cmd: Dict, static: Dict,
         cmd["drops"], cmd["partitions"],
         delivered if static["digest"] else views["active"], delivered,
         events, views["arrivals"][wid], views["dups"][wid],
-        views["newmask"][wid] if events else None)
+        views["newmask"][wid] if events else None, scratch)
 
 
 def _worker_main(conn, static: Dict) -> None:
@@ -122,6 +125,7 @@ def _worker_main(conn, static: Dict) -> None:
     rng = np.random.default_rng(
         derive_seed(static["seed"], "columnar-shm", static["worker"]))
     cache: Dict = {}
+    scratch = SlabScratch()
     try:
         while True:
             try:
@@ -132,7 +136,8 @@ def _worker_main(conn, static: Dict) -> None:
                 break
             try:
                 views = _refresh_segments(cache, cmd["segs"])
-                conn.send(("ok", _worker_round(views, cmd, static, rng)))
+                admitted = _worker_round(views, cmd, static, rng, scratch)
+                conn.send(("ok", admitted, scratch.nbytes()))
             except Exception as exc:  # pragma: no cover - crash relay
                 try:
                     conn.send(("err", repr(exc)))
@@ -183,6 +188,7 @@ class ShmRoundExecutor:
             "arrivals", (workers, self._n), np.int64)
         self._dups = self._alloc_block("dups", (workers, self._n), np.int64)
         self._newmask: Optional[np.ndarray] = None
+        self._kernel_bytes = 0  # the workers' private SlabScratch, as acked
 
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context(
@@ -272,9 +278,9 @@ class ShmRoundExecutor:
             seg.unlink()
 
     def scratch_bytes(self) -> int:
-        """Scratch-segment footprint (for ``memory_bytes``): the per-worker
-        arrival/duplicate counters and new-infection masks."""
-        total = self._arrivals.nbytes + self._dups.nbytes
+        """Scratch footprint (for ``memory_bytes``): per-worker arrival and
+        duplicate counters, new-infection masks, private kernel buffers."""
+        total = self._arrivals.nbytes + self._dups.nbytes + self._kernel_bytes
         if self._newmask is not None:
             total += self._newmask.nbytes
         return int(total)
@@ -303,13 +309,14 @@ class ShmRoundExecutor:
         }
         for conn in self._conns:
             conn.send(cmd)
-        admitted = 0
+        admitted = self._kernel_bytes = 0
         for w, conn in enumerate(self._conns):
             reply = conn.recv()
             if reply[0] != "ok":
                 raise RuntimeError(
                     f"columnar shm worker {w} failed: {reply[1]}")
             admitted += reply[1]
+            self._kernel_bytes += reply[2]
         stats = self._sim._stats
         stats["gossips_received"] += self._arrivals.sum(axis=0)
         stats["duplicates"] += self._dups.sum(axis=0)

@@ -67,9 +67,9 @@ def reference_truncate(buf: UnsubscriptionBuffer):
     the whole buffer for every eviction: the reference for draws, evictees
     and their order."""
     evicted = []
-    while len(buf._timestamps) > buf.max_size:
-        pid = buf._rng.choice(list(buf._timestamps))
-        evicted.append(Unsubscription(pid, buf._timestamps.pop(pid)))
+    while len(buf._entries) > buf.max_size:
+        pid = buf._rng.choice(list(buf._entries))
+        evicted.append(buf._entries.pop(pid))
     return evicted
 
 

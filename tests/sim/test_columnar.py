@@ -309,6 +309,46 @@ class TestAggregatesMatrix:
                 == columnar.stat_sums["gossips_sent"])
 
 
+class TestInDegreeBincount:
+    """``node_aggregates`` counts in-degrees with a bincount over the view
+    matrix; the per-slot Python loop it replaced is the reference."""
+
+    @staticmethod
+    def loop_reference(sim, pids=None):
+        graph_nodes, in_degree = set(), {}
+        for pid in sim._pids if pids is None else pids:
+            if pid in sim._index and sim.alive(pid):
+                graph_nodes.add(pid)
+                for peer in sim.nodes[pid].view:
+                    graph_nodes.add(peer)
+                    in_degree[peer] = in_degree.get(peer, 0) + 1
+        return graph_nodes, in_degree
+
+    @pytest.mark.parametrize("ingest", [False, True],
+                             ids=["build", "ragged-ingest"])
+    def test_equals_the_loop_with_crashed_nodes(self, ingest):
+        n = 2_000
+        if ingest:
+            cfg = LpbcastConfig(fanout=3, view_max=9)
+            sim = ColumnarRoundSimulation(seed=5)
+            sim.add_nodes(build_lpbcast_nodes(n, cfg, seed=5)[:n - 40])
+        else:
+            sim = ColumnarRoundSimulation.build(
+                n, LpbcastConfig(fanout=3, view_max=12), seed=5)
+        before = sim.node_aggregates()  # rows still hold pids
+        assert (before.graph_nodes, before.in_degree) \
+            == self.loop_reference(sim)
+        sim.nodes[0].lpb_cast("x", 0.0)
+        sim.run(2)
+        for pid in range(0, 600, 3):
+            sim.crash(pid)
+        for pids in (None, list(range(100, 900)) + [10**6]):
+            agg = sim.node_aggregates(pids)
+            assert (agg.graph_nodes, agg.in_degree) \
+                == self.loop_reference(sim, pids)
+        assert sim.node_aggregates().count == n - 200 - (40 if ingest else 0)
+
+
 @pytest.mark.slow
 class TestScale:
     def test_mega_scale_run_within_budget(self):

@@ -15,12 +15,15 @@ import pytest
 
 from repro.core import LpbcastConfig
 from repro.sim import ColumnarRoundSimulation, NetworkModel, bitset
+from repro.sim import columnar_runner
 from repro.sim.columnar_runner import (
     sample_view_slots,
     slab_round,
     slab_senders,
 )
 from repro.sim.columnar_shm import _worker_round
+
+from .test_columnar_state_golden import ragged_nodes
 
 #: Upper 0.1 % points of chi-square, by degrees of freedom.
 CHI2_999 = {4: 18.47, 6: 22.46, 23: 49.73, 24: 51.18}
@@ -150,3 +153,132 @@ class TestOneKernel:
         assert admitted == arrivals.sum() == 3 * 100
         assert (sim._delivered == delivered).all()
         assert (sim._view_mat == view_mat).all()
+
+
+def faulted_sim(seed=9, n=900):
+    """Mid-curve state with ragged views (pids = 10 000 + index), two
+    events and a dead process."""
+    cfg = LpbcastConfig(fanout=3, view_max=7, digest_implies_delivery=False)
+    sim = ColumnarRoundSimulation(network=NetworkModel(loss_rate=0.1),
+                                  seed=seed)
+    sim.add_nodes(ragged_nodes(n, cfg, seed))
+    for publisher in (10_001, 10_500):
+        sim.nodes[publisher].lpb_cast("x", 0.0)
+    sim.run(4)
+    sim.crash(10_033)
+    return sim
+
+
+class TestBlocks:
+    """The block size is a constant, not a behaviour: every output of the
+    sampler and of the kernel is the same for any ``BLOCK``."""
+
+    def kernel_outputs(self, sim):
+        n = sim._n
+        alive = bitset.unpack_bools(sim._alive, n)
+        senders = slab_senders(alive, sim._view_len, [7], 3, 0, n)
+        outs = (np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64),
+                np.zeros((2, sim._words), dtype=np.uint64))
+        drops = [(0.5, 17, None), (0.4, None, 40)]
+        partitions = [(list(range(0, 200)), list(range(300, 600)), "b-to-a")]
+        rng = np.random.default_rng(4)
+        admitted = slab_round(rng, senders, sim._view_mat, alive, 0.1, drops,
+                              partitions, sim._active, sim._delivered, 2,
+                              *outs)
+        return (admitted, rng.random(), *outs)
+
+    def test_outputs_identical_for_any_block_size(self, monkeypatch):
+        sim = faulted_sim()
+        lens = sim._view_len[sim._view_len > 0]
+        m = lens.size
+        reference = None
+        for block in (columnar_runner.BLOCK, 1, 7, 64, m):
+            monkeypatch.setattr(columnar_runner, "BLOCK", block)
+            slots = sample_view_slots(np.random.default_rng(8), lens, 3)
+            got = (slots, *self.kernel_outputs(sim))
+            if reference is None:
+                reference = got
+                assert got[1] > 0 and got[4].sum() > 0 and got[5].any()
+            for mine, theirs in zip(got, reference):
+                assert np.array_equal(mine, theirs), block
+
+    def test_fault_free_fast_path_equals_the_masked_one(self):
+        # Nothing can fail: no survive mask is built.  Killing a process
+        # nobody knows forces the mask without changing any admission.
+        sim = ColumnarRoundSimulation.build(
+            400, LpbcastConfig(fanout=3, view_max=3), seed=2)
+        sim.nodes[0].lpb_cast("x", 0.0)
+        sim.run(3)
+        stranger = int(np.setdiff1d(np.arange(400), sim._view_mat)[0])
+        alive = np.ones(400, dtype=bool)
+        senders = slab_senders(alive, sim._view_len, [stranger], 3, 0, 400)
+        results = []
+        for dead in (None, stranger):
+            flags = alive.copy()
+            if dead is not None:
+                flags[dead] = False
+            outs = (np.zeros(400, dtype=np.int64),
+                    np.zeros(400, dtype=np.int64),
+                    np.zeros((1, sim._words), dtype=np.uint64))
+            slab_round(np.random.default_rng(1), senders, sim._view_mat,
+                       flags, 0.0, [], [], sim._delivered, sim._delivered,
+                       1, *outs)
+            results.append(outs)
+        for fast, masked in zip(*results):
+            assert np.array_equal(fast, masked)
+
+
+class TestSendersFollowTheSchedule:
+    def test_crash_recovery_and_pause_each_change_the_next_round(self):
+        from repro.faults.plan import FaultPlan
+
+        sim = ColumnarRoundSimulation.build(
+            300, LpbcastConfig(fanout=3, view_max=6), seed=6)
+        sim.use_fault_plan(FaultPlan().pause(9, at=4, duration=1))
+        sim.nodes[0].lpb_cast("x", 0.0)  # allocates the stat columns
+
+        def senders_of_next_round():
+            sent = sim._stats["gossips_sent"]  # +1 per sender per round
+            before = sent.copy()
+            sim.run_round()
+            return set(np.flatnonzero(sent - before))
+
+        everyone = set(range(300))
+        assert senders_of_next_round() == everyone          # round 1
+        sim.crash(5)
+        assert senders_of_next_round() == everyone - {5}    # round 2
+        assert sim.recover(5)
+        assert senders_of_next_round() == everyone          # round 3
+        assert senders_of_next_round() == everyone - {9}    # round 4: paused
+        assert senders_of_next_round() == everyone          # round 5
+
+
+class TestKernelBuffers:
+    def test_memory_line_counts_them_and_close_drops_them(self):
+        sim = ColumnarRoundSimulation.build(
+            2_000, LpbcastConfig(fanout=3, view_max=8), seed=1)
+        sim.nodes[0].lpb_cast("x", 0.0)
+        columns = sim.memory_bytes()
+        sim.run(2)
+        held = sim._scratch.nbytes()
+        # The [3, n] draw/target buffer alone, 8-byte items.
+        assert held >= 3 * 2_000 * 8
+        assert sim.memory_bytes() == columns + held
+        sim.close()
+        assert sim._scratch.nbytes() == 0
+        assert sim.memory_bytes() == columns
+        sim.run(1)  # single-core rounds still run; the buffers come back
+        assert sim.memory_bytes() > columns + 3 * 2_000 * 8
+
+    def test_nothing_module_global_holds_an_array(self):
+        from repro.sim import columnar_shm
+
+        with ColumnarRoundSimulation.build(
+                500, LpbcastConfig(fanout=3, view_max=8), seed=1) as sim:
+            sim.nodes[0].lpb_cast("x", 0.0)
+            sim.run(2)
+        for module in (columnar_runner, columnar_shm):
+            for name, value in vars(module).items():
+                assert not isinstance(
+                    value, (np.ndarray, columnar_runner.SlabScratch,
+                            list, dict, set)) or name.startswith("__"), name
