@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-slow coverage fuzz bench bench-figures bench-hotpath ledger-smoke pairs examples loc check clean
+.PHONY: install test test-slow coverage fuzz bench bench-figures ledger-smoke pairs examples loc check clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -31,9 +31,6 @@ fuzz:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-bench-hotpath:
-	$(PYTHON) benchmarks/bench_hotpath.py
 
 # The perf ledger at toy sizes, traced: output checks and schema only
 # (<30 s), then its own smoke + attribution self-test.  Writes nothing

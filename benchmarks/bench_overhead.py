@@ -15,11 +15,11 @@ import random
 
 import figlib
 from repro.core import LpbcastConfig
-from repro.core.codec import wire_size
 from repro.metrics import format_table
 from repro.metrics.bandwidth import BandwidthMeter
 from repro.pbcast import FIRST_PHASE_NONE, PbcastConfig, build_pbcast_nodes
 from repro.sim import BroadcastWorkload, NetworkModel, RoundSimulation, build_lpbcast_nodes
+from repro.wire import wire_bytes_of
 
 ROUNDS = 12
 N = 60
@@ -123,7 +123,7 @@ def test_wire_sizes(benchmark):
             event_ids=tuple((origin, 40, tuple(range(42, 52, 2)))
                             for origin in range(3, 15)),
         )
-        return wire_size(empty), wire_size(loaded)
+        return wire_bytes_of(empty), wire_bytes_of(loaded)
 
     empty_size, loaded_size = benchmark.pedantic(compute, rounds=1, iterations=1)
     print(f"\nempty gossip: {empty_size} B, fully loaded gossip: {loaded_size} B")

@@ -3,7 +3,7 @@
 
 Everything else in this repository *simulates* time; this example deploys
 the identical protocol objects on the loopback interface — one UDP socket
-and two threads per process, JSON datagrams on the wire, unsynchronized
+and two threads per process, binary frames on the wire, unsynchronized
 gossip timers — the laptop-scale analogue of the paper's 125-workstation
 measurements (Sec. 5.2), with Bernoulli loss injected at the send boundary
 to recreate ε.
@@ -17,6 +17,7 @@ Run:  python examples/udp_deployment.py
 import time
 
 from repro.core import FifoDeliveryGate, LpbcastConfig
+from repro.faults import FaultPlan
 from repro.metrics import DeliveryLog
 from repro.runtime import LocalDeployment
 from repro.sim import build_lpbcast_nodes
@@ -34,8 +35,8 @@ def main() -> None:
     gate.add_listener(lambda pid, note, now: fifo_seen.append(note.event_id))
     nodes[5].add_delivery_listener(gate.on_delivery)
 
-    cluster = LocalDeployment(nodes, gossip_period=period, loss_rate=0.1,
-                              seed=21)
+    cluster = LocalDeployment(nodes, gossip_period=period, seed=21,
+                              fault_plan=FaultPlan().drop(0.1))
     with cluster:
         print(f"deployed {n} processes on loopback UDP "
               f"(T={period * 1000:.0f} ms, 10% injected loss)")
@@ -50,9 +51,9 @@ def main() -> None:
 
     print(f"all {len(events)} broadcasts delivered everywhere: {complete} "
           f"(wall time {elapsed:.2f} s ~ {elapsed / period:.0f} gossip periods)")
-    print(f"datagrams sent: {cluster.total_datagrams()}, "
-          f"dropped by injected loss: "
-          f"{sum(h.datagrams_dropped for h in cluster.hosts)}")
+    counters = cluster.datagram_counters()
+    print(f"datagrams sent: {counters['sent']}, "
+          f"dropped by injected loss: {counters['lost_injected']}")
     order = [eid.seq for eid in fifo_seen if eid.origin == nodes[0].pid]
     print(f"subscriber 5 FIFO delivery order from publisher 0: {order}")
     assert order == sorted(order)

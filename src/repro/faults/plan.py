@@ -37,8 +37,8 @@ import random
 from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from ..core.codec import CodecError
 from ..core.ids import ProcessId
+from ..wire.varint import CodecError
 
 #: Fabricated process ids injected by :class:`PoisonViewFault` start here —
 #: far above any real pid the builders produce, so a poisoned id is

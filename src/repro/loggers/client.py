@@ -40,6 +40,11 @@ class LoggedLpbcastNode(LpbcastNode):
         loggers: Sequence[ProcessId] = (),
         recovery_period: int = 3,
     ) -> None:
+        if config is not None and config.causal_delivery:
+            raise ValueError(
+                "causal_delivery is not supported on logged nodes: LogUpload "
+                "and RecoveryResponse have no binary record for a "
+                "notification's causal deps")
         super().__init__(pid, config, rng, initial_view)
         if recovery_period < 1:
             raise ValueError("recovery_period must be >= 1")

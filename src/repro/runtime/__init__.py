@@ -2,7 +2,7 @@
 
 The simulators (:mod:`repro.sim`) study the protocols; this package *runs*
 them — loopback UDP datagrams, per-process receive and timer threads, the
-JSON wire codec — the repository's laptop-scale analogue of the paper's
+binary wire frames — the repository's laptop-scale analogue of the paper's
 Sec. 5.2 testbed measurements.
 """
 

@@ -9,21 +9,22 @@ the periodic gossip — the same protocol objects the simulators run, deployed
 for real.
 
 Loopback UDP practically never drops, so the deployment injects loss at the
-send boundary to recreate the paper's ε — via the unified fault layer: a
-``loss_rate`` is sugar for a one-fault :class:`~repro.faults.plan.FaultPlan`,
-and any richer plan (duplication, delay spikes, partitions) can be supplied
-through a :class:`~repro.faults.wire.DatagramFaultInjector`.
+send boundary to recreate the paper's ε — via the unified fault layer:
+``fault_plan=FaultPlan().drop(p)`` is one seeded
+:class:`~repro.faults.wire.DatagramFaultInjector` shared by every host, and
+any richer plan (duplication, delay spikes, partitions) goes the same way.
 
-The datagram format is the versioned frame layer of :mod:`repro.wire`:
-messages to the same destination batch into one compact binary frame
-(``wire_format="binary"``, the default), with the JSON codec available
-behind its own version byte for debugging (``wire_format="json"``).  Every
-received datagram goes through :func:`~repro.wire.decode_frame`; anything
-else — a bad version byte, a truncated frame — is a counted
-``udp.decode_errors``, never a parsed message.  A gossip
-whose single-message frame would exceed the datagram cap is *split* across
-several datagrams instead of silently destroyed; whatever still cannot fit
-is counted **and** traced with its kind and wire size.
+The datagram format is the frame layer of :mod:`repro.wire`: messages to
+the same destination batch into one compact binary frame.  A payload the
+binary codec cannot carry is refused by :meth:`UdpProcessHost.publish`,
+where it enters.  Every received datagram goes through
+:func:`~repro.wire.decode_frame`; anything else — a bad version byte, a
+truncated frame — is a counted ``udp.decode_errors``, never a parsed
+message.  A gossip whose single-message frame would exceed the datagram cap
+is *split* across several datagrams instead of silently destroyed; whatever
+still cannot fit is counted **and** traced with its kind and wire size.
+:meth:`UdpProcessHost.datagram_counters` and
+:meth:`LocalDeployment.datagram_counters` read these counters.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from ..core.ids import ProcessId
 from ..core.message import Outgoing
 from ..telemetry import Telemetry
 from ..wire import DatagramPlan, decode_frame, pack_datagrams
+from ..wire.binary import check_payload
 
 Address = Tuple[str, int]
 
@@ -49,9 +51,8 @@ _MAX_DATAGRAM = 65_000
 _RECV_BUFSIZE = _MAX_DATAGRAM + 1
 _RECV_TIMEOUT = 0.05
 
-_WIRE_FORMATS = ("binary", "json")
-
-#: Per-pid ``udp.*`` counter -> its :meth:`LocalDeployment.datagram_counters` key.
+#: Per-pid ``udp.*`` counter -> its :meth:`UdpProcessHost.datagram_counters`
+#: and :meth:`LocalDeployment.datagram_counters` key.
 _DATAGRAM_COUNTERS = {
     "udp.datagrams_sent": "sent",
     "udp.datagrams_received": "received",
@@ -67,6 +68,21 @@ _DATAGRAM_COUNTERS = {
 }
 
 
+def _datagram_totals(telemetry: Telemetry,
+                     pid: Optional[ProcessId] = None) -> Dict[str, int]:
+    """The ``udp.*`` counters of one :meth:`Telemetry.snapshot` (so all keys
+    are read at the same instant), summed over every pid or kept to one,
+    plus ``dropped``: the send-side drops of all three causes."""
+    totals = dict.fromkeys(_DATAGRAM_COUNTERS.values(), 0)
+    for (name, labels), value in telemetry.snapshot()["counters"].items():
+        key = _DATAGRAM_COUNTERS.get(name)
+        if key is not None and (pid is None or ("pid", pid) in labels):
+            totals[key] += value
+    totals["dropped"] = (totals["lost_injected"] + totals["oversize"]
+                         + totals["send_errors"])
+    return totals
+
+
 class UdpProcessHost:
     """Hosts one protocol node on a loopback UDP socket.
 
@@ -80,35 +96,18 @@ class UdpProcessHost:
         node,
         directory: Dict[ProcessId, Address],
         gossip_period: float = 0.05,
-        loss_rate: float = 0.0,
         rng: Optional[random.Random] = None,
         fault_injector=None,
         telemetry: Optional[Telemetry] = None,
-        wire_format: str = "binary",
     ) -> None:
         if gossip_period <= 0:
             raise ValueError("gossip_period must be positive")
-        if not 0.0 <= loss_rate < 1.0:
-            raise ValueError("loss_rate must be in [0, 1)")
-        if wire_format not in _WIRE_FORMATS:
-            raise ValueError(f"wire_format must be one of {_WIRE_FORMATS}")
         self.node = node
-        self.wire_format = wire_format
         self.directory = directory
         self.gossip_period = gossip_period
-        self.loss_rate = loss_rate
         self.rng = rng if rng is not None else random.Random()
-        # All send-side faults go through one injector: an explicit one
-        # (possibly shared across hosts, e.g. for partitions), or one built
-        # from the plain loss_rate knob.
-        if fault_injector is None and loss_rate:
-            from ..faults.plan import FaultPlan
-            from ..faults.wire import DatagramFaultInjector
-
-            fault_injector = DatagramFaultInjector(
-                FaultPlan().drop(loss_rate), rng=self.rng,
-                round_duration=gossip_period,
-            )
+        #: Every send-side fault goes through this one injector (possibly
+        #: shared across hosts, e.g. for partitions); None sends everything.
         self.fault_injector = fault_injector
 
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
@@ -125,76 +124,19 @@ class UdpProcessHost:
         self._timer = threading.Thread(
             target=self._timer_loop, name=f"tick-{node.pid}", daemon=True
         )
-        #: Registry the counter properties below read from — shared and
-        #: thread-safe across a deployment (receive loop, gossip timer and
-        #: delay timers of every host all write into it concurrently).
+        #: Registry of the ``udp.*`` counters — shared and thread-safe
+        #: across a deployment (receive loop, gossip timer and delay timers
+        #: of every host all write into it concurrently).
         self.telemetry = (telemetry if telemetry is not None
                           else Telemetry(thread_safe=True))
 
     def _count(self, name: str, value: int = 1) -> None:
         self.telemetry.inc(name, value, pid=self.node.pid)
 
-    def _counter(self, name: str) -> int:
-        return self.telemetry.counter_value(name, pid=self.node.pid)
-
-    # Back-compat counter surface: the old plain-int attributes, now views
-    # over the shared telemetry registry (one labelled series per pid).
-    @property
-    def datagrams_sent(self) -> int:
-        return self._counter("udp.datagrams_sent")
-
-    @property
-    def datagrams_received(self) -> int:
-        return self._counter("udp.datagrams_received")
-
-    @property
-    def datagrams_lost_injected(self) -> int:
-        """Send-side drops injected by the fault layer — kept distinct from
-        oversize and socket-error drops: conflating them (the old single
-        counter) made loss-rate experiments misreport whenever oversize or
-        socket errors occurred."""
-        return self._counter("udp.datagrams_lost_injected")
-
-    @property
-    def datagrams_oversize(self) -> int:
-        """Messages destroyed because no datagram could carry them even
-        after splitting — each one also leaves a ``wire.oversize`` trace
-        event naming its kind and wire size."""
-        return self._counter("udp.datagrams_oversize")
-
-    @property
-    def gossips_split(self) -> int:
-        """Oversize gossips split across several datagrams instead of
-        dropped (the pre-wire-layer behaviour was to destroy them whole)."""
-        return self._counter("udp.gossips_split")
-
-    @property
-    def datagrams_truncated(self) -> int:
-        """Datagrams longer than the send cap seen by ``recvfrom`` —
-        possibly cut short by the receive buffer, so never parsed."""
-        return self._counter("udp.datagrams_truncated")
-
-    @property
-    def datagrams_send_errors(self) -> int:
-        return self._counter("udp.datagrams_send_errors")
-
-    @property
-    def bytes_sent(self) -> int:
-        return self._counter("udp.bytes_sent")
-
-    @property
-    def bytes_received(self) -> int:
-        return self._counter("udp.bytes_received")
-
-    @property
-    def decode_errors(self) -> int:
-        return self._counter("udp.decode_errors")
-
-    @property
-    def datagrams_dropped(self) -> int:
-        """Total send-side drops (back-compat sum of the split counters)."""
-        return (self.datagrams_lost_injected + self.datagrams_oversize
-                + self.datagrams_send_errors)
+    def datagram_counters(self) -> Dict[str, int]:
+        """This host's datagram accounting: the keys of
+        :meth:`LocalDeployment.datagram_counters`, scoped to its pid."""
+        return _datagram_totals(self.telemetry, self.node.pid)
 
     # -- lifecycle ------------------------------------------------------------
     def start(self) -> None:
@@ -226,7 +168,14 @@ class UdpProcessHost:
         return result
 
     def publish(self, payload=None):
-        """Publish on the hosted node (lpbcast interface)."""
+        """Publish on the hosted node (lpbcast interface).
+
+        A payload no binary record can carry raises
+        :class:`~repro.wire.WireEncodeError` here, before the node assigns
+        it an event id — past this point it would fail every gossip that
+        carried it, on the timer thread.
+        """
+        check_payload(payload)
         with self._lock:
             return self.node.lpb_cast(payload, now=time.monotonic())
 
@@ -320,8 +269,7 @@ class UdpProcessHost:
         if plan is None:
             with self.telemetry.time("time.codec", op="encode"):
                 plan = plans[key] = pack_datagrams(
-                    self.node.pid, messages, fmt=self.wire_format,
-                    max_bytes=_MAX_DATAGRAM)
+                    self.node.pid, messages, max_bytes=_MAX_DATAGRAM)
         for message, size in plan.oversize:
             self._note_oversize(message, size)
         for message, size, parts in plan.splits:
@@ -369,11 +317,15 @@ class LocalDeployment:
         self,
         nodes: Sequence,
         gossip_period: float = 0.05,
-        loss_rate: float = 0.0,
         seed: int = 0,
         fault_plan=None,
         wire_format: str = "binary",
     ) -> None:
+        # Binary frames are the only format; the keyword stays because the
+        # perf ledger's UDP workloads still pass it.
+        if wire_format != "binary":
+            raise ValueError(
+                f"wire_format must be 'binary', got {wire_format!r}")
         self.directory: Dict[ProcessId, Address] = {}
         #: One thread-safe registry for the whole cluster; every host's
         #: ``udp.*`` series is labelled with its pid.
@@ -395,11 +347,9 @@ class LocalDeployment:
                 node,
                 self.directory,
                 gossip_period=gossip_period,
-                loss_rate=loss_rate,
                 rng=random.Random(root.getrandbits(64)),
                 fault_injector=self.fault_injector,
                 telemetry=self.telemetry,
-                wire_format=wire_format,
             )
             for node in nodes
         ]
@@ -445,22 +395,9 @@ class LocalDeployment:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.stop()
 
-    def total_datagrams(self) -> int:
-        return sum(host.datagrams_sent for host in self.hosts)
-
     def datagram_counters(self) -> Dict[str, int]:
-        """Cluster-wide datagram accounting with drop causes kept distinct —
-        the numbers a loss-rate experiment should report alongside
-        :meth:`total_datagrams`.  One :meth:`Telemetry.snapshot`, so all
-        keys are read at the same instant; but a sender counts after
-        ``sendto`` returns, possibly after its receiver did, so cross-host
-        relations (``received <= sent``) hold on a stopped deployment."""
-        totals = dict.fromkeys(_DATAGRAM_COUNTERS.values(), 0)
-        counters = self.telemetry.snapshot()["counters"]
-        for (name, _labels), value in counters.items():
-            key = _DATAGRAM_COUNTERS.get(name)
-            if key is not None:
-                totals[key] += value
-        totals["dropped"] = (totals["lost_injected"] + totals["oversize"]
-                             + totals["send_errors"])
-        return totals
+        """Cluster-wide datagram accounting with drop causes kept distinct.
+        A sender counts after ``sendto`` returns, possibly after its
+        receiver did, so cross-host relations (``received <= sent``) hold
+        on a stopped deployment."""
+        return _datagram_totals(self.telemetry)

@@ -1,7 +1,7 @@
 """Array-backed columnar round engine for mega-scale runs (n >= 100k).
 
-The object-per-node engines walk ``n`` Python objects per round and top out
-around n=5000 (BENCH_hotpath.json).  :class:`ColumnarRoundSimulation` keeps
+The object-per-node engines walk ``n`` Python objects per round, which keeps
+them to a few thousand nodes.  :class:`ColumnarRoundSimulation` keeps
 the whole system in preallocated dense columns keyed by node *index* —
 views, alive flags, per-event delivery/forwarding bitmaps, per-node stat
 counters — and executes each gossip round as a handful of batched

@@ -99,7 +99,7 @@ def _dumps(obj) -> bytes:
 
 def _wire_codecs():
     """Late import of the cross-shard blob codec: :mod:`repro.wire` pulls in
-    the whole message-type surface (``core.codec`` → ``pbcast`` → this
+    the whole message-type surface (``wire.binary`` → ``pbcast`` → this
     package), so a top-level import here would close an import cycle."""
     from ..wire import pack_messages, unpack_messages
     return pack_messages, unpack_messages

@@ -7,21 +7,17 @@ exploits it.  Three layers:
 * :mod:`repro.wire.varint` — LEB128 varints and zigzag signed encoding,
   the integer primitives everything else is built from;
 * :mod:`repro.wire.binary` — a tagged binary record per protocol message
-  type (every tag :mod:`repro.core.codec` knows), with event-id digests
-  delta-encoded in per-sender runs;
+  type, with event-id digests delta-encoded in per-sender runs;
 * :mod:`repro.wire.frame` — the datagram layer: a version byte, then many
   length-prefixed messages batched to one destination, with oversize
   gossips *split* across frames instead of dropped.
 
-The binary format is the default UDP datagram format
+The binary format is the one UDP datagram format
 (:mod:`repro.runtime.udp`) and the default cross-shard payload format of
-the sharded engine (:mod:`repro.wire.shard`); the JSON codec remains
-available behind its own frame version byte for debugging.  Malformed
-input of any kind raises :class:`~repro.core.codec.CodecError`, never
-anything else.
+the sharded engine (:mod:`repro.wire.shard`).  Malformed input of any
+kind raises :class:`CodecError`, never anything else.
 """
 
-from ..core.codec import CodecError
 from .binary import (
     WireEncodeError,
     decode_binary,
@@ -30,7 +26,6 @@ from .binary import (
 )
 from .frame import (
     FRAME_BINARY,
-    FRAME_JSON,
     DatagramPlan,
     decode_frame,
     encode_frame,
@@ -39,6 +34,7 @@ from .frame import (
 )
 from .golden import GOLDEN_VECTORS, check_golden_vectors
 from .shard import pack_messages, unpack_messages
+from .varint import CodecError
 
 __all__ = [
     "CodecError",
@@ -47,7 +43,6 @@ __all__ = [
     "decode_binary",
     "wire_bytes_of",
     "FRAME_BINARY",
-    "FRAME_JSON",
     "DatagramPlan",
     "encode_frame",
     "decode_frame",

@@ -1,7 +1,7 @@
 """The compact binary message codec.
 
-One tagged binary record per protocol message type — the same set of
-types :mod:`repro.core.codec` maps to JSON — built from varints
+One tagged binary record per protocol message type — lpbcast, pbcast,
+the logger extension and the pub/sub envelope — built from varints
 (:mod:`repro.wire.varint`), 8-byte IEEE doubles for timestamps, and
 length-prefixed UTF-8 for strings.  A gossip's ``eventIds`` digest travels
 as the Sec. 3.2 per-sender structure it is: per origin a zigzag origin
@@ -12,7 +12,9 @@ sharing an origin, each run a zigzag origin delta, a length, and zigzag
 sequence-number deltas, so any ordering round-trips exactly.
 
 Notification payloads are opaque to the protocol and travel as embedded
-compact JSON, exactly as lossy or faithful as the JSON wire format itself.
+compact JSON: a tuple arrives as a list, and a payload ``json`` cannot
+serialise (a set, an arbitrary object) has no binary form at all —
+:func:`check_payload` is the test a runtime applies where a payload enters.
 ``strict_payloads=True`` (the cross-shard setting) additionally demands the
 payload survive the JSON round trip *unchanged* — tuples, non-string dict
 keys and NaN are refused with :class:`WireEncodeError` so the sharded
@@ -20,7 +22,7 @@ engine can fall back to pickle instead of silently altering a payload the
 serial engine would have passed by reference.
 
 Decoding is total: unknown tags, truncated records, oversized varints and
-trailing bytes all raise :class:`~repro.core.codec.CodecError`.
+trailing bytes all raise :class:`~repro.wire.CodecError`.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import math
 import struct
 from typing import Callable, Dict, List, Tuple
 
-from ..core.codec import CodecError
 from ..core.events import Notification, Unsubscription
 from ..core.ids import EventId
 from ..core.message import (
@@ -50,6 +51,7 @@ from ..loggers.messages import (
 )
 from ..pbcast.messages import PbcastData, PbcastDigest, PbcastSolicit
 from .varint import (
+    CodecError,
     VarintRangeError,
     read_svarint,
     read_svarint_run,
@@ -371,8 +373,8 @@ def _w_notification(buf: bytearray, n: Notification, strict: bool,
     records that grew causal variants (gossip / retransmit response, tags
     0x10/0x11); every other notification-bearing record is defined on the
     deps-free form and must refuse — not silently strip — a deps-carrying
-    notification, so the shard/frame layers fall back to their lossless
-    encodings instead of corrupting the causal metadata.
+    notification, so the shard layer falls back to pickle and the frame
+    layer raises instead of corrupting the causal metadata.
     """
     if n.deps and not allow_deps:
         raise WireEncodeError(
@@ -592,7 +594,7 @@ def _encode_body(buf: bytearray, message, strict: bool) -> None:
         buf.append(1 if message.complete else 0)
     else:
         # Pub/sub envelopes nest another message; import lazily to avoid a
-        # package cycle (pubsub imports core), mirroring the JSON codec.
+        # package cycle (pubsub imports core).
         from ..pubsub.peer import TopicEnvelope
         if isinstance(message, TopicEnvelope):
             buf.append(TAG_TOPIC_ENVELOPE)
@@ -699,6 +701,12 @@ def encode_binary(message: object, strict_payloads: bool = False) -> bytes:
     except VarintRangeError as exc:
         raise WireEncodeError(str(exc)) from exc
     return bytes(buf)
+
+
+def check_payload(payload) -> None:
+    """Raise :class:`WireEncodeError` when no binary record can carry
+    ``payload`` as a notification payload."""
+    _w_payload(bytearray(), payload, False)
 
 
 def decode_binary(data) -> object:

@@ -3,14 +3,16 @@
 A *frame* is one datagram/blob carrying many protocol messages to the same
 destination::
 
-    byte 0   version — FRAME_JSON (0x01) or FRAME_BINARY (0x03)
+    byte 0   version — FRAME_BINARY (0x03)
     varint   zigzag sender pid
     varint   message count
-    N ×      varint length prefix + encoded message
+    N ×      varint length prefix + binary message record
 
-The version byte keeps the JSON codec on the wire for debugging; anything
-that starts with another byte (0x02 included: binary frames whose digest was
-an id list) is a decode error, never a parsed message.
+Binary records are the one encoding: a frame that starts with any other
+byte (0x01, once JSON, and 0x02, binary frames whose digest was an id list,
+included) is a decode error, never a parsed message, and a message with no
+binary form raises :class:`~repro.wire.binary.WireEncodeError` on the send
+path instead of travelling in some other format.
 A frame names its sender and never its destination, so the same bytes
 serve every target of a gossip.  :func:`pack_datagrams` is the send
 path: it batches messages per destination into as few frames as fit the
@@ -25,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..core.codec import CodecError, from_json, to_json
-from .binary import WireEncodeError, decode_binary, encode_binary
+from .binary import decode_binary, encode_binary
 from .varint import (
+    CodecError,
     read_svarint,
     read_uvarint,
     uvarint_len,
@@ -36,34 +38,11 @@ from .varint import (
     zigzag,
 )
 
-FRAME_JSON = 0x01
 FRAME_BINARY = 0x03
 
-_VERSIONS = (FRAME_JSON, FRAME_BINARY)
 
-
-def _encode_one(message: object, fmt: str,
-                strict: bool = False) -> Tuple[int, bytes]:
-    """Encode one message, returning ``(frame_version, blob)``.
-
-    In ``"binary"`` format a message without a binary form falls back to a
-    JSON blob (shipped in its own JSON-versioned frame) unless ``strict``.
-    """
-    if fmt == "binary":
-        try:
-            return FRAME_BINARY, encode_binary(message,
-                                               strict_payloads=strict)
-        except WireEncodeError:
-            if strict:
-                raise
-            return FRAME_JSON, to_json(message).encode("utf-8")
-    if fmt == "json":
-        return FRAME_JSON, to_json(message).encode("utf-8")
-    raise ValueError(f"unknown wire format {fmt!r}")
-
-
-def _assemble(version: int, sender: int, blobs: Sequence[bytes]) -> bytes:
-    frame = bytearray([version])
+def _assemble(sender: int, blobs: Sequence[bytes]) -> bytes:
+    frame = bytearray([FRAME_BINARY])
     write_svarint(frame, sender)
     write_uvarint(frame, len(blobs))
     for blob in blobs:
@@ -72,32 +51,18 @@ def _assemble(version: int, sender: int, blobs: Sequence[bytes]) -> bytes:
     return bytes(frame)
 
 
-def encode_frame(sender: int, messages: Sequence[object],
-                 fmt: str = "binary") -> bytes:
-    """Batch ``messages`` into a single frame (no size cap).
-
-    With ``fmt="binary"``, a message that has no binary form demotes the
-    whole frame to the JSON version — one frame carries one format.
-    """
-    if fmt == "binary":
-        try:
-            blobs = [encode_binary(m) for m in messages]
-            return _assemble(FRAME_BINARY, sender, blobs)
-        except WireEncodeError:
-            fmt = "json"
-    if fmt != "json":
-        raise ValueError(f"unknown wire format {fmt!r}")
-    blobs = [to_json(m).encode("utf-8") for m in messages]
-    return _assemble(FRAME_JSON, sender, blobs)
+def encode_frame(sender: int, messages: Sequence[object]) -> bytes:
+    """Batch ``messages`` into a single frame (no size cap)."""
+    return _assemble(sender, [encode_binary(m) for m in messages])
 
 
 def decode_frame(data) -> Tuple[int, List[object]]:
     """Frame bytes → ``(sender, messages)``; malformed input of any shape
-    raises :class:`~repro.core.codec.CodecError`."""
+    raises :class:`~repro.wire.CodecError`."""
     if not data:
         raise CodecError("empty frame")
     version = data[0]
-    if version not in _VERSIONS:
+    if version != FRAME_BINARY:
         raise CodecError(f"unsupported wire version byte {version:#04x}")
     sender, pos = read_svarint(data, 1)
     count, pos = read_uvarint(data, pos)
@@ -113,14 +78,7 @@ def decode_frame(data) -> Tuple[int, List[object]]:
         end = pos + length
         if end > len(data):
             raise CodecError("truncated frame: message overruns input")
-        blob = data[pos:end]
-        if version == FRAME_BINARY:
-            messages.append(decode_binary(blob))
-        else:
-            try:
-                messages.append(from_json(bytes(blob).decode("utf-8")))
-            except UnicodeDecodeError as exc:
-                raise CodecError(f"invalid UTF-8 in JSON frame: {exc}") from exc
+        messages.append(decode_binary(data[pos:end]))
         pos = end
     if pos != len(data):
         raise CodecError(f"{len(data) - pos} trailing bytes after frame")
@@ -167,16 +125,16 @@ def _halve(gossip):
 
 def split_oversize(
     message: object,
-    fits: Callable[[object], Optional[Tuple[int, bytes]]],
-) -> Optional[List[Tuple[object, int, bytes]]]:
+    fits: Callable[[object], Optional[bytes]],
+) -> Optional[List[Tuple[object, bytes]]]:
     """Split an oversize gossip until every part satisfies ``fits``.
 
-    ``fits(part)`` returns the part's ``(version, blob)`` when the part is
-    small enough to ship, else None.  Returns ``[(part, version, blob)]``
-    covering every element of the original exactly once, or None when the
-    message is not a gossip (or wraps an element that alone exceeds the
-    budget) — the caller then counts it as undeliverable instead of
-    shipping a truncated datagram.
+    ``fits(part)`` returns the part's encoded blob when the part is small
+    enough to ship, else None.  Returns ``[(part, blob)]`` covering every
+    element of the original exactly once, or None when the message is not
+    a gossip (or wraps an element that alone exceeds the budget) — the
+    caller then counts it as undeliverable instead of shipping a truncated
+    datagram.
     """
     gossip, topic = _gossip_of(message)
     if gossip is None:
@@ -188,15 +146,15 @@ def split_oversize(
         from ..pubsub.peer import TopicEnvelope
         return TopicEnvelope(topic, part)
 
-    def recurse(part) -> Optional[List[Tuple[object, int, bytes]]]:
+    def recurse(part) -> Optional[List[Tuple[object, bytes]]]:
         wrapped = wrap(part)
-        encoded = fits(wrapped)
-        if encoded is not None:
-            return [(wrapped, encoded[0], encoded[1])]
+        blob = fits(wrapped)
+        if blob is not None:
+            return [(wrapped, blob)]
         halves = _halve(part)
         if halves is None:
             return None
-        out: List[Tuple[object, int, bytes]] = []
+        out: List[Tuple[object, bytes]] = []
         for half in halves:
             sub = recurse(half)
             if sub is None:
@@ -224,13 +182,13 @@ class DatagramPlan:
 
 
 def pack_datagrams(sender: int, messages: Sequence[object],
-                   fmt: str = "binary",
                    max_bytes: int = 65_000) -> DatagramPlan:
     """Batch ``messages`` (one destination) into capped frames.
 
     Messages pack greedily, in order, into as few frames as fit
     ``max_bytes``; a message whose single-message frame would exceed the
-    cap is split (gossips) or reported oversize (anything else).
+    cap is split (gossips) or reported oversize (anything else).  A message
+    with no binary form raises :class:`~repro.wire.binary.WireEncodeError`.
     """
     base = 1 + uvarint_len(zigzag(sender))
     plan = DatagramPlan()
@@ -239,39 +197,31 @@ def pack_datagrams(sender: int, messages: Sequence[object],
         return (base + uvarint_len(n_msgs) + body
                 + uvarint_len(extra_blob) + extra_blob)
 
-    def fits_alone(message) -> Optional[Tuple[int, bytes]]:
-        version, blob = _encode_one(message, fmt)
-        if frame_size(1, 0, len(blob)) <= max_bytes:
-            return version, blob
-        return None
+    def fits_alone(message) -> Optional[bytes]:
+        blob = encode_binary(message)
+        return blob if frame_size(1, 0, len(blob)) <= max_bytes else None
 
-    encoded: List[Tuple[int, bytes]] = []
+    pending: List[bytes] = []
+    body = 0
     for message in messages:
-        version, blob = _encode_one(message, fmt)
+        blob = encode_binary(message)
         size = frame_size(1, 0, len(blob))
         if size <= max_bytes:
-            encoded.append((version, blob))
-            continue
-        parts = split_oversize(message, fits_alone)
-        if parts is None:
-            plan.oversize.append((message, size))
-            continue
-        plan.splits.append((message, size, len(parts)))
-        encoded.extend((version, blob) for _part, version, blob in parts)
-
-    # One frame carries one format; preserve order within each format.
-    for wanted in _VERSIONS:
-        pending: List[bytes] = []
-        body = 0
-        for version, blob in encoded:
-            if version != wanted:
+            blobs: Sequence[bytes] = (blob,)
+        else:
+            parts = split_oversize(message, fits_alone)
+            if parts is None:
+                plan.oversize.append((message, size))
                 continue
+            plan.splits.append((message, size, len(parts)))
+            blobs = [part_blob for _part, part_blob in parts]
+        for blob in blobs:
             if pending and frame_size(len(pending) + 1, body,
                                       len(blob)) > max_bytes:
-                plan.datagrams.append(_assemble(wanted, sender, pending))
+                plan.datagrams.append(_assemble(sender, pending))
                 pending, body = [], 0
             pending.append(blob)
             body += uvarint_len(len(blob)) + len(blob)
-        if pending:
-            plan.datagrams.append(_assemble(wanted, sender, pending))
+    if pending:
+        plan.datagrams.append(_assemble(sender, pending))
     return plan

@@ -6,9 +6,9 @@ fixtures are the format's compatibility contract: an encoder change that
 alters any vector is a wire-format break and must bump the frame version
 byte rather than silently change what peers and shards exchange (0x02 ->
 0x03 re-pinned the three gossip vectors: per-origin digest entries, same ids).
-:func:`check_golden_vectors` is asserted by the unit tests *and* by
-``bench_hotpath.py --check`` (the CI perf-smoke job), so a drift fails
-fast in both places.
+:func:`check_golden_vectors` is asserted by the unit tests
+(``tests/wire/test_golden.py``) and by every perf-ledger worker before it
+measures, so a drift fails fast in both places.
 """
 
 from __future__ import annotations

@@ -21,9 +21,8 @@ from __future__ import annotations
 import pickle
 from typing import List, Sequence
 
-from ..core.codec import CodecError
 from .binary import WireEncodeError, decode_binary, encode_binary
-from .varint import read_uvarint, write_uvarint
+from .varint import CodecError, read_uvarint, write_uvarint
 
 BLOB_PICKLE = 0x00
 BLOB_BINARY = 0x02

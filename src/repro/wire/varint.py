@@ -8,8 +8,8 @@ sign.
 
 Decoding is defensive: a truncated varint or one longer than
 :data:`MAX_VARINT_BYTES` (an adversarial unbounded-continuation stream)
-raises :class:`~repro.core.codec.CodecError`, never an unbounded loop or a
-foreign exception.  Encoding enforces the same cap so every value written
+raises :class:`CodecError`, never an unbounded loop or a foreign
+exception.  Encoding enforces the same cap so every value written
 is guaranteed decodable.
 """
 
@@ -17,7 +17,10 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from ..core.codec import CodecError
+
+class CodecError(ValueError):
+    """Raised for unknown message tags or malformed encodings — by every
+    decoder of the wire format, this lowest layer first."""
 
 #: Hard cap on one varint's wire length: 10 bytes carry 70 payload bits,
 #: comfortably above any id, count or length the protocol produces while

@@ -1,15 +1,9 @@
-"""Tests for the wire codec."""
+"""The message codec's contract: every protocol message has one binary
+record, survives it (alone and inside a frame), and damaged or unknown
+input is refused with :class:`~repro.wire.CodecError`."""
 
 import pytest
 
-from repro.core.codec import (
-    CodecError,
-    decode_message,
-    encode_message,
-    from_json,
-    to_json,
-    wire_size,
-)
 from repro.core.events import Unsubscription
 from repro.core.ids import EventId
 from repro.core.message import (
@@ -22,6 +16,17 @@ from repro.core.message import (
 from repro.loggers import LogUpload, LogUploadAck, RecoveryRequest, RecoveryResponse
 from repro.pbcast import PbcastData, PbcastDigest, PbcastSolicit
 from repro.pubsub import TopicEnvelope
+from repro.wire import (
+    CodecError,
+    decode_binary,
+    decode_frame,
+    encode_binary,
+    encode_frame,
+    wire_bytes_of,
+)
+from repro.wire import binary
+from repro.wire.binary import TAG_GOSSIP, TAG_LOG_UPLOAD, TAG_SUB_REQUEST, TAG_TOPIC_ENVELOPE
+from repro.wire.varint import write_svarint, write_uvarint
 
 from ..helpers import notification
 
@@ -52,91 +57,132 @@ ALL_MESSAGES = [
     TopicEnvelope("stocks/nasdaq", FULL_GOSSIP),
 ]
 
+KNOWN_TAGS = {value for name, value in vars(binary).items()
+              if name.startswith("TAG_")}
+
+
+def _gossip_record_with_digest_entry(fields):
+    """A gossip record (sender 1, no subs, unsubs or events) whose digest is
+    one entry written field by field: origin, frontier, extras count, gaps."""
+    record = bytearray([TAG_GOSSIP])
+    write_svarint(record, 1)
+    record += bytes([0, 0, 0, 1])
+    origin, *rest = fields
+    write_svarint(record, origin)
+    for value in rest:
+        write_uvarint(record, value)
+    return bytes(record)
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("message", ALL_MESSAGES,
                              ids=lambda m: type(m).__name__)
     def test_dict_round_trip(self, message):
-        assert decode_message(encode_message(message)) == message
+        # Every payload here is a plain JSON value (dict, list, text, None),
+        # so the record holds even under the strict payload check.
+        assert decode_binary(encode_binary(message, strict_payloads=True)) \
+            == message
 
     @pytest.mark.parametrize("message", ALL_MESSAGES,
                              ids=lambda m: type(m).__name__)
     def test_json_round_trip(self, message):
-        assert from_json(to_json(message)) == message
+        # Payloads ride as embedded JSON inside a record, and records ride
+        # inside a frame: the whole datagram gives the message back.
+        assert decode_frame(encode_frame(7, [message])) == (7, [message])
 
     def test_nested_envelope(self):
         inner = TopicEnvelope("a", SubscriptionRequest(1))
         outer = TopicEnvelope("b", inner)
-        assert from_json(to_json(outer)) == outer
+        assert decode_frame(encode_frame(1, [outer, inner])) \
+            == (1, [outer, inner])
 
 
 class TestErrors:
     def test_unknown_type_rejected(self):
-        with pytest.raises(CodecError, match="cannot encode"):
-            encode_message(object())
+        with pytest.raises(CodecError, match="cannot binary-encode"):
+            encode_binary(object())
 
     def test_unknown_tag_rejected(self):
-        with pytest.raises(CodecError, match="unknown message tag"):
-            decode_message({"@": "zz"})
+        for tag in set(range(256)) - KNOWN_TAGS:
+            with pytest.raises(CodecError, match="unknown binary message tag"):
+                decode_binary(bytes([tag, 0]))
 
     def test_untagged_rejected(self):
-        with pytest.raises(CodecError, match="not a tagged"):
-            decode_message({"s": 1})
-        with pytest.raises(CodecError):
-            decode_message("nope")
+        for empty in (b"", bytearray(), memoryview(b"")):
+            with pytest.raises(CodecError, match="missing tag byte"):
+                decode_binary(empty)
 
     def test_malformed_fields_rejected(self):
-        with pytest.raises(CodecError):
-            decode_message({"@": "g"})  # missing sender
-        with pytest.raises(CodecError):
-            decode_message({"@": "g", "s": 1, "ids": [["x"]]})
+        with pytest.raises(CodecError, match="truncated"):
+            decode_binary(bytes([TAG_GOSSIP]))      # missing sender
+        # subs, unsubs, events empty; a digest of one entry whose extras
+        # count promises a gap that never comes.
+        with pytest.raises(CodecError, match="truncated"):
+            decode_binary(bytes([TAG_GOSSIP, 2, 0, 0, 0, 1, 6, 4, 1]))
 
-    @pytest.mark.parametrize("entry, message", [
-        ([3, 1], "malformed digest entry"),         # the old [origin, seq] pair
-        ([3, 1, 4], "malformed digest entry"),
-        ([3, -1, []], "do not ascend past the frontier"),
-        ([3, 2, [2]], "do not ascend past the frontier"),
-        ([3, 2, [5, 5]], "do not ascend past the frontier"),
-        ([3, 2, [6, 4]], "do not ascend past the frontier"),
+    @pytest.mark.parametrize("entry, match", [
+        pytest.param(fields, match, id=f"entry{index}-{why}")
+        for index, (fields, why, match) in enumerate([
+            # The old (origin, seq) pair: no extras count follows.
+            ([3, 1], "malformed digest entry", "truncated"),
+            # Four gaps promised, none sent.
+            ([3, 1, 4], "malformed digest entry", "truncated"),
+            # A zero gap puts an extra on the frontier or on the one before.
+            ([3, 0, 1, 0], "do not ascend past the frontier", "do not ascend"),
+            ([3, 2, 1, 0], "do not ascend past the frontier", "do not ascend"),
+            ([3, 2, 2, 3, 0], "do not ascend past the frontier",
+             "do not ascend"),
+            ([3, 2, 3, 1, 1, 0], "do not ascend past the frontier",
+             "do not ascend"),
+        ])
     ])
-    def test_digest_entries_held_to_the_binary_record(self, entry, message):
-        with pytest.raises(CodecError, match=message):
-            decode_message({"@": "g", "s": 1, "ids": [entry]})
+    def test_digest_entries_held_to_the_binary_record(self, entry, match):
+        with pytest.raises(CodecError, match=match):
+            decode_binary(_gossip_record_with_digest_entry(entry))
 
     def test_invalid_json(self):
-        with pytest.raises(CodecError, match="invalid JSON"):
-            from_json("{broken")
+        record = bytearray([TAG_LOG_UPLOAD])
+        for value in (1, 1, 1):                     # sender, origin, seq
+            write_svarint(record, value)
+        record += bytes(8)                          # created_at
+        write_uvarint(record, 7)
+        record += b"{broken"
+        with pytest.raises(CodecError, match="invalid payload JSON"):
+            decode_binary(bytes(record))
 
     def test_malformed_envelope(self):
-        with pytest.raises(CodecError):
-            decode_message({"@": "te", "topic": "a"})
+        # A topic with no inner message behind it.
+        with pytest.raises(CodecError, match="missing tag byte"):
+            decode_binary(bytes([TAG_TOPIC_ENVELOPE, 1]) + b"a")
 
 
 class TestWireSize:
     def test_monotone_in_content(self):
         empty = GossipMessage(sender=1)
-        assert wire_size(FULL_GOSSIP) > wire_size(empty)
+        assert wire_bytes_of(FULL_GOSSIP) > wire_bytes_of(empty)
 
     def test_roughly_compact(self):
-        assert wire_size(GossipMessage(sender=1)) < 80
+        # Tag, sender and five empty-list counts.
+        assert wire_bytes_of(GossipMessage(sender=1)) == 7
 
 
 class TestTopicValidation:
-    """Regression: a TopicEnvelope with a non-string topic used to encode
-    (and decode) silently, producing an envelope no peer's topic table
-    could match and no re-encode could round-trip."""
+    """A TopicEnvelope with a non-string topic would build an envelope no
+    peer's topic table could match: refused on both sides of the wire."""
 
     def test_encode_rejects_non_string_topic(self):
         for bad in (42, None, ("a",), b"bytes"):
-            with pytest.raises(CodecError, match="topic must be a string"):
-                encode_message(TopicEnvelope(bad, SubscriptionRequest(1)))
+            with pytest.raises(CodecError, match="expected str"):
+                encode_binary(TopicEnvelope(bad, SubscriptionRequest(1)))
 
     def test_decode_rejects_non_string_topic(self):
-        inner = encode_message(SubscriptionRequest(1))
-        for bad in (42, None, ["a"], {"t": 1}):
-            with pytest.raises(CodecError, match="topic must be a string"):
-                decode_message({"@": "te", "topic": bad, "inner": inner})
+        # A topic that is not UTF-8 text never becomes an envelope.
+        blob = bytes([TAG_TOPIC_ENVELOPE, 2]) + b"\xff\xfe" + bytes(
+            [TAG_SUB_REQUEST, 2])
+        with pytest.raises(CodecError, match="invalid UTF-8"):
+            decode_binary(blob)
 
     def test_string_topics_still_round_trip(self):
-        message = TopicEnvelope("topic/with/slashes", SubscriptionRequest(2))
-        assert from_json(to_json(message)) == message
+        for topic in ("topic/with/slashes", "", "ünïcödé"):
+            message = TopicEnvelope(topic, SubscriptionRequest(2))
+            assert decode_binary(encode_binary(message)) == message

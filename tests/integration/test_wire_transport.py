@@ -1,19 +1,19 @@
 """End-to-end runs with every message passed through the wire codec.
 
-Proves the protocols are codec-clean: serializing each message to JSON and
-back at the delivery boundary (what a real UDP/TCP transport would do)
-changes nothing about protocol behaviour.
+Proves the protocols are codec-clean: encoding each message to its binary
+record and back at the delivery boundary (what a real UDP/TCP transport
+would do) changes nothing about protocol behaviour.
 """
 
 import random
 
 from repro.core import LpbcastConfig
-from repro.core.codec import from_json, to_json
 from repro.loggers import build_logged_system
 from repro.metrics import DeliveryLog
 from repro.pbcast import FIRST_PHASE_NONE, PbcastConfig, build_pbcast_nodes
 from repro.pubsub import build_pubsub_peers
 from repro.sim import NetworkModel, RoundSimulation, build_lpbcast_nodes
+from repro.wire import decode_binary, encode_binary
 
 
 def codec_boundary(node):
@@ -22,7 +22,7 @@ def codec_boundary(node):
     original = node.handle_message
 
     def wrapped(sender, message, now):
-        return original(sender, from_json(to_json(message)), now)
+        return original(sender, decode_binary(encode_binary(message)), now)
 
     node.handle_message = wrapped
     return node

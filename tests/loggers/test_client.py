@@ -87,6 +87,10 @@ class TestRecovery:
         with pytest.raises(ValueError):
             LoggedLpbcastNode(0, recovery_period=0)
 
+    def test_causal_delivery_rejected(self):
+        with pytest.raises(ValueError, match="no binary record"):
+            make_client(causal_delivery=True)
+
 
 class TestStrongGuarantee:
     def run_system(self, with_loggers: bool, seed=3):

@@ -95,7 +95,7 @@ class TestByteAccounting:
         assert meter.round_traffic(3).wire_bytes == 0
 
     def test_bytes_exact_against_recount(self):
-        from repro.core.codec import wire_size
+        from repro.wire import encode_binary
 
         sim, meter = self._run("serial")
         total = meter.total_wire_bytes()
@@ -117,7 +117,7 @@ class TestByteAccounting:
         resim.add_nodes(nodes)
         resim.nodes[nodes[0].pid].lpb_cast("bytes!", 0.0)
         resim.run(6)
-        expected = sum(wire_size(m, fmt="binary")
+        expected = sum(len(encode_binary(m))
                        for r, m in captured if r == 4)
         assert meter.round_traffic(4).wire_bytes == expected
 

@@ -1,28 +1,37 @@
 """Property-based tests for the binary wire codec and frame layer.
 
-Reuses the message strategies of :mod:`tests.property.test_codec_properties`
-(extended with the logger messages and pub/sub envelopes, so every binary
-tag is generated) and checks two total properties: every generated message
-round-trips bit-exactly through both codecs, and *no* byte string — random
-or a truncated/mutated valid encoding — ever raises anything but
-:class:`~repro.core.codec.CodecError`.
+Message strategies cover every binary tag — the core protocol, pbcast, the
+logger messages and pub/sub envelopes — and the tests check two total
+properties: every generated message round-trips bit-exactly, and *no* byte
+string — random or a truncated/mutated valid encoding — ever raises
+anything but :class:`~repro.wire.CodecError`.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.codec import CodecError, from_json, to_json
-from repro.core.events import Notification
-from repro.core.message import GossipMessage, RetransmitResponse
+from repro.core.events import Notification, Unsubscription
+from repro.core.ids import EventId
+from repro.core.message import (
+    EchoMessage,
+    GossipMessage,
+    ReadyMessage,
+    RetransmitRequest,
+    RetransmitResponse,
+    SubscriptionAck,
+    SubscriptionRequest,
+)
 from repro.loggers.messages import (
     LogUpload,
     LogUploadAck,
     RecoveryRequest,
     RecoveryResponse,
 )
+from repro.pbcast import PbcastData, PbcastDigest, PbcastSolicit
 from repro.pubsub.peer import TopicEnvelope
 from repro.wire import (
+    CodecError,
     decode_binary,
     decode_frame,
     encode_binary,
@@ -30,19 +39,88 @@ from repro.wire import (
     pack_messages,
     unpack_messages,
 )
-
-from .test_codec_properties import (
-    any_message as core_messages,
-    digests_of_ids,
-    event_ids,
-    gossips,
-    heartbeats,
-    json_payloads,
-    notifications,
-    pids,
-    unsubs,
-)
 from repro.wire.binary import TAG_GOSSIP_CAUSAL, TAG_RETR_RESPONSE_CAUSAL
+
+pids = st.integers(min_value=0, max_value=10_000)
+seqs = st.integers(min_value=1, max_value=10_000)
+event_ids = st.builds(EventId, origin=pids, seq=seqs)
+
+# JSON-representable payloads (None, bools, ints, floats, strings, and
+# shallow containers of them).
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**31), max_value=2**31),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=20),
+)
+json_payloads = st.one_of(
+    json_scalars,
+    st.lists(json_scalars, max_size=4),
+    st.dictionaries(st.text(max_size=8), json_scalars, max_size=4),
+)
+
+# deps pinned empty: dependency metadata rides only the records with causal
+# binary forms (gossip / retransmit response); the deps-carrying strategies
+# are below, next to the causal-tag tests.
+notifications = st.builds(
+    Notification,
+    event_id=event_ids,
+    payload=json_payloads,
+    created_at=st.floats(min_value=0, max_value=1e6, allow_nan=False),
+    deps=st.just(()),
+)
+unsubs = st.builds(
+    Unsubscription, pid=pids,
+    timestamp=st.floats(min_value=0, max_value=1e6, allow_nan=False),
+)
+heartbeats = st.lists(
+    st.tuples(pids, st.integers(min_value=0, max_value=10**6)), max_size=5
+).map(tuple)
+
+# A gossip's digest: per-origin (origin, frontier, extras) entries in any
+# origin order, extras ascending past the frontier by gaps of every width.
+digest_entries = st.tuples(
+    pids, st.integers(min_value=0, max_value=10_000),
+    st.lists(st.integers(min_value=1, max_value=300), max_size=4),
+).map(lambda e: (e[0], e[1], tuple(
+    e[1] + sum(e[2][:k + 1]) for k in range(len(e[2])))))
+digests_of_ids = st.lists(digest_entries, max_size=6).map(tuple)
+
+gossips = st.builds(
+    GossipMessage,
+    sender=pids,
+    subs=st.lists(pids, max_size=6).map(tuple),
+    unsubs=st.lists(unsubs, max_size=4).map(tuple),
+    events=st.lists(notifications, max_size=4).map(tuple),
+    event_ids=digests_of_ids,
+    heartbeats=heartbeats,
+)
+
+# payload_digest() values span the full 64-bit range (first 8 bytes of a
+# sha256), so the digest strategy must too.
+digests = st.integers(min_value=0, max_value=2**64 - 1)
+
+core_messages = st.one_of(
+    gossips,
+    st.builds(EchoMessage, sender=pids, event_id=event_ids, digest=digests),
+    st.builds(ReadyMessage, sender=pids, event_id=event_ids, digest=digests),
+    st.builds(SubscriptionRequest, subscriber=pids),
+    st.builds(SubscriptionAck, contact=pids,
+              view_sample=st.lists(pids, max_size=6).map(tuple)),
+    st.builds(RetransmitRequest, requester=pids,
+              event_ids=st.lists(event_ids, max_size=5).map(tuple)),
+    st.builds(RetransmitResponse, responder=pids,
+              events=st.lists(notifications, max_size=3).map(tuple)),
+    st.builds(PbcastData, sender=pids, notification=notifications,
+              hops=st.integers(0, 10)),
+    st.builds(PbcastDigest, sender=pids,
+              ids=st.lists(event_ids, max_size=5).map(tuple),
+              subs=st.lists(pids, max_size=4).map(tuple),
+              unsubs=st.lists(unsubs, max_size=3).map(tuple)),
+    st.builds(PbcastSolicit, requester=pids,
+              ids=st.lists(event_ids, max_size=5).map(tuple)),
+)
 
 logger_messages = st.one_of(
     st.builds(LogUpload, sender=pids, notification=notifications),
@@ -94,25 +172,12 @@ class TestBinaryRoundTrip:
     def test_binary_round_trip_identity(self, message):
         assert decode_binary(encode_binary(message)) == message
 
-    @settings(max_examples=150, deadline=None)
-    @given(message=any_wire_message)
-    def test_binary_agrees_with_json_codec(self, message):
-        # Both codecs must reconstruct the same object from their own wire
-        # forms — the two formats are interchangeable behind the version
-        # byte, so a message may cross one leg as JSON and the next as
-        # binary.
-        assert decode_binary(encode_binary(message)) \
-            == from_json(to_json(message))
-
     @settings(max_examples=100, deadline=None)
     @given(messages=st.lists(any_wire_message, max_size=6), sender=pids)
-    def test_frame_round_trip_both_formats(self, messages, sender):
-        for fmt in ("binary", "json"):
-            got_sender, got = decode_frame(
-                encode_frame(sender, messages, fmt=fmt)
-            )
-            assert got_sender == sender
-            assert got == messages
+    def test_frame_round_trip(self, messages, sender):
+        got_sender, got = decode_frame(encode_frame(sender, messages))
+        assert got_sender == sender
+        assert got == messages
 
     @settings(max_examples=100, deadline=None)
     @given(messages=st.lists(any_wire_message, max_size=6))
@@ -171,19 +236,13 @@ class TestAdversarialInput:
 
 class TestCausalMetadataWire:
     """The dependency-carrying records (tags 0x10/0x11) under the same
-    total properties as every other tag: exact round trips, cross-codec
-    agreement, and graceful rejection of every malformed byte string."""
+    total properties as every other tag: exact round trips and graceful
+    rejection of every malformed byte string."""
 
     @settings(max_examples=300, deadline=None)
     @given(message=causal_messages)
     def test_causal_round_trip_identity(self, message):
         assert decode_binary(encode_binary(message)) == message
-
-    @settings(max_examples=150, deadline=None)
-    @given(message=causal_messages)
-    def test_causal_binary_agrees_with_json_codec(self, message):
-        assert decode_binary(encode_binary(message)) \
-            == from_json(to_json(message))
 
     @settings(max_examples=200, deadline=None)
     @given(message=causal_messages)

@@ -11,17 +11,20 @@ import time
 import pytest
 
 from repro.core import LpbcastConfig
+from repro.faults import FaultPlan
 from repro.metrics import DeliveryLog
 from repro.runtime import LocalDeployment, UdpProcessHost
 from repro.sim import build_lpbcast_nodes
+from repro.wire import WireEncodeError
 
 
 def build_cluster(n=8, loss=0.0, period=0.03, seed=1, view=6):
     cfg = LpbcastConfig(fanout=3, view_max=view, gossip_period=period)
     nodes = build_lpbcast_nodes(n, cfg, seed=seed)
     log = DeliveryLog().attach(nodes)
-    cluster = LocalDeployment(nodes, gossip_period=period, loss_rate=loss,
-                              seed=seed)
+    cluster = LocalDeployment(
+        nodes, gossip_period=period, seed=seed,
+        fault_plan=FaultPlan().drop(loss) if loss else None)
     return cluster, nodes, log
 
 
@@ -43,7 +46,8 @@ class TestDeployment:
                 lambda: log.delivery_count(event.event_id) == 8, timeout=10.0
             )
         assert done
-        assert any(host.datagrams_dropped > 0 for host in cluster.hosts)
+        assert any(host.datagram_counters()["dropped"] > 0
+                   for host in cluster.hosts)
 
     def test_multiple_publishers_concurrently(self):
         cluster, nodes, log = build_cluster(n=10, seed=3)
@@ -64,7 +68,8 @@ class TestDeployment:
         cluster, nodes, log = build_cluster(n=6, period=0.05, seed=4)
         with cluster:
             cluster.run_for(0.5)
-            sent = [host.datagrams_sent for host in cluster.hosts]
+            sent = [host.datagram_counters()["sent"]
+                    for host in cluster.hosts]
         # ~10 ticks x fanout 3 each; generous bounds for scheduler jitter.
         assert all(s >= 9 for s in sent)
 
@@ -83,7 +88,8 @@ class TestDeployment:
                 lambda: log.delivery_count(event.event_id) == 4, timeout=8.0
             )
         assert done
-        assert cluster.host(nodes[0].pid).decode_errors >= 2
+        assert cluster.host(nodes[0].pid).datagram_counters()[
+            "decode_errors"] >= 2
 
     def test_stop_is_clean_and_idempotent(self):
         cluster, nodes, log = build_cluster(n=4, seed=6)
@@ -123,6 +129,28 @@ class TestDeployment:
             host.join()
         assert joined
 
+    def test_unencodable_payload_refused_at_publish(self):
+        # A set has no JSON form, so no gossip could carry it: publish
+        # refuses it before the node assigns an id, and the host's timer
+        # thread (which would have died encoding the next gossip) lives on.
+        cluster, nodes, log = build_cluster(n=6, seed=10)
+        publisher = nodes[0]
+        with cluster:
+            host = cluster.host(publisher.pid)
+            with pytest.raises(WireEncodeError, match="unencodable payload"):
+                host.publish({1, 2})
+            assert publisher.stats.published == 0
+            assert not publisher.events
+            cluster.run_for(0.1)           # a few gossip periods
+            assert host._timer.is_alive()
+            event = host.publish("ok")
+            assert event.event_id.seq == 1  # the refused payload took no id
+            done = cluster.wait_until(
+                lambda: log.delivery_count(event.event_id) == 6, timeout=8.0
+            )
+            assert host._timer.is_alive()
+        assert done, f"only {log.delivery_count(event.event_id)}/6 delivered"
+
 
 class TestDropAccounting:
     """The three send-side drop causes stay distinct (a conflated counter
@@ -135,11 +163,12 @@ class TestDropAccounting:
             cluster.wait_until(
                 lambda: log.delivery_count(event.event_id) == 6, timeout=10.0
             )
-        lost = sum(h.datagrams_lost_injected for h in cluster.hosts)
+        per_host = [h.datagram_counters() for h in cluster.hosts]
+        lost = sum(c["lost_injected"] for c in per_host)
         assert lost > 0
-        assert sum(h.datagrams_oversize for h in cluster.hosts) == 0
-        assert sum(h.datagrams_send_errors for h in cluster.hosts) == 0
-        assert sum(h.datagrams_dropped for h in cluster.hosts) == lost
+        assert sum(c["oversize"] for c in per_host) == 0
+        assert sum(c["send_errors"] for c in per_host) == 0
+        assert sum(c["dropped"] for c in per_host) == lost
 
     def test_oversize_lands_in_its_own_counter(self):
         cluster, nodes, log = build_cluster(n=2, seed=12)
@@ -147,10 +176,10 @@ class TestDropAccounting:
             host = cluster.host(nodes[0].pid)
             host.with_node(lambda node: node.lpb_cast("x" * 100_000))
             cluster.run_for(0.3)
-            oversize = host.datagrams_oversize
-            assert oversize > 0
-            assert host.datagrams_lost_injected == 0
-            assert host.datagrams_dropped == oversize
+            counters = host.datagram_counters()
+            assert counters["oversize"] > 0
+            assert counters["lost_injected"] == 0
+            assert counters["dropped"] == counters["oversize"]
 
     def test_cluster_counters_aggregate_by_cause(self):
         cluster, nodes, log = build_cluster(n=6, loss=0.2, seed=13)
@@ -164,12 +193,14 @@ class TestDropAccounting:
         assert counters["dropped"] == (counters["lost_injected"]
                                        + counters["oversize"]
                                        + counters["send_errors"])
+        # The cluster's counters are the sum of its hosts', key by key.
+        per_host = [host.datagram_counters() for host in cluster.hosts]
+        assert counters == {key: sum(c[key] for c in per_host)
+                            for key in counters}
 
 
 class TestFaultPlanDeployment:
     def test_drop_plan_replaces_loss_rate(self):
-        from repro.faults import FaultPlan
-
         cfg = LpbcastConfig(fanout=3, view_max=6, gossip_period=0.03)
         nodes = build_lpbcast_nodes(8, cfg, seed=14)
         log = DeliveryLog().attach(nodes)
@@ -187,8 +218,6 @@ class TestFaultPlanDeployment:
         assert cluster.fault_injector.stats.dropped > 0
 
     def test_partition_plan_cuts_the_cluster(self):
-        from repro.faults import FaultPlan
-
         cfg = LpbcastConfig(fanout=3, view_max=6, gossip_period=0.03)
         nodes = build_lpbcast_nodes(6, cfg, seed=15)
         log = DeliveryLog().attach(nodes)
@@ -216,7 +245,7 @@ class TestValidation:
 
     def test_invalid_loss(self):
         with pytest.raises(ValueError):
-            build_cluster(loss=1.0)
+            build_cluster(loss=1.5)
 
     def test_oversized_datagram_dropped_not_crashed(self):
         cluster, nodes, log = build_cluster(n=2, seed=8)
@@ -225,7 +254,7 @@ class TestValidation:
             # A payload far beyond the 65 kB datagram cap.
             host.with_node(lambda node: node.lpb_cast("x" * 100_000))
             cluster.run_for(0.3)
-            dropped = host.datagrams_dropped
+            dropped = host.datagram_counters()["dropped"]
         assert dropped > 0  # counted, not raised
 
     def test_message_to_unknown_pid_ignored(self):

@@ -1,5 +1,6 @@
 """pbcast on the UDP deployment: the baseline also runs on real sockets."""
 
+from repro.faults import FaultPlan
 from repro.metrics import DeliveryLog
 from repro.pbcast import PbcastConfig, build_pbcast_nodes
 from repro.runtime import LocalDeployment
@@ -10,8 +11,8 @@ class TestPbcastOverUdp:
         cfg = PbcastConfig(fanout=4, view_max=6, gossip_period=0.03)
         nodes = build_pbcast_nodes(8, cfg, seed=5, membership="partial")
         log = DeliveryLog().attach(nodes)
-        cluster = LocalDeployment(nodes, gossip_period=0.03, loss_rate=0.2,
-                                  seed=5)
+        cluster = LocalDeployment(nodes, gossip_period=0.03, seed=5,
+                                  fault_plan=FaultPlan().drop(0.2))
         with cluster:
             host = cluster.host(nodes[0].pid)
             event_holder = {}

@@ -1,13 +1,12 @@
 """Telemetry smoke for the loopback-UDP runtime.
 
-The deployment shares one thread-safe registry across all hosts; the old
-plain-int counters are now back-compat views over it, so both surfaces must
-agree and the shared registry must carry per-pid labelled series.
+The deployment shares one thread-safe registry across all hosts; each
+host's ``datagram_counters()`` reads its own pid's labelled series from it,
+so both surfaces must agree.
 """
 
-import pytest
-
 from repro.core import LpbcastConfig
+from repro.faults import FaultPlan
 from repro.metrics import DeliveryLog
 from repro.runtime import LocalDeployment
 from repro.sim import build_lpbcast_nodes
@@ -17,8 +16,9 @@ def build_cluster(n=6, loss=0.0, period=0.03, seed=6):
     cfg = LpbcastConfig(fanout=3, view_max=6, gossip_period=period)
     nodes = build_lpbcast_nodes(n, cfg, seed=seed)
     log = DeliveryLog().attach(nodes)
-    cluster = LocalDeployment(nodes, gossip_period=period, loss_rate=loss,
-                              seed=seed)
+    cluster = LocalDeployment(
+        nodes, gossip_period=period, seed=seed,
+        fault_plan=FaultPlan().drop(loss) if loss else None)
     return cluster, nodes, log
 
 
@@ -34,14 +34,15 @@ class TestUdpTelemetry:
         telemetry = cluster.telemetry
         for host in cluster.hosts:
             assert host.telemetry is telemetry  # one registry, all hosts
-            assert host.datagrams_sent == telemetry.counter_value(
+            counters = host.datagram_counters()
+            assert counters["sent"] == telemetry.counter_value(
                 "udp.datagrams_sent", pid=host.node.pid
             )
-            assert host.datagrams_received == telemetry.counter_value(
+            assert counters["received"] == telemetry.counter_value(
                 "udp.datagrams_received", pid=host.node.pid
             )
         assert telemetry.counter_total("udp.datagrams_sent") == \
-            sum(host.datagrams_sent for host in cluster.hosts)
+            sum(host.datagram_counters()["sent"] for host in cluster.hosts)
         assert telemetry.counter_total("udp.datagrams_sent") > 0
 
     def test_injected_loss_counted(self):
@@ -51,7 +52,8 @@ class TestUdpTelemetry:
         telemetry = cluster.telemetry
         lost = telemetry.counter_total("udp.datagrams_lost_injected")
         assert lost > 0
-        assert lost == sum(h.datagrams_lost_injected for h in cluster.hosts)
+        assert lost == sum(h.datagram_counters()["lost_injected"]
+                           for h in cluster.hosts)
 
     def test_codec_timings_recorded(self):
         cluster, nodes, log = build_cluster(n=4, seed=8)
@@ -72,7 +74,8 @@ class TestUdpTelemetry:
             sock.sendto(b"garbage", target)
             sock.close()
             cluster.wait_until(
-                lambda: cluster.host(nodes[0].pid).decode_errors > 0,
+                lambda: cluster.host(nodes[0].pid).datagram_counters()[
+                    "decode_errors"] > 0,
                 timeout=5.0,
             )
         assert cluster.telemetry.counter_total("udp.decode_errors") >= 1

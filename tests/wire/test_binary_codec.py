@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.codec import CodecError, wire_size
 from repro.core.events import Notification, Unsubscription
 from repro.core.ids import EventId
 from repro.core.message import (
@@ -25,12 +24,19 @@ from repro.loggers.messages import (
 from repro.pbcast import PbcastData, PbcastDigest, PbcastSolicit
 from repro.pubsub.peer import TopicEnvelope
 from repro.wire import (
+    CodecError,
     WireEncodeError,
     decode_binary,
     encode_binary,
     wire_bytes_of,
 )
-from repro.wire.binary import _r_digest, _r_event_ids, _w_digest, _w_event_ids
+from repro.wire.binary import (
+    _r_digest,
+    _r_event_ids,
+    _w_digest,
+    _w_event_ids,
+    check_payload,
+)
 from repro.wire.varint import (
     read_svarint,
     read_svarint_run,
@@ -114,6 +120,18 @@ class TestEncodeErrors:
         with pytest.raises(CodecError):
             encode_binary(TopicEnvelope(42, GossipMessage(sender=1)))
 
+    def test_unencodable_payload_rejected(self):
+        # Payloads ride as embedded JSON: one ``json`` cannot serialise has
+        # no binary form in any record, strict or not.
+        for payload in ({1, 2}, object(), b"bytes"):
+            with pytest.raises(WireEncodeError, match="unencodable payload"):
+                encode_binary(LogUpload(1, Notification(EventId(1, 1),
+                                                        payload, 0.0)))
+            with pytest.raises(WireEncodeError, match="unencodable payload"):
+                check_payload(payload)
+        for payload in (None, "ok", 3, [1, "x"], {"k": [1.5, None]}, (1, 2)):
+            check_payload(payload)
+
     def test_wire_encode_error_is_codec_error(self):
         assert issubclass(WireEncodeError, CodecError)
 
@@ -185,14 +203,6 @@ class TestSizing:
 
     def test_wire_bytes_of_unencodable_is_minus_one(self):
         assert wire_bytes_of(object()) == -1
-
-    def test_codec_wire_size_supports_both_formats(self):
-        message = SAMPLES[1]
-        assert wire_size(message, fmt="binary") == wire_bytes_of(message)
-        assert wire_size(message, fmt="json") > wire_size(message,
-                                                          fmt="binary")
-        with pytest.raises(ValueError):
-            wire_size(message, fmt="morse")
 
     def test_grouped_digest_is_about_one_byte_per_id(self):
         ids = tuple(EventId(7, seq) for seq in range(1, 101))

@@ -1,15 +1,15 @@
-"""Unit tests for the frame layer: batching, version dispatch, splitting."""
+"""Unit tests for the frame layer: batching, the version check, splitting."""
 
 import pytest
 
-from repro.core.codec import CodecError
 from repro.core.events import Notification
 from repro.core.ids import EventId
 from repro.core.message import GossipMessage, SubscriptionRequest
 from repro.pubsub.peer import TopicEnvelope
 from repro.wire import (
     FRAME_BINARY,
-    FRAME_JSON,
+    CodecError,
+    WireEncodeError,
     decode_frame,
     encode_frame,
     pack_datagrams,
@@ -27,24 +27,34 @@ def make_gossip(sender=1, n_events=3, payload="x" * 40):
 
 
 class TestFrameRoundTrip:
-    @pytest.mark.parametrize("fmt", ["binary", "json"])
-    def test_multi_message_frame(self, fmt):
+    def test_multi_message_frame(self):
         messages = [make_gossip(), SubscriptionRequest(9),
                     TopicEnvelope("t", make_gossip(sender=2))]
-        frame = encode_frame(7, messages, fmt=fmt)
+        frame = encode_frame(7, messages)
+        assert frame[0] == FRAME_BINARY
         sender, decoded = decode_frame(frame)
         assert sender == 7
         assert decoded == messages
 
     def test_version_byte_identifies_format(self):
-        assert encode_frame(1, [make_gossip()], fmt="binary")[0] \
-            == FRAME_BINARY
-        assert encode_frame(1, [make_gossip()], fmt="json")[0] == FRAME_JSON
+        assert encode_frame(1, [make_gossip()])[0] == FRAME_BINARY
+        plan = pack_datagrams(1, [make_gossip(sender=s) for s in range(3)])
+        assert all(d[0] == FRAME_BINARY for d in plan.datagrams)
+
+    def test_unknown_format_rejected(self):
+        # 0x01 frames carried JSON messages and 0x02 ones an id-list digest.
+        # Neither format is left: any other first byte refuses the frame
+        # whole, even with a valid binary body behind it.
+        frame = bytearray(encode_frame(1, [make_gossip()]))
+        for version in set(range(256)) - {FRAME_BINARY}:
+            frame[0] = version
+            with pytest.raises(CodecError, match=f"unsupported wire version "
+                                                 f"byte {version:#04x}"):
+                decode_frame(bytes(frame))
 
     def test_version_bytes_disjoint_from_legacy_text(self):
         # Legacy datagrams are "pid|json" — their first byte is an ASCII
-        # digit.  The version bytes must never collide with that range.
-        assert not (0x30 <= FRAME_JSON <= 0x39)
+        # digit.  The version byte must never collide with that range.
         assert not (0x30 <= FRAME_BINARY <= 0x39)
 
     def test_empty_frame(self):
@@ -52,9 +62,15 @@ class TestFrameRoundTrip:
         assert sender == 3
         assert decoded == []
 
-    def test_unknown_format_rejected(self):
-        with pytest.raises(ValueError):
-            encode_frame(1, [], fmt="xml")
+    def test_message_without_binary_form_raises(self):
+        # There is no second format to fall back to: a message the binary
+        # codec cannot carry is the sender's error, not a different frame.
+        unencodable = GossipMessage(
+            sender=1, events=(Notification(EventId(1, 1), {1, 2}, 0.0),))
+        with pytest.raises(WireEncodeError, match="unencodable payload"):
+            encode_frame(1, [unencodable])
+        with pytest.raises(WireEncodeError, match="unencodable payload"):
+            pack_datagrams(1, [make_gossip(), unencodable])
 
 
 class TestFrameDecodeErrors:
@@ -105,13 +121,13 @@ class TestSplitOversize:
         def fits(part):
             from repro.wire import encode_binary
             blob = encode_binary(part)
-            return (FRAME_BINARY, blob) if len(blob) <= 400 else None
+            return blob if len(blob) <= 400 else None
 
         parts = split_oversize(gossip, fits)
         assert parts is not None and len(parts) > 1
-        events = [e for part, _v, _b in parts for e in part.events]
+        events = [e for part, _blob in parts for e in part.events]
         assert tuple(events) == gossip.events
-        ids = [i for part, _v, _b in parts for i in part.event_ids]
+        ids = [i for part, _blob in parts for i in part.event_ids]
         assert tuple(ids) == gossip.event_ids
 
     def test_envelope_wrapped_gossip_splits(self):
@@ -120,33 +136,30 @@ class TestSplitOversize:
         def fits(part):
             from repro.wire import encode_binary
             blob = encode_binary(part)
-            return (FRAME_BINARY, blob) if len(blob) <= 300 else None
+            return blob if len(blob) <= 300 else None
 
         parts = split_oversize(wrapped, fits)
         assert parts is not None
         assert all(isinstance(p, TopicEnvelope) and p.topic == "t"
-                   for p, _v, _b in parts)
+                   for p, _blob in parts)
 
-    @pytest.mark.parametrize("fmt", ["binary", "json"])
-    def test_digest_alone_over_the_cap_covers_every_entry_once(self, fmt):
+    def test_digest_alone_over_the_cap_covers_every_entry_once(self):
         # 200 origins with gaps: the digest by itself outgrows a 256-byte
         # datagram, so it travels as several gossips, each a digest in its
         # own right, together naming exactly what the original named.
         digest = tuple((origin * 7, 300 + origin, (400 + origin, 900))
                        for origin in range(200))
         big = GossipMessage(sender=1, subs=(4, 5), event_ids=digest)
-        plan = pack_datagrams(1, [big], fmt=fmt, max_bytes=256)
+        plan = pack_datagrams(1, [big], max_bytes=256)
         assert plan.oversize == [] and len(plan.splits) == 1
         assert all(len(datagram) <= 256 for datagram in plan.datagrams)
         parts = [m for d in plan.datagrams for m in decode_frame(d)[1]]
         assert len(parts) == plan.splits[0][2] > 1
         assert tuple(e for part in parts for e in part.event_ids) == digest
         assert tuple(s for part in parts for s in part.subs) == big.subs
-        # Both formats decode to equal messages, part by part.
-        other = pack_datagrams(1, parts, max_bytes=65_000,
-                               fmt="json" if fmt == "binary" else "binary")
-        assert [m for d in other.datagrams
-                for m in decode_frame(d)[1]] == parts
+        # Re-packed without a cap, the parts batch into one frame.
+        (whole,) = pack_datagrams(1, parts).datagrams
+        assert decode_frame(whole)[1] == parts
 
     def test_single_huge_element_unsplittable(self):
         gossip = GossipMessage(
@@ -197,17 +210,3 @@ class TestPackDatagrams:
         assert plan.datagrams == []
         assert len(plan.oversize) == 1
         assert plan.oversize[0][0] is huge
-
-    def test_mixed_formats_separate_frames(self):
-        # A message with no binary form rides in its own JSON frame while
-        # the rest stay binary.
-        class Custom:
-            def __eq__(self, other):
-                return isinstance(other, Custom)
-        # Custom types fail binary *and* JSON codecs; use a JSON-stable
-        # case instead: force fmt="json" for one call and check homogeneity.
-        messages = [make_gossip(sender=s) for s in range(3)]
-        plan = pack_datagrams(1, messages, fmt="json")
-        assert all(d[0] == FRAME_JSON for d in plan.datagrams)
-        plan = pack_datagrams(1, messages, fmt="binary")
-        assert all(d[0] == FRAME_BINARY for d in plan.datagrams)

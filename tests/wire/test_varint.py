@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.codec import CodecError
+from repro.wire import CodecError
 from repro.wire.varint import (
     MAX_VARINT_BYTES,
     VarintRangeError,
