@@ -1,12 +1,12 @@
 #!/usr/bin/env python
-"""lpbcast deployed for real: UDP sockets, threads, wall-clock timers.
+"""lpbcast deployed for real: UDP sockets, one loop, wall-clock timers.
 
 Everything else in this repository *simulates* time; this example deploys
 the identical protocol objects on the loopback interface — one UDP socket
-and two threads per process, binary frames on the wire, unsynchronized
-gossip timers — the laptop-scale analogue of the paper's 125-workstation
-measurements (Sec. 5.2), with Bernoulli loss injected at the send boundary
-to recreate ε.
+per process and one selector loop for all of them, binary frames on the
+wire, unsynchronized gossip timers — the laptop-scale analogue of the
+paper's 125-workstation measurements (Sec. 5.2), with Bernoulli loss
+injected at the send boundary to recreate ε.
 
 Per-source FIFO delivery (a layer real pub/sub consumers want) is
 demonstrated on one subscriber via :class:`FifoDeliveryGate`.

@@ -55,6 +55,27 @@ class FaultVerdict:
                 f"replay={self.replay})")
 
 
+def trace_verdict(telemetry, at: float, verdict: FaultVerdict,
+                  src: ProcessId, dst: ProcessId) -> None:
+    """Trace a verdict that struck (nothing for plain delivery), for every
+    engine and the UDP runtime; callers check ``telemetry.tracing`` first."""
+    if verdict.action == "drop":
+        telemetry.emit("fault.drop", at, pid=src, peer=dst)
+    elif verdict.action == "delay":
+        telemetry.emit("fault.delay", at, pid=src, peer=dst,
+                       delay=verdict.delay)
+    else:
+        if verdict.copies > 1:
+            telemetry.emit("fault.duplicate", at, pid=src, peer=dst,
+                           copies=verdict.copies)
+        if verdict.mutation is not None:
+            telemetry.emit("fault.byzantine", at, pid=src, peer=dst,
+                           mutation=verdict.mutation[0])
+        if verdict.replay:
+            telemetry.emit("fault.replay", at, pid=src, peer=dst,
+                           lag=verdict.replay)
+
+
 # Shared immutable verdicts for the two overwhelmingly common outcomes.
 _DELIVER = FaultVerdict("deliver")
 _DROP = FaultVerdict("drop")

@@ -1,42 +1,44 @@
-"""A real deployment runtime: UDP datagrams, threads and wall-clock timers.
+"""A real deployment runtime: UDP datagrams on one selector loop.
 
 The paper's Sec. 5.2 numbers come from an actual deployment (125 Solaris
-workstations).  This module is the in-repo equivalent at laptop scale: every
-process is hosted by a thread pair (receive loop + gossip timer) bound to a
-loopback UDP socket, messages cross a real serialization boundary
-(:mod:`repro.wire`) and real (unsynchronized) wall-clock timers drive
-the periodic gossip — the same protocol objects the simulators run, deployed
-for real.
+workstations); this module is the laptop-scale equivalent.  Every process
+is a :class:`UdpProcessHost` on a loopback UDP socket, messages cross a real
+serialization boundary (:mod:`repro.wire`) and unsynchronized wall-clock
+timers drive the gossip — the protocol objects the simulators run, deployed
+for real.  A :class:`LocalDeployment` runs all its hosts on one thread: a
+:mod:`selectors` loop over every socket and one
+:class:`~repro.sim.engine.Simulator` agenda on the wall clock, holding each
+host's ticks (a seeded random phase, then a fixed rate T, as on
+:class:`~repro.sim.async_runner.AsyncGossipRuntime`) and the datagrams a
+delay verdict holds back.  A node method that raises fail-stops its own
+host only, counted as ``udp.node_errors`` and traced as ``node.error``.
 
-Loopback UDP practically never drops, so the deployment injects loss at the
-send boundary to recreate the paper's ε — via the unified fault layer:
-``fault_plan=FaultPlan().drop(p)`` is one seeded
-:class:`~repro.faults.wire.DatagramFaultInjector` shared by every host, and
-any richer plan (duplication, delay spikes, partitions) goes the same way.
-
-The datagram format is the frame layer of :mod:`repro.wire`: messages to
-the same destination batch into one compact binary frame.  A payload the
-binary codec cannot carry is refused by :meth:`UdpProcessHost.publish`,
-where it enters.  Every received datagram goes through
-:func:`~repro.wire.decode_frame`; anything else — a bad version byte, a
-truncated frame — is a counted ``udp.decode_errors``, never a parsed
-message.  A gossip whose single-message frame would exceed the datagram cap
-is *split* across several datagrams instead of silently destroyed; whatever
-still cannot fit is counted **and** traced with its kind and wire size.
-:meth:`UdpProcessHost.datagram_counters` and
-:meth:`LocalDeployment.datagram_counters` read these counters.
+Loopback UDP practically never drops, so ``fault_plan=FaultPlan().drop(p)``
+injects the paper's ε at the send boundary: one seeded
+:class:`~repro.faults.wire.DatagramFaultInjector` shared by every host, as
+for any message-level plan; verdicts that strike are traced as on every
+simulator.  Messages to one destination batch into one binary frame; a
+payload the codec cannot carry is refused by :meth:`UdpProcessHost.publish`.
+A datagram :func:`~repro.wire.decode_frame` rejects is a counted
+``udp.decode_errors``, never a parsed message; a gossip too big for one
+datagram is *split*, and whatever still cannot fit is counted **and**
+traced.  ``datagram_counters()`` on a host or the deployment reads these.
 """
 
 from __future__ import annotations
 
 import random
+import selectors
 import socket
 import threading
 import time
+import traceback
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.ids import ProcessId
 from ..core.message import Outgoing
+from ..faults.injector import trace_verdict
+from ..sim.engine import Simulator
 from ..telemetry import Telemetry
 from ..wire import DatagramPlan, decode_frame, pack_datagrams
 from ..wire.binary import check_payload
@@ -49,7 +51,8 @@ _MAX_DATAGRAM = 65_000
 #: longer than the cap is detected (and counted) instead of being parsed
 #: as if it were complete.
 _RECV_BUFSIZE = _MAX_DATAGRAM + 1
-_RECV_TIMEOUT = 0.05
+#: The longest the loop waits in ``select``: how soon ``stop()`` is seen.
+_MAX_WAIT = 0.05
 
 #: Per-pid ``udp.*`` counter -> its :meth:`UdpProcessHost.datagram_counters`
 #: and :meth:`LocalDeployment.datagram_counters` key.
@@ -63,6 +66,7 @@ _DATAGRAM_COUNTERS = {
     "udp.datagrams_send_errors": "send_errors",
     "udp.datagrams_to_unknown": "to_unknown",
     "udp.decode_errors": "decode_errors",
+    "udp.node_errors": "node_errors",
     "udp.bytes_sent": "bytes_sent",
     "udp.bytes_received": "bytes_received",
 }
@@ -84,51 +88,24 @@ def _datagram_totals(telemetry: Telemetry,
 
 
 class UdpProcessHost:
-    """Hosts one protocol node on a loopback UDP socket.
+    """One protocol node on a loopback UDP socket, made by
+    :meth:`LocalDeployment.add_node`.  The deployment's loop runs the node's
+    ``on_tick`` and ``handle_message`` under the deployment's lock, which
+    :meth:`publish` and :meth:`with_node` take as well."""
 
-    The node is accessed under a lock from two threads: the receive loop
-    (``handle_message``) and the gossip timer (``on_tick``); application
-    calls (publishing) must go through :meth:`with_node`.
-    """
-
-    def __init__(
-        self,
-        node,
-        directory: Dict[ProcessId, Address],
-        gossip_period: float = 0.05,
-        rng: Optional[random.Random] = None,
-        fault_injector=None,
-        telemetry: Optional[Telemetry] = None,
-    ) -> None:
-        if gossip_period <= 0:
-            raise ValueError("gossip_period must be positive")
+    def __init__(self, node, deployment: "LocalDeployment") -> None:
         self.node = node
-        self.directory = directory
-        self.gossip_period = gossip_period
-        self.rng = rng if rng is not None else random.Random()
-        #: Every send-side fault goes through this one injector (possibly
-        #: shared across hosts, e.g. for partitions); None sends everything.
-        self.fault_injector = fault_injector
-
+        #: Every send-side fault goes through this one injector, shared by
+        #: the deployment's hosts; None sends everything.
+        self.fault_injector = deployment.fault_injector
+        self.telemetry = deployment.telemetry
+        self._deployment = deployment
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._sock.bind(("127.0.0.1", 0))
-        self._sock.settimeout(_RECV_TIMEOUT)
+        self._sock.setblocking(False)
         self.address: Address = self._sock.getsockname()
-        directory[node.pid] = self.address
-
-        self._lock = threading.Lock()
-        self._stop = threading.Event()
-        self._receiver = threading.Thread(
-            target=self._receive_loop, name=f"recv-{node.pid}", daemon=True
-        )
-        self._timer = threading.Thread(
-            target=self._timer_loop, name=f"tick-{node.pid}", daemon=True
-        )
-        #: Registry of the ``udp.*`` counters — shared and thread-safe
-        #: across a deployment (receive loop, gossip timer and delay timers
-        #: of every host all write into it concurrently).
-        self.telemetry = (telemetry if telemetry is not None
-                          else Telemetry(thread_safe=True))
+        deployment.directory[node.pid] = self.address
+        self._next_tick = None      # the agenda entry of the next gossip
 
     def _count(self, name: str, value: int = 1) -> None:
         self.telemetry.inc(name, value, pid=self.node.pid)
@@ -136,35 +113,18 @@ class UdpProcessHost:
     def datagram_counters(self) -> Dict[str, int]:
         """This host's datagram accounting: the keys of
         :meth:`LocalDeployment.datagram_counters`, scoped to its pid."""
-        return _datagram_totals(self.telemetry, self.node.pid)
-
-    # -- lifecycle ------------------------------------------------------------
-    def start(self) -> None:
-        self._receiver.start()
-        self._timer.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-
-    def join(self, timeout: float = 2.0) -> None:
-        """Wait for the threads that were started, then close the socket —
-        also when ``start()`` never ran or failed half-way."""
-        try:
-            for thread in (self._receiver, self._timer):
-                if thread.ident is not None:
-                    thread.join(timeout)
-        finally:
-            self._sock.close()
+        with self._deployment._lock:
+            return _datagram_totals(self.telemetry, self.node.pid)
 
     # -- application access ------------------------------------------------------
     def with_node(self, fn: Callable):
-        """Run ``fn(node)`` under the host lock and ship any returned
+        """Run ``fn(node)`` under the deployment's lock and ship any returned
         :class:`Outgoing` list."""
-        with self._lock:
+        with self._deployment._lock:
             result = fn(self.node)
-        if isinstance(result, list):
-            self._send_all(result)
-            return None
+            if isinstance(result, list):
+                self._send_all(result)
+                return None
         return result
 
     def publish(self, payload=None):
@@ -173,20 +133,28 @@ class UdpProcessHost:
         A payload no binary record can carry raises
         :class:`~repro.wire.WireEncodeError` here, before the node assigns
         it an event id — past this point it would fail every gossip that
-        carried it, on the timer thread.
+        carried it, on the deployment's loop.
         """
         check_payload(payload)
-        with self._lock:
+        with self._deployment._lock:
             return self.node.lpb_cast(payload, now=time.monotonic())
 
-    # -- internals ------------------------------------------------------------------
-    def _receive_loop(self) -> None:
-        while not self._stop.is_set():
+    # -- the deployment's loop, with its lock held ---------------------------
+    def _tick(self) -> None:
+        """Gossip, then again T after this tick was due (a fixed rate)."""
+        try:
+            self._send_all(self.node.on_tick(time.monotonic()))
+        except Exception as exc:
+            return self._fail_stop(exc)
+        self._next_tick = self._deployment._agenda.schedule(
+            self._deployment.gossip_period, self._tick)
+
+    def _drain(self) -> None:
+        """Every waiting datagram, through the frame layer, to the node."""
+        while True:
             try:
                 data, _addr = self._sock.recvfrom(_RECV_BUFSIZE)
-            except socket.timeout:
-                continue
-            except OSError:
+            except OSError:         # BlockingIOError: drained
                 return
             if len(data) > _MAX_DATAGRAM:
                 # Over the cap our senders honour — the tail may already be
@@ -201,42 +169,45 @@ class UdpProcessHost:
                 continue
             self._count("udp.datagrams_received")
             self._count("udp.bytes_received", len(data))
-            for message in messages:
-                with self._lock:
-                    replies = self.node.handle_message(
-                        sender, message, time.monotonic()
-                    )
-                self._send_all(replies)
+            try:
+                for message in messages:
+                    self._send_all(self.node.handle_message(
+                        sender, message, time.monotonic()))
+            except Exception as exc:
+                return self._fail_stop(exc)
 
-    def _timer_loop(self) -> None:
-        # Random initial phase: gossips are not synchronized across hosts.
-        if self._stop.wait(self.rng.uniform(0.0, self.gossip_period)):
-            return
-        while not self._stop.is_set():
-            with self._lock:
-                out = self.node.on_tick(time.monotonic())
-            self._send_all(out)
-            if self._stop.wait(self.gossip_period):
-                return
+    def _fail_stop(self, exc: Exception) -> None:
+        """Silence this host alone (no reads, no ticks) and record why."""
+        self._deployment._selector.unregister(self._sock)
+        self._next_tick.cancel()
+        self._count("udp.node_errors")
+        self.telemetry.emit(
+            "node.error", time.monotonic(), pid=self.node.pid, force=True,
+            error=repr(exc), traceback=traceback.format_exc(),
+        )
 
     def _send_all(self, outgoings: Sequence[Outgoing]) -> None:
         if not outgoings:
             return
+        telemetry, deployment = self.telemetry, self._deployment
         # Fault verdicts are taken per outgoing message, in iteration order:
         # the injector's seeded stream must consume the same sequence of
         # decisions regardless of how survivors later batch into frames.
         groups: Dict[Tuple[Address, int, float], List[object]] = {}
         for out in outgoings:
-            address = self.directory.get(out.destination)
+            address = deployment.directory.get(out.destination)
             if address is None:
                 # Counted (the engines' ``sim.to_unknown``), before a verdict.
                 self._count("udp.datagrams_to_unknown")
                 continue
             copies, delay_s = 1, 0.0
             if self.fault_injector is not None:
+                now = time.monotonic()
                 verdict, delay_s = self.fault_injector.decide(
-                    self.node.pid, out.destination, time.monotonic()
-                )
+                    self.node.pid, out.destination, now)
+                if telemetry.tracing:
+                    trace_verdict(telemetry, now, verdict, self.node.pid,
+                                  out.destination)
                 if verdict.action == "drop":
                     self._count("udp.datagrams_lost_injected")
                     continue
@@ -251,11 +222,9 @@ class UdpProcessHost:
             for datagram in self._encode_datagrams(messages, plans):
                 for _ in range(copies):
                     if delay_s > 0:
-                        timer = threading.Timer(
-                            delay_s, self._transmit, (datagram, address)
-                        )
-                        timer.daemon = True
-                        timer.start()
+                        deployment._agenda.schedule_at(
+                            deployment._clock() + delay_s,
+                            lambda d=datagram, a=address: self._transmit(d, a))
                     else:
                         self._transmit(datagram, address)
 
@@ -271,26 +240,20 @@ class UdpProcessHost:
                 plan = plans[key] = pack_datagrams(
                     self.node.pid, messages, max_bytes=_MAX_DATAGRAM)
         for message, size in plan.oversize:
-            self._note_oversize(message, size)
+            self._count("udp.datagrams_oversize")
+            # Forced past the tracing gate: a destroyed message must never be
+            # invisible — this event is the only record of what was lost.
+            self.telemetry.emit(
+                "wire.oversize", time.monotonic(), pid=self.node.pid,
+                force=True, message_kind=type(message).__name__,
+                wire_size=size)
         for message, size, parts in plan.splits:
-            self._note_split(message, size, parts)
+            self._count("udp.gossips_split")
+            self.telemetry.emit(
+                "wire.split", time.monotonic(), pid=self.node.pid,
+                message_kind=type(message).__name__, wire_size=size,
+                parts=parts)
         return plan.datagrams
-
-    def _note_oversize(self, message: object, size: int) -> None:
-        self._count("udp.datagrams_oversize")
-        # Forced past the tracing gate: a destroyed message must never be
-        # invisible — this event is the only record of what was lost.
-        self.telemetry.emit(
-            "wire.oversize", time.monotonic(), pid=self.node.pid,
-            force=True, message_kind=type(message).__name__, wire_size=size,
-        )
-
-    def _note_split(self, message: object, size: int, parts: int) -> None:
-        self._count("udp.gossips_split")
-        self.telemetry.emit(
-            "wire.split", time.monotonic(), pid=self.node.pid,
-            message_kind=type(message).__name__, wire_size=size, parts=parts,
-        )
 
     def _transmit(self, datagram: bytes, address: Address) -> None:
         try:
@@ -302,7 +265,8 @@ class UdpProcessHost:
 
 
 class LocalDeployment:
-    """A cluster of :class:`UdpProcessHost`\\ s on the loopback interface.
+    """A cluster of :class:`UdpProcessHost`\\ s on the loopback interface,
+    run by one selector loop on one thread.
 
     >>> from repro.sim import build_lpbcast_nodes
     >>> nodes = build_lpbcast_nodes(8, seed=1)
@@ -326,11 +290,14 @@ class LocalDeployment:
         if wire_format != "binary":
             raise ValueError(
                 f"wire_format must be 'binary', got {wire_format!r}")
+        if gossip_period <= 0:
+            raise ValueError("gossip_period must be positive")
+        self.gossip_period = gossip_period
         self.directory: Dict[ProcessId, Address] = {}
-        #: One thread-safe registry for the whole cluster; every host's
-        #: ``udp.*`` series is labelled with its pid.
-        self.telemetry = Telemetry(thread_safe=True)
-        root = random.Random(seed)
+        #: One registry for the whole cluster, written under the lock;
+        #: every host's ``udp.*`` series is labelled with its pid.
+        self.telemetry = Telemetry()
+        self._root = random.Random(seed)
         # One injector shared by every host: partitions and scoped drops
         # must see traffic from all senders against one schedule and one
         # seeded stream.
@@ -339,30 +306,61 @@ class LocalDeployment:
             from ..faults.wire import DatagramFaultInjector
 
             self.fault_injector = DatagramFaultInjector(
-                fault_plan, rng=random.Random(root.getrandbits(64)),
+                fault_plan, rng=random.Random(self._root.getrandbits(64)),
                 round_duration=gossip_period,
             )
-        self.hosts: List[UdpProcessHost] = [
-            UdpProcessHost(
-                node,
-                self.directory,
-                gossip_period=gossip_period,
-                rng=random.Random(root.getrandbits(64)),
-                fault_injector=self.fault_injector,
-                telemetry=self.telemetry,
-            )
-            for node in nodes
-        ]
-        self._by_pid = {host.node.pid: host for host in self.hosts}
-        self._started = False
+        #: Guards the nodes, the agenda, the registry and the selector for
+        #: the loop and for application calls; re-entrant, so a delivery
+        #: listener may publish on any host.
+        self._lock = threading.RLock()
+        self._selector = selectors.DefaultSelector()
+        self._agenda = Simulator()
+        self._t0 = time.monotonic()
+        self._loop_thread: Optional[threading.Thread] = None
+        self._stopping = False
+        self.hosts: List[UdpProcessHost] = []
+        self._by_pid: Dict[ProcessId, UdpProcessHost] = {}
+        for node in nodes:
+            self.add_node(node)
+
+    def _clock(self) -> float:
+        """The agenda's time: wall-clock seconds since construction."""
+        return time.monotonic() - self._t0
+
+    def add_node(self, node) -> None:
+        """Host ``node`` on a fresh socket, gossiping from a seeded random
+        phase of one period from now; on a running deployment too."""
+        with self._lock:
+            phase = random.Random(self._root.getrandbits(64)).uniform(
+                0.0, self.gossip_period)
+            host = UdpProcessHost(node, self)
+            self._selector.register(host._sock, selectors.EVENT_READ, host)
+            host._next_tick = self._agenda.schedule_at(
+                self._clock() + phase, host._tick)
+            self.hosts.append(host)
+            self._by_pid[node.pid] = host
 
     def host(self, pid: ProcessId) -> UdpProcessHost:
         return self._by_pid[pid]
 
     def start(self) -> None:
-        for host in self.hosts:
-            host.start()
-        self._started = True
+        self._loop_thread = threading.Thread(
+            target=self._loop, name="udp-deployment", daemon=True)
+        self._loop_thread.start()
+
+    def _loop(self) -> None:
+        """Run what is due, wait for a datagram, drain the ready sockets."""
+        agenda, selector, lock = self._agenda, self._selector, self._lock
+        while not self._stopping:
+            with lock:
+                agenda.run_until(self._clock())
+                due = agenda.next_time()
+            wait = _MAX_WAIT if due is None else min(
+                _MAX_WAIT, max(0.0, due - self._clock()))
+            ready = selector.select(wait)
+            with lock:
+                for key, _events in ready:
+                    key.data._drain()
 
     def run_for(self, seconds: float) -> None:
         time.sleep(seconds)
@@ -382,11 +380,15 @@ class LocalDeployment:
         return predicate()
 
     def stop(self) -> None:
-        for host in self.hosts:
-            host.stop()
-        for host in self.hosts:
-            host.join()
-        self._started = False
+        """Stop the loop and close every socket — also when ``start()``
+        never ran; a second call does nothing more."""
+        self._stopping = True
+        if self._loop_thread is not None:
+            self._loop_thread.join()
+        with self._lock:
+            for host in self.hosts:
+                host._sock.close()
+            self._selector.close()
 
     def __enter__(self) -> "LocalDeployment":
         self.start()
@@ -396,8 +398,8 @@ class LocalDeployment:
         self.stop()
 
     def datagram_counters(self) -> Dict[str, int]:
-        """Cluster-wide datagram accounting with drop causes kept distinct.
-        A sender counts after ``sendto`` returns, possibly after its
-        receiver did, so cross-host relations (``received <= sent``) hold
-        on a stopped deployment."""
-        return _datagram_totals(self.telemetry)
+        """Cluster-wide datagram accounting with drop causes kept distinct,
+        read under the lock: a datagram is counted sent before any host can
+        read it, so ``received <= sent`` holds at every read."""
+        with self._lock:
+            return _datagram_totals(self.telemetry)

@@ -18,8 +18,9 @@ reliability as a function of the view bound ``l`` and the digest bound
 timing assumptions, not on the 2001 Solaris/Fast-Ethernet hardware.
 
 The runtime is a *scheduler* over :class:`~repro.sim.round_runner.EngineCore`
-— the process table, crash/revive, fault-plan install, verdict tracing and
-counter accounting are the round engines' own code.  What it keeps to
+— the process table, crash/revive, fault-plan install and counter
+accounting are the round engines' own code, and verdicts are traced by the
+one :func:`~repro.faults.injector.trace_verdict`.  What it keeps to
 itself is time: ``send`` turns a fault verdict into latencies on the event
 kernel (a delay is extra latency, a replay a late second copy) where the
 round engines move queue entries between rounds.
@@ -165,7 +166,11 @@ class AsyncGossipRuntime(EngineCore):
                 verdict = self._fault_injector.decide(
                     src, out.destination, self._fault_round(self.sim.now)
                 )
-                self._trace_verdict(verdict, src, out.destination)
+                if self.telemetry.tracing:
+                    # Not at the top: repro.faults imports repro.sim.
+                    from ..faults.injector import trace_verdict
+                    trace_verdict(self.telemetry, self.sim.now, verdict,
+                                  src, out.destination)
                 if verdict.action == "drop":
                     continue
                 if verdict.action == "delay":

@@ -4,7 +4,8 @@ A binary-heap agenda of ``(time, sequence, action)`` entries.  The sequence
 number makes scheduling stable: events at equal times fire in scheduling
 order, so runs are deterministic given deterministic actions.  This kernel
 underlies the asynchronous runtime that stands in for the paper's
-125-workstation testbed (Sec. 5.2); see ``repro/sim/async_runner.py``.
+125-workstation testbed (Sec. 5.2), ``repro/sim/async_runner.py``, and
+the UDP deployment's wall-clock loop, ``repro/runtime/udp.py``.
 """
 
 from __future__ import annotations
@@ -89,6 +90,13 @@ class Simulator:
             if self.step():
                 executed += 1
         return executed
+
+    def next_time(self) -> Optional[float]:
+        """Time of the earliest live entry (None if none); runs nothing."""
+        queue = self._queue
+        while queue and queue[0][2].cancelled:
+            heapq.heappop(queue)
+        return queue[0][0] if queue else None
 
     def pending(self) -> int:
         """Number of scheduled (possibly cancelled) entries."""

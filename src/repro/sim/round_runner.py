@@ -173,28 +173,6 @@ class EngineCore:
         return self.nodes[pid].start_join(contact, now)
 
     # -- telemetry ---------------------------------------------------------
-    def _trace_verdict(self, verdict, src: ProcessId,
-                       dst: ProcessId) -> None:
-        """Trace a fault verdict that struck (no event for plain delivery)."""
-        if not self.telemetry.tracing:
-            return
-        at = self._clock()
-        if verdict.action == "drop":
-            self.telemetry.emit("fault.drop", at, pid=src, peer=dst)
-        elif verdict.action == "delay":
-            self.telemetry.emit("fault.delay", at, pid=src, peer=dst,
-                                delay=verdict.delay)
-        else:
-            if verdict.copies > 1:
-                self.telemetry.emit("fault.duplicate", at, pid=src, peer=dst,
-                                    copies=verdict.copies)
-            if verdict.mutation is not None:
-                self.telemetry.emit("fault.byzantine", at, pid=src, peer=dst,
-                                    mutation=verdict.mutation[0])
-            if verdict.replay:
-                self.telemetry.emit("fault.replay", at, pid=src, peer=dst,
-                                    lag=verdict.replay)
-
     def _sync_engine_counters(self, bucket: int) -> None:
         """Fold the engine's plain accounting attributes (and the fault
         injector's strike counters) into the telemetry registry as deltas
@@ -442,10 +420,14 @@ class RoundSimulation(EngineCore):
         expanded: List = []
         decide = self._fault_injector.decide
         held = self._delayed_faults
+        telemetry = self.telemetry
         for entry in queue:
             src, dst = self._endpoints(entry)
             verdict = decide(src, dst)
-            self._trace_verdict(verdict, src, dst)
+            if telemetry.tracing:
+                # Not at the top: repro.faults imports repro.sim.
+                from ..faults.injector import trace_verdict
+                trace_verdict(telemetry, self._clock(), verdict, src, dst)
             if verdict.action == "drop":
                 self._discard(entry)
                 continue

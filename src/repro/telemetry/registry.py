@@ -26,9 +26,7 @@ not part of the bit-identity contract (two runs never time identically).
 
 from __future__ import annotations
 
-import threading
 import time as _time
-from contextlib import nullcontext
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .events import TraceBuffer, TraceEvent, TraceTag
@@ -98,19 +96,14 @@ class _Timer:
 class Telemetry:
     """Counter/gauge/histogram registry plus the trace-event stream.
 
-    ``thread_safe=True`` guards every write with a lock — required when
-    several threads share one registry (the UDP runtime); simulations are
-    single-threaded and skip the lock entirely.
+    Not locked: one registry is written by one thread at a time (a
+    simulation's, or a UDP deployment's under the deployment's lock).
     """
 
-    def __init__(self, thread_safe: bool = False,
-                 trace_capacity: int = 100_000) -> None:
+    def __init__(self, trace_capacity: int = 100_000) -> None:
         self._counters: Dict[Tuple[str, LabelKey], int] = {}
         self._gauges: Dict[Tuple[str, LabelKey], float] = {}
         self._hists: Dict[Tuple[str, LabelKey], _Hist] = {}
-        self._lock: Optional[threading.Lock] = (
-            threading.Lock() if thread_safe else None
-        )
         self.trace = TraceBuffer(capacity=trace_capacity)
         #: Per-message trace events are recorded only while this is True.
         self.tracing = False
@@ -137,33 +130,17 @@ class Telemetry:
     # -- writes --------------------------------------------------------------
     def inc(self, name: str, value: int = 1, **labels) -> None:
         key = (name, _label_key(labels))
-        if self._lock is None:
-            self._counters[key] = self._counters.get(key, 0) + value
-        else:
-            with self._lock:
-                self._counters[key] = self._counters.get(key, 0) + value
+        self._counters[key] = self._counters.get(key, 0) + value
 
     def set_gauge(self, name: str, value: float, **labels) -> None:
-        key = (name, _label_key(labels))
-        if self._lock is None:
-            self._gauges[key] = value
-        else:
-            with self._lock:
-                self._gauges[key] = value
+        self._gauges[(name, _label_key(labels))] = value
 
     def observe(self, name: str, value: float, **labels) -> None:
         key = (name, _label_key(labels))
-        if self._lock is None:
-            hist = self._hists.get(key)
-            if hist is None:
-                hist = self._hists[key] = _Hist()
-            hist.observe(value)
-        else:
-            with self._lock:
-                hist = self._hists.get(key)
-                if hist is None:
-                    hist = self._hists[key] = _Hist()
-                hist.observe(value)
+        hist = self._hists.get(key)
+        if hist is None:
+            hist = self._hists[key] = _Hist()
+        hist.observe(value)
 
     def time(self, name: str, **labels) -> _Timer:
         """``perf_counter`` phase timer: ``with telemetry.time(name):``
@@ -229,7 +206,7 @@ class Telemetry:
         """Batch form of :meth:`record_send`, called once per tick/handler.
 
         This is the engine's per-message accounting entry point, so when the
-        expensive features are off (no tracing, no lock, no byte accounting)
+        expensive features are off (no tracing, no byte accounting)
         it takes a fast path: counter keys for the round are prebuilt once
         and the dict updates are inlined.  The keys match
         :func:`_label_key`'s canonical sorted form exactly, so the recorded
@@ -238,7 +215,7 @@ class Telemetry:
         """
         if not outgoings:
             return
-        if self.tracing or self._lock is not None or self.count_wire_bytes:
+        if self.tracing or self.count_wire_bytes:
             sizes: Dict[int, int] = {}
             for out in outgoings:
                 self.record_send(round_no, src, out, sizes)
@@ -318,15 +295,13 @@ class Telemetry:
         return sorted({metric for metric, _ in self._counters})
 
     def snapshot(self) -> Dict[str, Dict]:
-        """Plain-dict view of every metric (export layer input) — one
-        consistent read: a thread-safe registry copies under its lock."""
-        with self._lock or nullcontext():
-            return {
-                "counters": dict(self._counters),
-                "gauges": dict(self._gauges),
-                "histograms": {key: h.as_tuple()
-                               for key, h in self._hists.items()},
-            }
+        """Plain-dict view of every metric (export layer input)."""
+        return {
+            "counters": dict(self._counters),
+            "gauges": dict(self._gauges),
+            "histograms": {key: h.as_tuple()
+                           for key, h in self._hists.items()},
+        }
 
     # -- shard merge ---------------------------------------------------------
     def drain_delta(self) -> tuple:

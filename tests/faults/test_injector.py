@@ -2,7 +2,9 @@
 
 import random
 
-from repro.faults import FaultInjector, FaultPlan
+import pytest
+
+from repro.faults import DatagramFaultInjector, FaultInjector, FaultPlan
 
 
 def make_injector(plan, seed=0):
@@ -118,3 +120,34 @@ class TestRoundActions:
         assert any("drop" in f for f in injector.active_faults(2))
         at3 = injector.active_faults(3)
         assert any("partition" in f for f in at3)
+
+
+class TestDatagramFaultInjector:
+    """The UDP send path carries out message faults only; a plan with any
+    other kind is refused instead of being silently half-applied."""
+
+    REFUSED = {
+        "crashes": lambda plan: plan.crash(1, at=2),
+        "pauses": lambda plan: plan.pause(1, at=2, duration=3),
+        "equivocations": lambda plan: plan.equivocate(0),
+        "forges": lambda plan: plan.forge_digest(0, victim=1),
+        "poisons": lambda plan: plan.poison_view(0),
+        "replays": lambda plan: plan.replay_stale(0),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(REFUSED))
+    def test_a_fault_the_wire_cannot_apply_is_refused(self, kind):
+        plan = self.REFUSED[kind](FaultPlan().drop(0.1))
+        with pytest.raises(ValueError, match=f"message faults only.*{kind}$"):
+            DatagramFaultInjector(plan)
+
+    def test_every_refused_kind_is_named(self):
+        plan = FaultPlan().crash(1, at=2).equivocate(0).replay_stale(2)
+        with pytest.raises(ValueError,
+                           match="crashes, equivocations, replays$"):
+            DatagramFaultInjector(plan)
+
+    def test_message_faults_are_accepted(self):
+        plan = (FaultPlan().drop(0.1).duplicate(0.1).delay(0.1, delay=2)
+                .partition([1], [2], start=1, heal=5))
+        DatagramFaultInjector(plan, rng=random.Random(3))

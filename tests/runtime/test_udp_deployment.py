@@ -1,6 +1,6 @@
 """Tests for the loopback-UDP deployment runtime.
 
-These run real sockets and threads with short wall-clock budgets; they are
+These run real sockets and a real loop with short wall-clock budgets; they are
 deliberately small-scale (n <= 12, sub-second gossip periods) to stay fast
 and robust.
 """
@@ -13,7 +13,7 @@ import pytest
 from repro.core import LpbcastConfig
 from repro.faults import FaultPlan
 from repro.metrics import DeliveryLog
-from repro.runtime import LocalDeployment, UdpProcessHost
+from repro.runtime import LocalDeployment
 from repro.sim import build_lpbcast_nodes
 from repro.wire import WireEncodeError
 
@@ -26,6 +26,14 @@ def build_cluster(n=8, loss=0.0, period=0.03, seed=1, view=6):
         nodes, gossip_period=period, seed=seed,
         fault_plan=FaultPlan().drop(loss) if loss else None)
     return cluster, nodes, log
+
+
+def assert_still_gossiping(cluster, host):
+    """The deployment's loop thread is alive and ``host`` keeps sending."""
+    sent = host.datagram_counters()["sent"]
+    assert cluster.wait_until(
+        lambda: host.datagram_counters()["sent"] > sent, timeout=3.0)
+    assert cluster._loop_thread.is_alive()
 
 
 class TestDeployment:
@@ -117,22 +125,18 @@ class TestDeployment:
         joiner = LpbcastNode(99, joiner_cfg, _random.Random(99))
         DeliveryLog().attach([joiner])
         with cluster:
-            host = UdpProcessHost(joiner, cluster.directory,
-                                  gossip_period=0.03)
-            host.start()
-            host.with_node(
+            cluster.add_node(joiner)            # on the running deployment
+            cluster.host(joiner.pid).with_node(
                 lambda node: node.start_join(nodes[0].pid,
                                              now=time.monotonic())
             )
             joined = cluster.wait_until(lambda: joiner.joined, timeout=8.0)
-            host.stop()
-            host.join()
         assert joined
 
     def test_unencodable_payload_refused_at_publish(self):
         # A set has no JSON form, so no gossip could carry it: publish
-        # refuses it before the node assigns an id, and the host's timer
-        # thread (which would have died encoding the next gossip) lives on.
+        # refuses it before the node assigns an id, and the host keeps
+        # gossiping (encoding the next gossip would have failed it).
         cluster, nodes, log = build_cluster(n=6, seed=10)
         publisher = nodes[0]
         with cluster:
@@ -141,15 +145,98 @@ class TestDeployment:
                 host.publish({1, 2})
             assert publisher.stats.published == 0
             assert not publisher.events
-            cluster.run_for(0.1)           # a few gossip periods
-            assert host._timer.is_alive()
+            assert_still_gossiping(cluster, host)
             event = host.publish("ok")
             assert event.event_id.seq == 1  # the refused payload took no id
             done = cluster.wait_until(
                 lambda: log.delivery_count(event.event_id) == 6, timeout=8.0
             )
-            assert host._timer.is_alive()
+            assert_still_gossiping(cluster, host)
         assert done, f"only {log.delivery_count(event.event_id)}/6 delivered"
+        assert cluster.datagram_counters()["node_errors"] == 0
+
+
+class TestOneLoop:
+    """Every host of a deployment runs on its one loop thread."""
+
+    def test_a_running_deployment_adds_exactly_one_thread(self):
+        before = set(threading.enumerate())
+        cluster, nodes, log = build_cluster(n=8, seed=16)
+        with cluster:
+            event = cluster.host(nodes[0].pid).publish("one loop")
+            done = cluster.wait_until(
+                lambda: log.delivery_count(event.event_id) == 8, timeout=8.0)
+            assert set(threading.enumerate()) - before == {
+                cluster._loop_thread}
+        assert done
+        assert not cluster._loop_thread.is_alive()
+        assert set(threading.enumerate()) - before == set()
+
+    def test_stop_under_concurrent_publishing(self):
+        before = set(threading.enumerate())
+        cluster, nodes, log = build_cluster(n=6, seed=17)
+        host = cluster.host(nodes[0].pid)
+        errors, published, done = [], [], threading.Event()
+
+        def publish_in_a_loop():
+            try:
+                while not done.is_set():
+                    published.append(host.publish("load"))
+                    time.sleep(0.001)
+            except Exception as exc:  # the test asserts there is none
+                errors.append(exc)
+
+        cluster.start()
+        publisher = threading.Thread(target=publish_in_a_loop)
+        publisher.start()
+        try:
+            cluster.run_for(0.3)
+            started = time.monotonic()
+            cluster.stop()
+            stopped_in = time.monotonic() - started
+            cluster.run_for(0.05)       # publishing goes on after stop()
+        finally:
+            done.set()
+            publisher.join(timeout=2.0)
+        assert not publisher.is_alive()
+        assert stopped_in < 2.0
+        assert errors == []
+        assert len(published) > 10
+        assert not cluster._loop_thread.is_alive()
+        assert set(threading.enumerate()) - before == set()
+        assert all(h._sock.fileno() == -1 for h in cluster.hosts)
+
+    def test_a_raising_node_fail_stops_only_its_own_host(self):
+        cluster, nodes, log = build_cluster(n=6, seed=18)
+        victim = cluster.host(nodes[3].pid)
+
+        def broken(sender, message, now):
+            raise RuntimeError("planted handler failure")
+
+        victim.node.handle_message = broken
+        others = [node.pid for node in nodes if node is not victim.node]
+        with cluster:
+            first = cluster.host(nodes[0].pid).publish("before")
+            assert cluster.wait_until(
+                lambda: victim.datagram_counters()["node_errors"] > 0,
+                timeout=5.0)
+            silenced = victim.datagram_counters()
+            second = cluster.host(nodes[1].pid).publish("after")
+            delivered = cluster.wait_until(
+                lambda: all(log.delivered(pid, event.event_id)
+                            for pid in others for event in (first, second)),
+                timeout=8.0)
+            assert_still_gossiping(cluster, cluster.host(nodes[1].pid))
+        assert delivered
+        assert cluster.datagram_counters()["node_errors"] == 1
+        # The victim read its first datagram and no other, and never
+        # ticked again.
+        assert victim.datagram_counters()["received"] == 1
+        assert victim.datagram_counters()["sent"] == silenced["sent"]
+        (error,) = cluster.telemetry.trace.of_kind("node.error")
+        assert error.pid == victim.node.pid
+        assert "planted handler failure" in error.data["error"]
+        assert "RuntimeError" in error.data["traceback"]
 
 
 class TestDropAccounting:
@@ -236,6 +323,38 @@ class TestFaultPlanDeployment:
             == set(side_a)
         assert all(not log.delivered(p, event.event_id) for p in side_b)
         assert cluster.fault_injector.stats.partition_blocked > 0
+
+    def test_process_and_byzantine_faults_are_refused(self):
+        # Once accepted and ignored: the "crashed" host went on sending,
+        # and struck equivocations were counted that touched no datagram.
+        cfg = LpbcastConfig(fanout=3, view_max=6, gossip_period=0.03)
+        nodes = build_lpbcast_nodes(6, cfg, seed=19)
+        plan = FaultPlan().crash(nodes[1].pid, at=2).equivocate(nodes[0].pid)
+        before = set(threading.enumerate())
+        with pytest.raises(ValueError, match="crashes, equivocations"):
+            LocalDeployment(nodes, gossip_period=0.03, seed=19,
+                            fault_plan=plan)
+        assert set(threading.enumerate()) - before == set()
+
+    @pytest.mark.parametrize("tracing", [True, False])
+    def test_struck_drops_are_traced_only_when_tracing(self, tracing):
+        cfg = LpbcastConfig(fanout=3, view_max=6, gossip_period=0.03)
+        nodes = build_lpbcast_nodes(6, cfg, seed=20)
+        cluster = LocalDeployment(nodes, gossip_period=0.03, seed=20,
+                                  fault_plan=FaultPlan().drop(0.3))
+        cluster.telemetry.tracing = tracing
+        with cluster:
+            cluster.run_for(0.3)
+        lost = cluster.datagram_counters()["lost_injected"]
+        assert lost == cluster.fault_injector.stats.dropped > 0
+        drops = cluster.telemetry.trace.of_kind("fault.drop")
+        if not tracing:
+            assert drops == []
+            return
+        assert len(drops) == lost
+        pids = {node.pid for node in nodes}
+        assert all(e.pid in pids and e.peer in pids and e.pid != e.peer
+                   for e in drops)
 
 
 class TestValidation:

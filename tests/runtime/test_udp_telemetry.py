@@ -1,9 +1,12 @@
 """Telemetry smoke for the loopback-UDP runtime.
 
-The deployment shares one thread-safe registry across all hosts; each
-host's ``datagram_counters()`` reads its own pid's labelled series from it,
-so both surfaces must agree.
+The deployment shares one registry across all hosts, written under the
+deployment's lock; each host's ``datagram_counters()`` reads its own pid's
+labelled series from it, so both surfaces must agree.
 """
+
+import sys
+import threading
 
 from repro.core import LpbcastConfig
 from repro.faults import FaultPlan
@@ -79,3 +82,37 @@ class TestUdpTelemetry:
                 timeout=5.0,
             )
         assert cluster.telemetry.counter_total("udp.decode_errors") >= 1
+
+    def test_counters_are_one_read_while_writers_add_series(self):
+        # Writers add series through with_node (the deployment's lock)
+        # while the loop runs and a reader takes the counters: an unlocked
+        # copy would die of "dictionary changed size during iteration".
+        cluster, nodes, log = build_cluster(n=4, seed=10)
+        telemetry, host = cluster.telemetry, cluster.host(nodes[0].pid)
+        writers, series = 3, 2000
+
+        def write(worker):
+            for index in range(series):
+                host.with_node(lambda node: telemetry.observe(
+                    "time.codec", 1.0, worker=worker, index=index))
+
+        threads = [threading.Thread(target=write, args=(worker,))
+                   for worker in range(writers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with cluster:
+                for thread in threads:
+                    thread.start()
+                while any(thread.is_alive() for thread in threads):
+                    counters = cluster.datagram_counters()
+                    assert counters["dropped"] == (
+                        counters["lost_injected"] + counters["oversize"]
+                        + counters["send_errors"])
+                for thread in threads:
+                    thread.join(10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        histograms = telemetry.snapshot()["histograms"]
+        assert sum(("worker", 0) in key for _name, key in histograms) == series

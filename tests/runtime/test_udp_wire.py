@@ -19,7 +19,6 @@ from repro.faults.plan import FaultPlan
 from repro.faults.wire import DatagramFaultInjector
 from repro.metrics import DeliveryLog
 from repro.runtime import LocalDeployment
-from repro.runtime.udp import UdpProcessHost
 from repro.sim import build_lpbcast_nodes
 from repro.wire import FRAME_BINARY, decode_frame, encode_frame
 
@@ -100,8 +99,6 @@ class TestByteCounters:
         with cluster:
             cluster.host(nodes[0].pid).publish("count bytes")
             cluster.run_for(0.3)
-        # Read on the stopped deployment: a running sender counts after
-        # ``sendto`` returns, which can be after its receiver counted.
         counters = cluster.datagram_counters()
         assert counters["bytes_sent"] > 0
         assert counters["bytes_received"] > 0
@@ -172,17 +169,23 @@ class TestOversizeHandling:
 
 
 class _LoneHost:
-    """One unstarted host whose three peers are plain sockets the test
-    reads: what ``_send_all`` puts on the wire, datagram by datagram."""
+    """A running one-host deployment whose three peers are plain sockets
+    the test reads: what ``_send_all`` puts on the wire, datagram by
+    datagram.  Its gossip period is an hour (seed 31 puts the first tick
+    ~20 minutes out), so every datagram comes from a tick the test asks
+    for, while the loop still releases what a delay verdict holds back."""
 
     def __init__(self, monkeypatch, fault_injector=None, seed=31):
         import repro.wire.frame as frame
 
         cfg = LpbcastConfig(fanout=3, view_max=6)
         nodes = build_lpbcast_nodes(4, cfg, seed=seed)
-        self.directory = {}
-        self.host = UdpProcessHost(nodes[0], self.directory,
-                                   fault_injector=fault_injector)
+        self.deployment = LocalDeployment(nodes[:1], gossip_period=3600.0,
+                                          seed=seed)
+        self.directory = self.deployment.directory
+        self.host = self.deployment.host(nodes[0].pid)
+        if fault_injector is not None:
+            self.host.fault_injector = fault_injector
         self.pid = nodes[0].pid
         self.peers = {}
         for node in nodes[1:]:
@@ -198,11 +201,22 @@ class _LoneHost:
             return original(message, **kwargs)
 
         monkeypatch.setattr(frame, "encode_binary", counting)
+        self.deployment.start()
+
+    def ship(self, make):
+        """``make(node)``'s outgoing list, sent through the host's
+        ``with_node`` (the deployment's lock, then ``_send_all``)."""
+        shipped = []
+
+        def run(node):
+            shipped.extend(make(node))
+            return shipped
+
+        self.host.with_node(run)
+        return shipped
 
     def tick(self):
-        outgoings = self.host.node.on_tick(time.monotonic())
-        self.host._send_all(outgoings)
-        return outgoings
+        return self.ship(lambda node: node.on_tick(time.monotonic()))
 
     def received(self, pid, expected):
         """The ``expected`` datagrams waiting at ``pid``'s socket — and
@@ -216,7 +230,7 @@ class _LoneHost:
         return datagrams
 
     def close(self):
-        self.host.join()
+        self.deployment.stop()
         for sock in self.peers.values():
             sock.close()
 
@@ -321,7 +335,8 @@ class TestEncodeOncePerMessage:
         dst = min(lone_host.peers)
         first = SubscriptionRequest(lone_host.pid)
         second = RetransmitRequest(lone_host.pid, ())
-        lone_host.host._send_all([Outgoing(dst, first), Outgoing(dst, second)])
+        lone_host.ship(
+            lambda node: [Outgoing(dst, first), Outgoing(dst, second)])
         (datagram,) = lone_host.received(dst, 1)
         assert decode_frame(datagram) == (lone_host.pid, [first, second])
         assert lone_host.encoded == [first, second]

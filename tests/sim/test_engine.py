@@ -58,6 +58,22 @@ class TestCancellation:
         sim.run()
         assert fired == []
 
+    def test_next_time_peeks_the_earliest_live_entry(self):
+        sim = Simulator()
+        assert sim.next_time() is None
+        fired = []
+        late = sim.schedule(5.0, lambda: fired.append(5))
+        early = sim.schedule(2.0, lambda: fired.append(2))
+        assert sim.next_time() == 2.0
+        early.cancel()
+        assert sim.next_time() == 5.0     # a cancelled head is skipped
+        assert fired == [] and sim.now == 0.0 and sim.events_executed == 0
+        late.cancel()
+        assert sim.next_time() is None
+        sim.schedule(1.0, lambda: fired.append(1))
+        sim.run()
+        assert fired == [1]
+
     def test_cancel_is_lazy(self):
         sim = Simulator()
         handle = sim.schedule(1.0, lambda: None)
