@@ -63,10 +63,10 @@ examples:
 	    echo "== $$script"; $(PYTHON) $$script > /dev/null || exit 1; \
 	done; echo "all examples ran"
 
-# Python line totals of src/ and tests/ — the ROADMAP's "least code"
-# number, read from a log instead of recounted by hand.
+# Python line totals of src/, tests/ and benchmarks/ — the ROADMAP's
+# "least code" numbers, read from a log instead of recounted by hand.
 loc:
-	@for tree in src tests; do \
+	@for tree in src tests benchmarks; do \
 	    printf '%s: ' $$tree; \
 	    find $$tree -name '*.py' -exec cat {} + | wc -l; \
 	done

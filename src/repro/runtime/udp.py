@@ -105,7 +105,7 @@ class UdpProcessHost:
         self._sock.setblocking(False)
         self.address: Address = self._sock.getsockname()
         deployment.directory[node.pid] = self.address
-        self._next_tick = None      # the agenda entry of the next gossip
+        self._failed = False        # fail-stopped: its pending tick returns
 
     def _count(self, name: str, value: int = 1) -> None:
         self.telemetry.inc(name, value, pid=self.node.pid)
@@ -142,12 +142,14 @@ class UdpProcessHost:
     # -- the deployment's loop, with its lock held ---------------------------
     def _tick(self) -> None:
         """Gossip, then again T after this tick was due (a fixed rate)."""
+        if self._failed:
+            return
         try:
             self._send_all(self.node.on_tick(time.monotonic()))
         except Exception as exc:
             return self._fail_stop(exc)
-        self._next_tick = self._deployment._agenda.schedule(
-            self._deployment.gossip_period, self._tick)
+        self._deployment._agenda.schedule(self._deployment.gossip_period,
+                                          self._tick)
 
     def _drain(self) -> None:
         """Every waiting datagram, through the frame layer, to the node."""
@@ -179,7 +181,7 @@ class UdpProcessHost:
     def _fail_stop(self, exc: Exception) -> None:
         """Silence this host alone (no reads, no ticks) and record why."""
         self._deployment._selector.unregister(self._sock)
-        self._next_tick.cancel()
+        self._failed = True
         self._count("udp.node_errors")
         self.telemetry.emit(
             "node.error", time.monotonic(), pid=self.node.pid, force=True,
@@ -224,7 +226,7 @@ class UdpProcessHost:
                     if delay_s > 0:
                         deployment._agenda.schedule_at(
                             deployment._clock() + delay_s,
-                            lambda d=datagram, a=address: self._transmit(d, a))
+                            self._transmit, datagram, address)
                     else:
                         self._transmit(datagram, address)
 
@@ -335,8 +337,7 @@ class LocalDeployment:
                 0.0, self.gossip_period)
             host = UdpProcessHost(node, self)
             self._selector.register(host._sock, selectors.EVENT_READ, host)
-            host._next_tick = self._agenda.schedule_at(
-                self._clock() + phase, host._tick)
+            self._agenda.schedule_at(self._clock() + phase, host._tick)
             self.hosts.append(host)
             self._by_pid[node.pid] = host
 

@@ -25,7 +25,7 @@
 from .async_runner import AsyncGossipRuntime
 from .churn import ChurnScript
 from .columnar_runner import ColumnarRoundSimulation
-from .engine import EventHandle, Simulator
+from .engine import Simulator
 from .engines import ENGINES, create_simulation
 from .network import (
     CrashEvent,
@@ -76,7 +76,6 @@ __all__ = [
     "steady_state",
     "derive_rng",
     "derive_seed",
-    "EventHandle",
     "exponential_latency",
     "GossipProcess",
     "NetworkModel",

@@ -28,7 +28,8 @@ round engines move queue entries between rounds.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from time import perf_counter
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.ids import ProcessId
 from ..core.message import Outgoing
@@ -51,6 +52,10 @@ class AsyncGossipRuntime(EngineCore):
         self.default_period = default_period
         self._tick_listeners: List[Callable[[ProcessId, float], None]] = []
         self._fault_round_duration = default_period
+        #: pid -> its gossip timer's epoch (0 unless revived): a revival
+        #: starts a new timer, and a tick of an older epoch still pending
+        #: on the agenda returns instead of running beside it.
+        self._timer_epochs: Dict[ProcessId, int] = {}
 
     def _clock(self) -> float:
         return self.sim.now
@@ -63,7 +68,7 @@ class AsyncGossipRuntime(EngineCore):
         self.nodes[node.pid] = node
         node_period = period if period is not None else self._period_of(node)
         phase = self.seeds.rng("phase", node.pid).uniform(0.0, node_period)
-        self.sim.schedule(phase, lambda: self._tick(node.pid, node_period))
+        self.sim.schedule(phase, self._tick, node.pid, node_period, 0)
 
     def _period_of(self, node: GossipProcess) -> float:
         config = getattr(node, "config", None)
@@ -77,7 +82,7 @@ class AsyncGossipRuntime(EngineCore):
 
     # -- runtime control ---------------------------------------------------
     def crash_at(self, pid: ProcessId, at: float) -> None:
-        self.sim.schedule_at(at, lambda: self.crash(pid))
+        self.sim.schedule_at(at, self.crash, pid)
 
     def call_at(self, at: float, action: Callable[[], None]) -> None:
         """Schedule an arbitrary action (publish, join, partition heal...)."""
@@ -88,25 +93,23 @@ class AsyncGossipRuntime(EngineCore):
         Sec. 3.4 subscription handshake through ``contact``.  The node's
         gossip timer starts with a random phase after the join, and retries
         are driven by its own ``on_tick`` as usual."""
+        self.sim.schedule_at(at, self._join, node, contact)
 
-        def do_join() -> None:
-            self.add_node(node)
-            self.send(node.pid, node.start_join(contact, self.sim.now))
-
-        self.sim.schedule_at(at, do_join)
+    def _join(self, node: GossipProcess, contact: ProcessId) -> None:
+        self.add_node(node)
+        self.send(node.pid, node.start_join(contact, self.sim.now))
 
     def leave_at(self, pid: ProcessId, at: float) -> None:
         """Schedule a voluntary unsubscription (retrying on Sec. 3.4
         refusal at the next gossip period)."""
+        self.sim.schedule_at(at, self._try_leave, pid)
 
-        def try_leave() -> None:
-            node = self.nodes.get(pid)
-            if node is None or pid in self.crashed:
-                return
-            if not node.try_unsubscribe(self.sim.now):
-                self.sim.schedule(self._period_of(node), try_leave)
-
-        self.sim.schedule_at(at, try_leave)
+    def _try_leave(self, pid: ProcessId) -> None:
+        node = self.nodes.get(pid)
+        if node is None or pid in self.crashed:
+            return
+        if not node.try_unsubscribe(self.sim.now):
+            self.sim.schedule(self._period_of(node), self._try_leave, pid)
 
     def use_fault_plan(self, plan, round_duration: Optional[float] = None):
         """Attach a :class:`~repro.faults.plan.FaultPlan`.
@@ -126,10 +129,10 @@ class AsyncGossipRuntime(EngineCore):
         period = self._fault_round_duration
         for fault in plan.crashes:
             self.sim.schedule_at((fault.at - 1) * period,
-                                 lambda p=fault.pid: self._fault_crash(p))
+                                 self._fault_crash, fault.pid)
             if fault.recover_at is not None:
                 self.sim.schedule_at((fault.recover_at - 1) * period,
-                                     lambda f=fault: self._fault_revive(f))
+                                     self._fault_revive, fault)
         return injector
 
     def _fault_crash(self, pid: ProcessId) -> None:
@@ -143,7 +146,7 @@ class AsyncGossipRuntime(EngineCore):
     def _fault_revive(self, fault) -> None:
         """Crash-with-recovery: un-silence the process and re-subscribe it
         through a contact (Sec. 3.4), restarting its gossip timer at a fresh
-        random phase."""
+        random phase, in a new epoch: a tick the crash left pending dies."""
         pid = fault.pid
         if not self.recover(pid):
             return
@@ -155,7 +158,8 @@ class AsyncGossipRuntime(EngineCore):
         period = self._period_of(self.nodes[pid])
         phase = self.seeds.rng("fault-revive-phase", pid,
                                fault.recover_at).uniform(0.0, period)
-        self.sim.schedule(phase, lambda: self._tick(pid, period))
+        epoch = self._timer_epochs[pid] = self._timer_epochs.get(pid, 0) + 1
+        self.sim.schedule(phase, self._tick, pid, period, epoch)
 
     def send(self, src: ProcessId, outgoings: Sequence[Outgoing]) -> None:
         """Put messages on the wire with loss and latency applied."""
@@ -188,19 +192,13 @@ class AsyncGossipRuntime(EngineCore):
                 continue
             for _ in range(copies):
                 latency = self.network.draw_latency() + extra_delay
-                self.sim.schedule(
-                    latency,
-                    lambda s=src, o=delivery: self._deliver(s, o),
-                )
+                self.sim.schedule(latency, self._deliver, src, delivery)
             if replay_delay is not None:
                 # replay_stale: one extra, *unmutated* copy arrives lag
                 # rounds later — the async analogue of the round engines'
                 # delayed-fault replay.
                 latency = self.network.draw_latency() + replay_delay
-                self.sim.schedule(
-                    latency,
-                    lambda s=src, o=out: self._deliver(s, o),
-                )
+                self.sim.schedule(latency, self._deliver, src, out)
 
     def run_until(self, deadline: float) -> None:
         with self.telemetry.time("time.round"):
@@ -232,36 +230,39 @@ class AsyncGossipRuntime(EngineCore):
         return self.sim.now
 
     # -- internals ---------------------------------------------------------
-    def _tick(self, pid: ProcessId, period: float) -> None:
-        if pid in self.crashed:
-            return  # fail-stop: the timer dies with the process
+    def _tick(self, pid: ProcessId, period: float, epoch: int) -> None:
+        if pid in self.crashed or epoch != self._timer_epochs.get(pid, 0):
+            return  # fail-stop, or a timer a revival superseded: it dies
         if (self._fault_injector is not None
                 and self._fault_injector.is_paused(
                     pid, self._fault_round(self.sim.now))):
             # Slow-node fault (GC/CPU stall): the process emits nothing and
             # runs no application work, but its timer survives the pause.
-            self.sim.schedule(period, lambda: self._tick(pid, period))
+            self.sim.schedule(period, self._tick, pid, period, epoch)
             return
-        node = self.nodes[pid]
-        with self.telemetry.time("time.tick"):
-            ticked = node.on_tick(self.sim.now)
-        self.telemetry.record_sends(int(self.sim.now), pid, ticked)
+        telemetry = self.telemetry
+        started = perf_counter()
+        ticked = self.nodes[pid].on_tick(self.sim.now)
+        telemetry.histogram("time.tick").observe(perf_counter() - started)
+        telemetry.record_sends(int(self.sim.now), pid, ticked)
         self.send(pid, ticked)
         for listener in self._tick_listeners:
             listener(pid, self.sim.now)
-        self.sim.schedule(period, lambda: self._tick(pid, period))
+        self.sim.schedule(period, self._tick, pid, period, epoch)
 
     def _deliver(self, src: ProcessId, out: Outgoing) -> None:
         dst = out.destination
         if dst in self.crashed or dst not in self.nodes:
             return
         self.messages_delivered += 1
-        if self.telemetry.tracing:
-            self.telemetry.emit("receive", self.sim.now, pid=dst, peer=src,
-                                message=type(out.message).__name__)
-        with self.telemetry.time("time.delivery"):
-            replies = self.nodes[dst].handle_message(src, out.message,
-                                                     self.sim.now)
-        self.telemetry.record_sends(int(self.sim.now), dst, replies)
+        telemetry = self.telemetry
+        if telemetry.tracing:
+            telemetry.emit("receive", self.sim.now, pid=dst, peer=src,
+                           message=type(out.message).__name__)
+        started = perf_counter()
+        replies = self.nodes[dst].handle_message(src, out.message,
+                                                 self.sim.now)
+        telemetry.histogram("time.delivery").observe(perf_counter() - started)
+        telemetry.record_sends(int(self.sim.now), dst, replies)
         if replies:
             self.send(dst, replies)

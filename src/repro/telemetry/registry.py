@@ -12,8 +12,9 @@ trace stream:
 * **gauges** — last-written labelled values (``set_gauge``), e.g. the alive
   count after each round;
 * **histograms** — ``(count, sum, min, max)`` aggregates (``observe``),
-  used for the ``perf_counter`` phase timers exposed by :meth:`time` and
-  summarized by :func:`profile_summary`.
+  used for the ``perf_counter`` phase timers exposed by :meth:`time` (or,
+  on a per-event hot path, :meth:`histogram`) and summarized by
+  :func:`profile_summary`.
 
 Trace events (:mod:`repro.telemetry.events`) are recorded through
 :meth:`emit`, gated by the ``tracing`` flag so the per-message stream costs
@@ -78,19 +79,19 @@ class _Hist:
 
 class _Timer:
     """What :meth:`Telemetry.time` returns: a slotted object, not a
-    generator — there is one per datagram, encode, tick and delivery."""
+    generator, observing on exit into :meth:`Telemetry.histogram`."""
 
-    __slots__ = ("_observe", "_name", "_labels", "_started")
+    __slots__ = ("_histogram", "_name", "_labels", "_started")
 
-    def __init__(self, observe, name: str, labels: Dict) -> None:
-        self._observe, self._name, self._labels = observe, name, labels
+    def __init__(self, histogram, name: str, labels: Dict) -> None:
+        self._histogram, self._name, self._labels = histogram, name, labels
 
     def __enter__(self) -> None:
         self._started = _time.perf_counter()
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self._observe(self._name, _time.perf_counter() - self._started,
-                      **self._labels)
+        elapsed = _time.perf_counter() - self._started
+        self._histogram(self._name, **self._labels).observe(elapsed)
 
 
 class Telemetry:
@@ -135,17 +136,24 @@ class Telemetry:
     def set_gauge(self, name: str, value: float, **labels) -> None:
         self._gauges[(name, _label_key(labels))] = value
 
-    def observe(self, name: str, value: float, **labels) -> None:
-        key = (name, _label_key(labels))
+    def histogram(self, name: str, **labels) -> _Hist:
+        """The histogram ``name`` (created empty on first use), to
+        ``observe`` into directly — a hot path's phase timer is
+        ``started = perf_counter()`` … ``histogram(name).observe(
+        perf_counter() - started)``, with no timer object per call."""
+        key = (name, _label_key(labels) if labels else ())
         hist = self._hists.get(key)
         if hist is None:
             hist = self._hists[key] = _Hist()
-        hist.observe(value)
+        return hist
+
+    def observe(self, name: str, value: float, **labels) -> None:
+        self.histogram(name, **labels).observe(value)
 
     def time(self, name: str, **labels) -> _Timer:
         """``perf_counter`` phase timer: ``with telemetry.time(name):``
         observes the block's elapsed seconds into the histogram ``name``."""
-        return _Timer(self.observe, name, labels)
+        return _Timer(self.histogram, name, labels)
 
     def emit(self, kind: str, at: float, pid: Optional[int] = None,
              peer: Optional[int] = None, force: bool = False,

@@ -221,6 +221,7 @@ class TestOneLoop:
                 lambda: victim.datagram_counters()["node_errors"] > 0,
                 timeout=5.0)
             silenced = victim.datagram_counters()
+            gossips = victim.with_node(lambda node: node.stats.gossips_sent)
             second = cluster.host(nodes[1].pid).publish("after")
             delivered = cluster.wait_until(
                 lambda: all(log.delivered(pid, event.event_id)
@@ -233,6 +234,7 @@ class TestOneLoop:
         # ticked again.
         assert victim.datagram_counters()["received"] == 1
         assert victim.datagram_counters()["sent"] == silenced["sent"]
+        assert victim.node.stats.gossips_sent == gossips
         (error,) = cluster.telemetry.trace.of_kind("node.error")
         assert error.pid == victim.node.pid
         assert "planted handler failure" in error.data["error"]

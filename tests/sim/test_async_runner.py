@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import LpbcastConfig
 from repro.core.message import Outgoing
+from repro.faults import FaultPlan
 from repro.metrics import DeliveryLog
 from repro.sim import (
     AsyncGossipRuntime,
@@ -130,6 +131,26 @@ class TestDelivery:
         runtime.on_tick_complete(lambda pid, now: ticks.append(pid))
         runtime.run_until(3.0)
         assert ticks.count(0) == len(node.ticks)
+
+
+class TestFaultRevival:
+    def test_a_revived_process_runs_one_gossip_timer(self):
+        # The crash window (one default period) is shorter than the node's
+        # period, so its pending tick comes due after the revival: that
+        # stale tick must not run beside the timer the revival starts.
+        cfg = LpbcastConfig(gossip_period=2.0)
+        nodes = build_lpbcast_nodes(12, cfg, seed=5)
+        runtime = AsyncGossipRuntime(seed=5, default_period=1.0)
+        runtime.add_nodes(nodes)
+        runtime.use_fault_plan(FaultPlan().crash(3, at=2, recover_at=3))
+        ticks = {3: [], 4: []}
+        runtime.on_tick_complete(
+            lambda pid, now: ticks[pid].append(now) if pid in ticks else None)
+        runtime.run_until(40.0)
+        assert abs(len(ticks[3]) - len(ticks[4])) <= 1
+        revived = [at for at in ticks[3] if at >= 2.0]
+        gaps = [b - a for a, b in zip(revived, revived[1:])]
+        assert gaps and all(abs(gap - 2.0) < 1e-9 for gap in gaps)
 
 
 class TestEndToEnd:

@@ -48,39 +48,53 @@ class TestScheduling:
         with pytest.raises(ValueError):
             sim.schedule_at(5.0, lambda: None)
 
+    def test_nan_time_is_refused(self):
+        sim = Simulator()
+        nan = float("nan")
+        for schedule in (sim.schedule, sim.schedule_at):
+            with pytest.raises(ValueError):
+                schedule(nan, lambda: None)
+        assert sim.idle()
 
-class TestCancellation:
-    def test_cancelled_event_does_not_fire(self):
+
+class TestEntries:
+    """An entry is ``(time, seq, action, args)``: no handle, no cancel."""
+
+    def test_args_are_passed_to_the_action(self):
         sim = Simulator()
         fired = []
-        handle = sim.schedule(1.0, lambda: fired.append(1))
-        handle.cancel()
+        assert sim.schedule(1.0, fired.append, "a") is None
+        assert sim.schedule_at(2.0, lambda *args: fired.append(args),
+                               1, "b", None) is None
         sim.run()
-        assert fired == []
+        assert fired == ["a", (1, "b", None)]
 
-    def test_next_time_peeks_the_earliest_live_entry(self):
+    def test_equal_times_fire_in_scheduling_order(self):
+        sim = Simulator()
+        fired = []
+
+        def first(label):
+            fired.append(label)
+            sim.schedule(0.0, fired.append, "scheduled while running")
+
+        sim.schedule_at(1.0, first, "at")
+        sim.schedule(1.0, fired.append, "after")
+        sim.schedule_at(1.0, fired.append, "at again")
+        sim.run_until(1.0)
+        assert fired == ["at", "after", "at again", "scheduled while running"]
+
+    def test_next_time_peeks_the_earliest_entry(self):
         sim = Simulator()
         assert sim.next_time() is None
         fired = []
-        late = sim.schedule(5.0, lambda: fired.append(5))
-        early = sim.schedule(2.0, lambda: fired.append(2))
+        sim.schedule(5.0, fired.append, 5)
+        sim.schedule(2.0, fired.append, 2)
         assert sim.next_time() == 2.0
-        early.cancel()
-        assert sim.next_time() == 5.0     # a cancelled head is skipped
         assert fired == [] and sim.now == 0.0 and sim.events_executed == 0
-        late.cancel()
-        assert sim.next_time() is None
-        sim.schedule(1.0, lambda: fired.append(1))
+        sim.run_until(3.0)
+        assert fired == [2] and sim.next_time() == 5.0
         sim.run()
-        assert fired == [1]
-
-    def test_cancel_is_lazy(self):
-        sim = Simulator()
-        handle = sim.schedule(1.0, lambda: None)
-        handle.cancel()
-        assert sim.pending() == 1  # entry remains until popped
-        sim.run()
-        assert sim.pending() == 0
+        assert fired == [2, 5] and sim.next_time() is None
 
 
 class TestRunUntil:
@@ -104,6 +118,12 @@ class TestRunUntil:
         sim = Simulator(start_time=5.0)
         with pytest.raises(ValueError):
             sim.run_until(1.0)
+
+    def test_nan_deadline_is_refused(self):
+        sim = Simulator(start_time=5.0)
+        with pytest.raises(ValueError):
+            sim.run_until(float("nan"))
+        assert sim.now == 5.0
 
     def test_idle(self):
         sim = Simulator()

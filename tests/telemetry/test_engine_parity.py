@@ -13,11 +13,12 @@ import random
 
 import pytest
 
-from repro.core import LpbcastConfig
+from repro.core import LpbcastConfig, LpbcastNode
 from repro.faults import FaultPlan
 from repro.metrics.bandwidth import BandwidthMeter
 from repro.metrics.delivery import DeliveryLog
-from repro.sim import NetworkModel, build_lpbcast_nodes, create_simulation
+from repro.sim import (NetworkModel, build_lpbcast_nodes, create_simulation,
+                       uniform_latency)
 from repro.telemetry import counter_fingerprint
 
 N = 24
@@ -448,6 +449,59 @@ class TestFaultedGoldenCounterRecord:
             assert getattr(stats, name) > 0, name
         assert sim.telemetry.counter_total(
             "sim.sends", kind="RetransmitRequest") > 0
+
+
+# -- fault-free async golden counter record ----------------------------------
+# FAULTED_ASYNC_GOLDEN_SHA256 runs the async runtime at constant latency under
+# a fault plan; this record pins the path the ledger's ``async_stream`` runs:
+# uniform latency up to T/4, loss, publishes through ``call_at``, one
+# ``join_at`` and one ``leave_at``, no fault plan.  The hash was taken on the
+# revision before the event kernel dropped its per-event handles and
+# closures, so it holds the kernel's (time, seq) order, not only the
+# protocol.  Regenerate after an intentional protocol change with::
+#
+#     PYTHONPATH=src python - <<'EOF'
+#     from tests.telemetry.test_engine_parity import async_run, golden_sha256
+#     print(golden_sha256(async_run()))
+#     EOF
+
+ASYNC_N = 32
+ASYNC_PERIODS = 30
+ASYNC_SEED = 20261015
+ASYNC_PUBLISHES = 8
+ASYNC_GOLDEN_SHA256 = \
+    "f778a1d50354035f24d83bddb5a8542de026fb96384691ebe0a817d995f8cfc7"
+
+
+def async_run():
+    cfg = LpbcastConfig(fanout=3, view_max=10)
+    period = cfg.gossip_period
+    nodes = build_lpbcast_nodes(ASYNC_N, cfg, seed=ASYNC_SEED)
+    network = NetworkModel(loss_rate=0.05, rng=random.Random(ASYNC_SEED + 1),
+                           latency=uniform_latency(0.0, period / 4))
+    sim = create_simulation("async", network=network, seed=ASYNC_SEED)
+    sim.add_nodes(nodes)
+    for r in range(1, ASYNC_PUBLISHES + 1):
+        sim.call_at((r - 0.5) * period,
+                    lambda r=r: sim.nodes[nodes[r].pid].lpb_cast(
+                        f"evt-{r}", sim.now))
+    sim.join_at(LpbcastNode(ASYNC_N, cfg, random.Random(ASYNC_SEED + 2)),
+                contact=nodes[0].pid, at=4.25 * period)
+    sim.leave_at(nodes[ASYNC_N - 1].pid, at=10.5 * period)
+    sim.run_rounds(ASYNC_PERIODS, round_duration=period)
+    return sim
+
+
+class TestAsyncGoldenCounterRecord:
+    def test_async_runtime_reproduces_the_golden_record(self):
+        sim = async_run()
+        assert golden_sha256(sim) == ASYNC_GOLDEN_SHA256
+        # Non-vacuity: the join and the leave took effect, and every
+        # published event reached every process, the joiner included.
+        assert sim.nodes[ASYNC_N].joined
+        assert sim.nodes[ASYNC_N - 1].unsubscribed
+        assert sum(node.stats.delivered for node in sim.nodes.values()) == \
+            ASYNC_PUBLISHES * (ASYNC_N + 1)
 
 
 class TestFaultVerdictTracing:
