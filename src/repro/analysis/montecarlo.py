@@ -5,7 +5,8 @@ formula can be validated where it predicts *observable* rates: tiny systems
 with minimal views (e.g. n = 8, l = 1) partition with probability around
 1e-2 per draw.  :func:`empirical_partition_rate` samples fresh uniform view
 assignments and counts partitions in the paper's sense (Sec. 4.4: mutually
-oblivious subsets — weak connectivity of the knows-about graph), so the
+oblivious subsets — weak connectivity of the knows-about graph, by the
+union-find :func:`~repro.metrics.views.find_partitions` runs too), so the
 per-round bound ΣΨ can be checked against reality.
 """
 
@@ -14,32 +15,8 @@ from __future__ import annotations
 import random
 from typing import Optional, Tuple
 
-from ..core.ids import ProcessId
+from ..metrics.views import weak_components
 from .partition import partition_probability_per_round
-
-
-def _is_partitioned(views) -> bool:
-    """Weak-connectivity check on a dict pid -> iterable of view members
-    (dependency-free union-find; cheaper than building a networkx graph in
-    a hot Monte-Carlo loop)."""
-    parent = {pid: pid for pid in views}
-
-    def find(x: ProcessId) -> ProcessId:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: ProcessId, b: ProcessId) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for pid, view in views.items():
-        for target in view:
-            union(pid, target)
-    roots = {find(pid) for pid in views}
-    return len(roots) > 1
 
 
 def sample_partition(n: int, l: int, rng: random.Random) -> bool:
@@ -49,7 +26,7 @@ def sample_partition(n: int, l: int, rng: random.Random) -> bool:
     for pid in pids:
         others = [p for p in pids if p != pid]
         views[pid] = rng.sample(others, min(l, len(others)))
-    return _is_partitioned(views)
+    return len(weak_components(views)) > 1
 
 
 def empirical_partition_rate(

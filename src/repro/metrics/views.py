@@ -9,28 +9,54 @@ condition that some union of strongly-connected-and-closed subsets splits the
 graph; we detect it as the graph not being weakly connected *or* containing a
 closed proper subset (no edges leaving the subset in either direction is the
 paper's two-sided isolation).
+
+The graph is a plain ``{pid: targets}`` mapping: no graph library needed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Set
-
-import networkx as nx
+from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
 
 from ..core.ids import ProcessId
 
 
-def view_graph(nodes: Iterable) -> "nx.DiGraph":
-    """Directed *knows-about* graph: edge p→q iff q is in p's view."""
-    graph = nx.DiGraph()
-    for node in nodes:
-        graph.add_node(node.pid)
-    for node in nodes:
-        for target in node.view:
-            graph.add_edge(node.pid, target)
-    return graph
+def view_graph(nodes: Iterable) -> Dict[ProcessId, Tuple[ProcessId, ...]]:
+    """Directed *knows-about* graph ``{pid: tuple(view)}``, one edge per
+    distinct view member; a target that is no pid is a node too."""
+    return {node.pid: tuple(dict.fromkeys(node.view)) for node in nodes}
+
+
+def in_degrees(graph: Mapping) -> Dict[ProcessId, int]:
+    """In-degree of every node of a ``{pid: targets}`` graph: the pids in
+    order, then the targets that are no pid in order of first mention."""
+    degree = dict.fromkeys(graph, 0)
+    for targets in graph.values():
+        for target in targets:
+            degree[target] = degree.get(target, 0) + 1
+    return degree
+
+
+def weak_components(graph: Mapping) -> List[Set[ProcessId]]:
+    """Weakly connected components of a ``{pid: targets}`` graph by
+    union-find, ordered by their first node as :func:`in_degrees` is."""
+    parent: Dict[ProcessId, ProcessId] = dict(zip(graph, graph))
+
+    def find(x: ProcessId) -> ProcessId:
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for pid, targets in graph.items():
+        for target in targets:
+            parent[find(pid)] = find(target)
+    components: Dict[ProcessId, Set[ProcessId]] = {}
+    for node in parent:  # pids, then the other targets by first mention
+        components.setdefault(find(node), set()).add(node)
+    return list(components.values())
 
 
 @dataclass(frozen=True)
@@ -54,8 +80,7 @@ def in_degree_stats(nodes: Iterable) -> InDegreeStats:
     ``l`` (every view contributes l edges) and the distribution is
     approximately binomial with small variance.
     """
-    graph = view_graph(nodes)
-    degrees = [graph.in_degree(pid) for pid in graph.nodes]
+    degrees = list(in_degrees(view_graph(nodes)).values())
     if not degrees:
         raise ValueError("no nodes")
     mean = sum(degrees) / len(degrees)
@@ -71,10 +96,8 @@ def in_degree_stats(nodes: Iterable) -> InDegreeStats:
 
 def in_degree_distribution(nodes: Iterable) -> Dict[int, int]:
     """Histogram: in-degree -> number of processes with that in-degree."""
-    graph = view_graph(nodes)
     histogram: Dict[int, int] = {}
-    for pid in graph.nodes:
-        degree = graph.in_degree(pid)
+    for degree in in_degrees(view_graph(nodes)).values():
         histogram[degree] = histogram.get(degree, 0) + 1
     return histogram
 
@@ -89,8 +112,7 @@ def find_partitions(nodes: Iterable) -> List[Set[ProcessId]]:
     two-sided sense: any edge across a candidate split, in either direction,
     means one side knows about the other.)
     """
-    graph = view_graph(nodes)
-    return [set(component) for component in nx.weakly_connected_components(graph)]
+    return weak_components(view_graph(nodes))
 
 
 def is_partitioned(nodes: Iterable) -> bool:
@@ -102,10 +124,13 @@ def dissemination_reachable(nodes: Iterable, origin: ProcessId) -> Set[ProcessId
     on who could ever be infected by a notification published at ``origin``
     if the views froze now."""
     graph = view_graph(nodes)
-    if origin not in graph:
+    if origin not in in_degrees(graph):
         return set()
-    reachable = set(nx.descendants(graph, origin))
-    reachable.add(origin)
+    reachable, frontier = {origin}, [origin]
+    while frontier:
+        fresh = set(graph.get(frontier.pop(), ())) - reachable
+        reachable |= fresh
+        frontier.extend(fresh)
     return reachable
 
 
@@ -125,8 +150,8 @@ def view_uniformity_chi2(nodes: Sequence, view_size: int) -> float:
     n = len(nodes)
     if n < 2:
         raise ValueError("need at least two nodes")
-    graph = view_graph(nodes)
-    degrees = [graph.in_degree(node.pid) for node in nodes]
+    in_degree = in_degrees(view_graph(nodes))
+    degrees = [in_degree[node.pid] for node in nodes]
     p = min(1.0, view_size / (n - 1))
     law = scipy_stats.binom(n - 1, p)
 

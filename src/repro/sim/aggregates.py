@@ -11,12 +11,11 @@ the serial engine's direct read exactly (all fields are integer sums, and
 the derived float statistics are computed from the merged integers in
 sorted order on every engine).
 
-The in-degree statistics replicate :func:`repro.metrics.views.in_degree_stats`
-semantics without the networkx dependency (shard workers must not need it):
-the *knows-about* graph spans the aggregated processes plus every view
-target they reference, edges are deduplicated per (holder, target), and the
-degree population covers all graph nodes — including crashed processes that
-alive views still reference.
+The in-degree statistics follow :func:`repro.metrics.views.in_degree_stats`
+but merge across shards: the *knows-about* graph spans the aggregated
+processes plus every view target they reference, edges are deduplicated per
+(holder, target), and the degree population covers all graph nodes —
+including crashed processes that alive views still reference.
 """
 
 from __future__ import annotations

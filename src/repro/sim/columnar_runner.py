@@ -388,7 +388,7 @@ class _HandleMap(Mapping):
     def __getitem__(self, pid: ProcessId) -> ColumnarNodeHandle:
         handle = self._cache.get(pid)
         if handle is None:
-            index = self._sim._index.get(pid)
+            index = self._sim._index_of(pid)
             if index is None:
                 raise KeyError(pid)
             handle = self._cache[pid] = ColumnarNodeHandle(
@@ -402,7 +402,7 @@ class _HandleMap(Mapping):
         return len(self._sim._pids)
 
     def __contains__(self, pid: object) -> bool:
-        return pid in self._sim._index
+        return self._sim._index_of(pid) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +450,8 @@ class ColumnarRoundSimulation:
         self.nodes: Mapping[ProcessId, ColumnarNodeHandle] = _HandleMap(self)
         self.config: Optional[LpbcastConfig] = None
 
-        self._pids: List[ProcessId] = []
-        self._index: Dict[ProcessId, int] = {}
+        self._pids: Sequence[ProcessId] = []  # build(): range(n)
+        self._index: Optional[Dict[ProcessId, int]] = {}  # build(): None
         self._view_rows: List[List[int]] = []   # node index -> peer indices
         self._started = False
         self._hooks: List[Callable] = []
@@ -511,10 +511,28 @@ class ColumnarRoundSimulation:
             raise ValueError("need at least two processes")
         sim = cls(network=network, seed=seed, workers=workers)
         sim.config = config if config is not None else LpbcastConfig()
-        sim._pids = list(range(n))
-        sim._index = {pid: pid for pid in sim._pids}
+        sim._pids, sim._index = range(n), None
         sim._bootstrap_views(n, min(sim.config.view_max, n - 1))
         return sim
+
+    def _index_of(self, pid, default=None) -> Optional[int]:
+        """``pid``'s node index, as a dict keyed by the pids answers: it
+        finds ``p`` iff ``hash(pid) == hash(p)`` and ``pid == p``, and a
+        built system's ``p`` in ``range(n)`` has ``hash(p) == p``."""
+        if self._index is not None:
+            return self._index.get(pid, default)
+        index = hash(pid)
+        return index if 0 <= index < len(self._pids) and index == pid \
+            else default
+
+    def _indices_of(self, pids) -> List[int]:
+        """The node indices of the known ``pids``, in their order."""
+        return [i for i in map(self._index_of, pids) if i is not None]
+
+    def _pids_at(self, indices) -> List[ProcessId]:
+        """The pids of node index array ``indices``."""
+        keys = indices.tolist()
+        return keys if self._index is None else [self._pids[i] for i in keys]
 
     def _bootstrap_views(self, n: int, k: int) -> None:
         rng = _np.random.default_rng(derive_seed(self.seed, "columnar-views"))
@@ -547,7 +565,7 @@ class ColumnarRoundSimulation:
             raise RuntimeError("columnar membership is frozen once the "
                                "first round has run")
         pid = node.pid
-        if pid in self._index:
+        if self._index_of(pid) is not None:
             raise ValueError(f"duplicate process id {pid}")
         cfg = getattr(node, "config", None)
         if self.config is None:
@@ -709,7 +727,7 @@ class ColumnarRoundSimulation:
 
     # Until the first round, publish or effective crash freezes membership
     # (``_start``), every ingested process is alive: the reads below answer
-    # from ``_pids``/``_index`` and leave ``add_node`` open, as the serial
+    # from ``_pids``/``_index_of`` and leave ``add_node`` open, as the serial
     # engine does.
     def _is_alive(self, index: int) -> bool:
         if not self._started:
@@ -726,7 +744,7 @@ class ColumnarRoundSimulation:
 
     def crash(self, pid: ProcessId) -> None:
         """Fail-stop ``pid`` immediately (Sec. 4.1)."""
-        index = self._index.get(pid)
+        index = self._index_of(pid)
         if index is not None and self._is_alive(index):
             self._ensure_started()
             self._set_alive(index, False)
@@ -735,14 +753,14 @@ class ColumnarRoundSimulation:
     def recover(self, pid: ProcessId) -> bool:
         """Un-crash ``pid`` with its retained state; no re-join handshake
         (declared divergence from the serial recovery path)."""
-        index = self._index.get(pid)
+        index = self._index_of(pid)
         if index is None or self._is_alive(index):
             return False
         self._set_alive(index, True)
         return True
 
     def alive(self, pid: ProcessId) -> bool:
-        index = self._index.get(pid)
+        index = self._index_of(pid)
         return index is not None and self._is_alive(index)
 
     def alive_count(self) -> int:
@@ -809,16 +827,15 @@ class ColumnarRoundSimulation:
         the shared-memory workers."""
         if self._fault_injector is None:
             return [], []
-        plan, r, index = self._fault_injector.plan, self.round, self._index
+        plan, r, find = self._fault_injector.plan, self.round, self._index_of
         drops = [
             (window.rate,
-             index.get(window.src, -1) if window.src is not None else None,
-             index.get(window.dst, -1) if window.dst is not None else None)
+             find(window.src, -1) if window.src is not None else None,
+             find(window.dst, -1) if window.dst is not None else None)
             for window in plan.drops if window.start <= r < window.stop
         ]
         partitions = [
-            ([index[p] for p in part.side_a if p in index],
-             [index[p] for p in part.side_b if p in index],
+            (self._indices_of(part.side_a), self._indices_of(part.side_b),
              getattr(part, "direction", "both"))
             for part in plan.partitions if part.start <= r < part.heal
         ]
@@ -832,8 +849,7 @@ class ColumnarRoundSimulation:
         the worker pool; :meth:`_merge_round` applies what it found."""
         cfg = self.config
         alive = bitset.unpack_bools(self._alive, self._n)
-        paused = [self._index[p] for p in self._fault_paused
-                  if p in self._index]
+        paused = self._indices_of(self._fault_paused)
         senders = slab_senders(alive, self._view_len, paused, cfg.fanout,
                                0, self._n, self._scratch)
         s_idx = senders[0]
@@ -939,9 +955,8 @@ class ColumnarRoundSimulation:
         if not self._started:
             # Rows still hold pids (build(): pid == index), unfiltered.
             return [int(p) for p in self._view_rows[index]
-                    if p in self._index]
-        row = self._view_mat[index, :self._view_len[index]]
-        return [self._pids[i] for i in row.tolist()]
+                    if self._index_of(p) is not None]
+        return self._pids_at(self._view_mat[index, :self._view_len[index]])
 
     def memory_bytes(self) -> int:
         """Resident footprint of the dense columns (views, alive words,
@@ -977,7 +992,7 @@ class ColumnarRoundSimulation:
             mask = _np.ones(n, dtype=bool)
         if pids is not None:
             keep = _np.zeros(n, dtype=bool)
-            keep[[self._index[p] for p in pids if p in self._index]] = True
+            keep[self._indices_of(pids)] = True
             mask &= keep
         idx = _np.flatnonzero(mask)
         agg.count = int(idx.size)
@@ -1011,20 +1026,23 @@ class ColumnarRoundSimulation:
                 degree += _np.bincount(self._view_mat[rows][filled],
                                        minlength=n)
             known = _np.flatnonzero(degree)
-            agg.in_degree = {self._pids[i]: d for i, d in
-                             zip(known.tolist(), degree[known].tolist())}
+            agg.in_degree = dict(zip(self._pids_at(known),
+                                     degree[known].tolist()))
+            idx = idx[degree[idx] == 0]  # the others are keys already
         else:  # rows still hold pids: the pre-run read, never at scale
             for i in idx.tolist():
                 for pid in self._view_of(i):
                     agg.in_degree[pid] = agg.in_degree.get(pid, 0) + 1
         agg.graph_nodes = set(agg.in_degree)
-        agg.graph_nodes.update(self._pids[i] for i in idx.tolist())
+        agg.graph_nodes.update(self._pids_at(idx))
         return agg
 
     # -- reliability reads -------------------------------------------------
     def delivery_ratio(self, event: int = 0) -> float:
         """Fraction of currently-alive processes that delivered event row
         ``event`` — the infection-curve read at scale."""
+        if event < 0:
+            raise ValueError(f"event row {event} is negative")
         if event >= len(self._notifications):
             return 0.0
         total = bitset.popcount_words(self._alive)

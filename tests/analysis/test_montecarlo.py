@@ -5,7 +5,11 @@ import random
 import pytest
 
 from repro.analysis import empirical_partition_rate, sample_partition
-from repro.analysis.montecarlo import _is_partitioned
+from repro.metrics.views import weak_components
+
+
+def _is_partitioned(views) -> bool:
+    return len(weak_components(views)) > 1
 
 
 class TestPartitionDetector:

@@ -1,7 +1,15 @@
 """Tests for view-graph statistics and partition detection."""
 
-import pytest
+import os
+import subprocess
+import sys
+from types import SimpleNamespace
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import repro
 from repro.core import LpbcastConfig
 from repro.metrics import (
     dissemination_reachable,
@@ -12,6 +20,7 @@ from repro.metrics import (
     view_graph,
     view_uniformity_chi2,
 )
+from repro.metrics.views import in_degrees, weak_components
 from repro.sim import build_lpbcast_nodes
 
 from ..helpers import make_node
@@ -29,11 +38,18 @@ def chain_nodes():
 class TestViewGraph:
     def test_edges_follow_views(self):
         graph = view_graph(chain_nodes())
-        assert set(graph.edges) == {(0, 1), (1, 2)}
+        assert graph == {0: (1,), 1: (2,), 2: ()}
 
     def test_all_nodes_present(self):
         graph = view_graph(chain_nodes())
-        assert set(graph.nodes) == {0, 1, 2}
+        assert list(in_degrees(graph)) == [0, 1, 2]
+
+    def test_strangers_are_nodes(self):
+        # 7 is in a view but no process: a node with in-degree 1.
+        nodes = chain_nodes() + [make_node(pid=3, view=(0, 7), view_max=3)]
+        assert in_degrees(view_graph(nodes)) == {0: 1, 1: 1, 2: 1, 3: 0, 7: 1}
+        assert in_degree_distribution(nodes) == {1: 4, 0: 1}
+        assert dissemination_reachable(nodes, 7) == {7}
 
 
 class TestInDegree:
@@ -121,3 +137,62 @@ class TestUniformity:
     def test_small_population_rejected(self):
         with pytest.raises(ValueError):
             view_uniformity_chi2([make_node(pid=0)], view_size=3)
+
+
+@st.composite
+def view_systems(draw):
+    """Processes ``0..n-1`` with random self-free views (repeats allowed)
+    over ``0..n+2``: ids ``>= n`` are strangers no process owns."""
+    n = draw(st.integers(1, 10))
+    return [SimpleNamespace(pid=pid, view=draw(st.lists(
+        st.integers(0, n + 2).filter(lambda q, pid=pid: q != pid),
+        max_size=4))) for pid in range(n)]
+
+
+class TestNetworkxTwin:
+    """The mapping against the networkx digraph this module used to build
+    (networkx is installed for the twin but no dependency)."""
+
+    @staticmethod
+    def reference(nodes):
+        nx = pytest.importorskip("networkx")
+        graph = nx.DiGraph()
+        for node in nodes:
+            graph.add_node(node.pid)
+        for node in nodes:
+            for target in node.view:
+                graph.add_edge(node.pid, target)
+        return nx, graph
+
+    @given(view_systems())
+    def test_same_graph_components_reach_and_degrees(self, nodes):
+        nx, reference = self.reference(nodes)
+        graph = view_graph(nodes)
+        assert {(p, q) for p, qs in graph.items() for q in qs} \
+            == set(reference.edges)
+        assert list(in_degrees(graph).items()) == list(reference.in_degree)
+        assert find_partitions(nodes) \
+            == [set(c) for c in nx.weakly_connected_components(reference)]
+        histogram = {}
+        for _, degree in reference.in_degree:
+            histogram[degree] = histogram.get(degree, 0) + 1
+        assert in_degree_distribution(nodes) == histogram
+        for origin in [*reference.nodes, len(nodes) + 3]:
+            expected = ({origin, *nx.descendants(reference, origin)}
+                        if origin in reference else set())
+            assert dissemination_reachable(nodes, origin) == expected
+
+
+class TestNoGraphLibrary:
+    def test_engines_import_without_networkx(self):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        probe = ("import sys, repro, repro.sim, repro.metrics, "
+                 "repro.runtime.udp; print('networkx' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.strip() == "False"
+
+    def test_union_find_on_a_mapping(self):
+        views = {0: [1], 1: [], 2: [9], 3: [2]}
+        assert weak_components(views) == [{0, 1}, {2, 3, 9}]

@@ -8,6 +8,9 @@ sets really do differ, so nobody quietly starts trusting an unhonoured
 series for cross-engine comparison.
 """
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from repro.core import LpbcastConfig
@@ -256,6 +259,83 @@ class TestEngineBasics:
         assert 0 < stopped <= 30
         assert sim.round == stopped
 
+    @pytest.mark.parametrize("events", [7, 8], ids=["spare-row", "full"])
+    def test_delivery_ratio_refuses_negative_rows(self, events):
+        # Event rows grow 8 at a time: with 7 events row -1 was the spare
+        # row (ratio 0.0), with 8 it aliased event 7.
+        sim = ColumnarRoundSimulation.build(40, LpbcastConfig(view_max=8),
+                                            seed=9)
+        for pid in range(events):
+            sim.nodes[pid].lpb_cast(pid, 0.0)
+        with pytest.raises(ValueError, match="event"):
+            sim.delivery_ratio(-1)
+        assert sim.delivery_ratio(events - 1) == 1 / 40
+        assert sim.delivery_ratio(events) == sim.delivery_ratio(99) == 0.0
+
+
+class TestPidLookup:
+    """A built system's pids are ``range(n)``: every lookup must answer
+    what a dict keyed by those pids answers.  The table was recorded on
+    that dict."""
+
+    N = 10
+    VIEWS = {1: [4, 5, 8, 9], 2: [1, 7, 8, 9], 5: [0, 2, 3, 8]}  # seed 3
+    #: key -> the node index it names (None: no such process)
+    PINNED = [(5, 5), (np.int64(5), 5), (np.int32(5), 5), (True, 1),
+              (1.0, 1), (np.float64(2.0), 2), (5.5, None), (-1, None),
+              (-2, None), (2**61 + 4, None), (N, None), ("x", None),
+              (None, None)]
+    IDS = ["int", "int64", "int32", "bool", "float", "float64", "fraction",
+           "minus-one", "minus-two", "hashes-to-5", "n", "str", "None"]
+
+    @pytest.mark.parametrize("started", [False, True],
+                             ids=["before-start", "started"])
+    @pytest.mark.parametrize("key, index", PINNED, ids=IDS)
+    def test_answers_as_the_dict_did(self, key, index, started):
+        sim = ColumnarRoundSimulation.build(self.N, LpbcastConfig(view_max=4),
+                                            seed=3)
+        if started:
+            sim.run_round()
+        known = index is not None
+        assert sim.alive(key) is known
+        assert (key in sim.nodes) is known
+        assert sim.node_aggregates(pids=[key]).count == known
+        if known:
+            view = sim.nodes[key].view
+            assert view == self.VIEWS[index]
+            assert all(type(peer) is int for peer in view)
+        else:
+            with pytest.raises(KeyError):
+                sim.nodes[key]
+        sim.crash(key)
+        assert sim.alive_count() == self.N - known
+        assert sim.recover(key) is known
+        assert sim.alive_count() == self.N
+
+    def test_unhashable_keys_raise_as_the_dict_did(self):
+        sim = ColumnarRoundSimulation.build(self.N, seed=3)
+        with pytest.raises(TypeError):
+            sim.alive([5])
+
+
+class TestBuildMemory:
+    def test_build_holds_no_per_process_objects(self):
+        # Peak traced bytes per process over build(200_000) and two rounds
+        # (numpy buffers are traced): 326.2 B with a pid list and an
+        # identity dict, 233.8 B with range(n) and no dict (numpy 2.4,
+        # Python 3.11).  The columns alone are 156 B.
+        n = 200_000
+        tracemalloc.start()
+        try:
+            sim = ColumnarRoundSimulation.build(
+                n, LpbcastConfig(fanout=3, view_max=25), seed=1)
+            sim.nodes[0].lpb_cast("x", 0.0)
+            sim.run(2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 280, f"{peak / n:.1f} B per process"
+
 
 class TestAggregatesMatrix:
     """node_aggregates across all four engines on one fixed-seed scenario.
@@ -316,8 +396,8 @@ class TestInDegreeBincount:
     @staticmethod
     def loop_reference(sim, pids=None):
         graph_nodes, in_degree = set(), {}
-        for pid in sim._pids if pids is None else pids:
-            if pid in sim._index and sim.alive(pid):
+        for pid in sim.nodes if pids is None else pids:
+            if pid in sim.nodes and sim.alive(pid):
                 graph_nodes.add(pid)
                 for peer in sim.nodes[pid].view:
                     graph_nodes.add(peer)
