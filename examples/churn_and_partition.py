@@ -2,7 +2,8 @@
 """Membership under churn and the prioritary-process safeguard (Sec. 4.4).
 
 Part 1 — churn: processes join through contacts, leave with timestamped
-unsubscriptions, and crash silently; the membership absorbs all of it.
+unsubscriptions, and crash silently (a fault plan's fail-stop); the
+membership absorbs all of it.
 
 Part 2 — partition: we construct the pathological case the paper analyses
 (two view-isolated islands), show that gossip alone cannot heal it ("a
@@ -15,6 +16,7 @@ Run:  python examples/churn_and_partition.py
 import random
 
 from repro.core import LpbcastConfig, LpbcastNode
+from repro.faults import FaultPlan
 from repro.membership import PriorityProcessSet, periodic_normalizer
 from repro.metrics import DeliveryLog, find_partitions, is_partitioned
 from repro.sim import ChurnScript, NetworkModel, RoundSimulation, build_lpbcast_nodes
@@ -35,8 +37,8 @@ def churn_demo() -> None:
     script.join(2, pid=100, contact=0)
     script.join(3, pid=101, contact=7)
     script.leave(5, nodes[4].pid)
-    script.crash(6, nodes[9].pid)
     sim.add_round_hook(script.on_round)
+    sim.use_fault_plan(FaultPlan().crash(nodes[9].pid, at=6))
 
     sim.run(20)
 

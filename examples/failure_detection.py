@@ -19,12 +19,13 @@ import random
 
 from repro.core import LpbcastConfig
 from repro.failuredetector import FdLpbcastNode
+from repro.faults import FaultPlan
 from repro.sim import NetworkModel, RoundSimulation
 from repro.sim.rng import SeedSequence
 from repro.sim.topology import uniform_random_views
 
 
-def build(n=40, suspect=6.0, seed=11, link_filter=None):
+def build(n=40, suspect=6.0, seed=11, plan=None):
     cfg = LpbcastConfig(fanout=3, view_max=8)
     seeds = SeedSequence(seed)
     pids = list(range(n))
@@ -35,10 +36,11 @@ def build(n=40, suspect=6.0, seed=11, link_filter=None):
                       suspect_timeout=suspect, forget_timeout=4 * suspect)
         for pid in pids
     ]
-    net = NetworkModel(loss_rate=0.05, rng=random.Random(seed + 2),
-                       link_filter=link_filter)
+    net = NetworkModel(loss_rate=0.05, rng=random.Random(seed + 2))
     sim = RoundSimulation(network=net, seed=seed)
     sim.add_nodes(nodes)
+    if plan is not None:
+        sim.use_fault_plan(plan)
     return sim, nodes
 
 
@@ -63,18 +65,16 @@ def crash_cleanup_demo() -> None:
 
 def isolation_guard_demo() -> None:
     print("\n=== isolation guard ===")
-    blocked = {"active": True}
-    sim, nodes = build(
-        suspect=4.0,
-        link_filter=lambda s, d: not (blocked["active"] and (s == 5 or d == 5)),
-    )
+    # Process 5 is cut off from everyone for rounds 1-10; the cut heals at 11.
+    cut = FaultPlan().partition([5], [p for p in range(40) if p != 5],
+                                start=1, heal=11)
+    sim, nodes = build(suspect=4.0, plan=cut)
     sim.run(10)
     print(f"process 5 isolated for 10 rounds; "
           f"its own view still has {len(nodes[5].view)} entries "
           f"(guard: don't declare the world dead)")
     others_knowing_5 = sum(1 for n in nodes if n.pid != 5 and 5 in n.view)
     print(f"the rest suspected and purged it: known by {others_knowing_5}")
-    blocked["active"] = False
     sim.run(15)
     others_knowing_5 = sum(1 for n in nodes if n.pid != 5 and 5 in n.view)
     print(f"15 rounds after the cut heals: process 5 known by "

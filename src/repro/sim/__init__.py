@@ -16,10 +16,12 @@
   honouring a schedule-deterministic counter subset bit-identically.
 * :mod:`~repro.sim.engines` — the registry behind the single ``engine=``
   knob, :func:`~repro.sim.engines.create_simulation`.
-* :class:`~repro.sim.network.NetworkModel` — i.i.d. loss ε, latency models,
-  link filters; :class:`~repro.sim.network.CrashPlan` — fail-stop schedule
-  bounded by τ.
-* Workloads, churn scripts, topology bootstrap and seeded random streams.
+* :class:`~repro.sim.network.NetworkModel` — i.i.d. loss ε and latency
+  models.  Crashes and link cuts are a
+  :class:`~repro.faults.plan.FaultPlan`'s, installed with
+  ``use_fault_plan``; the one trace is the engine's ``telemetry.trace``.
+* Workloads, churn scripts (joins and leaves), canned scenarios, topology
+  bootstrap and seeded random streams.
 """
 
 from .async_runner import AsyncGossipRuntime
@@ -28,14 +30,11 @@ from .columnar_runner import ColumnarRoundSimulation
 from .engine import Simulator
 from .engines import ENGINES, create_simulation
 from .network import (
-    CrashEvent,
-    CrashPlan,
     NetworkModel,
     PAPER_CRASH_RATE,
     PAPER_LOSS_RATE,
     constant_latency,
     exponential_latency,
-    partition_filter,
     uniform_latency,
 )
 from .parallel_runner import (
@@ -64,8 +63,6 @@ __all__ = [
     "ColumnarRoundSimulation",
     "constant_latency",
     "correlated_crashes",
-    "CrashEvent",
-    "CrashPlan",
     "create_simulation",
     "DEFAULT_SHARDS",
     "ENGINES",
@@ -82,7 +79,6 @@ __all__ = [
     "NodeProxy",
     "PAPER_CRASH_RATE",
     "PAPER_LOSS_RATE",
-    "partition_filter",
     "PoissonWorkload",
     "PublicationRecord",
     "RoundSimulation",

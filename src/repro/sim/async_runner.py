@@ -81,11 +81,9 @@ class AsyncGossipRuntime(EngineCore):
         self._tick_listeners.append(listener)
 
     # -- runtime control ---------------------------------------------------
-    def crash_at(self, pid: ProcessId, at: float) -> None:
-        self.sim.schedule_at(at, self.crash, pid)
-
     def call_at(self, at: float, action: Callable[[], None]) -> None:
-        """Schedule an arbitrary action (publish, join, partition heal...)."""
+        """Schedule an arbitrary action (publish, a crash through
+        ``partial(runtime.crash, pid)``...)."""
         self.sim.schedule_at(at, action)
 
     def join_at(self, node: GossipProcess, contact: ProcessId, at: float) -> None:
@@ -121,11 +119,11 @@ class AsyncGossipRuntime(EngineCore):
         apply at each send; paused processes skip gossips but keep their
         timers.  Returns the installed injector.
         """
-        if round_duration is not None:
-            if round_duration <= 0:
-                raise ValueError("round_duration must be positive")
-            self._fault_round_duration = round_duration
+        if round_duration is not None and round_duration <= 0:
+            raise ValueError("round_duration must be positive")
         injector = super().use_fault_plan(plan)
+        if round_duration is not None:
+            self._fault_round_duration = round_duration
         period = self._fault_round_duration
         for fault in plan.crashes:
             self.sim.schedule_at((fault.at - 1) * period,
@@ -189,6 +187,9 @@ class AsyncGossipRuntime(EngineCore):
                 if verdict.replay:
                     replay_delay = verdict.replay * self._fault_round_duration
             if not self.network.deliverable(src, out.destination):
+                if self.telemetry.tracing:
+                    self.telemetry.emit("net.drop", self.sim.now, pid=src,
+                                        peer=out.destination)
                 continue
             for _ in range(copies):
                 latency = self.network.draw_latency() + extra_delay

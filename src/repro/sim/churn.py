@@ -1,4 +1,4 @@
-"""Churn scripting: joins, voluntary leaves and crashes over a run.
+"""Churn scripting: joins and voluntary leaves over a run.
 
 The paper assumes subscriptions/unsubscriptions "are rare compared to the
 large flow of events" (Sec. 3.1) and describes the join handshake and the
@@ -7,7 +7,8 @@ schedules those transitions against a :class:`~repro.sim.round_runner.RoundSimul
 so integration tests and examples can exercise the full membership
 lifecycle: a joiner contacts a member, is gossiped on its behalf, starts
 receiving gossip; a leaver's unsubscription spreads and its id drains from
-views.
+views.  Crashes are faults, not membership: schedule them with a
+:class:`~repro.faults.plan.FaultPlan`.
 """
 
 from __future__ import annotations
@@ -34,31 +35,22 @@ class LeaveAction:
     pid: ProcessId
 
 
-@dataclass(frozen=True)
-class CrashAction:
-    round: int
-    pid: ProcessId
-
-
 class ChurnScript:
     """A declarative schedule of membership transitions.
 
     Register with ``sim.add_round_hook(script.on_round)``.  Joins create the
     node through ``node_factory``, add it to the simulation and emit its
     subscription request through the simulation's injection queue; leaves
-    call ``try_unsubscribe`` (retrying on refusal, Sec. 3.4); crashes
-    fail-stop the victim.
+    call ``try_unsubscribe`` (retrying on refusal, Sec. 3.4).
     """
 
     def __init__(self, node_factory: Optional[NodeFactory] = None) -> None:
         self.node_factory = node_factory
         self._joins: List[JoinAction] = []
         self._leaves: List[LeaveAction] = []
-        self._crashes: List[CrashAction] = []
         self._pending_leaves: List[ProcessId] = []
         self.joined: List[ProcessId] = []
         self.left: List[ProcessId] = []
-        self.crashed: List[ProcessId] = []
 
     # -- schedule construction ----------------------------------------------
     def join(self, round_number: int, pid: ProcessId, contact: ProcessId) -> "ChurnScript":
@@ -69,18 +61,9 @@ class ChurnScript:
         self._leaves.append(LeaveAction(round_number, pid))
         return self
 
-    def crash(self, round_number: int, pid: ProcessId) -> "ChurnScript":
-        self._crashes.append(CrashAction(round_number, pid))
-        return self
-
     # -- execution ------------------------------------------------------------
     def on_round(self, round_number: int, sim) -> None:
         now = float(round_number)
-
-        for action in self._crashes:
-            if action.round == round_number:
-                sim.crash(action.pid)
-                self.crashed.append(action.pid)
 
         for action in self._joins:
             if action.round == round_number:

@@ -712,10 +712,13 @@ class ColumnarRoundSimulation:
         contract).  Partition and drop-rate windows shape delivery through
         the columnar engine's own stream; duplicate/delay windows are
         ignored; Byzantine plans are rejected — the vectorized path models
-        no payload mutation.
+        no payload mutation.  A second install raises ``ValueError``, as on
+        the object engines.
         """
         from ..faults.injector import FaultInjector
 
+        if self._fault_injector is not None:
+            raise ValueError("a fault plan is already installed")
         if (plan.equivocations or plan.forges or plan.replays
                 or plan.poisons):
             raise ValueError(

@@ -1,31 +1,28 @@
-"""Network and failure models (paper Sec. 4.1 assumptions).
+"""Network model (paper Sec. 4.1 assumptions).
 
 The analysis assumes: stochastically independent failures; message loss
 probability bounded by ``ε`` (paper default 0.05); at most ``f < n`` crashes
 per run giving a crash probability bound ``τ = f/n`` (paper default 0.01);
 and, for the round-based analysis, network latency below the gossip period.
 
-:class:`NetworkModel` realizes exactly those assumptions: i.i.d. Bernoulli
-loss per message, an optional link filter (used to force partitions in
-fault-injection tests), and a latency distribution used by the discrete-event
-runner.  :class:`CrashPlan` pre-draws which processes crash and when, honoring
-the ``τ`` bound.
+:class:`NetworkModel` realizes the message side of those assumptions: i.i.d.
+Bernoulli loss per message and a latency distribution used by the
+discrete-event runner.  Crashes and link cuts are scheduled by a
+:class:`~repro.faults.plan.FaultPlan` (``crash``, ``partition``), the one
+fault schedule every engine interprets; ``flaky_wan`` in
+:mod:`repro.sim.scenarios` draws the τ-bounded crash schedule.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Optional
 
 from ..core.ids import ProcessId
 
 #: Paper defaults (Sec. 4.1): "we will assume τ = 0.01 and ε = 0.05".
 PAPER_LOSS_RATE = 0.05
 PAPER_CRASH_RATE = 0.01
-
-LinkFilter = Callable[[ProcessId, ProcessId], bool]
-"""Returns True when src→dst traffic is allowed (False forces a cut)."""
 
 LatencyModel = Callable[[random.Random], float]
 """Draws one message latency, in simulated time units."""
@@ -59,7 +56,7 @@ def exponential_latency(mean: float, cap: Optional[float] = None) -> LatencyMode
 
 
 class NetworkModel:
-    """Message-level loss, latency and reachability.
+    """Message-level loss and latency.
 
     Parameters
     ----------
@@ -70,9 +67,6 @@ class NetworkModel:
     latency:
         Latency model for the discrete-event runner (ignored by the
         round-based runner, where one round is one time step).
-    link_filter:
-        Optional reachability predicate; messages on disallowed links are
-        dropped deterministically.  Tests use this to carve partitions.
     """
 
     def __init__(
@@ -80,24 +74,18 @@ class NetworkModel:
         loss_rate: float = PAPER_LOSS_RATE,
         rng: Optional[random.Random] = None,
         latency: Optional[LatencyModel] = None,
-        link_filter: Optional[LinkFilter] = None,
     ) -> None:
         if not 0.0 <= loss_rate <= 1.0:
             raise ValueError("loss_rate (epsilon) must be in [0, 1]")
         self.loss_rate = loss_rate
         self.rng = rng if rng is not None else random.Random()
         self.latency = latency if latency is not None else constant_latency(0.1)
-        self.link_filter = link_filter
         self.messages_offered = 0
         self.messages_dropped = 0
-        self.messages_cut = 0
 
     def deliverable(self, src: ProcessId, dst: ProcessId) -> bool:
         """Decide the fate of one message (count it either way)."""
         self.messages_offered += 1
-        if self.link_filter is not None and not self.link_filter(src, dst):
-            self.messages_cut += 1
-            return False
         if self.loss_rate > 0.0 and self.rng.random() < self.loss_rate:
             self.messages_dropped += 1
             return False
@@ -107,91 +95,7 @@ class NetworkModel:
         return self.latency(self.rng)
 
     def observed_loss_rate(self) -> float:
-        """Empirical loss fraction (random drops only, not link cuts)."""
+        """Empirical loss fraction."""
         if self.messages_offered == 0:
             return 0.0
         return self.messages_dropped / self.messages_offered
-
-
-def partition_filter(groups: Sequence[Sequence[ProcessId]]) -> LinkFilter:
-    """A link filter allowing traffic only within the given groups.
-
-    Processes not listed in any group may talk to anyone.
-    """
-    membership: Dict[ProcessId, int] = {}
-    for idx, group in enumerate(groups):
-        for pid in group:
-            membership[pid] = idx
-
-    def allowed(src: ProcessId, dst: ProcessId) -> bool:
-        gs, gd = membership.get(src), membership.get(dst)
-        return gs is None or gd is None or gs == gd
-
-    return allowed
-
-
-@dataclass(frozen=True)
-class CrashEvent:
-    """Process ``pid`` fail-stops at time/round ``at``."""
-
-    pid: ProcessId
-    at: float
-
-
-class CrashPlan:
-    """Pre-drawn fail-stop schedule bounded by τ (Sec. 4.1).
-
-    "The number of process crashes in a run does not exceed f < n.  The
-    probability of a process crash during a run is thus bounded by τ = f/n."
-    We draw ``f = round(τ·n)`` distinct victims and give each a crash time
-    uniform over the run horizon.  Crashed processes are silenced (fail-stop,
-    no recovery, no byzantine behaviour — exactly the paper's model).
-    """
-
-    def __init__(
-        self,
-        processes: Sequence[ProcessId],
-        crash_rate: float = PAPER_CRASH_RATE,
-        horizon: float = 10.0,
-        rng: Optional[random.Random] = None,
-    ) -> None:
-        if not 0.0 <= crash_rate < 1.0:
-            raise ValueError("crash_rate (tau) must be in [0, 1)")
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
-        self.crash_rate = crash_rate
-        rng = rng if rng is not None else random.Random()
-        count = int(round(crash_rate * len(processes)))
-        victims = rng.sample(list(processes), count) if count else []
-        self.events: List[CrashEvent] = sorted(
-            (CrashEvent(pid, rng.uniform(0.0, horizon)) for pid in victims),
-            key=lambda ev: ev.at,
-        )
-        #: Consumption cursor over the sorted schedule: events at or before
-        #: the last ``crashes_before`` call have already been handed out.
-        self._cursor = 0
-
-    def crashes_before(self, now: float) -> List[CrashEvent]:
-        """Consume and return the not-yet-applied events with ``at <= now``.
-
-        The schedule is sorted, so a cursor hands each event out exactly
-        once; the per-round full rescan (which kept re-offering already
-        applied crashes) is gone.  ``victims()``/``len()`` still describe
-        the whole plan.  A plan instance therefore serves one simulation —
-        build a fresh plan (same seed) to replay.
-        """
-        events = self.events
-        i = self._cursor
-        n = len(events)
-        due: List[CrashEvent] = []
-        while i < n and events[i].at <= now:
-            due.append(events[i])
-            i += 1
-        self._cursor = i
-        return due
-
-    def victims(self) -> List[ProcessId]:
-        return [ev.pid for ev in self.events]
-
-    def __len__(self) -> int:
-        return len(self.events)

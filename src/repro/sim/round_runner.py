@@ -14,7 +14,8 @@ Round semantics
 ---------------
 At round ``r`` (``now = r``):
 
-1. crash events due at or before ``r`` silence their victims;
+1. the fault plan's round-start actions apply (crashes, recoveries,
+   pauses, held-back messages coming due);
 2. round hooks fire (workloads publish, churn scripts join/leave processes);
 3. every alive node ticks once; the produced gossips are shuffled and
    delivered subject to the network model;
@@ -35,7 +36,7 @@ from ..core.ids import ProcessId
 from ..core.message import Outgoing
 from ..telemetry import Telemetry
 from .aggregates import NodeAggregates, aggregate_nodes
-from .network import CrashPlan, NetworkModel
+from .network import NetworkModel
 from .rng import SeedSequence
 
 
@@ -112,10 +113,14 @@ class EngineCore:
         from the dedicated ``"faults"`` stream, so runs with the same root
         seed and plan replay bit-for-bit (and serial equals sharded).
         Returns the installed :class:`~repro.faults.injector.FaultInjector`
-        (its ``stats`` count the faults that actually struck)."""
+        (its ``stats`` count the faults that actually struck).  One plan per
+        engine: a second install raises ``ValueError`` (compose the windows
+        into one plan instead)."""
         from ..faults.byzantine import mutate_message
         from ..faults.injector import FaultInjector
 
+        if self._fault_injector is not None:
+            raise ValueError("a fault plan is already installed")
         self._fault_injector = FaultInjector(plan, self.seeds.rng("faults"))
         self._mutate_message = mutate_message
         return self._fault_injector
@@ -184,7 +189,6 @@ class EngineCore:
             "sim.to_unknown": self.messages_to_unknown,
             "net.offered": self.network.messages_offered,
             "net.dropped": self.network.messages_dropped,
-            "net.cut": getattr(self.network, "messages_cut", 0),
         }
         if self._fault_injector is not None:
             for name, value in self._fault_injector.stats.as_dict().items():
@@ -238,7 +242,6 @@ class RoundSimulation(EngineCore):
         self._carryover: List = []
         self._hooks: List[RoundHook] = []
         self._observers: List[RoundObserver] = []
-        self._crash_plan: Optional[CrashPlan] = None
         #: Fault-injection state (see repro.faults): the pids whose ticks
         #: are suppressed this round, and entries held back by delay and
         #: replay verdicts as (due_round, entry) pairs.
@@ -259,10 +262,6 @@ class RoundSimulation(EngineCore):
 
     def add_observer(self, observer: RoundObserver) -> None:
         self._observers.append(observer)
-
-    def use_crash_plan(self, plan: CrashPlan) -> None:
-        """Attach a pre-drawn fail-stop schedule (applied as rounds pass)."""
-        self._crash_plan = plan
 
     def inject(self, src: ProcessId, outgoings: Sequence[Outgoing]) -> None:
         """Queue externally produced messages (e.g. a join request from a
@@ -288,10 +287,6 @@ class RoundSimulation(EngineCore):
         # always recorded — they are part of the bit-identity contract.
         if telemetry.tracing:
             telemetry.emit("round.start", now, alive=self.alive_count())
-
-        if self._crash_plan is not None:
-            for event in self._crash_plan.crashes_before(now):
-                self.crash(event.pid)
 
         if self._fault_injector is not None:
             self._fault_round_start()
@@ -474,7 +469,8 @@ class RoundSimulation(EngineCore):
         earlier in the round was never sent, so it must not count against
         the destination (or consume a network-loss draw).  Unknown and
         crashed destinations are counted separately — conflating them hides
-        stale-view traffic behind the crash counter.
+        stale-view traffic behind the crash counter.  A network loss is
+        traced as ``net.drop`` (the ``fault.*`` verdicts trace the rest).
         """
         if src in self.crashed:
             return False  # the sender crashed earlier this round
@@ -485,6 +481,9 @@ class RoundSimulation(EngineCore):
             self.messages_to_crashed += 1
             return False
         if not self.network.deliverable(src, dst):
+            if self.telemetry.tracing:
+                self.telemetry.emit("net.drop", self._clock(), pid=src,
+                                    peer=dst)
             return False
         self.messages_delivered += 1
         return True

@@ -9,7 +9,7 @@ instead of re-assembling the same plumbing.
 
 from __future__ import annotations
 
-import random
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -17,7 +17,7 @@ from ..core.config import LpbcastConfig
 from ..core.node import LpbcastNode
 from ..metrics.delivery import DeliveryLog
 from .churn import ChurnScript
-from .network import CrashPlan, NetworkModel
+from .network import NetworkModel
 from .round_runner import RoundSimulation
 from .rng import SeedSequence
 from .topology import build_lpbcast_nodes
@@ -165,15 +165,29 @@ def flaky_wan(
 ) -> Scenario:
     """A hostile wide-area network: heavy loss plus background crashes.
 
-    ``extras['crash_plan']`` exposes the pre-drawn failure schedule.
+    The crashes follow the τ bound of Sec. 4.1: "the number of process
+    crashes in a run does not exceed f < n", so ``f = round(τ·n)``
+    distinct victims each fail-stop at a time uniform over ``horizon``,
+    i.e. in round ``max(1, ceil(at))``.  ``extras['crashes']`` lists the
+    schedule as ``(round, pid)`` pairs in crash order.
     """
+    if not 0.0 <= crash_rate < 1.0:
+        raise ValueError("crash_rate (tau) must be in [0, 1)")
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
     scenario = _base(n, config, seed, loss_rate)
-    plan = CrashPlan(
-        [node.pid for node in scenario.nodes],
-        crash_rate=crash_rate,
-        horizon=horizon,
-        rng=SeedSequence(seed).rng("crash-plan"),
-    )
-    scenario.sim.use_crash_plan(plan)
-    scenario.extras["crash_plan"] = plan
+    rng = SeedSequence(seed).rng("crash-plan")
+    victims = rng.sample([node.pid for node in scenario.nodes],
+                         round(crash_rate * n))
+    times = [rng.uniform(0.0, horizon) for _ in victims]
+    crashes = [(max(1, math.ceil(at)), pid)
+               for at, pid in sorted(zip(times, victims))]
+
+    def crash_hook(round_number: int, sim) -> None:
+        for at_round, pid in crashes:
+            if at_round == round_number:
+                sim.crash(pid)
+
+    scenario.sim.add_round_hook(crash_hook)
+    scenario.extras["crashes"] = crashes
     return scenario

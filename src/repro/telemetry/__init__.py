@@ -21,12 +21,11 @@ trace-event schema.
 
 from .events import (
     CRASH,
-    DELIVER,
-    EVICTION,
     FAULT_DELAY,
     FAULT_DROP,
     FAULT_DUPLICATE,
     INVARIANT_VIOLATION,
+    NET_DROP,
     RECEIVE,
     RECOVERY,
     ROUND_END,
@@ -65,9 +64,7 @@ __all__ = [
     "counter_records",
     "CounterRecord",
     "CRASH",
-    "DELIVER",
     "diff_counter_records",
-    "EVICTION",
     "FAULT_DELAY",
     "FAULT_DROP",
     "FAULT_DUPLICATE",
@@ -77,6 +74,7 @@ __all__ = [
     "iter_export_records",
     "LabelKey",
     "labels_of",
+    "NET_DROP",
     "profile_summary",
     "prometheus_name",
     "RECEIVE",

@@ -1,8 +1,8 @@
 """Structured trace events with bounded buffering.
 
 A :class:`TraceEvent` is one observation in the engine-native trace stream:
-a round phase boundary, a gossip send or receive, an application delivery,
-an eviction summary, a fault verdict that struck, or an invariant
+a round phase boundary, a gossip send or receive, a crash or recovery, a
+message the network lost, a fault verdict that struck, or an invariant
 violation.  Events are buffered in a :class:`TraceBuffer` with a hard
 capacity — when the buffer is full new events are counted as dropped rather
 than evicting history, so a trace always starts at the beginning of the run
@@ -24,10 +24,9 @@ ROUND_START = "round.start"
 ROUND_END = "round.end"
 SEND = "send"
 RECEIVE = "receive"
-DELIVER = "deliver"
-EVICTION = "eviction"
 CRASH = "crash"
 RECOVERY = "recovery"
+NET_DROP = "net.drop"
 FAULT_DROP = "fault.drop"
 FAULT_DELAY = "fault.delay"
 FAULT_DUPLICATE = "fault.duplicate"
@@ -36,9 +35,9 @@ FAULT_REPLAY = "fault.replay"
 INVARIANT_VIOLATION = "invariant.violation"
 
 TRACE_KINDS = (
-    ROUND_START, ROUND_END, SEND, RECEIVE, DELIVER, EVICTION, CRASH,
-    RECOVERY, FAULT_DROP, FAULT_DELAY, FAULT_DUPLICATE, FAULT_BYZANTINE,
-    FAULT_REPLAY, INVARIANT_VIOLATION,
+    ROUND_START, ROUND_END, SEND, RECEIVE, CRASH, RECOVERY, NET_DROP,
+    FAULT_DROP, FAULT_DELAY, FAULT_DUPLICATE, FAULT_BYZANTINE, FAULT_REPLAY,
+    INVARIANT_VIOLATION,
 )
 
 
@@ -79,8 +78,7 @@ class TraceBuffer:
 
     ``capacity`` bounds memory; once reached, further events only advance
     ``dropped``.  Keeping the head (not the tail) makes truncation explicit
-    and deterministic — the same policy the pre-existing
-    :class:`repro.sim.trace.Tracer` uses.
+    and deterministic.
     """
 
     def __init__(self, capacity: int = 100_000) -> None:

@@ -137,18 +137,15 @@ class TestCrashDetection:
                           suspect_timeout=3.0, forget_timeout=30.0)
             for pid in pids
         ]
-        blocked = {"active": True}
-        net = NetworkModel(
-            loss_rate=0.0, rng=random.Random(4),
-            link_filter=lambda s, d: not (
-                blocked["active"] and (s == 5 or d == 5)
-            ),
-        )
+        from repro.faults import FaultPlan
+
+        net = NetworkModel(loss_rate=0.0, rng=random.Random(4))
         sim = RoundSimulation(network=net, seed=3)
         sim.add_nodes(nodes)
+        sim.use_fault_plan(FaultPlan().partition(
+            [5], [p for p in pids if p != 5], start=1, heal=9))
         sim.run(8)  # 5 is silent: suspected and purged
         assert all(5 not in n.view for n in nodes if n.pid != 5)
-        blocked["active"] = False
         sim.run(12)  # 5 gossips again; its self-advertisement spreads
         knowers = sum(1 for n in nodes if n.pid != 5 and 5 in n.view)
         assert knowers > 0

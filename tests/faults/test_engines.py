@@ -1,5 +1,7 @@
 """Fault plans wired into the engines: behavior and cross-engine identity."""
 
+import pytest
+
 from repro.core import LpbcastConfig
 from repro.faults import FaultPlan
 from repro.metrics import DeliveryLog
@@ -7,6 +9,7 @@ from repro.sim import (
     NetworkModel,
     RoundSimulation,
     build_lpbcast_nodes,
+    create_simulation,
 )
 from repro.sim.async_runner import AsyncGossipRuntime
 from repro.sim.parallel_runner import ShardedRoundSimulation
@@ -228,3 +231,31 @@ class TestAsyncRuntimeFaults:
             return sorted(log._first_delivery_time.items())
 
         assert run() == run()
+
+
+class TestOnePlanPerEngine:
+    """A second ``use_fault_plan`` is refused on every engine: replacing
+    the first plan would restart the fault stream, stacking it would
+    double-count the injector's stats."""
+
+    @pytest.mark.parametrize("engine", ["serial", "sharded", "async",
+                                        "columnar"])
+    def test_second_plan_raises_and_first_still_applies(self, engine):
+        sim = create_simulation(engine, seed=4)
+        try:
+            sim.add_nodes(build_lpbcast_nodes(
+                8, LpbcastConfig(fanout=2, view_max=4), seed=4))
+            injector = sim.use_fault_plan(FaultPlan().crash(3, at=2))
+            with pytest.raises(ValueError, match="already installed"):
+                sim.use_fault_plan(FaultPlan().crash(5, at=2))
+            if engine == "async":
+                sim.run_rounds(6)
+            else:
+                sim.run(6)
+            assert not sim.alive(3)
+            assert sim.alive(5)
+            assert injector.stats.crashes_applied == 1
+        finally:
+            close = getattr(sim, "close", None)
+            if close is not None:
+                close()

@@ -3,19 +3,14 @@
 import random
 
 from repro.core import LpbcastConfig, LpbcastNode
+from repro.faults import FaultPlan
 from repro.membership import PriorityProcessSet, periodic_normalizer
 from repro.metrics import (
     DeliveryLog,
     find_partitions,
     is_partitioned,
 )
-from repro.sim import (
-    CrashPlan,
-    NetworkModel,
-    RoundSimulation,
-    build_lpbcast_nodes,
-    partition_filter,
-)
+from repro.sim import NetworkModel, RoundSimulation, build_lpbcast_nodes
 
 
 class TestCrashes:
@@ -26,9 +21,11 @@ class TestCrashes:
             NetworkModel(loss_rate=0.05, rng=random.Random(11)), seed=4
         )
         sim.add_nodes(nodes)
-        plan = CrashPlan(range(100), crash_rate=0.05, horizon=6.0,
-                         rng=random.Random(12))
-        sim.use_crash_plan(plan)
+        # f = τ·n = 5 fail-stops over the first six rounds (Sec. 4.1).
+        plan = FaultPlan()
+        for pid, at in ((60, 3), (34, 3), (67, 3), (85, 4), (84, 6)):
+            plan.crash(pid, at=at)
+        sim.use_fault_plan(plan)
         log = DeliveryLog().attach(nodes)
         event = nodes[0].lpb_cast("x", now=0.0)
         sim.run(14)
@@ -67,14 +64,11 @@ class TestForcedPartition:
     def test_link_cut_blocks_dissemination(self):
         cfg = LpbcastConfig(fanout=3, view_max=10)
         nodes = build_lpbcast_nodes(40, cfg, seed=7)
-        groups = [list(range(0, 20)), list(range(20, 40))]
-        net = NetworkModel(
-            loss_rate=0.0,
-            rng=random.Random(1),
-            link_filter=partition_filter(groups),
-        )
+        net = NetworkModel(loss_rate=0.0, rng=random.Random(1))
         sim = RoundSimulation(network=net, seed=7)
         sim.add_nodes(nodes)
+        sim.use_fault_plan(FaultPlan().partition(range(0, 20), range(20, 40),
+                                                 start=1, heal=100))
         log = DeliveryLog().attach(nodes)
         event = nodes[0].lpb_cast("x", now=0.0)
         sim.run(10)
@@ -89,11 +83,11 @@ class TestForcedPartition:
         # advertised; eventually sides know mostly themselves).
         cfg = LpbcastConfig(fanout=3, view_max=8)
         nodes = build_lpbcast_nodes(30, cfg, seed=8)
-        groups = [list(range(0, 15)), list(range(15, 30))]
-        net = NetworkModel(loss_rate=0.0, rng=random.Random(2),
-                           link_filter=partition_filter(groups))
+        net = NetworkModel(loss_rate=0.0, rng=random.Random(2))
         sim = RoundSimulation(network=net, seed=8)
         sim.add_nodes(nodes)
+        sim.use_fault_plan(FaultPlan().partition(range(0, 15), range(15, 30),
+                                                 start=1, heal=100))
         sim.run(40)
         cross_entries = sum(
             1

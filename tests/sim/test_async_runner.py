@@ -1,6 +1,7 @@
 """Tests for the asynchronous discrete-event runtime (Sec. 5.2 substitute)."""
 
 import random
+from functools import partial
 
 import pytest
 
@@ -111,7 +112,7 @@ class TestDelivery:
         a, b = Sender(0, 1), Sender(1, 0)
         runtime.add_node(a)
         runtime.add_node(b)
-        runtime.crash_at(1, 0.0)
+        runtime.call_at(0.0, partial(runtime.crash, 1))
         runtime.run_until(5.0)
         assert a.received == []  # b never ticked
         assert not runtime.alive(1)

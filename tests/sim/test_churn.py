@@ -1,10 +1,11 @@
-"""Tests for churn scripting (joins, leaves, crashes)."""
+"""Tests for churn scripting (joins and leaves)."""
 
 import random
 
 import pytest
 
 from repro.core import LpbcastConfig, LpbcastNode
+from repro.faults import FaultPlan
 from repro.sim import ChurnScript, RoundSimulation, build_lpbcast_nodes
 
 
@@ -83,15 +84,19 @@ class TestLeaves:
 
 
 class TestCrashes:
+    """Crashes are a fault plan's; the script only keeps membership."""
+
     def test_crash_silences_node(self):
         cfg, nodes, sim = make_system()
+        sim.use_fault_plan(FaultPlan().crash(nodes[5].pid, at=2))
         script = ChurnScript()
-        script.crash(2, nodes[5].pid)
+        script.leave(3, nodes[5].pid)
         sim.add_round_hook(script.on_round)
         sim.run(4)
         assert not sim.alive(nodes[5].pid)
-        assert script.crashed == [nodes[5].pid]
+        assert script.left == []  # a crashed process does not unsubscribe
+        assert not nodes[5].unsubscribed
 
     def test_fluent_chaining(self):
-        script = ChurnScript().join(1, 100, 0).leave(2, 3).crash(3, 4)
-        assert script._joins and script._leaves and script._crashes
+        script = ChurnScript().join(1, 100, 0).leave(2, 3)
+        assert script._joins and script._leaves

@@ -1,17 +1,20 @@
-"""Tests for the network and failure models."""
+"""Tests for the network model, the link cuts and the background crashes
+engines apply to it."""
 
 import random
 
 import pytest
 
+from repro.core.message import Outgoing
+from repro.faults import FaultPlan
 from repro.sim import (
-    CrashPlan,
     NetworkModel,
+    RoundSimulation,
     constant_latency,
     exponential_latency,
-    partition_filter,
     uniform_latency,
 )
+from repro.sim.scenarios import flaky_wan
 
 
 class TestNetworkModel:
@@ -32,16 +35,6 @@ class TestNetworkModel:
     def test_invalid_loss_rate(self):
         with pytest.raises(ValueError):
             NetworkModel(loss_rate=1.5)
-
-    def test_link_filter_cuts_deterministically(self):
-        net = NetworkModel(
-            loss_rate=0.0,
-            rng=random.Random(0),
-            link_filter=lambda s, d: not (s == 0 and d == 1),
-        )
-        assert not net.deliverable(0, 1)
-        assert net.deliverable(1, 0)
-        assert net.messages_cut == 1
 
     def test_counters(self):
         net = NetworkModel(loss_rate=0.0, rng=random.Random(0))
@@ -85,85 +78,59 @@ class TestLatencyModels:
             exponential_latency(0.0)
 
 
+class Broadcaster:
+    """Sends one message to every other process on each tick."""
+
+    def __init__(self, pid, pids):
+        self.pid = pid
+        self.peers = [p for p in pids if p != pid]
+        self.heard = set()
+
+    def on_tick(self, now):
+        return [Outgoing(peer, "hello") for peer in self.peers]
+
+    def handle_message(self, sender, message, now):
+        self.heard.add(sender)
+        return []
+
+
 class TestPartitionFilter:
+    """A link cut is a ``FaultPlan`` partition; the engine filters each
+    message through it before the network draws its loss."""
+
+    def heard_after_cut(self):
+        nodes = [Broadcaster(pid, range(5)) for pid in range(5)]
+        sim = RoundSimulation(seed=0)
+        sim.add_nodes(nodes)
+        sim.use_fault_plan(FaultPlan().partition([0, 1], [2, 3], start=1,
+                                                 heal=10))
+        sim.run(2)
+        return {node.pid: node.heard for node in nodes}
+
     def test_within_group_allowed(self):
-        allowed = partition_filter([[0, 1], [2, 3]])
-        assert allowed(0, 1)
-        assert allowed(2, 3)
+        heard = self.heard_after_cut()
+        assert 1 in heard[0] and 0 in heard[1]
+        assert 3 in heard[2] and 2 in heard[3]
 
     def test_across_groups_cut(self):
-        allowed = partition_filter([[0, 1], [2, 3]])
-        assert not allowed(0, 2)
-        assert not allowed(3, 1)
+        heard = self.heard_after_cut()
+        assert not heard[0] & {2, 3}
+        assert not heard[3] & {0, 1}
 
     def test_unlisted_processes_unrestricted(self):
-        allowed = partition_filter([[0, 1]])
-        assert allowed(0, 9)
-        assert allowed(9, 0)
+        heard = self.heard_after_cut()
+        assert heard[4] == {0, 1, 2, 3}
+        assert all(4 in heard[pid] for pid in range(4))
 
 
 class TestCrashPlan:
-    def test_victim_count_respects_tau(self):
-        plan = CrashPlan(range(100), crash_rate=0.05, horizon=10.0,
-                         rng=random.Random(0))
-        assert len(plan) == 5
+    """Background crashes are the ``(round, pid)`` schedule ``flaky_wan``
+    draws into ``extras['crashes']`` and applies from a round hook."""
 
     def test_zero_rate_no_crashes(self):
-        plan = CrashPlan(range(100), crash_rate=0.0, rng=random.Random(0))
-        assert len(plan) == 0
-        assert plan.victims() == []
-
-    def test_events_sorted_and_within_horizon(self):
-        plan = CrashPlan(range(200), crash_rate=0.1, horizon=7.0,
-                         rng=random.Random(0))
-        times = [ev.at for ev in plan.events]
-        assert times == sorted(times)
-        assert all(0.0 <= t <= 7.0 for t in times)
-
-    def test_crashes_before(self):
-        plan = CrashPlan(range(200), crash_rate=0.1, horizon=10.0,
-                         rng=random.Random(0))
-        early = plan.crashes_before(5.0)
-        assert all(ev.at <= 5.0 for ev in early)
-
-    def test_crashes_before_consumes_each_event_once(self):
-        plan = CrashPlan(range(200), crash_rate=0.1, horizon=10.0,
-                         rng=random.Random(0))
-        total = len(plan)
-        first = plan.crashes_before(5.0)
-        assert first  # seed 0 schedules events in the first half
-        # Asking again for the same horizon re-offers nothing: the cursor
-        # consumed those events, so a runner never re-crashes old victims.
-        assert plan.crashes_before(5.0) == []
-        rest = plan.crashes_before(10.0)
-        assert len(first) + len(rest) == total
-        assert first + rest == plan.events  # handed out in schedule order
-
-    def test_consumption_leaves_plan_description_intact(self):
-        plan = CrashPlan(range(100), crash_rate=0.2, horizon=10.0,
-                         rng=random.Random(1))
-        victims = plan.victims()
-        plan.crashes_before(10.0)
-        assert len(plan) == len(victims)
-        assert plan.victims() == victims
-
-    def test_incremental_horizons_partition_the_schedule(self):
-        plan = CrashPlan(range(300), crash_rate=0.1, horizon=9.0,
-                         rng=random.Random(2))
-        seen = []
-        for now in range(1, 10):
-            batch = plan.crashes_before(float(now))
-            assert all(ev.at <= now for ev in batch)
-            seen.extend(batch)
-        assert seen == plan.events
-
-    def test_victims_distinct(self):
-        plan = CrashPlan(range(100), crash_rate=0.2, rng=random.Random(0))
-        victims = plan.victims()
-        assert len(victims) == len(set(victims))
-
-    def test_invalid_rates(self):
-        with pytest.raises(ValueError):
-            CrashPlan(range(10), crash_rate=1.0)
-        with pytest.raises(ValueError):
-            CrashPlan(range(10), crash_rate=0.1, horizon=0.0)
+        scenario = flaky_wan(n=100, crash_rate=0.0, seed=0)
+        scenario.sim.telemetry.tracing = True
+        scenario.run(12)
+        assert scenario.extras["crashes"] == []
+        assert not scenario.sim.telemetry.trace.of_kind("crash")
+        assert len(scenario.alive_nodes()) == 100

@@ -14,11 +14,11 @@ import pytest
 
 from repro.core import LpbcastConfig, LpbcastNode
 from repro.core.message import Outgoing
+from repro.faults import FaultPlan
 from repro.metrics import DeliveryLog
 from repro.wire import unpack_messages
 from repro.sim import (
     BroadcastWorkload,
-    CrashPlan,
     NetworkModel,
     NodeProxy,
     RoundSimulation,
@@ -49,7 +49,7 @@ class Echo:
 
 
 def lpbcast_run(engine, shards=None, n=40, rounds=10, seed=11, churn=True):
-    """One full scenario (loss + crash plan + workload + churn); returns
+    """One full scenario (loss + crashes + workload + churn); returns
     everything two engines must agree on."""
     network = NetworkModel(loss_rate=0.05, rng=random.Random(99))
     sim = create_simulation(engine, network=network, seed=seed, shards=shards)
@@ -59,9 +59,7 @@ def lpbcast_run(engine, shards=None, n=40, rounds=10, seed=11, churn=True):
     workload = BroadcastWorkload([node.pid for node in nodes[:4]],
                                  events_per_round=2, start=1, stop=rounds - 2)
     sim.add_round_hook(workload.on_round)
-    plan = CrashPlan(range(1, n + 1), crash_rate=0.05, horizon=rounds / 2,
-                     rng=random.Random(5))
-    sim.use_crash_plan(plan)
+    sim.use_fault_plan(FaultPlan().crash(17, at=3).crash(29, at=rounds // 2))
 
     if churn:
         def churn_hook(round_number, s):

@@ -6,7 +6,8 @@ import pytest
 
 from repro.core import LpbcastConfig
 from repro.core.message import Outgoing
-from repro.sim import CrashPlan, NetworkModel, RoundSimulation, build_lpbcast_nodes
+from repro.faults import FaultPlan
+from repro.sim import NetworkModel, RoundSimulation, build_lpbcast_nodes
 
 from ..helpers import small_system
 
@@ -117,14 +118,11 @@ class TestCrashes:
         sim = RoundSimulation()
         nodes = [Echo(i, (i + 1) % 4) for i in range(4)]
         sim.add_nodes(nodes)
-        plan = CrashPlan(range(4), crash_rate=0.25, horizon=1.0,
-                         rng=random.Random(3))
-        assert len(plan) == 1
-        sim.use_crash_plan(plan)
+        sim.use_fault_plan(FaultPlan().crash(1, at=1))
         sim.run(3)
-        victim = plan.victims()[0]
-        assert not sim.alive(victim)
-        assert nodes[victim].sent == 0
+        assert not sim.alive(1)
+        assert nodes[1].sent == 0
+        assert nodes[0].sent == 3
 
     def test_alive_nodes(self):
         sim = RoundSimulation()

@@ -143,14 +143,70 @@ class TestScenarioEdgeCases:
         assert "churn" in mass_departure(n=20, leavers=2, seed=1).extras
 
 
+#: flaky_wan(n=40, seed) with one publish, 20 rounds: the applied
+#: (round, pid) crashes and DeliveryLog.total_deliveries, taken from the
+#: revision whose round body still applied a pre-drawn crash plan.
+FLAKY_WAN_PINNED = {
+    0: ([(12, 10), (15, 36)], 40),
+    1: ([(9, 11), (14, 28)], 40),
+    2: ([(2, 33), (5, 7)], 39),
+    3: ([(1, 22), (15, 37)], 39),
+    4: ([(9, 7), (14, 31)], 40),
+}
+
+
 class TestFlakyWan:
     def test_crash_plan_attached(self):
         scenario = flaky_wan(n=40, seed=9)
-        assert len(scenario.extras["crash_plan"]) == 2  # 5% of 40
+        assert len(scenario.extras["crashes"]) == 2  # 5% of 40
 
     def test_zero_crash_rate_yields_empty_plan(self):
         scenario = flaky_wan(n=40, crash_rate=0.0, seed=9)
-        assert len(scenario.extras["crash_plan"]) == 0
+        assert scenario.extras["crashes"] == []
+
+    def test_victim_count_respects_tau(self):
+        scenario = flaky_wan(n=100, crash_rate=0.05, seed=0)
+        assert len(scenario.extras["crashes"]) == 5
+
+    def test_victims_distinct(self):
+        crashes = flaky_wan(n=100, crash_rate=0.2, seed=0).extras["crashes"]
+        victims = [pid for _, pid in crashes]
+        assert len(victims) == len(set(victims)) == 20
+
+    def test_crash_rounds_within_horizon(self):
+        crashes = flaky_wan(n=200, crash_rate=0.1, horizon=7.5,
+                            seed=3).extras["crashes"]
+        rounds = [at for at, _ in crashes]
+        assert rounds == sorted(rounds)
+        assert all(1 <= at <= 8 for at in rounds)
+        assert {1, 8} <= set(rounds)  # both ends are reached on this seed
+
+    def test_invalid_rates(self):
+        with pytest.raises(ValueError):
+            flaky_wan(n=10, crash_rate=1.0)
+        with pytest.raises(ValueError):
+            flaky_wan(n=10, crash_rate=-0.1)
+        with pytest.raises(ValueError):
+            flaky_wan(n=10, crash_rate=0.1, horizon=0.0)
+
+    def test_each_victim_crashes_once_in_its_round(self):
+        scenario = flaky_wan(n=100, crash_rate=0.1, horizon=9.0, seed=2)
+        scenario.sim.telemetry.tracing = True
+        scenario.run(12)
+        applied = [(int(e.at), e.pid)
+                   for e in scenario.sim.telemetry.trace.of_kind("crash")]
+        assert applied == scenario.extras["crashes"]
+        assert len(scenario.alive_nodes()) == 90
+
+    @pytest.mark.parametrize("seed", sorted(FLAKY_WAN_PINNED))
+    def test_schedule_and_deliveries_pinned(self, seed):
+        crashes, deliveries = FLAKY_WAN_PINNED[seed]
+        scenario = flaky_wan(n=40, seed=seed)
+        assert scenario.extras["crashes"] == crashes
+        scenario.nodes[0].lpb_cast("x", now=0.0)
+        scenario.run(20)
+        assert scenario.log.total_deliveries == deliveries
+        assert not any(scenario.sim.alive(pid) for _, pid in crashes)
 
     def test_broadcast_survives_heavy_loss(self):
         scenario = flaky_wan(n=40, loss_rate=0.3, seed=10)

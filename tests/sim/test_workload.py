@@ -1,6 +1,7 @@
 """Tests for publication workloads."""
 
 import random
+from functools import partial
 
 import pytest
 
@@ -99,7 +100,7 @@ class TestPoissonWorkload:
         runtime.add_nodes(nodes)
         workload = PoissonWorkload(runtime, [nodes[0]], rate=1.0, until=20.0,
                                    rng=random.Random(5))
-        runtime.crash_at(nodes[0].pid, 10.0)
+        runtime.call_at(10.0, partial(runtime.crash, nodes[0].pid))
         runtime.run_until(20.0)
         assert all(r.published_at <= 10.0 for r in workload.records)
 

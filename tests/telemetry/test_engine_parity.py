@@ -99,17 +99,20 @@ class TestCounterParity:
         assert serial.telemetry.counter_total("faults.dropped") > 0
 
     def test_trace_streams_carry_the_same_events(self):
-        serial, _ = run_engine("serial", tracing=True, faults=True)
-        sharded, _ = run_engine("sharded", tracing=True, faults=True)
+        serial, _ = run_engine("serial", tracing=True, faults=True, loss=0.05)
+        sharded, _ = run_engine("sharded", tracing=True, faults=True,
+                                loss=0.05)
         assert trace_multiset(serial) == trace_multiset(sharded)
         counts = serial.telemetry.trace.counts()
         assert counts["round.start"] == ROUNDS
         assert counts["send"] > 0
         assert counts["receive"] > 0
+        assert counts["net.drop"] == \
+            serial.telemetry.counter_total("net.dropped") > 0
 
     def test_tracing_does_not_perturb_counters(self):
-        off, _ = run_engine("serial", tracing=False, faults=True)
-        on, _ = run_engine("serial", tracing=True, faults=True)
+        off, _ = run_engine("serial", tracing=False, faults=True, loss=0.05)
+        on, _ = run_engine("serial", tracing=True, faults=True, loss=0.05)
         assert counter_state(off) == counter_state(on)
 
     def test_sharded_profile_includes_shard_sync(self):
@@ -525,11 +528,15 @@ class TestFaultVerdictTracing:
         assert len(trace.of_kind("fault.drop")) == \
             stats.dropped + stats.partition_blocked
         assert len(trace.of_kind("fault.delay")) == stats.delayed
+        # The network's own losses (ε = 0.05) complete the stream.
+        assert len(trace.of_kind("net.drop")) == \
+            traced.telemetry.counter_total("net.dropped") > 0
 
     def test_serial_and_sharded_trace_the_same_verdicts(self):
         serial, _ = faulted_run("serial", tracing=True)
         sharded, _ = faulted_run("sharded", shards=3, tracing=True)
         assert trace_multiset(serial) == trace_multiset(sharded)
+        assert serial.telemetry.trace.of_kind("net.drop")
 
     def test_traced_byzantine_chaos_scenario_returns(self):
         # Used to raise TypeError: the event's data field was named
@@ -543,7 +550,10 @@ class TestFaultVerdictTracing:
         assert kinds["fault.byzantine"] > 0
 
     def test_every_emitted_fault_kind_is_registered(self):
-        from repro.telemetry import TRACE_KINDS
+        from repro.telemetry import NET_DROP, TRACE_KINDS
 
-        traced, _ = faulted_run("serial", tracing=True)
-        assert set(traced.telemetry.trace.counts()) <= set(TRACE_KINDS)
+        for engine in ("serial", "async"):
+            traced, _ = faulted_run(engine, tracing=True)  # lossy: ε = 0.05
+            kinds = set(traced.telemetry.trace.counts())
+            assert NET_DROP in kinds, engine
+            assert kinds <= set(TRACE_KINDS), engine
