@@ -20,14 +20,20 @@ coverage:
 	    && $(PYTHON) -m pytest tests/ --cov=repro --cov-report=term-missing \
 	    || echo "pytest-cov not installed; run: pip install -e .[test,cov]"
 
-# The self-test (7/7 planted bugs) plus the three object-engine campaigns
-# CI's fuzz-smoke job runs (plain — long-stream family included —, Byzantine,
-# causal): serial == sharded on 25 scenarios each.
+# The self-test (7/7 planted bugs) plus the object-engine campaigns CI's
+# fuzz-smoke job runs (plain — long-stream family included —, Byzantine,
+# causal), each once as drawn and once cycling the five scenario presets:
+# serial == sharded on 25 scenarios each.
+PRESETS = --preset steady_state --preset flash_crowd --preset mass_departure \
+	--preset correlated_crashes --preset flaky_wan
 fuzz:
 	$(PYTHON) -m repro fuzz --self-test --quiet
 	$(PYTHON) -m repro fuzz --count 25 --seed 2026 --quiet
 	$(PYTHON) -m repro fuzz --byzantine --count 25 --seed 2026 --quiet
 	$(PYTHON) -m repro fuzz --causal --count 25 --seed 2026 --quiet
+	$(PYTHON) -m repro fuzz --count 25 --seed 2026 $(PRESETS) --quiet
+	$(PYTHON) -m repro fuzz --causal --count 25 --seed 2026 $(PRESETS) --quiet
+	$(PYTHON) -m repro fuzz --byzantine --count 25 --seed 2026 $(PRESETS) --quiet
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

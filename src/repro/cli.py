@@ -11,9 +11,6 @@ Commands
     "tool to tune the algorithm").
 ``analyze N``
     Print the analytical quantities (Eqs. 1-5) for a system size.
-``chaos``
-    Soak seeded scenarios under random fault plans with live invariant
-    monitoring; exits non-zero if any safety invariant was violated.
 ``trace``
     Run a fixed-seed simulation with engine-native telemetry (tracing on)
     and print the counter/profile/trace summary; ``--jsonl``/``--prom``
@@ -22,9 +19,11 @@ Commands
 ``fuzz``
     Deterministic-simulation fuzzing: generate seeded scenarios, judge each
     with the invariant + differential-engine oracle, shrink failures and
-    write JSON repro artifacts.  ``--replay case.json`` re-executes an
-    artifact and requires bit-identical reproduction; ``--self-test``
-    plants known bugs and asserts the fuzzer finds and shrinks them.
+    write JSON repro artifacts; ``--preset NAME`` (repeatable) cycles the
+    scenarios through the scenario presets.  ``--replay case.json``
+    re-executes an artifact and requires bit-identical reproduction;
+    ``--self-test`` plants known bugs and asserts the fuzzer finds and
+    shrinks them.
 """
 
 from __future__ import annotations
@@ -209,76 +208,6 @@ def _cmd_validate_partition(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from .faults import (
-        PRESET_NAMES,
-        agreement_violations,
-        causality_violations,
-        format_soak_report,
-        run_chaos_soak,
-    )
-
-    if args.byzantine_rate and not args.byzantine_nodes:
-        print("--byzantine-rate needs --byzantine-nodes >= 1")
-        return 2
-    if args.causal and args.byzantine_nodes:
-        print("--causal is incompatible with --byzantine-nodes (double-echo "
-              "and the causal hold-back queue are different delivery "
-              "disciplines)")
-        return 2
-    presets = args.preset if args.preset else list(PRESET_NAMES)
-    byzantine_rate = args.byzantine_rate
-    if args.byzantine_nodes and not byzantine_rate:
-        byzantine_rate = 0.5
-    results = run_chaos_soak(
-        scenarios=args.scenarios,
-        n=args.n,
-        rounds=args.rounds,
-        seed=args.seed,
-        intensity=args.intensity,
-        presets=presets,
-        byzantine_rate=byzantine_rate,
-        byzantine_nodes=args.byzantine_nodes,
-        causal=args.causal,
-    )
-    print(f"chaos soak: {args.scenarios} scenario(s), n={args.n}, "
-          f"rounds={args.rounds}, seed={args.seed}, "
-          f"intensity={args.intensity}"
-          + (f", byzantine={args.byzantine_nodes}@{byzantine_rate}"
-             if args.byzantine_nodes else "")
-          + (", causal" if args.causal else ""))
-    print(format_soak_report(results))
-    exit_code = 0 if all(result.ok for result in results) else 1
-    if args.byzantine_nodes:
-        # End-of-soak SLO: the double-echo variant ran with liars active,
-        # so the agreement invariant must have held in every scenario.
-        broken = agreement_violations(results)
-        if broken:
-            print(f"AGREEMENT SLO FAILED: {len(broken)} agreement "
-                  f"violation(s) under the Byzantine soak")
-            for violation in broken:
-                print(f"  {violation}")
-            exit_code = 1
-        else:
-            print("agreement SLO: no agreement violations across "
-                  f"{len(results)} Byzantine scenario(s)")
-    if args.causal:
-        # End-of-soak SLO: the causal-delivery variant ran under chaos, so
-        # the hold-back gates must never have released a notification before
-        # its dependencies nor outgrown their configured bound.
-        broken = causality_violations(results)
-        if broken:
-            print(f"CAUSALITY SLO FAILED: {len(broken)} causal-ordering "
-                  f"violation(s) under the chaos soak")
-            for violation in broken:
-                print(f"  {violation}")
-            exit_code = 1
-        else:
-            print("causality SLO: no causality/holdback-bound violations "
-                  f"across {len(results)} causal scenario(s)")
-    return exit_code
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     import random as _random
 
@@ -417,6 +346,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         progress=say,
         engines=engines,
         workers=args.workers,
+        presets=args.preset or (),
     )
     print(result.summary())
     for case in result.cases:
@@ -504,43 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--seed", type=int, default=0)
     validate.set_defaults(fn=_cmd_validate_partition)
 
-    chaos = sub.add_parser(
-        "chaos",
-        help="soak seeded scenarios under random fault plans with live "
-             "invariant checks (exit 1 on any violation)",
-    )
-    chaos.add_argument("--scenarios", type=_positive_int, default=10,
-                       help="number of seeded chaos runs")
-    chaos.add_argument("-n", type=int, default=40, help="system size per run")
-    chaos.add_argument("--rounds", type=_positive_int, default=50)
-    chaos.add_argument("--seed", type=int, default=0,
-                       help="root seed; every run derives from it and its "
-                            "index, so reports are replayable")
-    chaos.add_argument("--intensity", type=float, default=1.0,
-                       help="fault-plan harshness multiplier")
-    chaos.add_argument(
-        "--preset", action="append", default=None,
-        choices=["steady_state", "flash_crowd", "mass_departure",
-                 "correlated_crashes", "flaky_wan"],
-        help="restrict to specific scenario presets (repeatable; "
-             "default: cycle through all)",
-    )
-    chaos.add_argument("--byzantine-nodes", type=int, default=0,
-                       help="turn this many processes into liars per run "
-                            "(equivocate/forge/replay/poison) and run the "
-                            "double-echo protocol variant; the soak then "
-                            "asserts the agreement-invariant SLO")
-    chaos.add_argument("--byzantine-rate", type=float, default=0.0,
-                       help="per-message probability a liar's behavior "
-                            "strikes (default 0.5 when --byzantine-nodes "
-                            "is set)")
-    chaos.add_argument("--causal", action="store_true",
-                       help="run every scenario on the causal-delivery "
-                            "variant (hold-back gates with retransmit-"
-                            "driven dependency recovery); the soak then "
-                            "asserts the causality/holdback-bound SLO")
-    chaos.set_defaults(fn=_cmd_chaos)
-
     trace = sub.add_parser(
         "trace",
         help="run a fixed-seed sim with telemetry and print/export the "
@@ -570,6 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.set_defaults(fn=_cmd_trace)
 
     from .dst.mutations import MUTATIONS
+    from .sim.scenarios import PRESET_NAMES
 
     fuzz = sub.add_parser(
         "fuzz",
@@ -615,6 +509,11 @@ def build_parser() -> argparse.ArgumentParser:
                            "--columnar; default 1 = single-core, never "
                            "auto-detected from the host's core count — the "
                            "honoured verdict is identical for every N)")
+    fuzz.add_argument("--preset", action="append", default=None,
+                      choices=PRESET_NAMES,
+                      help="shape scenario i by preset i mod k of the k "
+                           "given (repeatable); --columnar refuses the "
+                           "churn presets")
     fuzz.add_argument("--replay", metavar="CASE.json", default=None,
                       help="re-execute a repro artifact and require "
                            "bit-identical reproduction")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..sim.rng import derive_seed
 from .mutations import MUTATIONS
@@ -55,6 +55,9 @@ class CampaignResult:
     count: int
     checked: int = 0
     cases: List[FuzzCase] = field(default_factory=list)
+    #: ``(preset, reliability)`` of every checked scenario, in order.
+    reliability: List[Tuple[Optional[str], Optional[float]]] = field(
+        default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -63,8 +66,12 @@ class CampaignResult:
     def summary(self) -> str:
         verdict = ("all scenarios passed" if self.ok
                    else f"{len(self.cases)} failing scenario(s)")
+        measured = [r for _, r in self.reliability if r is not None]
         return (f"fuzz campaign: seed={self.root_seed}, "
-                f"{self.checked}/{self.count} scenario(s) checked, {verdict}")
+                f"{self.checked}/{self.count} scenario(s) checked, "
+                + (f"mean reliability {sum(measured) / len(measured):.4f}, "
+                   if measured else "")
+                + verdict)
 
 
 def build_artifact(case: FuzzCase) -> dict:
@@ -99,12 +106,21 @@ def write_artifact(case: FuzzCase, directory: str) -> str:
 
 
 def load_artifact(path: str) -> dict:
+    """Read an artifact; a malformed one (it is outside input) raises
+    ``ValueError`` naming what is wrong."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"artifact must be a JSON object, got "
+                         f"{type(data).__name__}")
     fmt = data.get("format")
     if fmt != ARTIFACT_FORMAT:
         raise ValueError(f"unsupported artifact format {fmt!r} "
                          f"(this build reads {ARTIFACT_FORMAT})")
+    for key, holder in (("spec", data), ("failure", data),
+                        ("signature", data.get("failure", {}))):
+        if key not in holder:
+            raise ValueError(f"artifact lacks required key {key!r}")
     return data
 
 
@@ -178,24 +194,26 @@ def run_campaign(
     stop_after: Optional[int] = None,
     engines: tuple = ("serial", "sharded"),
     workers: int = 1,
+    presets: Sequence[str] = (),
 ) -> CampaignResult:
     """Run one fuzz campaign.
 
     Scenario ``i`` uses seed ``derive_seed(root_seed, "dst-case", i)``, so
-    any failing case replays in isolation from its own seed.  ``stop_after``
-    ends the campaign early once that many failures were found (the
-    self-test uses 1 — it only needs proof of detection).  ``byzantine``
-    draws every scenario from the adversarial family (double-echo systems
-    with liars in the plan) instead of the plain one; ``causal`` draws from
-    the ordering family (causal-delivery systems under reordering
-    conditions).  ``engines`` picks
-    the oracle's differential pairs (e.g. ``("serial", "columnar")`` for
-    the honoured-subset campaign); the columnar engine rejects Byzantine
-    plans, so the two options are mutually exclusive.  ``workers`` runs the
-    columnar side of the differential over that many shared-memory
-    processes — an explicit choice, never derived from the host's cores, so
-    campaigns are machine-independent; it requires ``"columnar"`` in
-    ``engines`` (the oracle rejects it otherwise).
+    any failing case replays in isolation from its own seed, and preset
+    ``presets[i % len(presets)]`` if any (see :func:`generate_spec`).
+    ``stop_after`` ends the campaign early once that many failures were
+    found (the self-test uses 1 — it only needs proof of detection).
+    ``byzantine`` draws every scenario from the adversarial family
+    (double-echo systems with liars in the plan) instead of the plain one;
+    ``causal`` draws from the ordering family (causal-delivery systems under
+    reordering conditions).  ``engines`` picks the oracle's differential
+    pairs (e.g. ``("serial", "columnar")`` for the honoured-subset
+    campaign); the columnar engine rejects Byzantine plans, so the two
+    options are mutually exclusive.  ``workers`` runs the columnar side of
+    the differential over that many shared-memory processes — an explicit
+    choice, never derived from the host's cores, so campaigns are
+    machine-independent; it requires ``"columnar"`` in ``engines`` (the
+    oracle rejects it otherwise).
     """
     if byzantine and "columnar" in engines:
         raise ValueError(
@@ -210,16 +228,22 @@ def run_campaign(
     result = CampaignResult(root_seed=root_seed, count=count)
     for index in range(count):
         case_seed = derive_seed(root_seed, "dst-case", index)
+        preset = presets[index % len(presets)] if presets else None
         spec = generate_spec(case_seed, max_n=max_n, max_rounds=max_rounds,
                              mutation=mutation, byzantine=byzantine,
-                             causal=causal)
+                             causal=causal, preset=preset)
         report = check_scenario(spec, engines=engines, workers=workers)
         result.checked += 1
+        result.reliability.append((preset, report.reliability))
+        line = (f"[{index + 1}/{count}] {'OK  ' if report.ok else 'FAIL'}  "
+                + (f"{preset} " if preset else "")
+                + (f"reliability={report.reliability:.4f} "
+                   if report.reliability is not None else "")
+                + spec.describe())
+        say(line)
         if report.ok:
-            say(f"[{index + 1}/{count}] OK    {spec.describe()}")
             continue
         signature = report.signatures()[0]
-        say(f"[{index + 1}/{count}] FAIL  {spec.describe()}")
         say(f"    {report.failures[0]}")
         if shrink:
             shrunk = shrink_spec(spec, signature,

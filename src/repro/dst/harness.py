@@ -7,7 +7,8 @@ canonical counter fingerprint, the counter records, and every invariant
 violation the monitor observed.  The wiring is identical for the two
 object round engines — same node construction, same network stream, same
 seeded publish draws — which is what makes the differential comparison
-meaningful: any divergence is an engine bug, not harness noise.
+meaningful: any divergence is an engine bug, not harness noise.  Joins and
+leaves run on those two engines only, as the scenario builders run them.
 
 The columnar engine gets the same node construction and publish draws but
 is judged only on its honoured counter subset (see
@@ -24,8 +25,10 @@ from typing import List, Optional
 
 from ..faults.invariants import InvariantMonitor, Violation
 from ..metrics.delivery import DeliveryLog
+from ..metrics.reliability import measure_reliability
 from ..sim import NetworkModel, build_lpbcast_nodes, create_simulation
 from ..sim.rng import derive_rng
+from ..sim.scenarios import CHURN_ROUND, churn_script
 from ..telemetry import counter_fingerprint, counter_records
 from .mutations import get_mutation
 from .spec import ScenarioSpec
@@ -43,16 +46,20 @@ class RunOutcome:
     #: Ground-truth first deliveries (the experiment log, not node memory).
     deliveries: int = 0
     alive: int = 0
+    #: Delivered share of (published id, surviving non-leaver) pairs.
+    reliability: Optional[float] = None
 
 
-def _publish_hook(spec: ScenarioSpec, pids):
+def _publish_hook(spec: ScenarioSpec, pids, published: list):
     """The seeded workload: ``spec.burst`` publishes (one, outside the
     long-stream family) per round for the first ``spec.publishes`` rounds,
     from *distinct* publishers — two on causal specs, where concurrent
-    publications are what give the hold-back queue dependencies to order.
+    publications are what give the hold-back queue dependencies to order
+    — appending each published id to ``published``.
 
     The publisher draw depends only on coordinator-maintained state (the
-    alive set and the paused set), which both round engines evolve
+    alive set and the paused set) and on spec data (the scheduled leavers,
+    from their leave round on), which both round engines evolve
     identically for the same seed — node-replica reads here would make the
     sharded run diverge spuriously.
     """
@@ -62,10 +69,14 @@ def _publish_hook(spec: ScenarioSpec, pids):
         if round_no > spec.publishes:
             return
         paused = getattr(sim, "_fault_paused", frozenset())
-        ready = [p for p in pids if sim.alive(p) and p not in paused]
+        departed = spec.leaves if round_no >= CHURN_ROUND else 0
+        ready = [p for p in pids
+                 if p >= departed and sim.alive(p) and p not in paused]
         for k in range(min(2 if spec.causal else spec.burst, len(ready))):
             pid = ready.pop(pub_rng.randrange(len(ready)))
-            sim.nodes[pid].lpb_cast(f"dst-{round_no}-{k}", float(round_no))
+            event = sim.nodes[pid].lpb_cast(f"dst-{round_no}-{k}",
+                                            float(round_no))
+            published.append(event.event_id)
 
     return hook
 
@@ -85,7 +96,17 @@ def _run_round_engine(spec: ScenarioSpec, engine: str) -> RunOutcome:
     monitor = InvariantMonitor(mode="collect", seed=spec.seed).attach(sim)
     if not spec.plan.is_empty():
         sim.use_fault_plan(spec.plan)
-    sim.add_round_hook(_publish_hook(spec, [node.pid for node in nodes]))
+    if spec.joins or spec.leaves:
+        def watch(node) -> None:
+            log.attach([node])
+            monitor.watch_node(node.pid, node)
+
+        sim.add_round_hook(churn_script(
+            spec.n, spec.seed, cfg, spec.joins, spec.leaves,
+            on_join=watch).on_round)
+    pids = [node.pid for node in nodes]
+    published: list = []
+    sim.add_round_hook(_publish_hook(spec, pids, published))
     mutation = get_mutation(spec.mutation)
     if mutation is not None:
         mutation.apply_post_build(sim, spec, engine)
@@ -93,6 +114,10 @@ def _run_round_engine(spec: ScenarioSpec, engine: str) -> RunOutcome:
         sim.run(spec.rounds)
         if mutation is not None:
             mutation.apply_post_run(sim, spec, engine)
+        survivors = [p for p in pids if p >= spec.leaves and sim.alive(p)]
+        reliability = (
+            measure_reliability(log, published, survivors).reliability
+            if published and survivors else None)
         return RunOutcome(
             engine=engine,
             spec=spec,
@@ -101,6 +126,7 @@ def _run_round_engine(spec: ScenarioSpec, engine: str) -> RunOutcome:
             violations=list(monitor.violations),
             deliveries=log.total_deliveries,
             alive=sim.alive_count(),
+            reliability=reliability,
         )
     finally:
         close = getattr(sim, "close", None)
@@ -131,7 +157,7 @@ def _run_columnar_engine(spec: ScenarioSpec, workers: int = 1) -> RunOutcome:
         log = DeliveryLog().attach(sim.nodes.values())
         if not spec.plan.is_empty():
             sim.use_fault_plan(spec.plan)
-        sim.add_round_hook(_publish_hook(spec, [node.pid for node in nodes]))
+        sim.add_round_hook(_publish_hook(spec, [n.pid for n in nodes], []))
         mutation = get_mutation(spec.mutation)
         if mutation is not None:
             mutation.apply_post_build(sim, spec, "columnar")
@@ -220,6 +246,11 @@ def apply_scenario(spec: ScenarioSpec, engine: str = "serial",
     kwargs contract.
     """
     spec.validate()
+    if (spec.joins or spec.leaves) and engine in ("columnar", "async"):
+        # Columnar membership freezes at the first round; async has no
+        # churn wiring here.
+        raise ValueError(f"the {engine} engine runs no joins or leaves "
+                         f"(flash_crowd, mass_departure)")
     if workers != 1 and engine != "columnar":
         raise ValueError(
             f"workers={workers} applies to the 'columnar' engine only "

@@ -54,6 +54,8 @@ class OracleReport:
     #: Engine name -> canonical counter fingerprint of its run.
     fingerprints: Dict[str, str] = field(default_factory=dict)
     engines_run: List[str] = field(default_factory=list)
+    #: The serial run's reliability: reported, never judged.
+    reliability: Optional[float] = None
 
     @property
     def ok(self) -> bool:
@@ -176,6 +178,7 @@ def check_scenario(
     serial = apply_scenario(spec, "serial")
     report.engines_run.append("serial")
     report.fingerprints["serial"] = serial.fingerprint
+    report.reliability = serial.reliability
     report.failures.extend(_invariant_failures(serial))
     if (not full and require_signature is not None
             and require_signature.startswith("invariant:")

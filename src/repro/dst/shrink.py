@@ -4,11 +4,12 @@ When the oracle flags a generated scenario, the raw spec is rarely a good
 bug report: dozens of processes, tens of rounds, a fault plan with five
 overlapping windows.  :func:`shrink_spec` greedily minimises it — fewer
 processes, fewer rounds, fewer fault-plan entries, smaller workload, no
-background loss — re-running the oracle after every candidate edit and
-keeping only edits under which the *same* failure (matched by signature)
-still reproduces.  Greedy first-improvement restarts give the classic
-delta-debugging shape: big halving steps first, then single-entry removals,
-then decrements, until a full pass yields no accepted edit.
+background loss, fewer joiners and leavers — re-running the oracle after
+every candidate edit and keeping only edits under which the *same* failure
+(matched by signature) still reproduces.  Greedy first-improvement
+restarts give the classic delta-debugging shape: big halving steps first,
+then single-entry removals, then decrements, until a full pass yields no
+accepted edit.
 
 Determinism note: shrinking edits the spec but never the seed, so every
 candidate (and the final minimum) is itself a replayable scenario.
@@ -39,8 +40,11 @@ class ShrinkResult:
                 f"rounds {self.original.rounds}->{self.spec.rounds}, "
                 f"faults {self.original.plan.fault_count()}"
                 f"->{self.spec.plan.fault_count()}, "
-                f"publishes {self.original.publishes}->{self.spec.publishes} "
-                f"({self.attempts} attempts, {self.accepted} accepted)")
+                f"publishes {self.original.publishes}->{self.spec.publishes}"
+                + (f", churn +{self.original.joins}/-{self.original.leaves}"
+                   f"->+{self.spec.joins}/-{self.spec.leaves}"
+                   if self.original.joins or self.original.leaves else "")
+                + f" ({self.attempts} attempts, {self.accepted} accepted)")
 
 
 def _without_entry(plan: FaultPlan, index: int) -> FaultPlan:
@@ -95,6 +99,9 @@ def _candidates(spec: ScenarioSpec) -> Iterator[ScenarioSpec]:
         yield spec.with_overrides(burst=1)
     if spec.retransmissions:
         yield spec.with_overrides(retransmissions=False)
+    for churn in ("joins", "leaves"):
+        if getattr(spec, churn):
+            yield spec.with_overrides(**{churn: 0})
     # 5. Fine steps on the big axes.
     if spec.n > MIN_N:
         yield spec.with_overrides(n=spec.n - 1)
@@ -103,6 +110,9 @@ def _candidates(spec: ScenarioSpec) -> Iterator[ScenarioSpec]:
             rounds=spec.rounds - 1,
             publishes=min(spec.publishes, spec.rounds - 1),
         )
+    for churn in ("joins", "leaves"):
+        if getattr(spec, churn) > 1:
+            yield spec.with_overrides(**{churn: getattr(spec, churn) // 2})
 
 
 def default_is_failing(signature: str) -> Callable[[ScenarioSpec], bool]:

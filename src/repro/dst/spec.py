@@ -11,12 +11,13 @@ so a failure replays bit-for-bit on a fresh process.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import List, Optional
 
 from ..core.config import LpbcastConfig
 from ..faults.plan import FaultPlan
 from ..sim.rng import derive_rng
+from ..sim.scenarios import preset_shape
 
 #: Bump when the spec's JSON shape changes; artifacts carry it.
 SPEC_FORMAT = "repro-dst-spec/1"
@@ -27,6 +28,11 @@ MIN_N = 4
 
 #: The shortest run: one round to publish, one to gossip.
 MIN_ROUNDS = 2
+
+#: Keys every serialized spec carries; fields added later default.
+_REQUIRED_KEYS = ("seed", "n", "rounds", "fanout", "view_max", "events_max",
+                  "event_ids_max", "subs_max", "unsubs_max",
+                  "retransmissions", "loss_rate", "publishes", "shards")
 
 
 @dataclass(frozen=True)
@@ -66,6 +72,10 @@ class ScenarioSpec:
     #: Hold-back queue bound for the causal variant.
     causal_holdback_max: int = 64
     plan: FaultPlan = field(default_factory=FaultPlan)
+    #: Processes ``n .. n + joins - 1`` join and ``0 .. leaves - 1`` leave
+    #: in round 2 (the churn presets of :mod:`repro.sim.scenarios`).
+    joins: int = 0
+    leaves: int = 0
     #: Name of a planted bug from :mod:`repro.dst.mutations` (self-test
     #: campaigns only); ``None`` runs the real code.
     mutation: Optional[str] = None
@@ -100,6 +110,8 @@ class ScenarioSpec:
                              "(each gates delivery its own way)")
         if self.causal_holdback_max < 1:
             raise ValueError("causal_holdback_max must be >= 1")
+        if self.joins < 0 or not 0 <= self.leaves < self.n:
+            raise ValueError("need joins >= 0 and leaves within [0, n)")
         self.config()  # LpbcastConfig.__post_init__ re-checks its bounds
         pids = set(range(self.n))
         for fault in self.plan.crashes:
@@ -184,6 +196,8 @@ class ScenarioSpec:
                 + (" double-echo" if self.double_echo else "")
                 + (f" causal(holdback={self.causal_holdback_max})"
                    if self.causal else "")
+                + (f" churn=+{self.joins}/-{self.leaves}"
+                   if self.joins or self.leaves else "")
                 + (f" mutation={self.mutation}" if self.mutation else ""))
 
     def size(self) -> int:
@@ -191,7 +205,8 @@ class ScenarioSpec:
         return (self.n + self.rounds + self.publishes + self.burst - 1
                 + self.plan.fault_count()
                 + (1 if self.loss_rate > 0 else 0)
-                + (1 if self.retransmissions else 0))
+                + (1 if self.retransmissions else 0)
+                + self.joins + self.leaves)
 
     # -- serialization -------------------------------------------------------
     def to_dict(self) -> dict:
@@ -215,36 +230,30 @@ class ScenarioSpec:
             "causal": self.causal,
             "causal_holdback_max": self.causal_holdback_max,
             "plan": self.plan.to_dict(),
+            "joins": self.joins,
+            "leaves": self.leaves,
             "mutation": self.mutation,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioSpec":
+        """Rebuild a spec from :meth:`to_dict` output.  Specs arrive in
+        artifacts, which are outside input: a non-object or a missing key
+        raises ``ValueError`` saying so."""
+        if not isinstance(data, dict):
+            raise ValueError(f"spec must be a JSON object, got "
+                             f"{type(data).__name__}")
         fmt = data.get("format", SPEC_FORMAT)
         if fmt != SPEC_FORMAT:
             raise ValueError(f"unsupported spec format {fmt!r} "
                              f"(this build reads {SPEC_FORMAT})")
-        spec = cls(
-            seed=data["seed"],
-            n=data["n"],
-            rounds=data["rounds"],
-            fanout=data["fanout"],
-            view_max=data["view_max"],
-            events_max=data["events_max"],
-            event_ids_max=data["event_ids_max"],
-            subs_max=data["subs_max"],
-            unsubs_max=data["unsubs_max"],
-            retransmissions=data["retransmissions"],
-            loss_rate=data["loss_rate"],
-            publishes=data["publishes"],
-            burst=data.get("burst", 1),
-            shards=data["shards"],
-            double_echo=data.get("double_echo", False),
-            causal=data.get("causal", False),
-            causal_holdback_max=data.get("causal_holdback_max", 64),
-            plan=FaultPlan.from_dict(data.get("plan", {})),
-            mutation=data.get("mutation"),
-        )
+        missing = [key for key in _REQUIRED_KEYS if key not in data]
+        if missing:
+            raise ValueError(f"spec lacks required key(s): "
+                             f"{', '.join(missing)}")
+        known = {f.name for f in fields(cls)} - {"plan"}
+        spec = cls(plan=FaultPlan.from_dict(data.get("plan", {})),
+                   **{key: data[key] for key in known & set(data)})
         return spec.validate()
 
     def to_json(self) -> str:
@@ -259,12 +268,14 @@ class ScenarioSpec:
         """Copy with fields replaced — the shrinker's edit primitive.
 
         Shrinking ``n`` silently drops plan entries that now target removed
-        processes (a crash of pid 50 is meaningless at n=10); everything
-        else must stay valid, enforced by :meth:`validate`.
+        processes (a crash of pid 50 is meaningless at n=10) and caps the
+        leavers below ``n``; everything else must stay valid, enforced by
+        :meth:`validate`.
         """
         spec = replace(self, **changes)
         if spec.n < self.n:
-            spec = replace(spec, plan=restrict_plan(spec.plan, spec.n))
+            spec = replace(spec, plan=restrict_plan(spec.plan, spec.n),
+                           leaves=min(spec.leaves, spec.n - 1))
         return spec.validate()
 
 
@@ -326,6 +337,7 @@ def generate_spec(
     mutation: Optional[str] = None,
     byzantine: bool = False,
     causal: bool = False,
+    preset: Optional[str] = None,
 ) -> ScenarioSpec:
     """Sample one scenario from a single seed — the fuzzer's generator.
 
@@ -351,6 +363,11 @@ def generate_spec(
     reorder traffic — loss, delay-heavy fault plans, several concurrent
     publishers, and small hold-back bounds that put the eviction path and
     the ``holdback-bound`` invariant in play.
+
+    ``preset`` (one of :data:`repro.sim.scenarios.PRESET_NAMES`) then
+    shapes the drawn spec: the preset's loss rate, its crashes added to the
+    plan (skipping processes the plan already crashes), its joins and
+    leaves.
     """
     if max_n < 8:
         raise ValueError("max_n must be >= 8")
@@ -360,9 +377,29 @@ def generate_spec(
         raise ValueError("byzantine and causal select disjoint scenario "
                          "families; pick one")
     if byzantine:
-        return _generate_byzantine_spec(seed, max_n, max_rounds, mutation)
-    if causal:
-        return _generate_causal_spec(seed, max_n, max_rounds, mutation)
+        spec = _generate_byzantine_spec(seed, max_n, max_rounds, mutation)
+    elif causal:
+        spec = _generate_causal_spec(seed, max_n, max_rounds, mutation)
+    else:
+        spec = _generate_plain_spec(seed, max_n, max_rounds, mutation)
+    return spec if preset is None else _with_preset(spec, preset)
+
+
+def _with_preset(spec: ScenarioSpec, preset: str) -> ScenarioSpec:
+    """``spec`` under preset ``preset``, sized from the spec's own n."""
+    shape = preset_shape(preset, spec.n, spec.seed)
+    plan = FaultPlan.from_dict(spec.plan.to_dict())
+    crashed = {fault.pid for fault in plan.crashes}
+    for at, pid in shape.crashes:
+        if pid not in crashed:
+            plan.crash(pid, at=at)
+    return replace(spec, loss_rate=shape.loss_rate, plan=plan,
+                   joins=shape.joiners, leaves=shape.leavers).validate()
+
+
+def _generate_plain_spec(seed: int, max_n: int, max_rounds: int,
+                         mutation: Optional[str]) -> ScenarioSpec:
+    """The plain scenario family (see :func:`generate_spec`)."""
     rng = derive_rng(seed, "dst-spec")
     n = rng.randrange(8, max_n + 1)
     rounds = rng.randrange(10, max_rounds + 1)

@@ -7,19 +7,10 @@ and sharded round engines (bit-identical runs for the same root seed),
 ``runtime.use_fault_plan(plan)`` on the async runtime, and
 :class:`DatagramFaultInjector` at the UDP send boundary.
 :class:`InvariantMonitor` checks the paper's safety properties live while
-the chaos plays out, and :mod:`repro.faults.chaos` soaks seeded scenarios.
+the faults play out; ``repro fuzz --preset`` soaks the scenario presets.
 """
 
 from .byzantine import equivocated_payload, mutate_message
-from .chaos import (
-    PRESET_NAMES,
-    ChaosResult,
-    agreement_violations,
-    causality_violations,
-    format_soak_report,
-    run_chaos_scenario,
-    run_chaos_soak,
-)
 from .injector import FaultInjector, FaultVerdict, InjectorStats, RoundActions
 from .invariants import InvariantMonitor, InvariantViolation, Violation
 from .plan import (
@@ -43,8 +34,6 @@ from .wire import DatagramFaultInjector
 __all__ = [
     "FORGE_SEQ_BASE",
     "POISON_BASE",
-    "PRESET_NAMES",
-    "ChaosResult",
     "CrashFault",
     "DatagramFaultInjector",
     "DelayFault",
@@ -65,11 +54,6 @@ __all__ = [
     "ReplayStaleFault",
     "RoundActions",
     "Violation",
-    "agreement_violations",
-    "causality_violations",
     "equivocated_payload",
-    "format_soak_report",
     "mutate_message",
-    "run_chaos_scenario",
-    "run_chaos_soak",
 ]

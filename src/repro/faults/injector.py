@@ -92,7 +92,8 @@ class RoundActions:
 
 @dataclass
 class InjectorStats:
-    """Counters of faults actually struck (chaos reports embed them)."""
+    """Counters of faults actually struck (the engines fold them into
+    telemetry as ``faults.*`` counters)."""
 
     decisions: int = 0
     dropped: int = 0

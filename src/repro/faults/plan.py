@@ -440,7 +440,7 @@ class FaultPlan:
         return frozenset(out)
 
     def describe(self) -> str:
-        """One-line human summary (chaos reports embed it)."""
+        """One-line human summary (DST spec descriptions embed it)."""
         parts: List[str] = []
         for d in self.drops:
             scope = "" if d.src is None and d.dst is None else \
@@ -575,7 +575,7 @@ class FaultPlan:
                byzantine_rate: float = 0.0,
                byzantine_nodes: int = 0) -> "FaultPlan":
         """Draw a random composed plan over ``pids`` for a ``horizon``-round
-        run — the chaos soak's scenario generator.
+        run — the fault half of the DST scenario generator.
 
         ``intensity`` scales fault probabilities/counts; 1.0 yields a plan
         with moderate loss, one partition-with-heal, one or two

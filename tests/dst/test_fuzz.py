@@ -18,6 +18,10 @@ from repro.dst import (
 REPO_SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(__file__))), "src")
 
+#: A failing-case artifact written before specs had joins and leaves.
+PARENT_ARTIFACT = os.path.join(os.path.dirname(__file__), "artifacts",
+                               "no-churn-keys.json")
+
 
 def failing_campaign(tmp_path):
     return run_campaign(1, 3, max_n=16, max_rounds=12,
@@ -130,6 +134,33 @@ class TestArtifacts:
         path.write_text(json.dumps({"format": "something-else/1"}))
         with pytest.raises(ValueError, match="format"):
             load_artifact(str(path))
+
+    @pytest.mark.parametrize("edit,key", [
+        (lambda data: data["spec"].pop("n"), "'n'|\\bn\\b"),
+        (lambda data: data.pop("failure"), "failure"),
+        (lambda data: data["failure"].pop("signature"), "signature"),
+    ], ids=["spec-n", "failure", "failure-signature"])
+    def test_missing_keys_named(self, tmp_path, edit, key):
+        data = load_artifact(PARENT_ARTIFACT)
+        edit(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=key):
+            replay_artifact(load_artifact(str(path)))
+
+    def test_non_object_artifact_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match="JSON object"):
+            load_artifact(str(path))
+
+    def test_artifact_without_churn_keys_replays(self):
+        """An artifact written before specs had joins and leaves replays
+        bit-identically: same signature, same per-engine fingerprints."""
+        data = load_artifact(PARENT_ARTIFACT)
+        assert "joins" not in data["spec"]
+        result = replay_artifact(data)
+        assert result.ok, result.mismatches
 
     def test_replay_reproduces_bit_identically(self, tmp_path):
         case = failing_campaign(tmp_path).cases[0]

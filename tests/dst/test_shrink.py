@@ -53,6 +53,17 @@ class TestShrinkWithInjectedPredicate:
                     max_attempts=3)
         assert len(calls) <= 3
 
+    def test_churn_counts_shrink(self):
+        spec = big_spec().with_overrides(joins=10, leaves=10)
+        result = shrink_spec(spec, "invariant:x",
+                             is_failing=lambda spec: True)
+        assert result.spec.joins == result.spec.leaves == 0
+        # A failure that needs some leaver halves the count down to one.
+        result = shrink_spec(spec, "invariant:x",
+                             is_failing=lambda spec: spec.leaves > 0)
+        assert (result.spec.joins, result.spec.leaves) == (0, 1)
+        assert "churn +10/-10->+0/-1" in result.reduction()
+
     def test_every_candidate_is_valid(self):
         seen = []
 

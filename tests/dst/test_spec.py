@@ -228,6 +228,23 @@ class TestSerialization:
         with pytest.raises(ValueError):
             ScenarioSpec.from_dict(data)
 
+    def test_missing_key_named(self):
+        data = generate_spec(0).to_dict()
+        del data["n"]
+        with pytest.raises(ValueError, match="required key.*\\bn\\b"):
+            ScenarioSpec.from_dict(data)
+
+    def test_non_object_rejected(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            ScenarioSpec.from_dict([1, 2])
+
+    def test_churn_round_trips_and_defaults_to_none(self):
+        spec = generate_spec(4, preset="mass_departure")
+        assert ScenarioSpec.from_json(spec.to_json()) == spec
+        data = generate_spec(4).to_dict()
+        del data["joins"], data["leaves"]
+        assert ScenarioSpec.from_dict(data) == generate_spec(4)
+
 
 class TestValidation:
     def test_minimum_sizes(self):
@@ -244,6 +261,18 @@ class TestValidation:
         plan = FaultPlan().crash(99, at=2)
         with pytest.raises(ValueError, match="unknown pid"):
             ScenarioSpec(seed=0, n=8, rounds=5, plan=plan).validate()
+
+    def test_churn_counts_validated(self):
+        with pytest.raises(ValueError, match="joins"):
+            ScenarioSpec(seed=0, n=8, rounds=5, joins=-1).validate()
+        with pytest.raises(ValueError, match="leaves"):
+            ScenarioSpec(seed=0, n=8, rounds=5, leaves=8).validate()
+
+    def test_shrinking_n_keeps_leavers_below_n(self):
+        spec = ScenarioSpec(seed=0, n=12, rounds=5, joins=20, leaves=11)
+        smaller = spec.with_overrides(n=MIN_N)
+        assert smaller.leaves == MIN_N - 1
+        assert smaller.joins == 20
 
     def test_config_derivation_consistent(self):
         spec = ScenarioSpec(seed=0, n=8, rounds=5, retransmissions=True)

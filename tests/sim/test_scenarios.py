@@ -4,10 +4,12 @@ import pytest
 
 from repro.core import LpbcastConfig
 from repro.sim.scenarios import (
+    PRESET_NAMES,
     correlated_crashes,
     flaky_wan,
     flash_crowd,
     mass_departure,
+    preset_shape,
     steady_state,
 )
 
@@ -218,3 +220,28 @@ class TestFlakyWan:
             if scenario.log.delivered(n.pid, event.event_id)
         )
         assert covered >= 0.95 * len(survivors)
+
+
+class TestPresetShapes:
+    def test_default_churn_scales_with_n(self):
+        # The leaver count used to be a fixed 20, refused below n = 21.
+        scenario = mass_departure(n=20, seed=1).run(4)
+        assert scenario.extras["leaver_pids"] == list(range(6))
+        assert all(scenario.sim.nodes[pid].unsubscribed for pid in range(6))
+        assert flash_crowd(n=20, seed=1).extras["joiner_pids"] == \
+            list(range(20, 26))
+
+    def test_every_preset_has_a_shape(self):
+        for name in PRESET_NAMES:
+            shape = preset_shape(name, 30, 4)
+            assert 0.0 < shape.loss_rate < 1.0
+        with pytest.raises(ValueError, match="unknown preset"):
+            preset_shape("thundering_herd", 30, 4)
+
+    def test_builder_crashes_are_the_shape_as_fault_plan_entries(self):
+        shape = preset_shape("flaky_wan", 40, 9)
+        scenario = flaky_wan(n=40, seed=9)
+        assert scenario.extras["crashes"] == list(shape.crashes)
+        plan = scenario.sim._fault_injector.plan
+        assert [(c.at, c.pid) for c in plan.crashes] == list(shape.crashes)
+        assert steady_state(n=20, seed=1).sim._fault_injector is None

@@ -541,12 +541,21 @@ class TestFaultVerdictTracing:
     def test_traced_byzantine_chaos_scenario_returns(self):
         # Used to raise TypeError: the event's data field was named
         # ``kind``, colliding with ``Telemetry.emit``'s first parameter.
-        from repro.faults.chaos import run_chaos_scenario
+        from repro.dst import ScenarioSpec
+        from repro.sim.rng import derive_rng
+        from repro.sim.scenarios import steady_state
 
-        result = run_chaos_scenario("steady_state", n=24, rounds=12, seed=5,
-                                    byzantine_nodes=2, byzantine_rate=0.5,
-                                    tracing=True)
-        kinds = result.telemetry.trace.counts()
+        config = ScenarioSpec(seed=5, n=24, rounds=12, view_max=23,
+                              double_echo=True).config()
+        scenario = steady_state(n=24, config=config, seed=5)
+        scenario.sim.telemetry.tracing = True
+        scenario.sim.use_fault_plan(FaultPlan.random(
+            list(range(24)), horizon=12, rng=derive_rng(5, "plan"),
+            byzantine_rate=0.5, byzantine_nodes=2))
+        for pid in range(5):
+            scenario.nodes[pid].lpb_cast(f"x-{pid}", now=0.0)
+        scenario.run(12)
+        kinds = scenario.sim.telemetry.trace.counts()
         assert kinds["fault.byzantine"] > 0
 
     def test_every_emitted_fault_kind_is_registered(self):

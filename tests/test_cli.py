@@ -80,18 +80,34 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "empirical partition rate" in out
 
-    def test_chaos_soak_runs_and_reports(self, capsys):
-        assert main(["chaos", "--scenarios", "2", "-n", "20",
-                     "--rounds", "15", "--seed", "5",
-                     "--preset", "steady_state"]) == 0
+    def test_fuzz_preset_campaign_runs_and_reports(self, capsys):
+        assert main(["fuzz", "--count", "2", "--seed", "5", "--max-n", "20",
+                     "--max-rounds", "15", "--preset", "steady_state",
+                     "--preset", "mass_departure"]) == 0
         out = capsys.readouterr().out
-        assert "chaos soak: 2 scenario(s)" in out
-        assert "invariants=OK" in out
-        assert "0 with invariant violations" in out
+        assert "[1/2] OK    steady_state reliability=" in out
+        assert "[2/2] OK    mass_departure reliability=" in out
+        assert "2/2 scenario(s) checked, mean reliability" in out
 
-    def test_chaos_rejects_unknown_preset(self):
+    def test_fuzz_rejects_unknown_preset(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["chaos", "--preset", "nonsense"])
+            build_parser().parse_args(["fuzz", "--preset", "nonsense"])
+
+    def test_fuzz_columnar_refuses_churn_presets(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fuzz", "--columnar", "--preset", "flash_crowd",
+                  "--count", "1", "--quiet"])
+        assert excinfo.value.code == 2
+        assert "joins or leaves" in capsys.readouterr().err
+
+    def test_fuzz_replay_of_a_malformed_artifact_exits_2(self, tmp_path,
+                                                         capsys):
+        path = tmp_path / "case.json"
+        path.write_text("[]")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fuzz", "--replay", str(path)])
+        assert excinfo.value.code == 2
+        assert "JSON object" in capsys.readouterr().err
 
 
 class TestTraceCommand:
