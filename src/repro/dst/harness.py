@@ -8,7 +8,8 @@ violation the monitor observed.  The wiring is identical for the two
 object round engines — same node construction, same network stream, same
 seeded publish draws — which is what makes the differential comparison
 meaningful: any divergence is an engine bug, not harness noise.  Joins and
-leaves run on those two engines only, as the scenario builders run them.
+leaves run as the scenario builders run them, in round 2; the async
+runtime runs the same joiners, contacts and leavers at that round's start.
 
 The columnar engine gets the same node construction and publish draws but
 is judged only on its honoured counter subset (see
@@ -187,6 +188,7 @@ def _run_async_engine(spec: ScenarioSpec) -> RunOutcome:
     node has ticked at least once by the last publish round.
     """
     cfg = spec.config()
+    period = cfg.gossip_period
     nodes = build_lpbcast_nodes(spec.n, cfg, seed=spec.seed)
     network = NetworkModel(loss_rate=spec.loss_rate,
                            rng=derive_rng(spec.seed, "dst-network"))
@@ -196,15 +198,29 @@ def _run_async_engine(spec: ScenarioSpec) -> RunOutcome:
     monitor = InvariantMonitor(mode="collect", seed=spec.seed).attach(runtime)
     if not spec.plan.is_empty():
         runtime.use_fault_plan(spec.plan)
+    if spec.joins or spec.leaves:
+        def watch(node) -> None:
+            log.attach([node])
+            monitor.watch_node(node.pid, node)
+
+        script = churn_script(spec.n, spec.seed, cfg, spec.joins,
+                              spec.leaves, on_join=watch)
+        churn_at = (CHURN_ROUND - 1) * period
+        for join in script.joins:
+            runtime.join_at(script.node_factory(join.pid), join.contact,
+                            churn_at)
+        for leave in script.leaves:
+            runtime.leave_at(leave.pid, churn_at)
     pub_rng = derive_rng(spec.seed, "dst-publish")
     pids = [node.pid for node in nodes]
 
     def publish(round_no: int):
         def fire() -> None:
             injector = runtime._fault_injector
+            departed = spec.leaves if round_no >= CHURN_ROUND else 0
             ready = [
                 p for p in pids
-                if runtime.alive(p)
+                if p >= departed and runtime.alive(p)
                 and not (injector is not None
                          and injector.is_paused(p, round_no))
             ]
@@ -214,7 +230,6 @@ def _run_async_engine(spec: ScenarioSpec) -> RunOutcome:
 
         return fire
 
-    period = cfg.gossip_period
     for round_no in range(1, spec.publishes + 1):
         runtime.call_at((round_no - 0.5) * period, publish(round_no))
     mutation = get_mutation(spec.mutation)
@@ -246,9 +261,8 @@ def apply_scenario(spec: ScenarioSpec, engine: str = "serial",
     kwargs contract.
     """
     spec.validate()
-    if (spec.joins or spec.leaves) and engine in ("columnar", "async"):
-        # Columnar membership freezes at the first round; async has no
-        # churn wiring here.
+    if (spec.joins or spec.leaves) and engine == "columnar":
+        # Columnar membership freezes at the first round.
         raise ValueError(f"the {engine} engine runs no joins or leaves "
                          f"(flash_crowd, mass_departure)")
     if workers != 1 and engine != "columnar":

@@ -4,8 +4,9 @@ One :class:`FaultPlan` describes a hostile episode (drops, duplicates, delay
 spikes, partitions with heal, crash-with-recovery, slow nodes); the same
 plan wires into every engine — ``sim.use_fault_plan(plan)`` on the serial
 and sharded round engines (bit-identical runs for the same root seed),
-``runtime.use_fault_plan(plan)`` on the async runtime, and
-:class:`DatagramFaultInjector` at the UDP send boundary.
+``runtime.use_fault_plan(plan)`` on the async runtime and the UDP
+deployment built on it.  :class:`DatagramFaultInjector`, a wall-clock
+adapter for message faults, is used by no runtime.
 :class:`InvariantMonitor` checks the paper's safety properties live while
 the faults play out; ``repro fuzz --preset`` soaks the scenario presets.
 """

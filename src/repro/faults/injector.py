@@ -137,6 +137,8 @@ class FaultInjector:
         return RoundActions(crashes, recoveries, paused)
 
     def is_paused(self, pid: ProcessId, round_no: Optional[int] = None) -> bool:
+        if not self.plan.pauses:
+            return False
         r = self._round if round_no is None else round_no
         return any(p.pid == pid and p.at <= r < p.at + p.duration
                    for p in self.plan.pauses)

@@ -1,67 +1,39 @@
-"""A real deployment runtime: UDP datagrams on one selector loop.
+"""A real deployment: the async runtime with loopback UDP as its transport.
 
-The paper's Sec. 5.2 numbers come from an actual deployment (125 Solaris
-workstations); this module is the laptop-scale equivalent.  Every process
-is a :class:`UdpProcessHost` on a loopback UDP socket, messages cross a real
-serialization boundary (:mod:`repro.wire`) and unsynchronized wall-clock
-timers drive the gossip — the protocol objects the simulators run, deployed
-for real.  A :class:`LocalDeployment` runs all its hosts on one thread: a
-:mod:`selectors` loop over every socket and one
-:class:`~repro.sim.engine.Simulator` agenda on the wall clock, holding each
-host's ticks (a seeded random phase, then a fixed rate T, as on
-:class:`~repro.sim.async_runner.AsyncGossipRuntime`) and the datagrams a
-delay verdict holds back.  Each readiness event reads one datagram, as
-asyncio's datagram transport does: the level-triggered selector reports
-the socket again while more wait, so no pass ends in a failed read.  A
-datagram costs one counter record per direction (its count and its bytes,
-keys resolved once per host) and one ``time.codec`` observation.  A node
-method that raises fail-stops its own host only, counted as
-``udp.node_errors`` and traced as ``node.error``.
-
-Loopback UDP practically never drops, so ``fault_plan=FaultPlan().drop(p)``
-injects the paper's ε at the send boundary: one seeded
-:class:`~repro.faults.wire.DatagramFaultInjector` shared by every host, as
-for any message-level plan; verdicts that strike are traced as on every
-simulator.  Messages to one destination batch into one binary frame; a
-payload the codec cannot carry is refused by :meth:`UdpProcessHost.publish`.
-A datagram :func:`~repro.wire.decode_frame` rejects is a counted
-``udp.decode_errors``, never a parsed message; a gossip too big for one
-datagram is *split*, and whatever still cannot fit is counted **and**
-traced.  ``datagram_counters()`` on a host or the deployment reads these.
+:class:`LocalDeployment` is an
+:class:`~repro.sim.async_runner.AsyncGossipRuntime` on the wall clock — the
+laptop-scale analogue of the paper's Sec. 5.2 testbed — so timers, fault
+verdicts, crashes, recoveries and pauses are the runtime's own.  Its
+``_carry`` packs binary frames onto the sender's socket; one thread's
+:mod:`selectors` loop advances the agenda and feeds each datagram to the
+runtime's deliver path.  A node method that raises crashes its process
+(``udp.node_errors``, traced ``node.error``).
 """
 
 from __future__ import annotations
 
-import random
 import selectors
 import socket
 import threading
 import time
 import traceback
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.ids import ProcessId
 from ..core.message import Outgoing
-from ..faults.injector import trace_verdict
-from ..sim.engine import Simulator
+from ..sim.async_runner import AsyncGossipRuntime
 from ..telemetry import Telemetry
-from ..wire import DatagramPlan, decode_frame, pack_datagrams
+from ..wire import decode_frame, pack_datagrams
 from ..wire.binary import check_payload
 
-Address = Tuple[str, int]
-
 _MAX_DATAGRAM = 65_000
-#: Receive buffer, deliberately one byte *past* the send cap: a legal-size
-#: datagram can never be silently truncated by ``recvfrom``, and anything
-#: longer than the cap is detected (and counted) instead of being parsed
-#: as if it were complete.
+#: One byte past the send cap: a legal datagram is never cut short by
+#: ``recv``, and a longer one is counted as truncated, never parsed.
 _RECV_BUFSIZE = _MAX_DATAGRAM + 1
-#: The longest the loop waits in ``select``: how soon ``stop()`` is seen.
-_MAX_WAIT = 0.05
+_MAX_WAIT = 0.05            # the longest select: how soon stop() is seen
 
-#: Per-pid ``udp.*`` counter -> its :meth:`UdpProcessHost.datagram_counters`
-#: and :meth:`LocalDeployment.datagram_counters` key.
+#: Per-pid ``udp.*`` counter -> its ``datagram_counters()`` key.
 _DATAGRAM_COUNTERS = {
     "udp.datagrams_sent": "sent",
     "udp.datagrams_received": "received",
@@ -80,9 +52,8 @@ _DATAGRAM_COUNTERS = {
 
 def _datagram_totals(telemetry: Telemetry,
                      pid: Optional[ProcessId] = None) -> Dict[str, int]:
-    """The ``udp.*`` counters of one :meth:`Telemetry.snapshot` (so all keys
-    are read at the same instant), summed over every pid or kept to one,
-    plus ``dropped``: the send-side drops of all three causes."""
+    """The ``udp.*`` counters of one snapshot, summed over every pid or kept
+    to one, plus ``dropped``: the send-side drops of all three causes."""
     totals = dict.fromkeys(_DATAGRAM_COUNTERS.values(), 0)
     for (name, labels), value in telemetry.snapshot()["counters"].items():
         key = _DATAGRAM_COUNTERS.get(name)
@@ -94,88 +65,58 @@ def _datagram_totals(telemetry: Telemetry,
 
 
 class UdpProcessHost:
-    """One protocol node on a loopback UDP socket, made by
-    :meth:`LocalDeployment.add_node`.  The deployment's loop runs the node's
-    ``on_tick`` and ``handle_message`` under the deployment's lock, which
-    :meth:`publish` and :meth:`with_node` take as well."""
+    """One node's loopback socket, made by :meth:`LocalDeployment.add_node`;
+    :meth:`publish` and :meth:`with_node` take the deployment's lock."""
 
     def __init__(self, node, deployment: "LocalDeployment") -> None:
         self.node = node
-        #: Every send-side fault goes through this one injector, shared by
-        #: the deployment's hosts; None sends everything.
-        self.fault_injector = deployment.fault_injector
         self.telemetry = deployment.telemetry
         self._deployment = deployment
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._sock.bind(("127.0.0.1", 0))
         self._sock.setblocking(False)
-        self.address: Address = self._sock.getsockname()
-        deployment.directory[node.pid] = self.address
-        self._failed = False        # fail-stopped: its pending tick returns
+        self.address = self._sock.getsockname()
         # Resolved once: a datagram costs one registry call per direction
         # and one perf_counter pair per codec pass.
-        telemetry = self.telemetry
-        self._keys = {name: telemetry.counter_key(name, pid=node.pid)
+        self._keys = {name: self.telemetry.counter_key(name, pid=node.pid)
                       for name in _DATAGRAM_COUNTERS}
-        self._encode_time = telemetry.histogram("time.codec", op="encode")
-        self._decode_time = telemetry.histogram("time.codec", op="decode")
+        self._encode_time = self.telemetry.histogram("time.codec", op="encode")
+        self._decode_time = self.telemetry.histogram("time.codec", op="decode")
 
-    def _count(self, name: str) -> None:
-        self.telemetry.add(self._keys[name])
+    def _count(self, name: str, value: int = 1) -> None:
+        self.telemetry.add(self._keys[name], value)
 
     def datagram_counters(self) -> Dict[str, int]:
-        """This host's datagram accounting: the keys of
-        :meth:`LocalDeployment.datagram_counters`, scoped to its pid."""
+        """The deployment's ``datagram_counters()`` keys, for this pid."""
         with self._deployment._lock:
             return _datagram_totals(self.telemetry, self.node.pid)
 
-    # -- application access ------------------------------------------------------
     def with_node(self, fn: Callable):
-        """Run ``fn(node)`` under the deployment's lock and ship any returned
-        :class:`Outgoing` list."""
+        """``fn(node)`` under the lock; a returned Outgoing list is sent."""
         with self._deployment._lock:
             result = fn(self.node)
             if isinstance(result, list):
-                self._send_all(result)
-                return None
+                return self._deployment.send(self.node.pid, result)
         return result
 
     def publish(self, payload=None):
-        """Publish on the hosted node (lpbcast interface).
-
-        A payload no binary record can carry raises
-        :class:`~repro.wire.WireEncodeError` here, before the node assigns
-        it an event id — past this point it would fail every gossip that
-        carried it, on the deployment's loop.
-        """
+        """``lpb_cast`` on the node.  A payload no record can carry raises
+        :class:`~repro.wire.WireEncodeError` before it takes an event id."""
         check_payload(payload)
         with self._deployment._lock:
             return self.node.lpb_cast(payload, now=time.monotonic())
 
-    # -- the deployment's loop, with its lock held ---------------------------
-    def _tick(self) -> None:
-        """Gossip, then again T after this tick was due (a fixed rate)."""
-        if self._failed:
-            return
-        try:
-            self._send_all(self.node.on_tick(time.monotonic()))
-        except Exception as exc:
-            return self._fail_stop(exc)
-        self._deployment._agenda.schedule(self._deployment.gossip_period,
-                                          self._tick)
-
     def _drain(self) -> None:
-        """One waiting datagram, through the frame layer, to the node.  The
-        selector is level-triggered: it reports the socket again on the
-        loop's next pass while more datagrams wait."""
+        """One waiting datagram to the runtime's deliver path (the selector
+        is level-triggered: it reports the socket again while more wait)."""
         try:
             data = self._sock.recv(_RECV_BUFSIZE)
         except OSError:             # BlockingIOError: nothing waits after all
             return
-        size = len(data)
-        if size > _MAX_DATAGRAM:
-            # Over the cap our senders honour — the tail may already be
-            # gone, so never parse it as if it were complete.
+        deployment, pid = self._deployment, self.node.pid
+        if pid in deployment.crashed:
+            return
+        if len(data) > _MAX_DATAGRAM:
             return self._count("udp.datagrams_truncated")
         started = perf_counter()
         try:
@@ -187,71 +128,26 @@ class UdpProcessHost:
             return self._count("udp.decode_errors")
         keys = self._keys
         self.telemetry.add(keys["udp.datagrams_received"], 1,
-                           keys["udp.bytes_received"], size)
+                           keys["udp.bytes_received"], len(data))
         try:
             for message in messages:
-                self._send_all(self.node.handle_message(
-                    sender, message, time.monotonic()))
+                deployment._deliver(sender, pid, message)
         except Exception as exc:
-            return self._fail_stop(exc)
+            deployment._node_error(pid, exc)
 
-    def _fail_stop(self, exc: Exception) -> None:
-        """Silence this host alone (no reads, no ticks) and record why."""
-        self._deployment._selector.unregister(self._sock)
-        self._failed = True
-        self._count("udp.node_errors")
-        self.telemetry.emit(
-            "node.error", time.monotonic(), pid=self.node.pid, force=True,
-            error=repr(exc), traceback=traceback.format_exc(),
-        )
+    def _transmit(self, datagram: bytes, address: tuple) -> None:
+        try:
+            self._sock.sendto(datagram, address)
+        except OSError:
+            return self._count("udp.datagrams_send_errors")
+        keys = self._keys
+        self.telemetry.add(keys["udp.datagrams_sent"], 1,
+                           keys["udp.bytes_sent"], len(datagram))
 
-    def _send_all(self, outgoings: Sequence[Outgoing]) -> None:
-        if not outgoings:
-            return
-        telemetry, deployment = self.telemetry, self._deployment
-        # Fault verdicts are taken per outgoing message, in iteration order:
-        # the injector's seeded stream must consume the same sequence of
-        # decisions regardless of how survivors later batch into frames.
-        groups: Dict[Tuple[Address, int, float], List[object]] = {}
-        for out in outgoings:
-            address = deployment.directory.get(out.destination)
-            if address is None:
-                # Counted (the engines' ``sim.to_unknown``), before a verdict.
-                self._count("udp.datagrams_to_unknown")
-                continue
-            copies, delay_s = 1, 0.0
-            if self.fault_injector is not None:
-                now = time.monotonic()
-                verdict, delay_s = self.fault_injector.decide(
-                    self.node.pid, out.destination, now)
-                if telemetry.tracing:
-                    trace_verdict(telemetry, now, verdict, self.node.pid,
-                                  out.destination)
-                if verdict.action == "drop":
-                    self._count("udp.datagrams_lost_injected")
-                    continue
-                copies = verdict.copies
-            groups.setdefault((address, copies, delay_s), []).append(
-                out.message
-            )
-        # A tick's F targets share one gossip object and a frame never names
-        # its destination: pack each distinct group of objects once per call.
-        plans: Dict[Tuple[int, ...], DatagramPlan] = {}
-        for (address, copies, delay_s), messages in groups.items():
-            for datagram in self._encode_datagrams(messages, plans):
-                for _ in range(copies):
-                    if delay_s > 0:
-                        deployment._agenda.schedule_at(
-                            deployment._clock() + delay_s,
-                            self._transmit, datagram, address)
-                    else:
-                        self._transmit(datagram, address)
-
-    def _encode_datagrams(self, messages: List[object],
-                          plans: dict) -> List[bytes]:
-        """One destination's messages as capped datagrams, packed on first
-        sight within the calling ``_send_all``; splits and undeliverable
-        oversize messages are counted and traced per destination."""
+    def _datagrams(self, messages: List[object], plans: dict) -> List[bytes]:
+        """One destination's capped datagrams, packed on first sight within
+        the calling ``send``.  Per destination, a split or an unsendable
+        message is counted and traced (forced: the only record of a loss)."""
         key = tuple(map(id, messages))
         plan = plans.get(key)
         if plan is None:
@@ -261,109 +157,124 @@ class UdpProcessHost:
                     self.node.pid, messages, max_bytes=_MAX_DATAGRAM)
             finally:
                 self._encode_time.observe(perf_counter() - started)
+        pid, emit = self.node.pid, self.telemetry.emit
         for message, size in plan.oversize:
             self._count("udp.datagrams_oversize")
-            # Forced past the tracing gate: a destroyed message must never be
-            # invisible — this event is the only record of what was lost.
-            self.telemetry.emit(
-                "wire.oversize", time.monotonic(), pid=self.node.pid,
-                force=True, message_kind=type(message).__name__,
-                wire_size=size)
+            emit("wire.oversize", time.monotonic(), pid=pid, force=True,
+                 message_kind=type(message).__name__, wire_size=size)
         for message, size, parts in plan.splits:
             self._count("udp.gossips_split")
-            self.telemetry.emit(
-                "wire.split", time.monotonic(), pid=self.node.pid,
-                message_kind=type(message).__name__, wire_size=size,
-                parts=parts)
+            emit("wire.split", time.monotonic(), pid=pid, parts=parts,
+                 message_kind=type(message).__name__, wire_size=size)
         return plan.datagrams
 
-    def _transmit(self, datagram: bytes, address: Address) -> None:
-        try:
-            self._sock.sendto(datagram, address)
-        except OSError:
-            return self._count("udp.datagrams_send_errors")
-        keys = self._keys
-        self.telemetry.add(keys["udp.datagrams_sent"], 1,
-                           keys["udp.bytes_sent"], len(datagram))
 
+class LocalDeployment(AsyncGossipRuntime):
+    """Loopback :class:`UdpProcessHost`\\ s run by one selector loop.  The
+    agenda's time is wall-clock seconds since construction, advanced by that
+    loop: drive a deployment with :meth:`run_for` / :meth:`wait_until`, not
+    ``run_until`` (``examples/udp_deployment.py`` shows one end to end)."""
 
-class LocalDeployment:
-    """A cluster of :class:`UdpProcessHost`\\ s on the loopback interface,
-    run by one selector loop on one thread.
-
-    >>> from repro.sim import build_lpbcast_nodes
-    >>> nodes = build_lpbcast_nodes(8, seed=1)
-    >>> cluster = LocalDeployment(nodes, gossip_period=0.05)
-    >>> cluster.start()
-    >>> event = cluster.host(nodes[0].pid).publish("hello")
-    >>> cluster.run_for(1.0)
-    >>> cluster.stop()
-    """
-
-    def __init__(
-        self,
-        nodes: Sequence,
-        gossip_period: float = 0.05,
-        seed: int = 0,
-        fault_plan=None,
-        wire_format: str = "binary",
-    ) -> None:
-        # Binary frames are the only format; the keyword stays because the
-        # perf ledger's UDP workloads still pass it.
+    def __init__(self, nodes: Sequence, gossip_period: float = 0.05,
+                 seed: int = 0, fault_plan=None,
+                 wire_format: str = "binary") -> None:
+        # The only format; the keyword stays for the perf ledger's callers.
         if wire_format != "binary":
             raise ValueError(
                 f"wire_format must be 'binary', got {wire_format!r}")
         if gossip_period <= 0:
             raise ValueError("gossip_period must be positive")
+        super().__init__(seed=seed, default_period=gossip_period)
         self.gossip_period = gossip_period
-        self.directory: Dict[ProcessId, Address] = {}
-        #: One registry for the whole cluster, written under the lock;
-        #: every host's ``udp.*`` series is labelled with its pid.
-        self.telemetry = Telemetry()
-        self._root = random.Random(seed)
-        # One injector shared by every host: partitions and scoped drops
-        # must see traffic from all senders against one schedule and one
-        # seeded stream.
-        self.fault_injector = None
-        if fault_plan is not None:
-            from ..faults.wire import DatagramFaultInjector
-
-            self.fault_injector = DatagramFaultInjector(
-                fault_plan, rng=random.Random(self._root.getrandbits(64)),
-                round_duration=gossip_period,
-            )
-        #: Guards the nodes, the agenda, the registry and the selector for
-        #: the loop and for application calls; re-entrant, so a delivery
-        #: listener may publish on any host.
+        self.directory: Dict[ProcessId, tuple] = {}
+        #: Guards nodes, agenda, registry and selector; re-entrant, so a
+        #: delivery listener may publish on any host.
         self._lock = threading.RLock()
         self._selector = selectors.DefaultSelector()
-        self._agenda = Simulator()
         self._t0 = time.monotonic()
         self._loop_thread: Optional[threading.Thread] = None
         self._stopping = False
+        self._frames: Dict[tuple, List[object]] = {}
         self.hosts: List[UdpProcessHost] = []
         self._by_pid: Dict[ProcessId, UdpProcessHost] = {}
+        if fault_plan is not None:
+            self.use_fault_plan(fault_plan)
         for node in nodes:
             self.add_node(node)
 
-    def _clock(self) -> float:
-        """The agenda's time: wall-clock seconds since construction."""
-        return time.monotonic() - self._t0
+    _clock = staticmethod(time.monotonic)      # what every node is handed
+
+    def _fault_round(self, at: float) -> int:
+        return int((at - self._t0) / self._fault_round_duration) + 1
+
+    def _period_of(self, node) -> float:
+        return self.gossip_period
 
     def add_node(self, node) -> None:
-        """Host ``node`` on a fresh socket, gossiping from a seeded random
-        phase of one period from now; on a running deployment too."""
+        """Host ``node`` on a fresh socket, on a running deployment too."""
         with self._lock:
-            phase = random.Random(self._root.getrandbits(64)).uniform(
-                0.0, self.gossip_period)
-            host = UdpProcessHost(node, self)
+            super().add_node(node)
+            host = self._by_pid[node.pid] = UdpProcessHost(node, self)
+            self.directory[node.pid] = host.address
             self._selector.register(host._sock, selectors.EVENT_READ, host)
-            self._agenda.schedule_at(self._clock() + phase, host._tick)
             self.hosts.append(host)
-            self._by_pid[node.pid] = host
 
     def host(self, pid: ProcessId) -> UdpProcessHost:
         return self._by_pid[pid]
+
+    def send(self, src: ProcessId, outgoings: Sequence[Outgoing]) -> None:
+        """The runtime's verdicts, then one frame per destination, copy count
+        and hold-back.  An unknown destination is counted before its
+        verdict: the seeded fault stream never sees it."""
+        host = self._by_pid[src]
+        directory = self.directory
+        known = [out for out in outgoings if out.destination in directory]
+        if len(known) < len(outgoings):
+            host._count("udp.datagrams_to_unknown",
+                        len(outgoings) - len(known))
+        stats = getattr(self._fault_injector, "stats", None)
+        struck = stats.dropped + stats.partition_blocked if stats else 0
+        try:
+            super().send(src, known)
+        finally:
+            frames, self._frames = self._frames, {}
+        if stats and stats.dropped + stats.partition_blocked > struck:
+            host._count("udp.datagrams_lost_injected",
+                        stats.dropped + stats.partition_blocked - struck)
+        # A tick's F targets share one gossip object and a frame never
+        # names its destination: each distinct group is packed once.
+        plans: dict = {}
+        for (dst, copies, delay), messages in frames.items():
+            address = directory[dst]
+            for datagram in host._datagrams(messages, plans):
+                for _ in range(copies):
+                    if delay > 0:
+                        self.sim.schedule_at(
+                            time.monotonic() - self._t0 + delay,
+                            host._transmit, datagram, address)
+                    else:
+                        host._transmit(datagram, address)
+
+    def _carry(self, src: ProcessId, out: Outgoing, copies: int,
+               delay: float) -> None:
+        self._frames.setdefault((out.destination, copies, delay),
+                                []).append(out.message)
+
+    def _record_sends(self, pid: ProcessId, outgoings) -> None:
+        """Nothing per message: the sockets count datagrams (``udp.*``)."""
+
+    def _tick(self, pid: ProcessId, period: float, epoch: int) -> None:
+        try:
+            super()._tick(pid, period, epoch)
+        except Exception as exc:
+            self._node_error(pid, exc)
+
+    def _node_error(self, pid: ProcessId, exc: Exception) -> None:
+        self._by_pid[pid]._count("udp.node_errors")
+        self.telemetry.emit("node.error", time.monotonic(), pid=pid,
+                            force=True, error=repr(exc),
+                            traceback=traceback.format_exc())
+        self.crash(pid)
 
     def start(self) -> None:
         self._loop_thread = threading.Thread(
@@ -371,14 +282,16 @@ class LocalDeployment:
         self._loop_thread.start()
 
     def _loop(self) -> None:
-        """Run what is due, wait for a datagram, read each ready socket."""
-        agenda, selector, lock = self._agenda, self._selector, self._lock
+        """Run what is due (``sim.run_until``: no telemetry), wait for a
+        datagram, read each ready socket."""
+        sim, selector, lock = self.sim, self._selector, self._lock
+        t0 = self._t0
         while not self._stopping:
             with lock:
-                agenda.run_until(self._clock())
-                due = agenda.next_time()
+                sim.run_until(time.monotonic() - t0)
+                due = sim.next_time()
             wait = _MAX_WAIT if due is None else min(
-                _MAX_WAIT, max(0.0, due - self._clock()))
+                _MAX_WAIT, max(0.0, due - (time.monotonic() - t0)))
             ready = selector.select(wait)
             with lock:
                 for key, _events in ready:
@@ -387,23 +300,18 @@ class LocalDeployment:
     def run_for(self, seconds: float) -> None:
         time.sleep(seconds)
 
-    def wait_until(
-        self,
-        predicate: Callable[[], bool],
-        timeout: float = 10.0,
-        poll: float = 0.05,
-    ) -> bool:
+    def wait_until(self, predicate: Callable[[], bool], timeout: float = 10.0,
+                   poll: float = 0.05) -> bool:
         """Poll ``predicate`` until it holds or ``timeout`` elapses."""
         deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if predicate():
-                return True
+        while not predicate():
+            if time.monotonic() >= deadline:
+                return False
             time.sleep(poll)
-        return predicate()
+        return True
 
     def stop(self) -> None:
-        """Stop the loop and close every socket — also when ``start()``
-        never ran; a second call does nothing more."""
+        """Stop the loop and close every socket (also when never started)."""
         self._stopping = True
         if self._loop_thread is not None:
             self._loop_thread.join()
@@ -420,8 +328,7 @@ class LocalDeployment:
         self.stop()
 
     def datagram_counters(self) -> Dict[str, int]:
-        """Cluster-wide datagram accounting with drop causes kept distinct,
-        read under the lock: a datagram is counted sent before any host can
-        read it, so ``received <= sent`` holds at every read."""
+        """Cluster-wide accounting, read under the lock: a datagram is
+        counted sent before anyone can read it, so received <= sent."""
         with self._lock:
             return _datagram_totals(self.telemetry)

@@ -24,6 +24,14 @@ one :func:`~repro.faults.injector.trace_verdict`.  What it keeps to
 itself is time: ``send`` turns a fault verdict into latencies on the event
 kernel (a delay is extra latency, a replay a late second copy) where the
 round engines move queue entries between rounds.
+
+It is also the one event-driven runtime of the repository.  ``send`` hands
+every message that survives its verdict to :meth:`AsyncGossipRuntime._carry`,
+the transport seam: by default a delivery after a drawn latency, and on
+:class:`~repro.runtime.udp.LocalDeployment` — this runtime on the wall
+clock — binary frames on a loopback socket.  Nodes are handed
+:meth:`~repro.sim.round_runner.EngineCore._clock`, the agenda's time here
+and ``time.monotonic()`` there.
 """
 
 from __future__ import annotations
@@ -51,6 +59,8 @@ class AsyncGossipRuntime(EngineCore):
         self.sim = Simulator()
         self.default_period = default_period
         self._tick_listeners: List[Callable[[ProcessId, float], None]] = []
+        self._tick_time = self.telemetry.histogram("time.tick")
+        self._delivery_time = self.telemetry.histogram("time.delivery")
         self._fault_round_duration = default_period
         #: pid -> its gossip timer's epoch (0 unless revived): a revival
         #: starts a new timer, and a tick of an older epoch still pending
@@ -95,7 +105,7 @@ class AsyncGossipRuntime(EngineCore):
 
     def _join(self, node: GossipProcess, contact: ProcessId) -> None:
         self.add_node(node)
-        self.send(node.pid, node.start_join(contact, self.sim.now))
+        self.send(node.pid, node.start_join(contact, self._clock()))
 
     def leave_at(self, pid: ProcessId, at: float) -> None:
         """Schedule a voluntary unsubscription (retrying on Sec. 3.4
@@ -106,7 +116,7 @@ class AsyncGossipRuntime(EngineCore):
         node = self.nodes.get(pid)
         if node is None or pid in self.crashed:
             return
-        if not node.try_unsubscribe(self.sim.now):
+        if not node.try_unsubscribe(self._clock()):
             self.sim.schedule(self._period_of(node), self._try_leave, pid)
 
     def use_fault_plan(self, plan, round_duration: Optional[float] = None):
@@ -143,16 +153,17 @@ class AsyncGossipRuntime(EngineCore):
 
     def _fault_revive(self, fault) -> None:
         """Crash-with-recovery: un-silence the process and re-subscribe it
-        through a contact (Sec. 3.4), restarting its gossip timer at a fresh
-        random phase, in a new epoch: a tick the crash left pending dies."""
+        through a contact (Sec. 3.4) when one is alive, restarting its
+        gossip timer at a fresh random phase either way (the round engines
+        tick a revived process too), in a new epoch: a tick the crash left
+        pending dies."""
         pid = fault.pid
         if not self.recover(pid):
             return
         self._fault_injector.stats.recoveries_applied += 1
         joins = self._rejoin(fault)
-        if joins is None:
-            return
-        self.send(pid, joins)
+        if joins is not None:
+            self.send(pid, joins)
         period = self._period_of(self.nodes[pid])
         phase = self.seeds.rng("fault-revive-phase", pid,
                                fault.recover_at).uniform(0.0, period)
@@ -160,18 +171,21 @@ class AsyncGossipRuntime(EngineCore):
         self.sim.schedule(phase, self._tick, pid, period, epoch)
 
     def send(self, src: ProcessId, outgoings: Sequence[Outgoing]) -> None:
-        """Put messages on the wire with loss and latency applied."""
+        """Take one fault verdict and one network draw per message, in
+        order, and hand each survivor to :meth:`_carry`."""
+        injector = self._fault_injector
+        if injector is not None:
+            now = self._clock()
+            round_no = self._fault_round(now)
         for out in outgoings:
             copies, extra_delay, replay_delay = 1, 0.0, None
             delivery = out
-            if self._fault_injector is not None:
-                verdict = self._fault_injector.decide(
-                    src, out.destination, self._fault_round(self.sim.now)
-                )
+            if injector is not None:
+                verdict = injector.decide(src, out.destination, round_no)
                 if self.telemetry.tracing:
                     # Not at the top: repro.faults imports repro.sim.
                     from ..faults.injector import trace_verdict
-                    trace_verdict(self.telemetry, self.sim.now, verdict,
+                    trace_verdict(self.telemetry, now, verdict,
                                   src, out.destination)
                 if verdict.action == "drop":
                     continue
@@ -188,18 +202,24 @@ class AsyncGossipRuntime(EngineCore):
                     replay_delay = verdict.replay * self._fault_round_duration
             if not self.network.deliverable(src, out.destination):
                 if self.telemetry.tracing:
-                    self.telemetry.emit("net.drop", self.sim.now, pid=src,
+                    self.telemetry.emit("net.drop", self._clock(), pid=src,
                                         peer=out.destination)
                 continue
-            for _ in range(copies):
-                latency = self.network.draw_latency() + extra_delay
-                self.sim.schedule(latency, self._deliver, src, delivery)
+            self._carry(src, delivery, copies, extra_delay)
             if replay_delay is not None:
                 # replay_stale: one extra, *unmutated* copy arrives lag
                 # rounds later — the async analogue of the round engines'
                 # delayed-fault replay.
-                latency = self.network.draw_latency() + replay_delay
-                self.sim.schedule(latency, self._deliver, src, out)
+                self._carry(src, out, 1, replay_delay)
+
+    def _carry(self, src: ProcessId, out: Outgoing, copies: int,
+               delay: float) -> None:
+        """The transport: ``copies`` of one surviving message, each
+        delivered a drawn latency plus ``delay`` from now."""
+        for _ in range(copies):
+            self.sim.schedule(self.network.draw_latency() + delay,
+                              self._deliver, src, out.destination,
+                              out.message)
 
     def run_until(self, deadline: float) -> None:
         with self.telemetry.time("time.round"):
@@ -234,36 +254,39 @@ class AsyncGossipRuntime(EngineCore):
     def _tick(self, pid: ProcessId, period: float, epoch: int) -> None:
         if pid in self.crashed or epoch != self._timer_epochs.get(pid, 0):
             return  # fail-stop, or a timer a revival superseded: it dies
+        now = self._clock()
         if (self._fault_injector is not None
-                and self._fault_injector.is_paused(
-                    pid, self._fault_round(self.sim.now))):
+                and self._fault_injector.is_paused(pid,
+                                                   self._fault_round(now))):
             # Slow-node fault (GC/CPU stall): the process emits nothing and
             # runs no application work, but its timer survives the pause.
             self.sim.schedule(period, self._tick, pid, period, epoch)
             return
-        telemetry = self.telemetry
         started = perf_counter()
-        ticked = self.nodes[pid].on_tick(self.sim.now)
-        telemetry.histogram("time.tick").observe(perf_counter() - started)
-        telemetry.record_sends(int(self.sim.now), pid, ticked)
+        ticked = self.nodes[pid].on_tick(now)
+        self._tick_time.observe(perf_counter() - started)
+        self._record_sends(pid, ticked)
         self.send(pid, ticked)
         for listener in self._tick_listeners:
-            listener(pid, self.sim.now)
+            listener(pid, now)
         self.sim.schedule(period, self._tick, pid, period, epoch)
 
-    def _deliver(self, src: ProcessId, out: Outgoing) -> None:
-        dst = out.destination
+    def _record_sends(self, pid: ProcessId, outgoings: List[Outgoing]) -> None:
+        """Account what one tick or handler emitted (``sim.sends``)."""
+        self.telemetry.record_sends(int(self.sim.now), pid, outgoings)
+
+    def _deliver(self, src: ProcessId, dst: ProcessId, message) -> None:
         if dst in self.crashed or dst not in self.nodes:
             return
         self.messages_delivered += 1
+        now = self._clock()
         telemetry = self.telemetry
         if telemetry.tracing:
-            telemetry.emit("receive", self.sim.now, pid=dst, peer=src,
-                           message=type(out.message).__name__)
+            telemetry.emit("receive", now, pid=dst, peer=src,
+                           message=type(message).__name__)
         started = perf_counter()
-        replies = self.nodes[dst].handle_message(src, out.message,
-                                                 self.sim.now)
-        telemetry.histogram("time.delivery").observe(perf_counter() - started)
-        telemetry.record_sends(int(self.sim.now), dst, replies)
+        replies = self.nodes[dst].handle_message(src, message, now)
+        self._delivery_time.observe(perf_counter() - started)
+        self._record_sends(dst, replies)
         if replies:
             self.send(dst, replies)

@@ -46,32 +46,32 @@ class ChurnScript:
 
     def __init__(self, node_factory: Optional[NodeFactory] = None) -> None:
         self.node_factory = node_factory
-        self._joins: List[JoinAction] = []
-        self._leaves: List[LeaveAction] = []
+        self.joins: List[JoinAction] = []
+        self.leaves: List[LeaveAction] = []
         self._pending_leaves: List[ProcessId] = []
         self.joined: List[ProcessId] = []
         self.left: List[ProcessId] = []
 
     # -- schedule construction ----------------------------------------------
     def join(self, round_number: int, pid: ProcessId, contact: ProcessId) -> "ChurnScript":
-        self._joins.append(JoinAction(round_number, pid, contact))
+        self.joins.append(JoinAction(round_number, pid, contact))
         return self
 
     def leave(self, round_number: int, pid: ProcessId) -> "ChurnScript":
-        self._leaves.append(LeaveAction(round_number, pid))
+        self.leaves.append(LeaveAction(round_number, pid))
         return self
 
     # -- execution ------------------------------------------------------------
     def on_round(self, round_number: int, sim) -> None:
         now = float(round_number)
 
-        for action in self._joins:
+        for action in self.joins:
             if action.round == round_number:
                 self._apply_join(action, sim, now)
 
         # Leaves may be refused while the local unSubs buffer is saturated
         # (Sec. 3.4); retry refused leaves every subsequent round.
-        due = [a.pid for a in self._leaves if a.round == round_number]
+        due = [a.pid for a in self.leaves if a.round == round_number]
         retries, self._pending_leaves = self._pending_leaves, []
         for pid in due + retries:
             self._apply_leave(pid, sim, now)

@@ -101,7 +101,7 @@ class EngineCore:
 
     def _clock(self) -> float:
         """The engine's time coordinate: what trace events are stamped
-        with and what a rejoining node is handed as ``now``."""
+        with and what every node method is handed as ``now``."""
         raise NotImplementedError
 
     def add_nodes(self, nodes: Sequence[GossipProcess]) -> None:

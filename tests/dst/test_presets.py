@@ -72,7 +72,7 @@ class TestPresetSpecs:
         assert report.ok, report.summary()
         assert report.reliability is not None
 
-    @pytest.mark.parametrize("engine", ["columnar", "async"])
+    @pytest.mark.parametrize("engine", ["columnar"])
     def test_churn_refused_where_membership_is_fixed(self, engine):
         spec = generate_spec(3, preset="flash_crowd")
         with pytest.raises(ValueError, match="joins or leaves"):
@@ -94,6 +94,22 @@ class TestPresetCampaign:
                               presets=["flash_crowd"])
         assert [preset for preset, _ in result.reliability] == \
             ["flash_crowd"] * 3
+
+    def test_async_runs_every_preset_with_its_churn(self):
+        # The campaign's specs on the async runtime, which the oracle uses
+        # for invariants only: no violation, every joiner joins, and churn
+        # (only churn) moves the counters.
+        for index, seed in enumerate(spec_seeds(4, 10)):
+            preset = PRESET_NAMES[index % len(PRESET_NAMES)]
+            spec = generate_spec(seed, max_n=25, max_rounds=20, preset=preset)
+            outcome = apply_scenario(spec, "async")
+            assert outcome.violations == [], (preset, outcome.violations)
+            plain = apply_scenario(replace(spec, joins=0, leaves=0), "async")
+            assert outcome.alive == plain.alive + spec.joins
+            if spec.joins or spec.leaves:
+                assert outcome.fingerprint != plain.fingerprint, preset
+            else:
+                assert outcome.fingerprint == plain.fingerprint, preset
 
     def test_columnar_runs_crash_presets(self):
         result = run_campaign(4, 2, max_n=20, max_rounds=15,

@@ -5,17 +5,19 @@ deliberately small-scale (n <= 12, sub-second gossip periods) to stay fast
 and robust.
 """
 
+import socket
 import threading
 import time
 
 import pytest
 
 from repro.core import LpbcastConfig
+from repro.core.message import GossipMessage
 from repro.faults import FaultPlan
 from repro.metrics import DeliveryLog
 from repro.runtime import LocalDeployment
 from repro.sim import build_lpbcast_nodes
-from repro.wire import WireEncodeError
+from repro.wire import WireEncodeError, encode_frame
 
 
 def build_cluster(n=8, loss=0.0, period=0.03, seed=1, view=6):
@@ -293,10 +295,11 @@ class TestFaultPlanDeployment:
         cfg = LpbcastConfig(fanout=3, view_max=6, gossip_period=0.03)
         nodes = build_lpbcast_nodes(8, cfg, seed=14)
         log = DeliveryLog().attach(nodes)
+        plan = FaultPlan().drop(0.25)
         cluster = LocalDeployment(nodes, gossip_period=0.03, seed=14,
-                                  fault_plan=FaultPlan().drop(0.25))
-        assert all(h.fault_injector is cluster.fault_injector
-                   for h in cluster.hosts)
+                                  fault_plan=plan)
+        # One injector for every host: the runtime's own.
+        assert cluster._fault_injector.plan is plan
         with cluster:
             event = cluster.host(nodes[0].pid).publish("planned loss")
             done = cluster.wait_until(
@@ -304,7 +307,7 @@ class TestFaultPlanDeployment:
             )
         assert done
         assert cluster.datagram_counters()["lost_injected"] > 0
-        assert cluster.fault_injector.stats.dropped > 0
+        assert cluster._fault_injector.stats.dropped > 0
 
     def test_partition_plan_cuts_the_cluster(self):
         cfg = LpbcastConfig(fanout=3, view_max=6, gossip_period=0.03)
@@ -324,19 +327,32 @@ class TestFaultPlanDeployment:
         assert {p for p in side_a if log.delivered(p, event.event_id)} \
             == set(side_a)
         assert all(not log.delivered(p, event.event_id) for p in side_b)
-        assert cluster.fault_injector.stats.partition_blocked > 0
+        assert cluster._fault_injector.stats.partition_blocked > 0
 
-    def test_process_and_byzantine_faults_are_refused(self):
-        # Once accepted and ignored: the "crashed" host went on sending,
-        # and struck equivocations were counted that touched no datagram.
-        cfg = LpbcastConfig(fanout=3, view_max=6, gossip_period=0.03)
+    def test_process_and_byzantine_faults_run(self):
+        # Once refused, before that accepted and ignored.  Now the runtime
+        # applies them: the crashed host goes silent, and the liar's
+        # receivers deliver conflicting payloads for one event id (fanout
+        # n - 1: each hears the liar before any relay).
+        cfg = LpbcastConfig(fanout=5, view_max=6, gossip_period=0.03)
         nodes = build_lpbcast_nodes(6, cfg, seed=19)
-        plan = FaultPlan().crash(nodes[1].pid, at=2).equivocate(nodes[0].pid)
-        before = set(threading.enumerate())
-        with pytest.raises(ValueError, match="crashes, equivocations"):
-            LocalDeployment(nodes, gossip_period=0.03, seed=19,
-                            fault_plan=plan)
-        assert set(threading.enumerate()) - before == set()
+        liar, victim = nodes[0].pid, nodes[1].pid
+        plan = FaultPlan().crash(victim, at=2).equivocate(liar)
+        payloads = {}
+        for node in nodes:
+            node.add_delivery_listener(
+                lambda pid, note, now: payloads.setdefault(pid, note.payload))
+        cluster = LocalDeployment(nodes, gossip_period=0.03, seed=19,
+                                  fault_plan=plan)
+        with cluster:
+            assert cluster.wait_until(lambda: not cluster.alive(victim))
+            sent = cluster.host(victim).datagram_counters()["sent"]
+            cluster.host(liar).publish("truth")
+            assert cluster.wait_until(lambda: len(payloads) == 5)
+            assert cluster.host(victim).datagram_counters()["sent"] == sent
+        assert victim not in payloads
+        assert len(set(map(repr, payloads.values()))) == 2
+        assert cluster._fault_injector.stats.equivocated > 0
 
     @pytest.mark.parametrize("tracing", [True, False])
     def test_struck_drops_are_traced_only_when_tracing(self, tracing):
@@ -348,7 +364,7 @@ class TestFaultPlanDeployment:
         with cluster:
             cluster.run_for(0.3)
         lost = cluster.datagram_counters()["lost_injected"]
-        assert lost == cluster.fault_injector.stats.dropped > 0
+        assert lost == cluster._fault_injector.stats.dropped > 0
         drops = cluster.telemetry.trace.of_kind("fault.drop")
         if not tracing:
             assert drops == []
@@ -357,6 +373,95 @@ class TestFaultPlanDeployment:
         pids = {node.pid for node in nodes}
         assert all(e.pid in pids and e.peer in pids and e.pid != e.peer
                    for e in drops)
+
+
+class TestProcessFaults:
+    """Crash, recovery and pause plans run on the runtime's own process
+    table and timers; plan round r spans [(r-1)T, rT) from construction."""
+
+    def test_recovering_host_is_silent_in_its_window_and_delivers_after(self):
+        cfg = LpbcastConfig(fanout=3, view_max=6, gossip_period=0.05)
+        nodes = build_lpbcast_nodes(6, cfg, seed=21)
+        log = DeliveryLog().attach(nodes)
+        victim = nodes[2].pid
+        # Crashed through rounds 2-15: 0.05 s to 0.75 s after construction.
+        cluster = LocalDeployment(nodes, gossip_period=0.05, seed=21,
+                                  fault_plan=FaultPlan().crash(
+                                      victim, at=2, recover_at=16))
+        host = cluster.host(victim)
+        with cluster:
+            assert cluster.wait_until(lambda: not cluster.alive(victim))
+            sent = host.datagram_counters()["sent"]
+            during = cluster.host(nodes[0].pid).publish("during")
+            others = [node.pid for node in nodes if node.pid != victim]
+            assert cluster.wait_until(lambda: all(
+                log.delivered(pid, during.event_id) for pid in others))
+            assert not cluster.alive(victim)        # still in the window
+            assert host.datagram_counters()["sent"] == sent
+            assert not log.delivered(victim, during.event_id)
+            assert cluster.wait_until(lambda: cluster.alive(victim))
+            after = cluster.host(nodes[0].pid).publish("after")
+            assert cluster.wait_until(
+                lambda: log.delivered(victim, after.event_id), timeout=8.0)
+            assert host.datagram_counters()["sent"] > sent
+        stats = cluster._fault_injector.stats
+        assert stats.crashes_applied == stats.recoveries_applied == 1
+
+    def test_paused_host_skips_its_gossips_but_keeps_its_timer(self):
+        cfg = LpbcastConfig(fanout=3, view_max=6, gossip_period=0.05)
+        nodes = build_lpbcast_nodes(6, cfg, seed=22)
+        paused = nodes[3]
+        # Paused through rounds 3-12: 0.10 s to 0.60 s after construction.
+        cluster = LocalDeployment(nodes, gossip_period=0.05, seed=22,
+                                  fault_plan=FaultPlan().pause(
+                                      paused.pid, at=3, duration=10))
+
+        def gossips_at(seconds):
+            time.sleep(max(0.0, cluster._t0 + seconds - time.monotonic()))
+            return cluster.host(paused.pid).with_node(
+                lambda node: node.stats.gossips_sent)
+
+        with cluster:
+            before = gossips_at(0.15)
+            assert gossips_at(0.55) == before
+            assert cluster.wait_until(lambda: gossips_at(0.0) > before)
+            assert cluster.alive(paused.pid)
+        assert before > 0
+
+    def test_a_crashed_hosts_datagrams_are_read_and_discarded(self):
+        # Unread, they would keep the level-triggered selector ready: the
+        # loop would spin on them instead of sleeping in select.
+        cfg = LpbcastConfig(fanout=3, view_max=6)
+        nodes = build_lpbcast_nodes(2, cfg, seed=31)
+        cluster = LocalDeployment(nodes[:1], gossip_period=3600.0, seed=31,
+                                  fault_plan=FaultPlan().crash(nodes[0].pid,
+                                                               at=1))
+        host = cluster.host(nodes[0].pid)
+        frame = encode_frame(nodes[1].pid, [GossipMessage(nodes[1].pid)])
+
+        def queue_empty():
+            with cluster._lock:
+                try:
+                    host._sock.recv(1, socket.MSG_PEEK)
+                except BlockingIOError:
+                    return True
+            return False
+
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            with cluster:
+                assert cluster.wait_until(
+                    lambda: not cluster.alive(nodes[0].pid))
+                for _ in range(50):
+                    sock.sendto(frame, host.address)
+                assert cluster.wait_until(queue_empty, timeout=3.0)
+                counters = host.datagram_counters()
+        finally:
+            sock.close()
+        assert counters["received"] == counters["decode_errors"] == 0
+        assert cluster.messages_delivered == 0
+        assert cluster.telemetry.histogram_stats(
+            "time.codec", op="decode")[0] == 0
 
 
 class TestValidation:
@@ -383,6 +488,7 @@ class TestValidation:
         with cluster:
             host = cluster.host(nodes[0].pid)
             from repro.core.message import Outgoing
-            host._send_all([Outgoing(9999, object())])  # no address: no-op
+            # No address: counted, never sent.
+            host.with_node(lambda node: [Outgoing(9999, object())])
             cluster.run_for(0.1)
         # Nothing raised; cluster shut down cleanly.

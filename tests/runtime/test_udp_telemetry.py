@@ -92,7 +92,7 @@ class TestUdpTelemetry:
         cfg = LpbcastConfig(fanout=3, view_max=6)
         nodes = build_lpbcast_nodes(2, cfg, seed=31)
         # An hour-long period: seed 31 puts the one host's first tick
-        # ~20 minutes out, so every datagram it decodes is one of these.
+        # ~30 minutes out, so every datagram it decodes is one of these.
         cluster = LocalDeployment(nodes[:1], gossip_period=3600.0, seed=31)
         host = cluster.host(nodes[0].pid)
         # The default receive buffer holds ~256 such datagrams; the kernel

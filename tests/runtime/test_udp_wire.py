@@ -17,12 +17,12 @@ from repro.core.message import (
     RetransmitRequest,
     SubscriptionRequest,
 )
-from repro.faults.injector import FaultVerdict
+from repro.faults.injector import FaultInjector, FaultVerdict
 from repro.faults.plan import FaultPlan
-from repro.faults.wire import DatagramFaultInjector
 from repro.metrics import DeliveryLog
 from repro.runtime import LocalDeployment
 from repro.sim import build_lpbcast_nodes
+from repro.sim.rng import derive_rng
 from repro.wire import FRAME_BINARY, decode_frame, encode_frame
 
 
@@ -103,7 +103,7 @@ class TestNonFiniteTimestamps:
         # keep its pid out of the view, and be re-gossiped, for good.
         cfg = LpbcastConfig(fanout=3, view_max=6)
         nodes = build_lpbcast_nodes(4, cfg, seed=31)
-        # One host gossiping hourly (first tick ~20 minutes out): its view
+        # One host gossiping hourly (first tick ~30 minutes out): its view
         # changes only by what the test sends.
         cluster = LocalDeployment(nodes[:1], gossip_period=3600.0, seed=31)
         host = cluster.host(nodes[0].pid)
@@ -203,22 +203,21 @@ class TestOversizeHandling:
 
 class _LoneHost:
     """A running one-host deployment whose three peers are plain sockets
-    the test reads: what ``_send_all`` puts on the wire, datagram by
-    datagram.  Its gossip period is an hour (seed 31 puts the first tick
-    ~20 minutes out), so every datagram comes from a tick the test asks
-    for, while the loop still releases what a delay verdict holds back."""
+    the test reads: what the deployment's ``send`` puts on the wire,
+    datagram by datagram.  Its gossip period is an hour (seed 31 puts the
+    first tick ~30 minutes out, and plan round 1 lasts the hour), so every
+    datagram comes from a tick the test asks for, while the loop still
+    releases what a delay verdict holds back."""
 
-    def __init__(self, monkeypatch, fault_injector=None, seed=31):
+    def __init__(self, monkeypatch, fault_plan=None, seed=31):
         import repro.wire.frame as frame
 
         cfg = LpbcastConfig(fanout=3, view_max=6)
         nodes = build_lpbcast_nodes(4, cfg, seed=seed)
         self.deployment = LocalDeployment(nodes[:1], gossip_period=3600.0,
-                                          seed=seed)
+                                          seed=seed, fault_plan=fault_plan)
         self.directory = self.deployment.directory
         self.host = self.deployment.host(nodes[0].pid)
-        if fault_injector is not None:
-            self.host.fault_injector = fault_injector
         self.pid = nodes[0].pid
         self.peers = {}
         for node in nodes[1:]:
@@ -236,9 +235,14 @@ class _LoneHost:
         monkeypatch.setattr(frame, "encode_binary", counting)
         self.deployment.start()
 
+    def use_injector(self, injector):
+        """Put ``injector`` where the runtime's ``send`` takes verdicts."""
+        self.deployment._fault_injector = injector
+        return injector
+
     def ship(self, make):
         """``make(node)``'s outgoing list, sent through the host's
-        ``with_node`` (the deployment's lock, then ``_send_all``)."""
+        ``with_node`` (the deployment's lock, then its ``send``)."""
         shipped = []
 
         def run(node):
@@ -282,25 +286,32 @@ def lone(monkeypatch):
 
 
 class _RecordingInjector:
-    """Records what ``_send_all`` asks of the injector it wraps."""
+    """Records what ``send`` asks of the injector it wraps."""
 
     def __init__(self, inner):
         self.inner = inner
         self.asked = []
 
-    def decide(self, src, dst, now):
+    def decide(self, src, dst, round_no=None):
         self.asked.append((src, dst))
-        return self.inner.decide(src, dst, now)
+        return self.inner.decide(src, dst, round_no)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
 
 
-class _ScriptedInjector:
-    """Deliver everything; hold back what goes to ``slow`` by ``delay_s``."""
+class _ScriptedInjector(FaultInjector):
+    """Deliver everything; hold back what goes to ``slow`` by ``delay_s``
+    (a verdict's delay is in plan rounds: here one round is an hour)."""
 
     def __init__(self, slow, delay_s):
+        super().__init__(FaultPlan(), random.Random(0))
         self.slow, self.delay_s = slow, delay_s
 
-    def decide(self, src, dst, now):
-        return FaultVerdict("deliver"), self.delay_s if dst == self.slow else 0.0
+    def decide(self, src, dst, round_no=None):
+        if dst != self.slow:
+            return FaultVerdict("deliver")
+        return FaultVerdict("delay", delay=self.delay_s / 3600.0)
 
 
 class TestEncodeOncePerMessage:
@@ -319,16 +330,14 @@ class TestEncodeOncePerMessage:
         assert stats[0] == 1
 
     def test_verdict_order_and_copies_match_the_per_outgoing_loop(self, lone):
-        # One decision per Outgoing, in iteration order, from the shared
-        # seeded stream; what reaches each peer is its verdicts' copies.
-        def injector():
-            return DatagramFaultInjector(
-                FaultPlan().drop(0.5).duplicate(0.5),
-                rng=random.Random(17), round_duration=3600.0)
-
-        recorder = _RecordingInjector(injector())
-        lone_host = lone(fault_injector=recorder)
-        replay = injector()
+        # One decision per Outgoing, in iteration order, from the runtime's
+        # seeded "faults" stream; what reaches each peer is its verdicts'
+        # copies.
+        plan = FaultPlan().drop(0.5).duplicate(0.5)
+        lone_host = lone(fault_plan=plan)
+        recorder = lone_host.use_injector(
+            _RecordingInjector(lone_host.deployment._fault_injector))
+        replay = FaultInjector(plan, derive_rng(31, "faults"))
         drops = duplicates = 0
         for _ in range(6):
             recorder.asked.clear()
@@ -338,7 +347,7 @@ class TestEncodeOncePerMessage:
             assert recorder.asked == pairs
             copies = Counter()
             for src, dst in pairs:
-                verdict, _delay = replay.decide(src, dst, 0.0)
+                verdict = replay.decide(src, dst, 1)
                 if verdict.action == "drop":
                     drops += 1
                 else:
@@ -356,7 +365,7 @@ class TestEncodeOncePerMessage:
     def test_delayed_copy_carries_the_same_bytes(self, lone):
         lone_host = lone()
         slow = min(lone_host.peers)
-        lone_host.host.fault_injector = _ScriptedInjector(slow, 0.05)
+        lone_host.use_injector(_ScriptedInjector(slow, 0.05))
         outgoings = lone_host.tick()
         assert len(lone_host.encoded) == 1
         expected = encode_frame(lone_host.pid, [outgoings[0].message])
@@ -377,8 +386,9 @@ class TestEncodeOncePerMessage:
 
 class TestUnknownDestination:
     def test_target_missing_from_directory_is_counted(self, lone):
-        recorder = _RecordingInjector(_ScriptedInjector(None, 0.0))
-        lone_host = lone(fault_injector=recorder)
+        lone_host = lone()
+        recorder = lone_host.use_injector(
+            _RecordingInjector(_ScriptedInjector(None, 0.0)))
         gone = max(lone_host.peers)
         del lone_host.directory[gone]
         outgoings = lone_host.tick()
@@ -398,7 +408,7 @@ class TestUnknownDestination:
         for node in nodes[2:]:
             del cluster.directory[node.pid]
         try:
-            host._send_all(host.node.on_tick(time.monotonic()))
+            host.with_node(lambda node: node.on_tick(time.monotonic()))
             counters = cluster.datagram_counters()
         finally:
             cluster.stop()

@@ -153,6 +153,25 @@ class TestFaultRevival:
         gaps = [b - a for a, b in zip(revived, revived[1:])]
         assert gaps and all(abs(gap - 2.0) < 1e-9 for gap in gaps)
 
+    def test_a_revival_with_no_live_contact_still_gossips(self):
+        # Everyone else is down when 0 recovers: there is nobody to rejoin
+        # through, but the round engines tick it anyway, and so must this
+        # runtime — the crash killed the old timer, so a new one starts.
+        runtime = AsyncGossipRuntime(seed=5, default_period=1.0)
+        runtime.add_nodes([Ticker(0), Ticker(1)])
+        runtime.use_fault_plan(
+            FaultPlan().crash(0, at=2, recover_at=4).crash(1, at=2))
+        ticks = []
+        runtime.on_tick_complete(
+            lambda pid, now: ticks.append(now) if pid == 0 else None)
+        runtime.run_until(10.0)
+        assert runtime.alive(0) and not runtime.alive(1)
+        assert runtime._fault_injector.stats.recoveries_applied == 1
+        revived = [at for at in ticks if at >= 3.0]     # round 4 on
+        assert len(revived) >= 6
+        gaps = [b - a for a, b in zip(revived, revived[1:])]
+        assert all(abs(gap - 1.0) < 1e-9 for gap in gaps)
+
 
 class TestEndToEnd:
     def test_lpbcast_disseminates_under_async_runtime(self):

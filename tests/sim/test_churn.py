@@ -99,4 +99,4 @@ class TestCrashes:
 
     def test_fluent_chaining(self):
         script = ChurnScript().join(1, 100, 0).leave(2, 3)
-        assert script._joins and script._leaves
+        assert script.joins and script.leaves
