@@ -48,23 +48,12 @@ class ShrinkResult:
 
 
 def _without_entry(plan: FaultPlan, index: int) -> FaultPlan:
-    """The plan minus its ``index``-th entry (entries enumerated in the
-    fixed drops/duplicates/delays/partitions/crashes/pauses/equivocations/
-    forges/replays/poisons order)."""
-    groups = [list(plan.drops), list(plan.duplicates), list(plan.delays),
-              list(plan.partitions), list(plan.crashes), list(plan.pauses),
-              list(plan.equivocations), list(plan.forges),
-              list(plan.replays), list(plan.poisons)]
-    for group in groups:
-        if index < len(group):
-            del group[index]
-            break
-        index -= len(group)
+    """The plan minus its ``index``-th entry (in
+    :meth:`~repro.faults.plan.FaultPlan.entries` order)."""
     smaller = FaultPlan()
-    smaller.drops, smaller.duplicates, smaller.delays = groups[0:3]
-    smaller.partitions, smaller.crashes, smaller.pauses = groups[3:6]
-    smaller.equivocations, smaller.forges = groups[6:8]
-    smaller.replays, smaller.poisons = groups[8:10]
+    for position, (kind, entry) in enumerate(plan.entries()):
+        if position != index:
+            getattr(smaller, kind).append(entry)
     return smaller
 
 

@@ -34,6 +34,11 @@ _REQUIRED_KEYS = ("seed", "n", "rounds", "fanout", "view_max", "events_max",
                   "event_ids_max", "subs_max", "unsubs_max",
                   "retransmissions", "loss_rate", "publishes", "shards")
 
+#: The JSON value types each field annotation admits, matched exactly: a
+#: bool is no number here, although Python makes it an ``int``.
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,),
+               "Optional[str]": (str, type(None))}
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -142,50 +147,29 @@ class ScenarioSpec:
     # -- derived -------------------------------------------------------------
     def config(self) -> LpbcastConfig:
         """The protocol configuration this spec describes."""
+        sizes = dict(fanout=self.fanout, view_max=self.view_max,
+                     events_max=self.events_max,
+                     event_ids_max=self.event_ids_max,
+                     subs_max=self.subs_max, unsubs_max=self.unsubs_max)
         if self.double_echo:
             # Majority thresholds over n: each correct node echoes at most
             # once per event id, so no two digests can both muster
             # ``n // 2 + 1`` echo senders — agreement holds under
             # equivocation by counting, independent of sampling luck.
             return LpbcastConfig(
-                fanout=self.fanout,
-                view_max=self.view_max,
-                events_max=self.events_max,
-                event_ids_max=self.event_ids_max,
-                subs_max=self.subs_max,
-                unsubs_max=self.unsubs_max,
-                retransmissions=False,
-                digest_implies_delivery=False,
-                double_echo=True,
-                echo_fanout=max(1, self.view_max),
+                **sizes, retransmissions=False, digest_implies_delivery=False,
+                double_echo=True, echo_fanout=max(1, self.view_max),
                 echo_threshold=self.n // 2 + 1,
-                ready_threshold=self.n // 2 + 1,
-            )
+                ready_threshold=self.n // 2 + 1)
         if self.causal:
             # Causal delivery needs real payload transfer: a digest-implied
             # delivery carries no dependency metadata to order by.
             return LpbcastConfig(
-                fanout=self.fanout,
-                view_max=self.view_max,
-                events_max=self.events_max,
-                event_ids_max=self.event_ids_max,
-                subs_max=self.subs_max,
-                unsubs_max=self.unsubs_max,
-                retransmissions=self.retransmissions,
-                digest_implies_delivery=False,
-                causal_delivery=True,
-                causal_holdback_max=self.causal_holdback_max,
-            )
-        return LpbcastConfig(
-            fanout=self.fanout,
-            view_max=self.view_max,
-            events_max=self.events_max,
-            event_ids_max=self.event_ids_max,
-            subs_max=self.subs_max,
-            unsubs_max=self.unsubs_max,
-            retransmissions=self.retransmissions,
-            digest_implies_delivery=not self.retransmissions,
-        )
+                **sizes, retransmissions=self.retransmissions,
+                digest_implies_delivery=False, causal_delivery=True,
+                causal_holdback_max=self.causal_holdback_max)
+        return LpbcastConfig(**sizes, retransmissions=self.retransmissions,
+                             digest_implies_delivery=not self.retransmissions)
 
     def describe(self) -> str:
         """One-line summary for reports and progress lines."""
@@ -210,36 +194,17 @@ class ScenarioSpec:
 
     # -- serialization -------------------------------------------------------
     def to_dict(self) -> dict:
-        return {
-            "format": SPEC_FORMAT,
-            "seed": self.seed,
-            "n": self.n,
-            "rounds": self.rounds,
-            "fanout": self.fanout,
-            "view_max": self.view_max,
-            "events_max": self.events_max,
-            "event_ids_max": self.event_ids_max,
-            "subs_max": self.subs_max,
-            "unsubs_max": self.unsubs_max,
-            "retransmissions": self.retransmissions,
-            "loss_rate": self.loss_rate,
-            "publishes": self.publishes,
-            "burst": self.burst,
-            "shards": self.shards,
-            "double_echo": self.double_echo,
-            "causal": self.causal,
-            "causal_holdback_max": self.causal_holdback_max,
-            "plan": self.plan.to_dict(),
-            "joins": self.joins,
-            "leaves": self.leaves,
-            "mutation": self.mutation,
-        }
+        data = {"format": SPEC_FORMAT}
+        data.update((f.name, getattr(self, f.name)) for f in fields(self))
+        data["plan"] = self.plan.to_dict()
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioSpec":
         """Rebuild a spec from :meth:`to_dict` output.  Specs arrive in
-        artifacts, which are outside input: a non-object or a missing key
-        raises ``ValueError`` saying so."""
+        artifacts, which are outside input: a non-object, a missing or
+        unknown key, or a value its field's annotation does not admit
+        raises ``ValueError`` naming the key."""
         if not isinstance(data, dict):
             raise ValueError(f"spec must be a JSON object, got "
                              f"{type(data).__name__}")
@@ -251,9 +216,18 @@ class ScenarioSpec:
         if missing:
             raise ValueError(f"spec lacks required key(s): "
                              f"{', '.join(missing)}")
-        known = {f.name for f in fields(cls)} - {"plan"}
-        spec = cls(plan=FaultPlan.from_dict(data.get("plan", {})),
-                   **{key: data[key] for key in known & set(data)})
+        unknown = set(data) - {f.name for f in fields(cls)} - {"format"}
+        if unknown:
+            raise ValueError(f"unknown spec key(s): "
+                             f"{', '.join(sorted(unknown))}")
+        values = {}
+        for f in fields(cls):
+            if f.name in data and f.name != "plan":
+                values[f.name] = value = data[f.name]
+                if type(value) not in _JSON_TYPES[f.type]:
+                    raise ValueError(f"spec key {f.name!r} must be "
+                                     f"{f.type}, got {value!r}")
+        spec = cls(plan=FaultPlan.from_dict(data.get("plan", {})), **values)
         return spec.validate()
 
     def to_json(self) -> str:

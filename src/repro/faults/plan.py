@@ -34,7 +34,7 @@ engine's 1-based round counter.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from ..core.ids import ProcessId
@@ -409,17 +409,17 @@ class FaultPlan:
         return self
 
     # -- queries -------------------------------------------------------------
+    def entries(self) -> List[Tuple[str, object]]:
+        """``(kind, entry)`` pairs in :data:`_KINDS` order — the order
+        :meth:`to_dict` writes them in and the shrinker numbers them by."""
+        return [(kind, entry) for kind, _, _ in _KINDS
+                for entry in getattr(self, kind)]
+
     def is_empty(self) -> bool:
-        return not (self.drops or self.duplicates or self.delays
-                    or self.partitions or self.crashes or self.pauses
-                    or self.equivocations or self.forges or self.replays
-                    or self.poisons)
+        return not self.entries()
 
     def fault_count(self) -> int:
-        return (len(self.drops) + len(self.duplicates) + len(self.delays)
-                + len(self.partitions) + len(self.crashes) + len(self.pauses)
-                + len(self.equivocations) + len(self.forges)
-                + len(self.replays) + len(self.poisons))
+        return len(self.entries())
 
     def byzantine_pids(self) -> FrozenSet[ProcessId]:
         """Processes given any lying behavior by this plan.  The protocol
@@ -476,90 +476,51 @@ class FaultPlan:
 
     # -- serialization -------------------------------------------------------
     def to_dict(self) -> dict:
-        """Plain-JSON form of the plan (the DST repro artifacts embed it).
+        """Plain-JSON form of the plan (the DST repro artifacts embed it):
+        one list per kind, each entry its dataclass field values in
+        declaration order, tuples written as lists.
 
-        Everything is lists/ints/floats/strings; :meth:`from_dict` is the
-        exact inverse (re-running every constructor validation), so a plan
-        survives a JSON round-trip bit-identically.
+        :meth:`from_dict` is the exact inverse (re-running every builder's
+        validation), so a plan survives a JSON round-trip bit-identically.
         """
-        return {
-            "drops": [[d.rate, d.start, d.stop, d.src, d.dst]
-                      for d in self.drops],
-            "duplicates": [[d.rate, d.start, d.stop]
-                           for d in self.duplicates],
-            "delays": [[d.rate, d.delay, d.start, d.stop]
-                       for d in self.delays],
-            "partitions": [[list(p.side_a), list(p.side_b), p.start, p.heal,
-                            p.direction] for p in self.partitions],
-            "crashes": [[c.pid, c.at, c.recover_at, c.contact]
-                        for c in self.crashes],
-            "pauses": [[p.pid, p.at, p.duration] for p in self.pauses],
-            "equivocations": [[e.pid, e.rate, e.start, e.stop, e.variants]
-                              for e in self.equivocations],
-            "forges": [[f.pid, f.victim, f.rate, f.start, f.stop]
-                       for f in self.forges],
-            "replays": [[r.pid, r.rate, r.lag, r.start, r.stop]
-                        for r in self.replays],
-            "poisons": [[p.pid, p.rate, p.count, p.start, p.stop]
-                        for p in self.poisons],
-        }
-
-    #: Every fault kind :meth:`from_dict` understands; anything else in a
-    #: serialized plan is from a newer (or corrupted) build and must be
-    #: rejected, not silently dropped — a replayed artifact that loses
-    #: faults would "pass" for the wrong reason.
-    _KNOWN_KINDS = frozenset((
-        "drops", "duplicates", "delays", "partitions", "crashes", "pauses",
-        "equivocations", "forges", "replays", "poisons",
-    ))
+        return {kind: [[list(value) if isinstance(value, tuple) else value
+                        for value in astuple(entry)]
+                       for entry in getattr(self, kind)]
+                for kind, _, _ in _KINDS}
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
-        """Rebuild a plan serialized by :meth:`to_dict` (validating every
-        window again, so hand-edited artifacts fail loudly).  Unknown fault
-        kinds raise :class:`PlanCodecError` naming every offending kind;
-        malformed entries raise :class:`PlanCodecError` naming the kind and
-        the entry index, so a hand-edited Byzantine artifact points at the
-        exact list element that broke."""
+        """Rebuild a plan serialized by :meth:`to_dict` by calling each
+        kind's builder on each entry, so hand-edited artifacts fail loudly.
+
+        Everything malformed raises :class:`PlanCodecError`: a non-dict, a
+        kind this build does not know (a replayed artifact that lost faults
+        would "pass" for the wrong reason), a kind whose value is not a list
+        of lists, and — naming the kind and the entry index — an entry of
+        the wrong length or one its builder refuses."""
         if not isinstance(data, dict):
             raise PlanCodecError(f"fault plan must be a dict, got "
                                  f"{type(data).__name__}")
-        unknown = set(data) - cls._KNOWN_KINDS
+        unknown = set(data) - {kind for kind, _, _ in _KINDS}
         if unknown:
             raise PlanCodecError(
                 f"unknown fault kind(s) in serialized plan: "
                 f"{', '.join(sorted(unknown))}"
             )
         plan = cls()
-        decoders = {
-            "drops": lambda rate, start, stop, src, dst: plan.drop(
-                rate, start=start, stop=stop, src=src, dst=dst),
-            "duplicates": lambda rate, start, stop: plan.duplicate(
-                rate, start=start, stop=stop),
-            "delays": lambda rate, delay, start, stop: plan.delay(
-                rate, delay=delay, start=start, stop=stop),
-            "partitions": lambda side_a, side_b, start, heal, direction:
-                plan.partition(side_a, side_b, start=start, heal=heal,
-                               direction=direction),
-            "crashes": lambda pid, at, recover_at, contact: plan.crash(
-                pid, at=at, recover_at=recover_at, contact=contact),
-            "pauses": lambda pid, at, duration: plan.pause(
-                pid, at=at, duration=duration),
-            "equivocations": lambda pid, rate, start, stop, variants:
-                plan.equivocate(pid, rate=rate, start=start, stop=stop,
-                                variants=variants),
-            "forges": lambda pid, victim, rate, start, stop:
-                plan.forge_digest(pid, victim, rate=rate, start=start,
-                                  stop=stop),
-            "replays": lambda pid, rate, lag, start, stop: plan.replay_stale(
-                pid, rate=rate, lag=lag, start=start, stop=stop),
-            "poisons": lambda pid, rate, count, start, stop: plan.poison_view(
-                pid, rate=rate, count=count, start=start, stop=stop),
-        }
-        for kind, decode in decoders.items():
-            for index, entry in enumerate(data.get(kind, ())):
+        for kind, entry_type, build in _KINDS:
+            entries = data.get(kind, [])
+            if not (isinstance(entries, list)
+                    and all(isinstance(entry, list) for entry in entries)):
+                raise PlanCodecError(f"fault kind {kind!r} must be a list of "
+                                     f"entry lists, got {entries!r}")
+            width = len(fields(entry_type))
+            for index, entry in enumerate(entries):
                 try:
-                    decode(*entry)
+                    if len(entry) != width:
+                        raise ValueError(f"{width} values expected, got "
+                                         f"{len(entry)}")
+                    build(plan, *entry)
                 except (TypeError, ValueError) as exc:
                     raise PlanCodecError(
                         f"bad {kind!r} entry #{index} in serialized plan: "
@@ -665,6 +626,25 @@ class FaultPlan:
                                      count=rng.randrange(1, 4), start=start,
                                      stop=stop)
         return plan
+
+
+#: One row per fault kind, in serialization order: the :class:`FaultPlan`
+#: list field, its entry dataclass and the builder that validates and
+#: appends one entry.  Each dataclass's fields, in declaration order, are its
+#: builder's positional parameters, so an entry serializes as its field
+#: values and deserializes as a builder call on them.
+_KINDS = (
+    ("drops", DropFault, FaultPlan.drop),
+    ("duplicates", DuplicateFault, FaultPlan.duplicate),
+    ("delays", DelayFault, FaultPlan.delay),
+    ("partitions", PartitionFault, FaultPlan.partition),
+    ("crashes", CrashFault, FaultPlan.crash),
+    ("pauses", PauseFault, FaultPlan.pause),
+    ("equivocations", EquivocateFault, FaultPlan.equivocate),
+    ("forges", ForgeDigestFault, FaultPlan.forge_digest),
+    ("replays", ReplayStaleFault, FaultPlan.replay_stale),
+    ("poisons", PoisonViewFault, FaultPlan.poison_view),
+)
 
 
 def _w(stop: int) -> str:

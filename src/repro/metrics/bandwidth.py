@@ -50,20 +50,6 @@ class RoundTraffic:
     wire_bytes: int = 0
     by_kind: Dict[str, int] = field(default_factory=dict)
 
-    def record(self, message: object) -> None:
-        self.messages += 1
-        kind = type(message).__name__
-        self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
-        size = getattr(message, "size_estimate", None)
-        if callable(size):
-            self.elements += size()
-        else:
-            self.unsized += 1
-        from ..wire import wire_bytes_of
-        encoded = wire_bytes_of(message)
-        if encoded > 0:
-            self.wire_bytes += encoded
-
 
 class BandwidthMeter:
     """Measures per-round protocol traffic in a round simulation.
@@ -140,11 +126,6 @@ class BandwidthMeter:
         if self._telemetry is None:
             return 0
         return self._telemetry.counter_total("sim.send_elements")
-
-    def total_unsized(self) -> int:
-        if self._telemetry is None:
-            return 0
-        return self._telemetry.counter_total("sim.sends_unsized")
 
     def total_wire_bytes(self) -> int:
         """Exact encoded bytes across the run — 0 unless byte accounting

@@ -69,9 +69,6 @@ class InDegreeStats:
     maximum: int
     isolated: int  # processes nobody knows (in-degree 0)
 
-    def coefficient_of_variation(self) -> float:
-        return self.std / self.mean if self.mean else math.inf
-
 
 def in_degree_stats(nodes: Iterable) -> InDegreeStats:
     """In-degree statistics over the knows-about graph.

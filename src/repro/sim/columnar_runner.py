@@ -719,8 +719,7 @@ class ColumnarRoundSimulation:
 
         if self._fault_injector is not None:
             raise ValueError("a fault plan is already installed")
-        if (plan.equivocations or plan.forges or plan.replays
-                or plan.poisons):
+        if plan.byzantine_pids():
             raise ValueError(
                 "the columnar engine does not support Byzantine fault "
                 "plans (equivocate/forge/replay/poison); use the serial "

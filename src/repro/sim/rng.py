@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Tuple
 
 
 def derive_seed(root_seed: int, *labels) -> int:
@@ -56,12 +55,3 @@ class SeedSequence:
     def spawn(self, *labels) -> "SeedSequence":
         """A child sequence rooted under a label (namespacing helper)."""
         return SeedSequence(self.seed(*labels))
-
-
-def sample_without_replacement(
-    rng: random.Random, population: Tuple, k: int
-) -> list:
-    """``rng.sample`` tolerant of ``k`` exceeding the population size."""
-    if k >= len(population):
-        return list(population)
-    return rng.sample(population, k)

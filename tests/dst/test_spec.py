@@ -1,5 +1,8 @@
 """Scenario specs: generation determinism, serialization, validation."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core import LpbcastConfig
@@ -11,7 +14,17 @@ from repro.dst import (
     restrict_plan,
     spec_seeds,
 )
+from repro.dst.shrink import _without_entry
 from repro.faults import FaultPlan
+from repro.sim.scenarios import PRESET_NAMES
+
+#: SHA-256 of the serialized specs of ``spec_seeds(2026, 40)`` under the
+#: plain, Byzantine and causal families and each of the five presets, each
+#: followed by every single-entry-removed plan the shrinker tries.  Taken at
+#: commit 77b54a9, before specs and plans derived their JSON shape from their
+#: dataclasses; artifacts written before then must keep replaying.
+SERIALIZATION_SHA256 = (
+    "7d0a53daac563571d82287007e963d153b4020967f52f9af6ea8c91f7d904c28")
 
 
 class TestGenerateSpec:
@@ -244,6 +257,49 @@ class TestSerialization:
         data = generate_spec(4).to_dict()
         del data["joins"], data["leaves"]
         assert ScenarioSpec.from_dict(data) == generate_spec(4)
+
+    def test_serialized_form_is_pinned(self):
+        digest = hashlib.sha256()
+        settings = ([{}, {"byzantine": True}, {"causal": True}]
+                    + [{"preset": preset} for preset in PRESET_NAMES])
+        for options in settings:
+            for seed in spec_seeds(2026, 40):
+                spec = generate_spec(seed, **options)
+                digest.update(json.dumps(spec.to_dict(),
+                                         sort_keys=True).encode())
+                for index in range(spec.plan.fault_count()):
+                    smaller = _without_entry(spec.plan, index)
+                    digest.update(json.dumps(smaller.to_dict(),
+                                             sort_keys=True).encode())
+        assert digest.hexdigest() == SERIALIZATION_SHA256
+
+    def test_unknown_key_named(self):
+        data = generate_spec(0).to_dict()
+        data["fan_out"] = 3
+        with pytest.raises(ValueError, match="unknown spec key.*fan_out"):
+            ScenarioSpec.from_dict(data)
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", "10"), ("rounds", None), ("loss_rate", "x"), ("fanout", 2.5),
+        ("shards", True), ("retransmissions", 1), ("double_echo", None),
+        ("mutation", 3), ("seed", 7.0), ("loss_rate", False),
+    ])
+    def test_value_of_the_wrong_type_named(self, key, value):
+        data = generate_spec(0).to_dict()
+        data[key] = value
+        with pytest.raises(ValueError, match=f"spec key '{key}' must be"):
+            ScenarioSpec.from_dict(data)
+
+    def test_float_fields_accept_integers(self):
+        data = generate_spec(0).to_dict()
+        data["loss_rate"] = 0
+        assert ScenarioSpec.from_dict(data).loss_rate == 0
+
+    def test_malformed_plan_is_a_value_error(self):
+        data = generate_spec(0).to_dict()
+        data["plan"] = {"drops": 5}
+        with pytest.raises(ValueError, match="'drops'"):
+            ScenarioSpec.from_dict(data)
 
 
 class TestValidation:

@@ -1,6 +1,8 @@
 """FaultPlan construction, validation and random composition."""
 
+import inspect
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -19,6 +21,7 @@ from repro.faults import (
     PoisonViewFault,
     ReplayStaleFault,
 )
+from repro.faults.plan import _KINDS
 
 
 class TestValidation:
@@ -230,6 +233,38 @@ class TestSerialization:
                 .to_dict())
         data["poisons"][1] = ["not-a-pid"]
         with pytest.raises(PlanCodecError, match=r"'poisons' entry #1"):
+            FaultPlan.from_dict(data)
+
+    def test_entry_fields_are_the_builder_parameters(self):
+        # to_dict writes an entry's fields in order and from_dict passes
+        # them back to the builder positionally.
+        for kind, entry_type, build in _KINDS:
+            params = list(inspect.signature(build).parameters)[1:]
+            assert [f.name for f in fields(entry_type)] == params, kind
+
+    def test_entries_follow_the_kind_table(self):
+        plan = _full_plan()
+        assert [kind for kind, _ in plan.entries()] == [
+            kind for kind, _, _ in _KINDS]
+        assert list(plan.to_dict()) == [kind for kind, _, _ in _KINDS]
+
+    @pytest.mark.parametrize("value", [5, [5], "drops", [(0.1, 1, 5)],
+                                       {"rate": 0.1}])
+    def test_kind_must_be_a_list_of_lists(self, value):
+        with pytest.raises(PlanCodecError, match="'drops' must be a list"):
+            FaultPlan.from_dict({"drops": value})
+
+    def test_entry_of_the_wrong_length_named(self):
+        data = FaultPlan().crash(1, at=2).to_dict()
+        data["crashes"][0].append(None)
+        with pytest.raises(PlanCodecError,
+                           match=r"'crashes' entry #0.*4 values"):
+            FaultPlan.from_dict(data)
+
+    def test_builder_checks_still_run(self):
+        data = FaultPlan().crash(1, at=2).crash(2, at=3).to_dict()
+        data["crashes"][1][0] = 1
+        with pytest.raises(PlanCodecError, match="already has a crash"):
             FaultPlan.from_dict(data)
 
     def test_bad_entry_chains_the_validation_error(self):

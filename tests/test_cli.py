@@ -1,8 +1,13 @@
 """Tests for the command-line interface."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+ARTIFACT = Path(__file__).parent / "dst" / "artifacts" / "no-churn-keys.json"
 
 
 class TestParser:
@@ -108,6 +113,22 @@ class TestCommands:
             main(["fuzz", "--replay", str(path)])
         assert excinfo.value.code == 2
         assert "JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("n", "10", "'n'"), ("rounds", None, "'rounds'"),
+        ("loss_rate", "x", "'loss_rate'"), ("fanout", 2.5, "'fanout'"),
+        ("plan", {"drops": 5}, "'drops'"), ("fan_out", 3, "fan_out"),
+    ])
+    def test_fuzz_replay_of_an_ill_typed_artifact_exits_2(
+            self, tmp_path, capsys, key, value, named):
+        artifact = json.loads(ARTIFACT.read_text())
+        artifact["spec"][key] = value
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(artifact))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fuzz", "--replay", str(path)])
+        assert excinfo.value.code == 2
+        assert named in capsys.readouterr().err
 
 
 class TestTraceCommand:
