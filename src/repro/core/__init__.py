@@ -22,7 +22,7 @@ from .config import (
 )
 from .delivery import FifoDeliveryGate
 from .events import Notification, Unsubscription, make_notification
-from .ids import EventId, ProcessId, ProcessNamespace
+from .ids import EventId, ProcessId
 from .message import (
     EchoMessage,
     GossipMessage,
@@ -61,7 +61,6 @@ __all__ = [
     "PartialView",
     "payload_digest",
     "ProcessId",
-    "ProcessNamespace",
     "RandomDropBuffer",
     "ReadyMessage",
     "RetransmissionEngine",

@@ -4,19 +4,16 @@
 fully wired run on any engine (``serial``, ``sharded``, ``async``,
 ``columnar``) and returns the deterministic evidence the oracle judges: the
 canonical counter fingerprint, the counter records, and every invariant
-violation the monitor observed.  The wiring is identical for the two
-object round engines — same node construction, same network stream, same
-seeded publish draws — which is what makes the differential comparison
-meaningful: any divergence is an engine bug, not harness noise.  Joins and
-leaves run as the scenario builders run them, in round 2; the async
-runtime runs the same joiners, contacts and leavers at that round's start.
-
-The columnar engine gets the same node construction and publish draws but
-is judged only on its honoured counter subset (see
-:mod:`repro.sim.columnar_runner`): its fingerprint is the honoured-subset
-fingerprint, which is worker-count-independent, and no invariant monitor is
-attached (the monitor reads per-node object state the columnar engine does
-not materialise).
+violation the monitor observed.  The three round engines share one runner
+— same node construction, same network stream, same seeded publish draws
+— which is what makes the differential comparison meaningful: any
+divergence is an engine bug, not harness noise.  The columnar engine is
+judged on its honoured counter subset only (see
+:mod:`repro.sim.columnar_runner`) and runs no invariant monitor (the
+monitor reads per-node object state the columnar engine does not
+materialise).  Joins and leaves run as the scenario builders run them, in
+round 2; the async runtime runs the same joiners, contacts and leavers at
+that round's start.
 """
 
 from __future__ import annotations
@@ -28,6 +25,7 @@ from ..faults.invariants import InvariantMonitor, Violation
 from ..metrics.delivery import DeliveryLog
 from ..metrics.reliability import measure_reliability
 from ..sim import NetworkModel, build_lpbcast_nodes, create_simulation
+from ..sim.columnar_runner import honoured_fingerprint
 from ..sim.rng import derive_rng
 from ..sim.scenarios import CHURN_ROUND, churn_script
 from ..telemetry import counter_fingerprint, counter_records
@@ -82,19 +80,17 @@ def _publish_hook(spec: ScenarioSpec, pids, published: list):
     return hook
 
 
-def _run_round_engine(spec: ScenarioSpec, engine: str) -> RunOutcome:
+def _run_round_engine(spec: ScenarioSpec, engine: str, sim) -> RunOutcome:
+    """The serial, sharded or columnar run; the columnar one fingerprints
+    its honoured counter subset (the same for every worker count) and runs
+    no invariant monitor."""
     cfg = spec.config()
     nodes = build_lpbcast_nodes(spec.n, cfg, seed=spec.seed)
-    network = NetworkModel(loss_rate=spec.loss_rate,
-                           rng=derive_rng(spec.seed, "dst-network"))
-    # Cross-shard payloads travel in the compact wire codec, so
-    # serial-vs-sharded bit-identity also certifies the codec round trip
-    # under fuzzing.
-    extra = {"shards": spec.shards} if engine == "sharded" else {}
-    sim = create_simulation(engine, network=network, seed=spec.seed, **extra)
     sim.add_nodes(nodes)
     log = DeliveryLog().attach(sim.nodes.values())
-    monitor = InvariantMonitor(mode="collect", seed=spec.seed).attach(sim)
+    columnar = engine == "columnar"
+    monitor = (None if columnar
+               else InvariantMonitor(mode="collect", seed=spec.seed).attach(sim))
     if not spec.plan.is_empty():
         sim.use_fault_plan(spec.plan)
     if spec.joins or spec.leaves:
@@ -111,75 +107,28 @@ def _run_round_engine(spec: ScenarioSpec, engine: str) -> RunOutcome:
     mutation = get_mutation(spec.mutation)
     if mutation is not None:
         mutation.apply_post_build(sim, spec, engine)
-    try:
-        sim.run(spec.rounds)
-        if mutation is not None:
-            mutation.apply_post_run(sim, spec, engine)
-        survivors = [p for p in pids if p >= spec.leaves and sim.alive(p)]
-        reliability = (
-            measure_reliability(log, published, survivors).reliability
-            if published and survivors else None)
-        return RunOutcome(
-            engine=engine,
-            spec=spec,
-            fingerprint=counter_fingerprint(sim.telemetry),
-            records=counter_records(sim.telemetry),
-            violations=list(monitor.violations),
-            deliveries=log.total_deliveries,
-            alive=sim.alive_count(),
-            reliability=reliability,
-        )
-    finally:
-        close = getattr(sim, "close", None)
-        if close is not None:
-            close()
+    sim.run(spec.rounds)
+    if mutation is not None:
+        mutation.apply_post_run(sim, spec, engine)
+    survivors = [p for p in pids if p >= spec.leaves and sim.alive(p)]
+    reliability = (
+        measure_reliability(log, published, survivors).reliability
+        if published and survivors else None)
+    records = counter_records(sim.telemetry)
+    return RunOutcome(
+        engine=engine,
+        spec=spec,
+        fingerprint=(honoured_fingerprint(records) if columnar
+                     else counter_fingerprint(sim.telemetry)),
+        records=records,
+        violations=[] if columnar else list(monitor.violations),
+        deliveries=log.total_deliveries,
+        alive=sim.alive_count(),
+        reliability=reliability,
+    )
 
 
-def _run_columnar_engine(spec: ScenarioSpec, workers: int = 1) -> RunOutcome:
-    """The columnar run: same nodes, same publish draws, honoured-subset
-    fingerprint (the full columnar counter set legitimately diverges — see
-    the declared-divergence contract in :mod:`repro.sim.columnar_runner`).
-
-    ``workers > 1`` exercises the shared-memory multi-core path — the
-    honoured fingerprint is worker-count-independent, so the oracle's
-    ``parity:columnar`` verdicts cover every worker count with the same
-    expected value.
-    """
-    from ..sim.columnar_runner import honoured_fingerprint
-
-    cfg = spec.config()
-    nodes = build_lpbcast_nodes(spec.n, cfg, seed=spec.seed)
-    network = NetworkModel(loss_rate=spec.loss_rate,
-                           rng=derive_rng(spec.seed, "dst-network"))
-    sim = create_simulation("columnar", network=network, seed=spec.seed,
-                            workers=workers)
-    try:
-        sim.add_nodes(nodes)
-        log = DeliveryLog().attach(sim.nodes.values())
-        if not spec.plan.is_empty():
-            sim.use_fault_plan(spec.plan)
-        sim.add_round_hook(_publish_hook(spec, [n.pid for n in nodes], []))
-        mutation = get_mutation(spec.mutation)
-        if mutation is not None:
-            mutation.apply_post_build(sim, spec, "columnar")
-        sim.run(spec.rounds)
-        if mutation is not None:
-            mutation.apply_post_run(sim, spec, "columnar")
-        records = counter_records(sim.telemetry)
-        return RunOutcome(
-            engine="columnar",
-            spec=spec,
-            fingerprint=honoured_fingerprint(records),
-            records=records,
-            violations=[],
-            deliveries=log.total_deliveries,
-            alive=sim.alive_count(),
-        )
-    finally:
-        sim.close()
-
-
-def _run_async_engine(spec: ScenarioSpec) -> RunOutcome:
+def _run_async_engine(spec: ScenarioSpec, runtime) -> RunOutcome:
     """The async runtime run: same spec vocabulary, different clock.
 
     Async runs are *not* bit-comparable with the round engines (independent
@@ -190,9 +139,6 @@ def _run_async_engine(spec: ScenarioSpec) -> RunOutcome:
     cfg = spec.config()
     period = cfg.gossip_period
     nodes = build_lpbcast_nodes(spec.n, cfg, seed=spec.seed)
-    network = NetworkModel(loss_rate=spec.loss_rate,
-                           rng=derive_rng(spec.seed, "dst-network"))
-    runtime = create_simulation("async", network=network, seed=spec.seed)
     runtime.add_nodes(nodes)
     log = DeliveryLog().attach(nodes)
     monitor = InvariantMonitor(mode="collect", seed=spec.seed).attach(runtime)
@@ -255,25 +201,29 @@ def apply_scenario(spec: ScenarioSpec, engine: str = "serial",
 
     The single entry point every DST layer goes through — oracle, shrinker,
     replay and self-test — so there is exactly one way a spec maps to a
-    run.  ``workers`` selects the columnar engine's multi-core mode
-    (explicitly: it is never inferred from the host's core count) and is
-    rejected for every other engine, matching the ``create_simulation``
-    kwargs contract.
+    run.  ``workers`` (the columnar engine's multi-core mode, never
+    inferred from the host's core count) and the spec's ``shards`` go to
+    :func:`~repro.sim.engines.create_simulation`, which refuses an engine
+    name or option it does not know for that engine.
     """
     spec.validate()
     if (spec.joins or spec.leaves) and engine == "columnar":
         # Columnar membership freezes at the first round.
         raise ValueError(f"the {engine} engine runs no joins or leaves "
                          f"(flash_crowd, mass_departure)")
-    if workers != 1 and engine != "columnar":
-        raise ValueError(
-            f"workers={workers} applies to the 'columnar' engine only "
-            f"(got engine {engine!r}); the object engines take no "
-            f"worker-count knob — use shards= for 'sharded'")
-    if engine in ("serial", "sharded"):
-        return _run_round_engine(spec, engine)
-    if engine == "columnar":
-        return _run_columnar_engine(spec, workers=workers)
-    if engine == "async":
-        return _run_async_engine(spec)
-    raise ValueError(f"unknown engine {engine!r}")
+    network = NetworkModel(loss_rate=spec.loss_rate,
+                           rng=derive_rng(spec.seed, "dst-network"))
+    # Cross-shard payloads travel in the compact wire codec, so
+    # serial-vs-sharded bit-identity also certifies the codec round trip
+    # under fuzzing.
+    sim = create_simulation(
+        engine, network=network, seed=spec.seed, workers=workers,
+        shards=spec.shards if engine == "sharded" else None)
+    try:
+        if engine == "async":
+            return _run_async_engine(spec, sim)
+        return _run_round_engine(spec, engine, sim)
+    finally:
+        close = getattr(sim, "close", None)
+        if close is not None:
+            close()

@@ -145,35 +145,30 @@ def check_scenario(
     once; replay and artifacts use the full report).
 
     ``engines`` selects the differential pairs: it must contain
-    ``"serial"``; add ``"sharded"`` for full-record parity and/or
-    ``"columnar"`` for honoured-subset parity.  A ``parity:columnar:*``
+    ``"serial"``, the reference; add ``"sharded"`` for full-record parity
+    and/or ``"columnar"`` for honoured-subset parity (any other engine is
+    judged on its invariants alone).  A ``parity:columnar:*``
     ``require_signature`` pulls the columnar engine in implicitly, so the
     shrinker needs no engine plumbing.
 
-    ``workers`` is the columnar engine's worker-process count — always an
-    explicit caller choice (never inferred from the host's core count, so
-    a report is reproducible on any machine).  ``workers=N`` runs the
-    columnar side of the differential over N shared-memory processes; the
-    honoured fingerprint is worker-count-independent, so the expected
-    verdict is the same for every N.  Setting ``workers != 1`` without a
-    columnar run to apply it to is rejected, matching the
-    ``create_simulation`` kwargs contract.
+    ``workers`` goes to every engine but the serial reference: an explicit
+    caller choice (never inferred from the host's core count, so a report
+    is reproducible on any machine).  ``workers=N`` runs the columnar side
+    of the differential over N shared-memory processes; the honoured
+    fingerprint is worker-count-independent, so the expected verdict is the
+    same for every N.  An engine that takes no worker count refuses
+    ``workers != 1``, as does an unknown engine name, through
+    :func:`~repro.sim.engines.create_simulation`.
     """
-    engines = tuple(engines)
     if "serial" not in engines:
         raise ValueError("the oracle always needs the serial reference run")
-    unknown = set(engines) - {"serial", "sharded", "columnar"}
-    if unknown:
-        raise ValueError(f"unknown oracle engine(s): {sorted(unknown)}; "
-                         f"workers= tunes the columnar engine and shards= "
-                         f"the sharded engine, neither is an engine name")
-    wants_columnar_sig = (require_signature is not None
-                          and require_signature.startswith("parity:columnar"))
-    if workers != 1 and not ("columnar" in engines or wants_columnar_sig):
-        raise ValueError(
-            f"workers={workers} applies to the 'columnar' engine only, "
-            f"which is not part of this oracle run (engines={engines}); "
-            f"add 'columnar' to engines= or drop workers=")
+    others = [engine for engine in engines if engine != "serial"]
+    if require_signature is not None and require_signature.startswith(
+            "parity:columnar"):
+        # Only the columnar run can produce this signature: it runs first,
+        # and alone unless the full report is asked for.
+        others = ["columnar"] + ([e for e in others if e != "columnar"]
+                                 if full else [])
     report = OracleReport(spec=spec)
     serial = apply_scenario(spec, "serial")
     report.engines_run.append("serial")
@@ -185,29 +180,20 @@ def check_scenario(
             and require_signature in report.signatures()):
         return report
 
-    if "columnar" in engines or wants_columnar_sig:
-        columnar = apply_scenario(spec, "columnar", workers=workers)
-        report.engines_run.append("columnar")
-        report.fingerprints["columnar"] = columnar.fingerprint
-        parity = _columnar_parity_failure(serial, columnar)
-        if parity is not None:
-            report.failures.append(parity)
-        if not full and wants_columnar_sig:
-            # The caller only asked about this columnar signature; the
-            # sharded run cannot produce it, so skip it either way.
-            return report
-
-    if "sharded" in engines:
-        sharded = apply_scenario(spec, "sharded")
-        report.engines_run.append("sharded")
-        report.fingerprints["sharded"] = sharded.fingerprint
-        # Sharded delivery-path violations are deduped against the serial
-        # ones: the same protocol bug observed twice is one finding.
-        serial_signatures = set(report.signatures())
-        for failure in _invariant_failures(sharded):
-            if failure.signature not in serial_signatures:
-                report.failures.append(failure)
-        parity = _parity_failure(serial, sharded)
+    parity_of = {"sharded": _parity_failure,
+                 "columnar": _columnar_parity_failure}
+    for engine in others:
+        outcome = apply_scenario(spec, engine, workers=workers)
+        report.engines_run.append(engine)
+        report.fingerprints[engine] = outcome.fingerprint
+        # Violations are deduped against those already reported: the same
+        # protocol bug observed twice is one finding.
+        seen = set(report.signatures())
+        report.failures.extend(failure for failure
+                               in _invariant_failures(outcome)
+                               if failure.signature not in seen)
+        judge = parity_of.get(engine)
+        parity = judge(serial, outcome) if judge is not None else None
         if parity is not None:
             report.failures.append(parity)
     return report

@@ -233,11 +233,8 @@ class InvariantMonitor:
     def _on_delivery(self, pid: ProcessId, notification, now: float) -> None:
         sim = self._sim
 
-        if (sim is not None and pid in sim.crashed
-                and getattr(sim, "on_node_error", "raise") != "crash"):
-            # Round-start fail-stops must silence a process completely; with
-            # on_node_error="crash" a node can legitimately deliver earlier
-            # in the round it error-crashes, so the check is skipped there.
+        if sim is not None and pid in sim.crashed:
+            # A fail-stopped process delivers nothing (Sec. 4.1).
             self._flag("crashed-silence", pid,
                        f"crashed process delivered {notification!r}")
 

@@ -34,7 +34,6 @@ from .network import (
     PAPER_CRASH_RATE,
     PAPER_LOSS_RATE,
     constant_latency,
-    exponential_latency,
     uniform_latency,
 )
 from .parallel_runner import (
@@ -53,7 +52,7 @@ from .scenarios import (
     steady_state,
 )
 from .topology import build_lpbcast_nodes, uniform_random_views
-from .workload import BroadcastWorkload, PoissonWorkload, PublicationRecord
+from .workload import BroadcastWorkload, PublicationRecord
 
 __all__ = [
     "AsyncGossipRuntime",
@@ -73,13 +72,11 @@ __all__ = [
     "steady_state",
     "derive_rng",
     "derive_seed",
-    "exponential_latency",
     "GossipProcess",
     "NetworkModel",
     "NodeProxy",
     "PAPER_CRASH_RATE",
     "PAPER_LOSS_RATE",
-    "PoissonWorkload",
     "PublicationRecord",
     "RoundSimulation",
     "SeedSequence",

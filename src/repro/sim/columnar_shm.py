@@ -45,6 +45,7 @@ of the steady state.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Tuple
 
@@ -190,9 +191,8 @@ class ShmRoundExecutor:
         self._newmask: Optional[np.ndarray] = None
         self._kernel_bytes = 0  # the workers' private SlabScratch, as acked
 
-        methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn")
+            "fork" if hasattr(os, "fork") else "spawn")
         cfg = sim.config
         self._conns: List = []
         self._procs: List = []

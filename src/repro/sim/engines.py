@@ -7,8 +7,10 @@ the scale engine; ``sharded``
 (:class:`~repro.sim.parallel_runner.ShardedRoundSimulation`) is kept as the
 DST oracle's bit-identical second opinion and ``async``
 (:class:`~repro.sim.async_runner.AsyncGossipRuntime`) as the testbed
-substitute.  :func:`create_simulation` builds any of them by name and
-rejects a kwarg the chosen engine would silently ignore.
+substitute.  This module is the one place that says which of the four
+factory options (``network``, ``seed``, ``shards``, ``workers``) an engine
+accepts: :func:`create_simulation` builds any engine by name and rejects an
+option the chosen engine would silently ignore.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ class EngineSpec:
     so a kwarg an engine would silently ignore is rejected instead."""
 
     name: str
-    summary: str
     factory: Callable[..., object]
     accepts: frozenset
 
@@ -40,43 +41,21 @@ class EngineSpec:
 FACTORY_DEFAULTS = {
     "network": None,
     "seed": 0,
-    "max_reply_generations": 4,
-    "on_node_error": "raise",
     "shards": None,
-    "start_method": None,
     "workers": 1,
 }
 
-_ROUND_KWARGS = frozenset(
-    {"network", "seed", "max_reply_generations", "on_node_error"})
+_EVERY_ENGINE = frozenset({"network", "seed"})
 
 ENGINE_REGISTRY: Dict[str, EngineSpec] = {
     spec.name: spec
     for spec in (
-        EngineSpec(
-            name="serial",
-            summary="single-process synchronous rounds (paper Sec. 5.1)",
-            factory=RoundSimulation,
-            accepts=_ROUND_KWARGS,
-        ),
-        EngineSpec(
-            name="sharded",
-            summary="multi-process rounds, bit-identical to serial",
-            factory=ShardedRoundSimulation,
-            accepts=_ROUND_KWARGS | frozenset({"shards", "start_method"}),
-        ),
-        EngineSpec(
-            name="async",
-            summary="non-synchronized periodic gossip (testbed substitute)",
-            factory=AsyncGossipRuntime,
-            accepts=frozenset({"network", "seed"}),
-        ),
-        EngineSpec(
-            name="columnar",
-            summary="array-backed vectorized rounds for mega-scale n",
-            factory=ColumnarRoundSimulation,
-            accepts=frozenset({"network", "seed", "workers"}),
-        ),
+        EngineSpec("serial", RoundSimulation, _EVERY_ENGINE),
+        EngineSpec("sharded", ShardedRoundSimulation,
+                   _EVERY_ENGINE | {"shards"}),
+        EngineSpec("async", AsyncGossipRuntime, _EVERY_ENGINE),
+        EngineSpec("columnar", ColumnarRoundSimulation,
+                   _EVERY_ENGINE | {"workers"}),
     )
 }
 
@@ -98,15 +77,15 @@ def create_simulation(engine: str = "serial", **kwargs):
     validated against serial on the honoured-metric subset only.
 
     Accepted kwargs are validated against the :data:`ENGINE_REGISTRY` entry
-    of the chosen engine: ``shards``/``start_method`` apply to the sharded
-    engine only, ``workers`` to the columnar engine only (``workers=N`` runs
-    the round passes across N shared-memory worker processes; the honoured
-    fingerprint is identical for every worker count),
-    ``max_reply_generations``/``on_node_error`` to the round engines only,
-    ``network``/``seed`` everywhere.  A kwarg set to a non-default value for
-    an engine that cannot honour it raises ``ValueError`` naming the engines
-    that can — a ``shards=8`` or ``workers=4`` request must not silently run
-    single-process.
+    of the chosen engine: ``network``/``seed`` apply everywhere, ``shards``
+    to the sharded engine only, ``workers`` to the columnar engine only
+    (``workers=N`` runs the round passes across N shared-memory worker
+    processes; the honoured fingerprint is identical for every worker
+    count).  A kwarg set to a non-default value for an engine that cannot
+    honour it raises ``ValueError`` naming the engines that can — a
+    ``shards=8`` or ``workers=4`` request must not silently run
+    single-process.  An unknown engine name or kwarg raises ``ValueError``
+    too; the engine's constructor checks the value it takes.
     """
     spec = ENGINE_REGISTRY.get(engine)
     if spec is None:

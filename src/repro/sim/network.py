@@ -42,19 +42,6 @@ def uniform_latency(low: float, high: float) -> LatencyModel:
     return lambda rng: rng.uniform(low, high)
 
 
-def exponential_latency(mean: float, cap: Optional[float] = None) -> LatencyModel:
-    """Exponential latency with the given mean, optionally truncated at
-    ``cap`` (the paper assumes an upper bound below the gossip period)."""
-    if mean <= 0:
-        raise ValueError("mean must be positive")
-
-    def draw(rng: random.Random) -> float:
-        value = rng.expovariate(1.0 / mean)
-        return min(value, cap) if cap is not None else value
-
-    return draw
-
-
 class NetworkModel:
     """Message-level loss and latency.
 

@@ -57,13 +57,9 @@ After ``start()`` (implicit on the first round), ``sim.nodes[pid]`` holds a
 ``try_unsubscribe``, ``add_delivery_listener``, generic ``call``) are
 forwarded to the owning shard; plain attribute reads serve the last synced
 replica (see :meth:`ShardedRoundSimulation.refresh_nodes` and
-:meth:`ShardedRoundSimulation.collect`).
-
-Known divergence: with ``on_node_error="crash"``, a node failing *mid-batch*
-cannot retroactively un-consume network draws the coordinator already made
-for later messages of the same generation, so crash-converted runs may
-diverge from serial within that round.  The default ``"raise"`` mode is
-exact.
+:meth:`ShardedRoundSimulation.collect`).  A node method that raises in a
+worker raises the same exception from ``run_round``, as on the serial
+engine.
 """
 
 from __future__ import annotations
@@ -208,9 +204,9 @@ class _ShardState:
             self._ctx = (_PHASE_TICK, self.gidx[pid])
             try:
                 ticked = node.on_tick(now)
-            except Exception as exc:  # noqa: BLE001
+            except Exception as exc:  # noqa: BLE001 - re-raised by run_round
                 errors.append((pid, "on_tick", _picklable(exc)))
-                continue
+                break
             self.telemetry.trace_tag = self._ctx
             self.telemetry.record_sends(round_no, pid, ticked)
             for emission, out in enumerate(ticked):
@@ -276,15 +272,10 @@ class _ShardState:
                 imported[(src_shard, handle)] = loaded[group][idx]
         replies_meta: List[tuple] = []
         errors: List[tuple] = []
-        failed: set = set()
-        skipped: List[int] = []
         phase = _PHASE_GEN0 + generation
         round_no = int(now)
         mutate = None
         for pos, src, dst, tag, mut in sequence:
-            if dst in failed:
-                skipped.append(pos)
-                continue
             if tag[0] == "L":
                 message = self.outbox[tag[1]][2]
             elif tag[0] == "I":
@@ -302,17 +293,16 @@ class _ShardState:
                                     message=type(message).__name__)
             try:
                 replies = self.nodes[dst].handle_message(src, message, now)
-            except Exception as exc:  # noqa: BLE001
+            except Exception as exc:  # noqa: BLE001 - re-raised by run_round
                 errors.append((dst, "handle_message", _picklable(exc)))
-                failed.add(dst)
-                continue
+                break
             self.telemetry.record_sends(round_no, dst, replies)
             for emission, reply in enumerate(replies):
                 handle = self._stash(dst, reply)
                 replies_meta.append(
                     (pos, emission, handle, dst, reply.destination)
                 )
-        return (replies_meta, self.records, errors, skipped,
+        return (replies_meta, self.records, errors,
                 self.telemetry.drain_delta())
 
     def do_call(self, pid: ProcessId, method: str, args: tuple,
@@ -480,23 +470,15 @@ class ShardedRoundSimulation(RoundSimulation):
     """Drop-in :class:`RoundSimulation` that executes each round across
     ``shards`` worker processes (see module docstring for the protocol)."""
 
-    def __init__(
-        self,
-        network: Optional[NetworkModel] = None,
-        seed: int = 0,
-        max_reply_generations: int = 4,
-        on_node_error: str = "raise",
-        shards: Optional[int] = None,
-        start_method: Optional[str] = None,
-    ) -> None:
-        super().__init__(network=network, seed=seed,
-                         max_reply_generations=max_reply_generations,
-                         on_node_error=on_node_error)
+    def __init__(self, network: Optional[NetworkModel] = None,
+                 seed: int = 0, shards: Optional[int] = None) -> None:
+        super().__init__(network=network, seed=seed)
         shards = DEFAULT_SHARDS if shards is None else shards
+        if not isinstance(shards, int) or isinstance(shards, bool):
+            raise ValueError(f"shards must be a positive int, got {shards!r}")
         if shards < 1:
-            raise ValueError("shards must be >= 1")
+            raise ValueError(f"shards must be >= 1, got {shards}")
         self.shards = shards
-        self._start_method = start_method
         self._started = False
         self._closed = False
         self._procs: List = []
@@ -525,11 +507,8 @@ class ShardedRoundSimulation(RoundSimulation):
             return
         if self._closed:
             raise RuntimeError("engine already closed/collected")
-        method = self._start_method
-        if method is None:
-            method = ("fork" if "fork" in
-                      multiprocessing.get_all_start_methods() else None)
-        ctx = multiprocessing.get_context(method)
+        ctx = multiprocessing.get_context(
+            "fork" if hasattr(os, "fork") else None)
         for shard in range(self.shards):
             parent, child = ctx.Pipe()
             proc = ctx.Process(target=_shard_main, args=(child, shard),
@@ -721,7 +700,7 @@ class ShardedRoundSimulation(RoundSimulation):
         if ops:
             self._conns[shard].send(("ops", ops))
             errors, records = self._await(shard)
-            self._raise_op_errors(errors)
+            self._raise_worker_errors(errors)
             self._dispatch_records(records)
 
     def _materialize(self, op: tuple) -> tuple:
@@ -734,12 +713,6 @@ class ShardedRoundSimulation(RoundSimulation):
         blob = _dumps([self._detach(pid, node)])
         self._adopt(pid, node)  # after pickling: adoption tethers the node
         return ("addnode", op[1], blob)
-
-    def _raise_op_errors(self, errors: Sequence[tuple]) -> None:
-        for pid, where, exc in errors or ():
-            raise RuntimeError(
-                f"queued operation {where} on process {pid} failed"
-            ) from exc
 
     # -- worker I/O ----------------------------------------------------------
     def _await(self, shard: int):
@@ -791,7 +764,7 @@ class ShardedRoundSimulation(RoundSimulation):
                 tick_meta.append((self._insertion[src], emission,
                                   shard, handle, src, dst))
             errors.extend(errs)
-        self._handle_worker_errors(errors, op_phase=True)
+        self._raise_worker_errors(errors)
         tick_meta.sort(key=lambda t: (t[0], t[1]))
         queue = self._carryover
         self._carryover = []
@@ -849,31 +822,26 @@ class ShardedRoundSimulation(RoundSimulation):
         replies_meta: List[tuple] = []
         errors: List[tuple] = []
         for shard in active:
-            rmeta, records, errs, skipped, delta = self._await(shard)
+            rmeta, records, errs, delta = self._await(shard)
             self._record_buffer.extend(records)
             self._staged_trace.extend(self.telemetry.absorb_counters(delta))
             for pos, emission, handle, src, dst in rmeta:
                 replies_meta.append((pos, emission, shard, handle, src, dst))
             errors.extend(errs)
-            # Messages the worker skipped because their destination failed
-            # mid-batch were admitted (and counted) optimistically; restate
-            # them as deliveries to a crashed process.
-            self.messages_delivered -= len(skipped)
-            self.messages_to_crashed += len(skipped)
-        self._handle_worker_errors(errors, op_phase=False)
+        self._raise_worker_errors(errors)
         replies_meta.sort(key=lambda t: (t[0], t[1]))
         return [_Ref(shard, handle, src, dst)
                 for _, _, shard, handle, src, dst in replies_meta]
 
-    def _handle_worker_errors(self, errors: Sequence[tuple],
-                              op_phase: bool) -> None:
+    def _raise_worker_errors(self, errors: Sequence[tuple]) -> None:
+        """Raise the first error a worker reported: a queued operation's
+        wrapped, a node method's as it was raised."""
         for pid, where, exc in errors:
             if where.startswith("op:"):
-                self._raise_op_errors([(pid, where, exc)])
-            if self.on_node_error == "raise":
-                raise exc
-            self.node_errors.append((pid, where, exc))
-            self.crash(pid)
+                raise RuntimeError(
+                    f"queued operation {where} on process {pid} failed"
+                ) from exc
+            raise exc
 
     def _dispatch_records(self, records: Sequence[tuple]) -> None:
         for _phase, _index, pid, notification, at in records:

@@ -21,10 +21,13 @@ At round ``r`` (``now = r``):
    delivered subject to the network model;
 4. *reply* messages produced during delivery (retransmission solicitations
    and answers, subscription handshakes) are delivered within the same round
-   up to ``max_reply_generations`` generations — mirroring the paper's
+   up to :data:`MAX_REPLY_GENERATIONS` generations — mirroring the paper's
    assumption that network latency is below the gossip period — and carried
    over to the next round beyond that;
 5. observers run.
+
+A node method that raises propagates out of :meth:`RoundSimulation.run_round`:
+the only crashes are the fail-stops a fault plan schedules.
 """
 
 from __future__ import annotations
@@ -39,6 +42,9 @@ from .aggregates import NodeAggregates, aggregate_nodes
 from .network import NetworkModel
 from .rng import SeedSequence
 
+#: Reply generations delivered within a round beyond the tick output's;
+#: deeper reply chains carry over to the next round.
+MAX_REPLY_GENERATIONS = 4
 
 class GossipProcess(Protocol):
     """Structural interface every simulated protocol node satisfies."""
@@ -217,22 +223,9 @@ class EngineCore:
 class RoundSimulation(EngineCore):
     """Drives a set of gossip processes through synchronous rounds."""
 
-    def __init__(
-        self,
-        network: Optional[NetworkModel] = None,
-        seed: int = 0,
-        max_reply_generations: int = 4,
-        on_node_error: str = "raise",
-    ) -> None:
-        if on_node_error not in ("raise", "crash"):
-            raise ValueError("on_node_error must be 'raise' or 'crash'")
+    def __init__(self, network: Optional[NetworkModel] = None,
+                 seed: int = 0) -> None:
         super().__init__(network, seed)
-        self.max_reply_generations = max_reply_generations
-        #: "raise" propagates a node's exception (deterministic test runs);
-        #: "crash" converts it into a fail-stop of that node — what a real
-        #: deployment's process supervisor would observe.
-        self.on_node_error = on_node_error
-        self.node_errors: List[tuple] = []
         self._shuffle_rng: random.Random = self.seeds.rng("delivery-order")
         self.round = 0
         #: Queue entries waiting for the next round.  What an entry *is* is
@@ -300,7 +293,7 @@ class RoundSimulation(EngineCore):
         generation = 0
         with telemetry.time("time.delivery"):
             shuffle = self._shuffle_rng.shuffle
-            while queue and generation <= self.max_reply_generations:
+            while queue and generation <= MAX_REPLY_GENERATIONS:
                 shuffle(queue)
                 if self._fault_injector is not None:
                     queue = self._fault_expand(queue)
@@ -330,11 +323,7 @@ class RoundSimulation(EngineCore):
             pid = node.pid
             if pid in paused:
                 continue  # slow-node fault: no tick, still receives
-            try:
-                ticked = node.on_tick(now)
-            except Exception as exc:
-                self._handle_node_error(pid, "on_tick", exc)
-                continue
+            ticked = node.on_tick(now)
             if ticked:
                 telemetry.record_sends(round_no, pid, ticked)
                 for out in ticked:
@@ -500,19 +489,8 @@ class RoundSimulation(EngineCore):
         if telemetry.tracing:
             telemetry.emit("receive", now, pid=dst, peer=src,
                            message=type(out.message).__name__)
-        try:
-            produced = self.nodes[dst].handle_message(src, out.message, now)
-        except Exception as exc:
-            self._handle_node_error(dst, "handle_message", exc)
-            return
+        produced = self.nodes[dst].handle_message(src, out.message, now)
         if produced:
             telemetry.record_sends(self.round, dst, produced)
             for reply in produced:
                 replies.append((dst, reply))
-
-    def _handle_node_error(self, pid: ProcessId, where: str,
-                           exc: Exception) -> None:
-        if self.on_node_error == "raise":
-            raise exc
-        self.node_errors.append((pid, where, exc))
-        self.crash(pid)

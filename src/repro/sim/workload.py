@@ -10,9 +10,8 @@ notification is recorded so the reliability metric can later ask, for each
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from ..core.events import Notification
 from ..core.ids import EventId, ProcessId
@@ -122,52 +121,3 @@ class BroadcastWorkload:
     def __len__(self) -> int:
         return len(self.records)
 
-
-class PoissonWorkload:
-    """Poisson publication process for the async runtime.
-
-    Each publisher emits events as an independent Poisson process of the
-    given rate; used by examples to exercise the runtime under bursty,
-    non-round-aligned load (closer to a real pub/sub deployment than the
-    paper's fixed per-round rate).
-    """
-
-    def __init__(
-        self,
-        runtime,
-        publishers: Sequence[object],
-        rate: float,
-        until: float,
-        rng: Optional[random.Random] = None,
-        publish_fn: PublishFn = _lpbcast_publish,
-    ) -> None:
-        if rate <= 0:
-            raise ValueError("rate must be positive")
-        self.runtime = runtime
-        self.rate = rate
-        self.until = until
-        self.publish_fn = publish_fn
-        self.records: List[PublicationRecord] = []
-        rng = rng if rng is not None else random.Random()
-        for node in publishers:
-            at = rng.expovariate(rate)
-            while at < until:
-                self.runtime.call_at(at, self._make_publish(node, at))
-                at += rng.expovariate(rate)
-
-    def _make_publish(self, node, at: float) -> Callable[[], None]:
-        def publish() -> None:
-            if not self.runtime.alive(node.pid):
-                return
-            notification = self.publish_fn(node, self.runtime.now)
-            self.records.append(
-                PublicationRecord(notification.event_id, node.pid, self.runtime.now)
-            )
-
-        return publish
-
-    def published_ids(self) -> List[EventId]:
-        return [record.event_id for record in self.records]
-
-    def __len__(self) -> int:
-        return len(self.records)

@@ -1,8 +1,6 @@
 """Tests for process and event identifiers."""
 
-import pytest
-
-from repro.core.ids import EventId, ProcessNamespace
+from repro.core.ids import EventId
 
 
 class TestEventId:
@@ -27,45 +25,3 @@ class TestEventId:
     def test_str(self):
         assert str(EventId(4, 9)) == "4#9"
 
-
-class TestProcessNamespace:
-    def test_ids_are_ordered_and_distinct(self):
-        ns = ProcessNamespace()
-        ids = ns.create_many(10)
-        assert ids == sorted(ids)
-        assert len(set(ids)) == 10
-
-    def test_named_process(self):
-        ns = ProcessNamespace()
-        pid = ns.create("publisher")
-        assert ns.name_of(pid) == "publisher"
-
-    def test_default_name(self):
-        ns = ProcessNamespace()
-        pid = ns.create()
-        assert ns.name_of(pid) == f"p{pid}"
-
-    def test_foreign_id_gets_fallback_name(self):
-        ns = ProcessNamespace()
-        assert ns.name_of(12345) == "p12345"
-
-    def test_custom_start(self):
-        ns = ProcessNamespace(start=100)
-        assert ns.create() == 100
-        assert ns.create() == 101
-
-    def test_negative_start_rejected(self):
-        with pytest.raises(ValueError):
-            ProcessNamespace(start=-1)
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            ProcessNamespace().create_many(-1)
-
-    def test_len_iter_contains(self):
-        ns = ProcessNamespace()
-        ids = ns.create_many(3)
-        assert len(ns) == 3
-        assert set(ns) == set(ids)
-        assert ids[0] in ns
-        assert 999 not in ns

@@ -73,7 +73,7 @@ class TestCheckScenario:
     def test_serial_reference_engine_is_mandatory(self):
         with pytest.raises(ValueError, match="serial reference"):
             check_scenario(CLEAN, engines=("sharded",))
-        with pytest.raises(ValueError, match="unknown oracle engine"):
+        with pytest.raises(ValueError, match="unknown engine"):
             check_scenario(CLEAN, engines=("serial", "quantum"))
 
 

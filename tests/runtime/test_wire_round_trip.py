@@ -4,9 +4,12 @@ The UDP deployment's ``_carry`` packs messages into frames; here the async
 runtime's does the same on virtual time — every surviving message packed
 by ``pack_datagrams``, read back by ``decode_frame``, then delivered after
 a latency drawn exactly as the default path draws it.  Over the plain fuzz
-campaign's 25 scenarios (``repro fuzz --count 25 --seed 2026``) the run
-must be indistinguishable from the default path: equal counter
-fingerprints and delivery counts.
+campaign's 25 scenarios (``repro fuzz --count 25 --seed 2026``) and the
+first 10 of the Byzantine and causal campaigns' (``--byzantine``,
+``--causal``) the run must be indistinguishable from the default path:
+equal counter fingerprints, delivery counts and violations.  The
+Byzantine family's double-echo records and the causal family's dependency
+tags thus cross the codec on fuzzed specs without the sharded engine.
 """
 
 import pytest
@@ -25,9 +28,15 @@ def _wire_carry(runtime, src, out, copies, delay):
                              message)
 
 
-@pytest.mark.parametrize("seed", spec_seeds(2026, 25))
-def test_the_wire_carry_equals_the_default_path(seed, monkeypatch):
-    spec = generate_spec(seed, max_n=60, max_rounds=40)
+FAMILIES = [pytest.param(seed, {}, id=str(seed))
+            for seed in spec_seeds(2026, 25)] + [
+    pytest.param(seed, {name: True}, id=f"{name}-{seed}")
+    for name in ("byzantine", "causal") for seed in spec_seeds(2026, 10)]
+
+
+@pytest.mark.parametrize("seed, family", FAMILIES)
+def test_the_wire_carry_equals_the_default_path(seed, family, monkeypatch):
+    spec = generate_spec(seed, max_n=60, max_rounds=40, **family)
     default = apply_scenario(spec, "async")
     monkeypatch.setattr(AsyncGossipRuntime, "_carry", _wire_carry)
     wire = apply_scenario(spec, "async")

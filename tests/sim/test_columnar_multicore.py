@@ -159,20 +159,20 @@ class TestWorkersValidation:
 
     def test_harness_rejects_workers_for_non_columnar_engines(self):
         spec = ScenarioSpec(seed=1, n=12, rounds=4, publishes=2)
-        with pytest.raises(ValueError, match="'columnar' engine only"):
+        with pytest.raises(ValueError, match="'workers' applies to"):
             apply_scenario(spec, "serial", workers=2)
-        with pytest.raises(ValueError, match="shards= for 'sharded'"):
+        with pytest.raises(ValueError, match="'workers' applies to"):
             apply_scenario(spec, "sharded", workers=4)
 
     def test_oracle_rejects_workers_without_a_columnar_run(self):
         spec = ScenarioSpec(seed=1, n=12, rounds=4, publishes=2)
-        with pytest.raises(ValueError, match="add 'columnar' to engines="):
+        with pytest.raises(ValueError, match="'workers' applies to"):
             check_scenario(spec, engines=("serial", "sharded"), workers=2)
 
     def test_oracle_unknown_engine_error_names_the_real_knobs(self):
-        # "workers" is a knob, not an engine — the error must say so.
+        # "workers" is a knob, not an engine — the error names the engines.
         spec = ScenarioSpec(seed=1, n=12, rounds=4, publishes=2)
-        with pytest.raises(ValueError, match="workers= tunes the columnar"):
+        with pytest.raises(ValueError, match="unknown engine.*'columnar'"):
             check_scenario(spec, engines=("serial", "workers"))
 
     def test_oracle_runs_columnar_differential_with_workers(self):

@@ -11,7 +11,6 @@ from repro.sim import (
     NetworkModel,
     RoundSimulation,
     constant_latency,
-    exponential_latency,
     uniform_latency,
 )
 from repro.sim.scenarios import flaky_wan
@@ -61,21 +60,6 @@ class TestLatencyModels:
     def test_uniform_invalid_range(self):
         with pytest.raises(ValueError):
             uniform_latency(0.5, 0.1)
-
-    def test_exponential_capped(self):
-        model = exponential_latency(mean=1.0, cap=0.5)
-        rng = random.Random(0)
-        assert all(model(rng) <= 0.5 for _ in range(100))
-
-    def test_exponential_mean(self):
-        model = exponential_latency(mean=2.0)
-        rng = random.Random(0)
-        values = [model(rng) for _ in range(20_000)]
-        assert abs(sum(values) / len(values) - 2.0) < 0.1
-
-    def test_exponential_invalid_mean(self):
-        with pytest.raises(ValueError):
-            exponential_latency(0.0)
 
 
 class Broadcaster:

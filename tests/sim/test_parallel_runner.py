@@ -230,15 +230,6 @@ class TestErrors:
             sim.run_round()
         sim.close()
 
-    def test_crash_mode_fail_stops_the_node(self):
-        sim = ShardedRoundSimulation(shards=2, on_node_error="crash")
-        sim.add_nodes([self.Faulty(1, 2), Echo(2, 1)])
-        sim.run(2)
-        assert not sim.alive(1)
-        assert sim.alive(2)
-        assert sim.node_errors and sim.node_errors[0][0] == 1
-        sim.close()
-
 
 class TestFactory:
     def test_serial_engine(self):
@@ -257,6 +248,11 @@ class TestFactory:
     def test_nonpositive_shards_rejected(self):
         with pytest.raises(ValueError):
             ShardedRoundSimulation(shards=0)
+
+    @pytest.mark.parametrize("bad", [0, -1, True, 2.5, "2"])
+    def test_shards_must_be_a_positive_int(self, bad):
+        with pytest.raises(ValueError, match="shards must be"):
+            create_simulation("sharded", shards=bad)
 
     def test_columnar_engine_registered(self):
         from repro.sim.columnar_runner import ColumnarRoundSimulation
@@ -280,12 +276,12 @@ class TestFactory:
         with pytest.raises(ValueError, match=r"does not accept.*sharded"):
             create_simulation("serial", shards=4)
         with pytest.raises(ValueError, match="does not accept"):
-            create_simulation("columnar", on_node_error="crash")
+            create_simulation("columnar", shards=2)
 
     def test_default_values_are_legal_everywhere(self):
         # Passing a default cannot change behaviour, so generic call sites
         # may forward the full kwarg set without per-engine plumbing.
-        sim = create_simulation("serial", shards=None, start_method=None)
+        sim = create_simulation("serial", shards=None, workers=1)
         assert type(sim) is RoundSimulation
 
     def test_sharded_wire_format_knob_is_gone(self):

@@ -131,6 +131,32 @@ class TestCrashes:
         assert [n.pid for n in sim.alive_nodes()] == [2]
 
 
+class TestNodeErrors:
+    """A raising node method propagates: a fault plan is the only source
+    of crashes."""
+
+    class Bomb(Echo):
+        def on_tick(self, now):
+            raise RuntimeError(f"tick bomb in {self.pid}")
+
+    class Dud(Echo):
+        def handle_message(self, sender, message, now):
+            raise RuntimeError(f"message bomb in {self.pid}")
+
+    def test_default_propagates(self):
+        sim = RoundSimulation()
+        sim.add_node(self.Bomb(1, 2))
+        with pytest.raises(RuntimeError, match="tick bomb"):
+            sim.run_round()
+
+    def test_handler_error_propagates(self):
+        sim = RoundSimulation()
+        sim.add_nodes([Echo(1, 2), self.Dud(2, 1)])
+        with pytest.raises(RuntimeError, match="message bomb in 2"):
+            sim.run_round()
+        assert sim.alive(2)
+
+
 class TestHooksAndObservers:
     def test_hook_runs_before_ticks(self):
         order = []
@@ -208,12 +234,12 @@ class TestReplies:
                 self.count += 1
                 return [Outgoing(sender, "x")]  # infinite chatter
 
-        sim = RoundSimulation(max_reply_generations=3)
+        sim = RoundSimulation()
         a, b = Chatter(1, 2), Chatter(2, 1)
         sim.add_nodes([a, b])
         sim.run_round()
         first_round = a.count + b.count
-        assert first_round <= 4  # bounded within the round
+        assert first_round <= 5  # generations 0 .. MAX_REPLY_GENERATIONS
         sim.run_round()
         assert a.count + b.count > first_round  # carryover continues
 

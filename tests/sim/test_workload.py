@@ -1,15 +1,11 @@
 """Tests for publication workloads."""
 
-import random
-from functools import partial
-
 import pytest
 
 from repro.core import LpbcastConfig
 from repro.sim import (
     AsyncGossipRuntime,
     BroadcastWorkload,
-    PoissonWorkload,
     RoundSimulation,
     build_lpbcast_nodes,
 )
@@ -82,30 +78,3 @@ class TestAsyncIntegration:
         assert publishers == {nodes[0].pid, nodes[1].pid}
         assert len(workload) >= 8  # ~5 ticks x 2 publishers
 
-
-class TestPoissonWorkload:
-    def test_rate_roughly_matches(self):
-        nodes = build_lpbcast_nodes(4, LpbcastConfig(view_max=3), seed=2)
-        runtime = AsyncGossipRuntime(seed=2)
-        runtime.add_nodes(nodes)
-        workload = PoissonWorkload(runtime, nodes, rate=2.0, until=50.0,
-                                   rng=random.Random(5))
-        runtime.run_until(50.0)
-        expected = 4 * 2.0 * 50.0
-        assert 0.7 * expected < len(workload) < 1.3 * expected
-
-    def test_crashed_publisher_stops(self):
-        nodes = build_lpbcast_nodes(2, LpbcastConfig(view_max=1, fanout=1), seed=2)
-        runtime = AsyncGossipRuntime(seed=2)
-        runtime.add_nodes(nodes)
-        workload = PoissonWorkload(runtime, [nodes[0]], rate=1.0, until=20.0,
-                                   rng=random.Random(5))
-        runtime.call_at(10.0, partial(runtime.crash, nodes[0].pid))
-        runtime.run_until(20.0)
-        assert all(r.published_at <= 10.0 for r in workload.records)
-
-    def test_invalid_rate(self):
-        nodes = build_lpbcast_nodes(2, LpbcastConfig(view_max=1, fanout=1), seed=2)
-        runtime = AsyncGossipRuntime(seed=2)
-        with pytest.raises(ValueError):
-            PoissonWorkload(runtime, nodes, rate=0.0, until=5.0)
