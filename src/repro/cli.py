@@ -375,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("-n", type=int, default=125, help="system size")
     demo.add_argument("--view", type=int, default=25, help="view bound l")
     demo.add_argument("--fanout", type=int, default=3, help="fanout F")
-    demo.add_argument("--rounds", type=int, default=10)
+    demo.add_argument("--rounds", type=_positive_int, default=10)
     demo.add_argument("--loss", type=float, default=0.05)
     demo.add_argument("--seed", type=int, default=0)
     demo.add_argument(
@@ -394,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument(
         "id", choices=["2", "3a", "3b", "4", "5a", "5b", "6a", "6b", "7a", "7b"]
     )
-    figure.add_argument("--seeds", type=int, default=3,
+    figure.add_argument("--seeds", type=_positive_int, default=3,
                         help="independent runs for simulated figures")
     figure.set_defaults(fn=_cmd_figure)
 

@@ -494,8 +494,12 @@ class CompactEventIdDigest:
         origin by origin, ascending.  An entry at or behind the local
         frontier with no extras costs one compare; otherwise only its gap is
         enumerated, at most ``max_out_of_order`` ids of it (the newest), so a
-        far-ahead or forged frontier costs a bounded walk.  Reading moves no
-        local frontier: only :meth:`add` does."""
+        far-ahead or forged frontier costs a bounded walk.  A digest equal to
+        the cached snapshot names only known ids and costs one compare (the
+        snapshot is never built here).  Reading moves no local frontier: only
+        :meth:`add` does."""
+        if digest == self._snapshot:
+            return []
         out: List[EventId] = []
         held = self._extras
         known = self._frontier.get

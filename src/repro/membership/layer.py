@@ -126,7 +126,10 @@ class PartialViewMembership:
         # re-subscription is accepted again.
         view = self.view
         added = view.admit(subs, dead=self.unsubs.pids())
-        self.subs.absorb(added + view.truncate())
+        if added:
+            # Nothing admitted leaves view and subs within their bounds: the
+            # truncate and absorb would draw nothing.
+            self.subs.absorb(added + view.truncate())
 
     # -- outgoing ------------------------------------------------------------
     def membership_payload(

@@ -287,6 +287,6 @@ class AsyncGossipRuntime(EngineCore):
         started = perf_counter()
         replies = self.nodes[dst].handle_message(src, message, now)
         self._delivery_time.observe(perf_counter() - started)
-        self._record_sends(dst, replies)
         if replies:
+            self._record_sends(dst, replies)
             self.send(dst, replies)

@@ -232,11 +232,13 @@ class Telemetry:
 
         This is the engine's per-message accounting entry point, so when the
         expensive features are off (no tracing, no byte accounting)
-        it takes a fast path: counter keys for the round are prebuilt once
-        and the dict updates are inlined.  The keys match
-        :func:`_label_key`'s canonical sorted form exactly, so the recorded
-        counter state is byte-identical to the plain path — the
-        engine-parity golden test pins this.
+        it takes a fast path: counter keys for the round are prebuilt once,
+        the dict updates are inlined, and each run of one message object (a
+        tick's gossip is a single object for its F targets) is booked once,
+        its copies added at a time.  The keys match :func:`_label_key`'s
+        canonical sorted form and are first written in the per-message
+        order, so the recorded counter state is byte-identical to the plain
+        path — the engine-parity golden test pins this.
         """
         if not outgoings:
             return
@@ -258,23 +260,26 @@ class Telemetry:
         unsized_key = self._send_unsized_key
         sender_key = ("sim.sends_by_sender", (("src", src),))
         get = counters.get
-        sized, elements = None, 0  # a tick's gossip is one object, F targets
-        for out in outgoings:
-            message = out.message
+        total = len(outgoings)
+        start = 0
+        while start < total:
+            message = outgoings[start].message
+            end = start + 1
+            while end < total and outgoings[end].message is message:
+                end += 1
+            copies, start = end - start, end
             kind = type(message).__name__
             skey = kind_keys.get(kind)
             if skey is None:
                 skey = kind_keys[kind] = (
                     "sim.sends", (("kind", kind), ("round", round_no)))
-            counters[skey] = get(skey, 0) + 1
-            if message is not sized:
-                size = getattr(message, "size_estimate", None)
-                sized, elements = message, size() if callable(size) else None
-            if elements is not None:
-                counters[elements_key] = get(elements_key, 0) + elements
+            counters[skey] = get(skey, 0) + copies
+            size = getattr(message, "size_estimate", None)
+            if callable(size):
+                counters[elements_key] = get(elements_key, 0) + size() * copies
             else:
-                counters[unsized_key] = get(unsized_key, 0) + 1
-            counters[sender_key] = get(sender_key, 0) + 1
+                counters[unsized_key] = get(unsized_key, 0) + copies
+            counters[sender_key] = get(sender_key, 0) + copies
 
     # -- reads ---------------------------------------------------------------
     def counter_value(self, name: str, **labels) -> int:

@@ -64,6 +64,12 @@ class SequentialWalkNode(LpbcastNode):
                               archivable=False)
 
 
+def equal_copy(digest):
+    """``digest`` rebuilt entry by entry: equal, but no tuple of it shared."""
+    return tuple((origin, frontier, tuple(list(extras)))
+                 for origin, frontier, extras in digest)
+
+
 def twin(cls, event_ids_max, seed):
     config = LpbcastConfig(event_ids_max=event_ids_max, events_max=4)
     node = cls(0, config, random.Random(seed), initial_view=(1, 2, 3))
@@ -106,6 +112,10 @@ def test_phase3_equals_the_sequential_walk(event_ids_max, stream, seed):
         assert len(new.event_ids) <= event_ids_max
         assert tuple(new.events) == tuple(old.events)
         assert new.rng.getstate() == old.rng.getstate()
+        own = new.event_ids.snapshot()
+        for digest in (own, equal_copy(own)):
+            assert new.event_ids.missing(digest) == [] \
+                == named_as_new(new.event_ids, digest)
 
 
 class TestNoEvictionRule:
@@ -158,6 +168,52 @@ class TestNoEvictionRule:
             9, GossipMessage(9, event_ids=digest_of((self.C, self.A))), 1.0)
         assert node.delivered == []
         assert node.event_ids.snapshot() is snapshot   # the cached tuple
+
+
+class UnreadableDigest(tuple):
+    """A digest that cannot be walked: reading it entry by entry raises."""
+
+    def __iter__(self):
+        raise AssertionError("the digest was walked")
+
+
+class WalkedDigest(tuple):
+    """A digest that notes each walk over it."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+class TestEqualDigest:
+    """A digest equal to the store's cached snapshot names nothing new and is
+    settled by one compare; any other digest is walked."""
+
+    def store(self):
+        store = CompactEventIdDigest(4)
+        for event_id in ((1, 1), (1, 2), (1, 5), (2, 3), (3, 1)):
+            store.add(EventId(*event_id))
+        return store
+
+    def test_equal_to_the_cached_snapshot_is_not_walked(self):
+        store = self.store()
+        digest = UnreadableDigest(equal_copy(store.snapshot()))
+        assert store.missing(digest) == []
+
+    def test_a_snapshot_older_than_an_add_is_walked(self):
+        store = self.store()
+        stale = store.snapshot()
+        store.add(EventId(2, 1))
+        for cached in (False, True):         # the store's cache empty, rebuilt
+            if cached:
+                assert store.snapshot() != stale
+            plain = stale + ((4, 2, ()),)
+            digest = WalkedDigest(plain)
+            assert store.missing(digest) == named_as_new(store, plain) \
+                == [EventId(4, 1), EventId(4, 2)]
+            assert digest.walks == 1
 
 
 @given(delivered=st.lists(event_ids, max_size=12),
@@ -252,3 +308,26 @@ def test_one_reception_stays_within_its_call_budget(weighted):
         # The weighted view (Sec. 6.1) is the generic per-element path by
         # design; only the default configuration has a budget.
         assert len(calls) <= CALL_BUDGET, calls
+
+
+USELESS_CALL_BUDGET = 9
+"""Python-level ``call`` events inside one ``handle_message`` of a gossip
+that brings nothing: subs the view holds, no events, the receiver's own
+digest.  The walk of the digest and the empty ``truncate`` / ``absorb``
+made 11; the equal digest and the empty admit now settle it in fewer."""
+
+
+def test_a_reception_that_brings_nothing_stays_within_its_call_budget():
+    node, message = realistic_reception(weighted=False)
+    useless = GossipMessage(8, subs=tuple(node.view)[:16],
+                            event_ids=message.event_ids)
+    assert useless.event_ids is not node.event_ids.snapshot()
+    state = (node.view.snapshot(), node.subs.snapshot(),
+             node.event_ids.snapshot(), node.rng.getstate())
+    out, calls = count_python_calls(node.handle_message, 8, useless, 1.0)
+    assert out == []
+    assert node.stats.delivered == 100
+    assert (node.view.snapshot(), node.subs.snapshot(),
+            node.event_ids.snapshot(), node.rng.getstate()) == state
+    assert not {"truncate", "absorb"} & set(calls), calls
+    assert len(calls) <= USELESS_CALL_BUDGET, calls

@@ -124,6 +124,22 @@ class TestDelivery:
         runtime.run_until(5.0)
         assert fired == [2.0]
 
+    def test_empty_reply_books_no_sends(self):
+        runtime = AsyncGossipRuntime(seed=1)
+        a, b = Sender(0, 1), Sender(1, 0)
+        runtime.add_node(a)
+        runtime.add_node(b)
+        booked = []
+        record_sends = runtime.telemetry.record_sends
+        runtime.telemetry.record_sends = (
+            lambda round_no, src, outgoings:
+            booked.append(list(outgoings))
+            or record_sends(round_no, src, outgoings))
+        runtime.run_until(5.0)
+        assert a.received and b.received       # handlers ran, replied []
+        assert len(booked) == len(a.ticks) + len(b.ticks)
+        assert all(booked)                     # only the ticks' sends
+
     def test_tick_listener(self):
         runtime = AsyncGossipRuntime(seed=1)
         node = Ticker(0)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.message import GossipMessage, Outgoing, SubscriptionRequest
 from repro.telemetry import Telemetry, TraceBuffer, TraceEvent
 
 
@@ -84,6 +85,44 @@ class TestCounters:
         assert t.histogram_stats("time.tick") is None
         assert not manager.__exit__(None, None, None)
         assert t.histogram_stats("time.tick")[0] == 1
+
+
+class TestRecordSends:
+    """The fast path books each run of one message object once; its counter
+    state, key order included, equals the per-message ``record_send``."""
+
+    A = GossipMessage(1, subs=(2, 3), event_ids=((4, 7, (9,)),))
+    B = GossipMessage(1, subs=(5,))
+
+    @staticmethod
+    def per_message(batches):
+        t = Telemetry()
+        for round_no, src, batch in batches:
+            for out in batch:
+                t.record_send(round_no, src, out)
+        return list(t.snapshot()["counters"].items())
+
+    @staticmethod
+    def fast(batches):
+        t = Telemetry()
+        for round_no, src, batch in batches:
+            t.record_sends(round_no, src, batch)
+        return list(t.snapshot()["counters"].items())
+
+    @pytest.mark.parametrize("messages", [
+        [A, A, A],
+        [A, B, A],
+        [SubscriptionRequest(1), A, A],       # unsized first
+        [],
+    ], ids=["one-run", "interleaved", "unsized-first", "empty"])
+    def test_runs_equal_the_per_message_path(self, messages):
+        batch = [Outgoing(dst, message) for dst, message
+                 in enumerate(messages, start=10)]
+        # Two senders and a second round: cached keys are reused and rebuilt.
+        batches = [(3, 1, batch), (3, 2, batch[::-1]), (4, 1, batch)]
+        assert self.fast(batches) == self.per_message(batches)
+        if messages:
+            assert self.fast(batches)          # the batch booked something
 
 
 class TestTracing:

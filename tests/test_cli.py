@@ -24,6 +24,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "9z"])
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["demo", "-n", "5", "--rounds", "-1"], "--rounds"),
+        (["demo", "-n", "5", "--rounds", "0"], "--rounds"),
+        (["figure", "6a", "--seeds", "0"], "--seeds"),
+        (["figure", "5b", "--seeds", "-2"], "--seeds"),
+    ])
+    def test_non_positive_counts_are_usage_errors(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+
 
 class TestCommands:
     def test_demo_succeeds_and_prints_curve(self, capsys):
