@@ -94,6 +94,8 @@ def required_buffer_size(
     makes this closed-form: B = λ · (rounds for the target fraction)."""
     if not 0 < target_reliability <= 1:
         raise ValueError("target_reliability must be in (0, 1]")
+    if not 0 < publish_rate < math.inf:
+        raise ValueError("publish_rate must be positive")
     analysis = LatencyAnalysis(n, fanout, loss_rate, crash_rate)
     rounds = analysis.latency_quantile(target_reliability)
     if rounds is None:

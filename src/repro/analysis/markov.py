@@ -43,6 +43,9 @@ def infection_probability(
         raise ValueError("need at least two processes")
     if fanout < 1:
         raise ValueError("fanout must be at least 1")
+    if fanout > n - 1:
+        raise ValueError(f"fanout {fanout} exceeds the n - 1 = {n - 1} "
+                         "other processes")
     if not 0 <= loss_rate < 1:
         raise ValueError("loss_rate (epsilon) must be in [0, 1)")
     if not 0 <= crash_rate < 1:

@@ -46,6 +46,7 @@ def recommend_fanout(
     """
     if max_rounds <= 0:
         raise ValueError("max_rounds must be positive")
+    fanout_cap = min(fanout_cap, max(n - 1, 1))  # only n - 1 others
     for fanout in range(1, fanout_cap + 1):
         rounds = expected_rounds_to_fraction(
             n, fanout, loss_rate, crash_rate, fraction=target_fraction

@@ -32,14 +32,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .analysis import (
-    InfectionMarkovChain,
-    expected_rounds_to_fraction,
-    infection_probability,
-    partition_probability_per_round,
-    rounds_until_partition,
-)
-from .analysis.tuning import recommend_config
 from .metrics import format_series, format_table, merge_curves
 
 
@@ -122,6 +114,9 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
+    from .analysis import required_buffer_size
+    from .analysis.tuning import recommend_config
+
     report = recommend_config(
         args.n,
         max_rounds=args.max_rounds,
@@ -136,8 +131,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         ["partition horizon (rounds)", report.partition_horizon_rounds],
     ]
     if args.publish_rate is not None:
-        from .analysis import required_buffer_size
-
         rows.append([
             f"|eventIds|m for 99% at {args.publish_rate}/round",
             required_buffer_size(args.n, report.fanout, args.publish_rate,
@@ -151,6 +144,14 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from .analysis import (
+        InfectionMarkovChain,
+        expected_rounds_to_fraction,
+        infection_probability,
+        partition_probability_per_round,
+        rounds_until_partition,
+    )
+
     n, fanout = args.n, args.fanout
     p = infection_probability(n, fanout)
     rounds99 = expected_rounds_to_fraction(n, fanout)
@@ -414,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="print Eqs. 1-5 for a system size")
     analyze.add_argument("n", type=int)
     analyze.add_argument("--fanout", type=int, default=3)
-    analyze.add_argument("--view", type=int, default=15)
+    analyze.add_argument("--view", type=_positive_int, default=15)
     analyze.set_defaults(fn=_cmd_analyze)
 
     latency = sub.add_parser(
@@ -429,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="Monte-Carlo check of the Eq. 4 partition bound",
     )
     validate.add_argument("n", type=int)
-    validate.add_argument("--view", type=int, default=1)
+    validate.add_argument("--view", type=_positive_int, default=1)
     validate.add_argument("--trials", type=int, default=5000)
     validate.add_argument("--seed", type=int, default=0)
     validate.set_defaults(fn=_cmd_validate_partition)

@@ -18,11 +18,6 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Sequence, Tuple
 
-from ..analysis import (
-    InfectionMarkovChain,
-    expected_rounds_to_fraction,
-    psi_curve,
-)
 from ..core import LpbcastConfig
 from ..metrics import (
     DeliveryLog,
@@ -228,6 +223,8 @@ def pbcast_measurement_reliability(
 
 def fig2_series(rounds: int = 10) -> Dict[str, List[float]]:
     """Fig. 2: analytical infected-per-round for F = 3..6, n = 125."""
+    from ..analysis import InfectionMarkovChain
+
     return {
         f"F={F}": InfectionMarkovChain(125, F, EPSILON, TAU).expected_curve(rounds)
         for F in (3, 4, 5, 6)
@@ -236,6 +233,8 @@ def fig2_series(rounds: int = 10) -> Dict[str, List[float]]:
 
 def fig3a_series(rounds: int = 10) -> Dict[str, List[float]]:
     """Fig. 3(a): analytical infected-per-round for n = 125..1000, F = 3."""
+    from ..analysis import InfectionMarkovChain
+
     return {
         f"n={n}": InfectionMarkovChain(n, 3, EPSILON, TAU).expected_curve(rounds)
         for n in range(125, 1001, 125)
@@ -244,6 +243,8 @@ def fig3a_series(rounds: int = 10) -> Dict[str, List[float]]:
 
 def fig3b_series() -> Tuple[List[int], List[float]]:
     """Fig. 3(b): expected rounds to infect 99% vs n (logarithmic growth)."""
+    from ..analysis import expected_rounds_to_fraction
+
     sizes = list(range(100, 1001, 100))
     rounds = [expected_rounds_to_fraction(n, 3, EPSILON, TAU) for n in sizes]
     return sizes, rounds
@@ -251,6 +252,8 @@ def fig3b_series() -> Tuple[List[int], List[float]]:
 
 def fig4_series() -> Dict[str, List[Tuple[int, float]]]:
     """Fig. 4: partition probability Ψ(i, n, 3) for n = 50, 75, 125."""
+    from ..analysis import psi_curve
+
     sizes = list(range(4, 26))
     return {
         f"n={n}": psi_curve(n, 3, sizes=[i for i in sizes if i <= n // 2])
@@ -260,6 +263,8 @@ def fig4_series() -> Dict[str, List[Tuple[int, float]]]:
 
 def fig5a_series(seeds: Sequence[int] = range(5), rounds: int = 10):
     """Fig. 5(a): analysis vs simulation for n = 125, 250, 500."""
+    from ..analysis import InfectionMarkovChain
+
     series: Dict[str, List[float]] = {}
     for n in (125, 250, 500):
         chain = InfectionMarkovChain(n, 3, EPSILON, TAU)

@@ -11,9 +11,8 @@ gather beats per-index shifts several times over).
 Columns are arrays of ``uint64``; node ``i`` lives at bit ``i & 63`` of word
 ``i >> 6``.  The layout is the *little-endian* ``packbits`` layout, forced
 explicitly (``"<u8"`` views) so pack and unpack agree on any host byte
-order.  Population counts use ``numpy.bitwise_count`` when the installed
-numpy has it (>= 2.0) and an 8-bit lookup table over a byte view otherwise
-(numpy is a hard dependency but its version is not pinned).
+order.  Population counts use ``numpy.bitwise_count`` (numpy >= 2.0).
+numpy is imported on first use (:class:`NumpyOnFirstUse`), not at import.
 
 Property-tested against naive boolean arrays in
 ``tests/sim/test_bitset.py``.
@@ -21,7 +20,22 @@ Property-tested against naive boolean arrays in
 
 from __future__ import annotations
 
-import numpy as _np
+
+class NumpyOnFirstUse:
+    """Stands in for numpy in a module's ``_np`` global until the first
+    attribute read, which imports numpy and rebinds ``_np`` in
+    ``namespace``; every later ``_np.x`` there is a plain module lookup."""
+
+    def __init__(self, namespace: dict) -> None:
+        self._namespace = namespace
+
+    def __getattr__(self, name: str):
+        import numpy
+        self._namespace["_np"] = numpy
+        return getattr(numpy, name)
+
+
+_np = NumpyOnFirstUse(globals())
 
 #: Nodes per packed word.
 WORD_BITS = 64
@@ -30,14 +44,6 @@ WORD_BITS = 64
 def words_for(n: int) -> int:
     """Words needed to hold ``n`` bits."""
     return (n + WORD_BITS - 1) >> 6
-
-
-#: Per-byte population counts — the fallback when the installed numpy
-#: predates ``bitwise_count``.
-POPCOUNT8 = _np.array([bin(value).count("1") for value in range(256)],
-                      dtype=_np.uint8)
-
-_HAVE_BITWISE_COUNT = hasattr(_np, "bitwise_count")
 
 
 def zero_words(n: int):
@@ -65,17 +71,12 @@ def unpack_bools(words, n: int):
 
 def popcount_words(words) -> int:
     """Total set bits across ``words`` (any shape)."""
-    if _HAVE_BITWISE_COUNT:
-        return int(_np.bitwise_count(words).sum(dtype=_np.int64))
-    return int(POPCOUNT8[words.view(_np.uint8)].sum(dtype=_np.int64))
+    return int(_np.bitwise_count(words).sum(dtype=_np.int64))
 
 
 def popcount_rows(matrix):
     """Per-row set bits of a ``(rows, words)`` matrix → ``int64[rows]``."""
-    if _HAVE_BITWISE_COUNT:
-        return _np.bitwise_count(matrix).sum(axis=1, dtype=_np.int64)
-    per_byte = POPCOUNT8[matrix.view(_np.uint8)]
-    return per_byte.reshape(matrix.shape[0], -1).sum(axis=1, dtype=_np.int64)
+    return _np.bitwise_count(matrix).sum(axis=1, dtype=_np.int64)
 
 
 def bit_indices(words, n: int):

@@ -8,7 +8,8 @@ counters — and executes each gossip round as a handful of batched
 vectorized passes (partner selection, loss admission, digest diff /
 delivery, buffer truncation) instead of ``n`` per-node ticks.  The passes
 are numpy array operations; numpy is a hard dependency of the package and
-there is no other implementation of the round.
+there is no other implementation of the round.  It is imported on the first
+``_np`` read (:class:`~repro.sim.bitset.NumpyOnFirstUse`), not at import.
 
 The round kernel: O(F) selection, no temporaries
 ------------------------------------------------
@@ -99,8 +100,6 @@ from __future__ import annotations
 import hashlib
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence
 
-import numpy as _np
-
 from ..core.config import LpbcastConfig
 from ..core.events import Notification, make_notification
 from ..core.ids import ProcessId
@@ -108,6 +107,8 @@ from ..telemetry import Telemetry
 from . import bitset
 from .network import NetworkModel
 from .rng import SeedSequence, derive_seed
+
+_np = bitset.NumpyOnFirstUse(globals())
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,11 @@ class TestPredictedReliability:
 
 
 class TestRequiredBufferSize:
+    @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rate_must_be_positive_and_finite(self, rate):
+        with pytest.raises(ValueError, match="publish_rate must be positive"):
+            required_buffer_size(100, 3, rate)
+
     def test_sizing_consistent_with_prediction(self):
         size = required_buffer_size(125, 3, publish_rate=10.0,
                                     target_reliability=0.95)

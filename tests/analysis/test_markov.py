@@ -38,6 +38,13 @@ class TestEquation1:
         with pytest.raises(ValueError):
             infection_probability(10, 3, crash_rate=-0.1)
 
+    @pytest.mark.parametrize("n, fanout", [(2, 2), (10, 10), (10, 11)])
+    def test_fanout_beyond_the_other_processes(self, n, fanout):
+        # A process has only n - 1 others to gossip to; p would exceed 1.
+        with pytest.raises(ValueError, match="fanout"):
+            infection_probability(n, fanout)
+        assert infection_probability(n, n - 1, 0.0, 0.0) == 1.0
+
 
 class TestMarkovChain:
     def test_initial_distribution(self):

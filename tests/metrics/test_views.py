@@ -183,15 +183,43 @@ class TestNetworkxTwin:
             assert dissemination_reachable(nodes, origin) == expected
 
 
+def heavy_modules_after(code):
+    """Which of networkx, numpy's core and scipy a fresh interpreter has
+    loaded after running ``code``.  A ``numpy`` entry alone does not count:
+    only ``numpy._core`` means numpy's import ran."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    probe = code + ("\nimport sys\nprint([m for m in ('networkx', "
+                    "'numpy._core', 'scipy') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    return out.stdout.strip().splitlines()[-1]
+
+
 class TestNoGraphLibrary:
     def test_engines_import_without_networkx(self):
-        src = os.path.dirname(os.path.dirname(repro.__file__))
-        probe = ("import sys, repro, repro.sim, repro.metrics, "
-                 "repro.runtime.udp; print('networkx' in sys.modules)")
-        out = subprocess.run([sys.executable, "-c", probe], check=True,
-                             capture_output=True, text=True,
-                             env=dict(os.environ, PYTHONPATH=src))
-        assert out.stdout.strip() == "False"
+        # Nor numpy nor scipy: a columnar build, a bitset call or an
+        # analysis command loads them, importing the engines does not.
+        loaded = heavy_modules_after(
+            "import repro, repro.sim, repro.sim.columnar_runner, "
+            "repro.metrics, repro.runtime.udp, repro.dst, repro.cli\n"
+            "from repro.core import LpbcastConfig\n"
+            "nodes = repro.sim.build_lpbcast_nodes("
+            "20, LpbcastConfig(fanout=3, view_max=8), seed=1)\n"
+            "sim = repro.sim.create_simulation(seed=1)\n"
+            "sim.add_nodes(nodes)\n"
+            "event = nodes[0].lpb_cast('x', 0.0).event_id\n"
+            "sim.run(1)\n"
+            "assert sum(node.has_delivered(event) for node in nodes) > 1")
+        assert loaded == "[]"
+
+    def test_columnar_build_loads_numpy(self):
+        loaded = heavy_modules_after(
+            "from repro.core import LpbcastConfig\n"
+            "from repro.sim import ColumnarRoundSimulation\n"
+            "ColumnarRoundSimulation.build("
+            "1000, LpbcastConfig(fanout=3, view_max=8), seed=1)")
+        assert loaded == "['numpy._core']"
 
     def test_union_find_on_a_mapping(self):
         views = {0: [1], 1: [], 2: [9], 3: [2]}

@@ -29,6 +29,10 @@ class TestParser:
         (["demo", "-n", "5", "--rounds", "0"], "--rounds"),
         (["figure", "6a", "--seeds", "0"], "--seeds"),
         (["figure", "5b", "--seeds", "-2"], "--seeds"),
+        (["analyze", "100", "--view", "0"], "--view"),
+        (["analyze", "100", "--view", "-3"], "--view"),
+        (["validate-partition", "100", "--view", "0"], "--view"),
+        (["validate-partition", "100", "--view", "-1"], "--view"),
     ])
     def test_non_positive_counts_are_usage_errors(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as excinfo:
@@ -53,6 +57,23 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "p (Eq. 1)" in out
         assert "0.0228" in out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "10", "--fanout", "10"], "fanout 10 exceeds"),
+        (["tune", "100", "--publish-rate", "-1"], "publish_rate must be"),
+        (["tune", "100", "--publish-rate", "nan"], "publish_rate must be"),
+    ])
+    def test_out_of_domain_analysis_inputs_exit_2(self, capsys, argv,
+                                                  message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_tune_smallest_systems_recommend_fanout_one(self, capsys, n):
+        assert main(["tune", str(n)]) == 0
+        assert "F=1," in capsys.readouterr().out
 
     def test_tune(self, capsys):
         assert main(["tune", "250"]) == 0
