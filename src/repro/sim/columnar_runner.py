@@ -22,15 +22,16 @@ over the ``l`` slots — the distribution of ``gossip_targets``'
 ``rng.sample``.  Selection, admission and event spread form one kernel,
 :func:`slab_round`, that reads columns and writes three output buffers;
 the single-core round runs it on ``[0, n)``, each shared-memory worker on
-its slab, and one ``_merge_round`` applies the result.  It walks its
-senders in blocks of ``BLOCK``: slot arithmetic runs with ``out=`` in a few
-cache-resident scratch rows, and one flat ``take`` of the view matrix puts a
-block's targets where its draws were.  That ``[take, m]`` buffer and the
-senders live in the simulation's :class:`SlabScratch` and the admission mask
-exists only when something can fail, so a steady-state round allocates only
-``bincount``'s results.  **The draw order is the contract** — the picks, then
-loss, then each active drop window, one ``random((take, m))`` each — so the
-block size changes no output bit (``test_columnar_state_golden.py``).
+its slab, and one ``_merge_round`` applies the result.  A block of
+``BLOCK`` senders is a few ``[take, w]`` passes in cache-resident scratch
+(scale, cast, step past a sorted copy of the earlier picks) and one
+``take`` of the view matrix, which puts its targets where its draws were;
+an event few carry costs work in proportion to its hits, not to n.  The
+``[take, m]`` buffer lives in the simulation's :class:`SlabScratch`, so a
+steady-state round allocates only ``bincount``'s results.  **The draw order
+is the contract** — the picks, then loss, then each active drop window, one
+``random((take, m))`` each — so the block size changes no output bit
+(``test_columnar_state_golden.py``).
 
 Bit-packed state (n = 1,000,000)
 --------------------------------
@@ -211,28 +212,41 @@ def slab_senders(alive, view_len, paused, fanout: int, lo: int, hi: int,
 
 
 def _sample_blocks(draws, lens, scratch: SlabScratch):
-    """:func:`sample_view_slots` by ``BLOCK``s of senders: yields pick ``i``'s
-    slots for senders ``[lo, hi)`` in scratch that the next step overwrites."""
+    """:func:`sample_view_slots` by ``BLOCK``s of senders, scaling ``draws``
+    in place: yields ``(lo, hi, picks)``, ``picks[i]`` pick ``i``'s slots
+    for senders ``[lo, hi)``, in scratch that the next block overwrites."""
     take, m = draws.shape
-    rows = scratch.array("rows", (take + 1, BLOCK), _np.intp)
-    scaled = scratch.array("scaled", (BLOCK,), _np.float64)
+    shift = _np.arange(take, dtype=_np.float64)[:, None]
+    spans = (_np.maximum(lens[:1] - shift, 1)  # max(|view| - i, 1), [take, 1]
+             if lens.size and lens.min() == lens.max() else None)
+    width = 0
     for lo in range(0, m, BLOCK):
         hi = min(lo + BLOCK, m)
-        picks, spare = rows[:take, :hi - lo], rows[take, :hi - lo]
-        for i in range(take):
+        if hi - lo != width:  # the first block, and a short last one
+            width = hi - lo
+            rows = scratch.array("rows", (2 * take + 1, width), _np.intp)
+            picks, ranked, spare = rows[:take], rows[take:], rows[-1]
+            span = spans if spans is not None else scratch.array(
+                "spans", (take, width), _np.float64)
+        if spans is None:
+            _np.maximum(_np.subtract(lens[lo:hi], shift, out=span), 1,
+                        out=span)
+        # Scale, cast (truncating), then step pick i past the earlier picks
+        # in ascending order: a sorted copy keeps ``picks`` in draw order.
+        picks[...] = _np.multiply(draws[:, lo:hi], span, out=draws[:, lo:hi])
+        ranked[0] = picks[0]
+        for i in range(1, take):
             pick = picks[i]
-            _np.subtract(lens[lo:hi], i, out=spare)
-            _np.maximum(spare, 1, out=spare)
-            pick[:] = _np.multiply(draws[i, lo:hi], spare,
-                                   out=scaled[:hi - lo])  # truncating cast
-            for prev in picks[:i]:  # this sender's earlier picks, ascending
+            for prev in ranked[:i]:
                 _np.greater_equal(pick, prev, out=spare)
-                _np.add(pick, spare, out=pick)
-            yield i, lo, hi, pick
-            for prev in picks[:i] if i + 1 < take else ():
-                _np.minimum(prev, pick, out=spare)
-                _np.maximum(prev, pick, out=pick)
-                prev[:] = spare
+                pick += spare
+            if i + 1 < take:  # insert: ranked[j] = max(r[j-1], min(r[j], p))
+                _np.maximum(ranked[i - 1], pick, out=ranked[i])
+                for j in range(i - 1, 0, -1):
+                    _np.minimum(ranked[j], pick, out=ranked[j])
+                    _np.maximum(ranked[j - 1], ranked[j], out=ranked[j])
+                _np.minimum(ranked[0], pick, out=ranked[0])
+        yield lo, hi, picks
 
 
 def sample_view_slots(rng, lens, take: int):
@@ -247,8 +261,8 @@ def sample_view_slots(rng, lens, take: int):
     ``<= i`` (in bounds for any view matrix at least ``take`` wide)."""
     draws = rng.random((take, lens.size))
     slots = _np.empty(draws.shape, dtype=_np.int64)
-    for i, lo, hi, pick in _sample_blocks(draws, lens, SlabScratch()):
-        slots[i, lo:hi] = pick
+    for lo, hi, picks in _sample_blocks(draws, lens, SlabScratch()):
+        slots[:, lo:hi] = picks
     return slots
 
 
@@ -272,12 +286,12 @@ def slab_round(rng, senders, view_mat, alive, loss: float, drops, partitions,
     draws = rng.random(out=scratch.array("draws", (take, m), _np.float64))
     targets = draws.view(_np.int64)  # a block's targets replace its draws
     peers = view_mat.reshape(-1)
-    index = scratch.array("index", (BLOCK,), _np.intp)
-    near = scratch.array("near", (BLOCK,), view_mat.dtype)
-    for i, lo, hi, pick in _sample_blocks(draws, lens, scratch):
-        flat = _np.multiply(s_idx[lo:hi], cap, out=index[:hi - lo])
-        flat += pick
-        targets[i, lo:hi] = peers.take(flat, out=near[:hi - lo], mode="clip")
+    base = scratch.array("base", (min(BLOCK, m),), _np.intp)
+    near = scratch.array("near", (take, min(BLOCK, m)), view_mat.dtype)
+    for lo, hi, picks in _sample_blocks(draws, lens, scratch):
+        picks += _np.multiply(s_idx[lo:hi], cap, out=base[:hi - lo])
+        gathered = peers.take(picks, mode="clip", out=near[:, :hi - lo])
+        targets[:, lo:hi] = gathered
 
     # Admission: i.i.d. network loss, drop-rate windows, partitions, crashed
     # receivers — and no mask at all in a round where nothing can fail.
@@ -309,7 +323,8 @@ def slab_round(rng, senders, view_mat, alive, loss: float, drops, partitions,
     # Event spread: a gossip from a carrier of event e reaches the receiver
     # with e (digest or events buffer: the caller's ``spread``).  A row nobody
     # carries is skipped and one everybody carries reuses ``counts``; else the
-    # smaller side, carriers or the rest, is gathered and counted.
+    # smaller side, carriers or the rest, is gathered; few carriers' hits
+    # under n / 16 are booked one by one (n-wide passes cost ~n / 8 of them).
     for event in range(events):
         carried = bitset.popcount_words(spread[event])
         if not carried:
@@ -317,15 +332,24 @@ def slab_round(rng, senders, view_mat, alive, loss: float, drops, partitions,
         hits = counts
         if carried < n:
             flags = bitset.unpack_bools(spread[event], n)
-            carriers = flags[s_idx]
+            carriers = flags if m == n else flags[s_idx]  # m == n: identity
             few = _np.count_nonzero(carriers) * 2 <= m
             cols = _np.flatnonzero(carriers if few else ~carriers)
             if cols.size:
                 hit = scratch.array("hit", (take, cols.size), _np.int64)
                 targets.take(cols, axis=1, mode="clip", out=hit)
-                if survive is not None:
-                    hit = hit[survive.take(cols, axis=1)]
-                hits = _np.bincount(hit.reshape(-1), minlength=n)
+                hit = (hit.reshape(-1) if survive is None
+                       else hit[survive.take(cols, axis=1)])
+                if few and hit.size * 16 <= n:
+                    had = (flags if spread is delivered
+                           else bitset.unpack_bools(delivered[event], n))
+                    known = had[hit]
+                    _np.add.at(dups_out, hit[known], 1)
+                    new = hit[~known]
+                    bits = _np.uint64(1) << (new & 63).view(_np.uint64)
+                    _np.bitwise_or.at(fresh_out[event], new >> 6, bits)
+                    continue
+                hits = _np.bincount(hit, minlength=n)
                 if not few:
                     _np.subtract(counts, hits, out=hits)
             elif few:  # no sender carries it
@@ -336,8 +360,9 @@ def slab_round(rng, senders, view_mat, alive, loss: float, drops, partitions,
             continue
         had = (flags if spread is delivered
                else bitset.unpack_bools(delivered[event], n))
-        _np.add(dups_out, hits, out=dups_out, where=had)
         fresh_out[event] |= bitset.pack_bools((hits > 0) & ~had)
+        dups_out += _np.multiply(hits, had,
+                                 out=None if hits is counts else hits)
     return int(arrivals.size)
 
 
@@ -539,14 +564,21 @@ class ColumnarRoundSimulation:
         rng = _np.random.default_rng(derive_seed(self.seed, "columnar-views"))
         # Draw k peers per row from the other n-1 processes: sample in
         # [0, n-2], shift indices >= own row by one to skip self, then
-        # redraw rows containing duplicates until none remain (expected
-        # duplicate rate ~ k^2/2n per row, so this converges fast).
+        # redraw rows holding duplicates; if a row has none with chance
+        # prod(1 - i/(n-1)), i < k, under 1 %, take its k least of n-1 keys.
         # int32 throughout and sorted in place — a view is a set, slot
         # order carries no meaning — so the only full-size allocation
         # is the matrix _start() keeps: at n=1M materialising per-row
         # lists, or int64 scratch copies, would cost more than every
         # packed column combined.
-        mat = rng.integers(0, n - 1, size=(n, k), dtype=_np.int32)
+        if _np.prod(1 - _np.arange(k) / (n - 1)) < 0.01:
+            mat = _np.empty((n, k), dtype=_np.int32)
+            step = max(1, (1 << 20) // (n - 1))  # rows of keys per chunk
+            for lo in range(0, n, step):
+                keys = rng.random((min(step, n - lo), n - 1))
+                mat[lo:lo + step] = _np.argpartition(keys, k - 1)[:, :k]
+        else:
+            mat = rng.integers(0, n - 1, size=(n, k), dtype=_np.int32)
         mat += mat >= _np.arange(n, dtype=_np.int32)[:, None]
         mat.sort(axis=1)
         bad = _np.flatnonzero((mat[:, 1:] == mat[:, :-1]).any(axis=1))

@@ -8,6 +8,7 @@ sets really do differ, so nobody quietly starts trusting an unhonoured
 series for cross-engine comparison.
 """
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -271,6 +272,39 @@ class TestEngineBasics:
             sim.delivery_ratio(-1)
         assert sim.delivery_ratio(events - 1) == 1 / 40
         assert sim.delivery_ratio(events) == sim.delivery_ratio(99) == 0.0
+
+
+class TestBuildViews:
+    #: SHA-256 of the int32 view matrices of build(200, seed 1),
+    #: build(5 000, seed 2) and build(100 000, seed 3) at l = 25, taken
+    #: before the exact per-row draw was added for small systems.
+    VIEWS_SHA256 = ("dbf726117f37d9b33213696936e6d241"
+                    "20d9a445e42b9d79000e3cab87b9bf96")
+
+    def test_views_pinned_where_the_redraw_converges(self):
+        digest = hashlib.sha256()
+        for n, seed in ((200, 1), (5_000, 2), (100_000, 3)):
+            sim = ColumnarRoundSimulation.build(
+                n, LpbcastConfig(fanout=3, view_max=25), seed=seed)
+            sim._ensure_started()
+            digest.update(np.ascontiguousarray(sim._view_mat,
+                                               dtype=np.int32).tobytes())
+        assert digest.hexdigest() == self.VIEWS_SHA256
+
+    @pytest.mark.parametrize("n, view_max", [(16, 15), (17, 15), (26, 25),
+                                             (36, 25), (1000, 500), (5, 25)])
+    def test_views_near_n_are_distinct_sorted_and_exclude_the_owner(
+            self, n, view_max):
+        # A duplicate-free row of l draws from n-1 is rare here: the
+        # redraw-until-distinct loop never returned for most of these.
+        sim = ColumnarRoundSimulation.build(
+            n, LpbcastConfig(fanout=3, view_max=view_max), seed=5)
+        size = min(view_max, n - 1)
+        for owner in range(n):
+            view = sim.nodes[owner].view
+            assert len(view) == size
+            assert view == sorted(set(view))
+            assert owner not in view and 0 <= min(view) and max(view) < n
 
 
 class TestPidLookup:

@@ -9,6 +9,7 @@ arrays.  What the changed draws do to the infection curve is held in
 """
 
 import copy
+import hashlib
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from repro.core import LpbcastConfig
 from repro.sim import ColumnarRoundSimulation, NetworkModel, bitset
 from repro.sim import columnar_runner
 from repro.sim.columnar_runner import (
+    BLOCK,
     sample_view_slots,
     slab_round,
     slab_senders,
@@ -94,6 +96,88 @@ class TestSampler:
         low, _, _ = slab_senders(alive, view_len, [1, 7], 3, 0, 5)
         high, _, _ = slab_senders(alive, view_len, [1, 7], 3, 5, 10)
         assert low.tolist() + high.tolist() == s_idx.tolist()
+
+
+class TestPinnedBits:
+    """The sampler and the spread, bit for bit, outside the engine goldens."""
+
+    #: SHA-256 of sample_view_slots(default_rng(take), lens, take), take
+    #: 1..5, over m = BLOCK - 1, BLOCK, BLOCK + 1, 3 BLOCK + 7 senders with
+    #: ragged |view| in 0..25, uniform 25 and uniform 3 (< take), taken
+    #: before the sampler worked on whole [take, BLOCK] blocks.
+    SAMPLER_SHA256 = ("360191e62daf080d4a598da6fbfbffb2"
+                      "bf7c5233bf324d3a38d941ed0fca64db")
+
+    def test_sampler_bits_pinned(self):
+        digest = hashlib.sha256()
+        for m in (BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7):
+            ragged = np.random.default_rng(m).integers(0, 26, size=m)
+            for lens in (ragged, np.full(m, 25), np.full(m, 3)):
+                for take in range(1, 6):
+                    slots = sample_view_slots(np.random.default_rng(take),
+                                              lens, take)
+                    digest.update(slots.astype("<i8").tobytes())
+        assert digest.hexdigest() == self.SAMPLER_SHA256
+
+    @staticmethod
+    def dense_spread(rng, senders, view_mat, alive, loss, spread, delivered):
+        """The spread written densely from the kernel's own draws: the
+        targets of the sampled slots, the loss draw, the dead receivers."""
+        s_idx, lens, k = senders
+        n, take, events = alive.size, int(k.max()), len(spread)
+        targets = view_mat[s_idx, sample_view_slots(rng, lens, take)]
+        survive = np.arange(take)[:, None] < k
+        if loss > 0.0:
+            survive &= rng.random(targets.shape) >= loss
+        survive &= alive[targets]
+        dups = np.zeros(n, dtype=np.int64)
+        fresh = np.zeros((events, bitset.words_for(n)), dtype=np.uint64)
+        for event in range(events):
+            carriers = bitset.unpack_bools(spread[event], n)[s_idx]
+            hits = np.bincount(targets[survive & carriers], minlength=n)
+            had = bitset.unpack_bools(delivered[event], n)
+            dups += np.where(had, hits, 0)
+            fresh[event] = bitset.pack_bools((hits > 0) & ~had)
+        return dups, fresh
+
+    @pytest.mark.parametrize("digest", [True, False],
+                             ids=["digest", "events-buffer"])
+    @pytest.mark.parametrize("faulty", [False, True],
+                             ids=["no-mask", "loss-and-dead"])
+    def test_spread_equals_a_dense_reference(self, digest, faulty):
+        n = 5_000  # two blocks
+        sim = ColumnarRoundSimulation.build(
+            n, LpbcastConfig(fanout=3, view_max=8), seed=12)
+        sim._ensure_started()
+        alive = np.ones(n, dtype=bool)
+        if faulty:
+            alive[int(sim._view_mat[0, 0])] = False  # a known receiver
+        senders = slab_senders(alive, sim._view_len, [], 3, 0, n)
+        s_idx, m = senders[0], senders[0].size
+        # Carriers: 1, 40 (sparse hits), just under and just over m / 2,
+        # every sender.
+        picker = np.random.default_rng(7)
+        spread = np.zeros((5, bitset.words_for(n)), dtype=np.uint64)
+        for event, count in enumerate((1, 40, m // 2 - 1, m // 2 + 1, m)):
+            flags = np.zeros(n, dtype=bool)
+            flags[picker.choice(s_idx, count, replace=False)] = True
+            spread[event] = bitset.pack_bools(flags)
+        delivered = spread
+        if not digest:  # the events buffer is a subset of the delivered
+            delivered = spread | bitset.pack_bools(picker.random(n) < 0.3)
+        loss = 0.2 if faulty else 0.0
+        dups = np.zeros(n, dtype=np.int64)
+        fresh = np.zeros_like(spread)
+        slab_round(np.random.default_rng(3), senders, sim._view_mat, alive,
+                   loss, [], [], spread, delivered, len(spread),
+                   np.zeros(n, dtype=np.int64), dups, fresh)
+        want_dups, want_fresh = self.dense_spread(
+            np.random.default_rng(3), senders, sim._view_mat, alive, loss,
+            spread, delivered)
+        assert np.array_equal(dups, want_dups)
+        assert np.array_equal(fresh, want_fresh)
+        assert dups.sum() > 0 and bitset.popcount_words(fresh) > 0
+        assert m == n - faulty
 
 
 class TestOneKernel:
