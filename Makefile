@@ -1,6 +1,8 @@
 # Convenience targets for the lpbcast reproduction.
 
 PYTHON ?= python
+# The package runs from the checkout: no install needed for any target.
+export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: install test test-slow coverage fuzz bench bench-figures ledger-smoke pairs examples loc check clean
 
@@ -20,10 +22,11 @@ coverage:
 	    && $(PYTHON) -m pytest tests/ --cov=repro --cov-report=term-missing \
 	    || echo "pytest-cov not installed; run: pip install -e .[test,cov]"
 
-# The self-test (7/7 planted bugs) plus the object-engine campaigns CI's
-# fuzz-smoke job runs (plain — long-stream family included —, Byzantine,
-# causal), each once as drawn and once cycling the five scenario presets:
-# serial == sharded on 25 scenarios each.
+# The self-test (7/7 planted bugs) plus the campaigns CI's fuzz-smoke job
+# runs: the object-engine ones (plain — long-stream family included —,
+# Byzantine, causal), each once as drawn and once cycling the five scenario
+# presets, serial == sharded on 25 scenarios each; and the columnar one on
+# two workers (honoured fingerprints equal to serial's).
 PRESETS = --preset steady_state --preset flash_crowd --preset mass_departure \
 	--preset correlated_crashes --preset flaky_wan
 fuzz:
@@ -34,6 +37,7 @@ fuzz:
 	$(PYTHON) -m repro fuzz --count 25 --seed 2026 $(PRESETS) --quiet
 	$(PYTHON) -m repro fuzz --causal --count 25 --seed 2026 $(PRESETS) --quiet
 	$(PYTHON) -m repro fuzz --byzantine --count 25 --seed 2026 $(PRESETS) --quiet
+	$(PYTHON) -m repro fuzz --columnar --workers 2 --count 25 --seed 2026 --quiet
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -166,12 +166,13 @@ BLOCK = 4096
 
 class SlabScratch:
     """A slab kernel's state between rounds: ``[take, m]`` draws and targets,
-    a block of scratch rows, the last senders.  Dropped with its owner."""
+    a block of scratch rows, n-wide spread rows, the last round's inputs.
+    Dropped with its owner."""
 
     def __init__(self) -> None:
         self._held: Dict[str, object] = {}
-        self.seen = None  # (alive, paused, view_len) the senders came from
-        self.senders = self.sent_words = None  # the triple; as a packed mask
+        self.seen = None  # (alive words, paused, view_len) of the inputs
+        self.inputs = None  # slab_inputs' (alive, senders, sends, unsent)
 
     def array(self, role: str, shape, dtype):
         """``role``'s C-contiguous array, reallocated only when outgrown."""
@@ -182,33 +183,41 @@ class SlabScratch:
         return held[:size].reshape(shape)
 
     def nbytes(self) -> int:
-        return sum(array.nbytes for array in
-                   (*self._held.values(), *(self.senders or ())))
+        alive, senders, _, unsent = self.inputs or (None, (), 0, None)
+        arrays = (*self._held.values(), *senders, alive, unsent)
+        return sum(array.nbytes for array in arrays if array is not None)
 
 
-def slab_senders(alive, view_len, paused, fanout: int, lo: int, hi: int,
-                 scratch: Optional[SlabScratch] = None):
+def slab_senders(alive, view_len, paused, fanout: int, lo: int, hi: int):
     """Senders of slab ``[lo, hi)`` — alive, not paused, non-empty view —
     as ``(indices, |view|, min(F, |view|))``.  Depends only on the schedule,
     so the coordinator's honoured ``sim.sends`` total is the third column
-    summed over ``[0, n)`` whatever the worker count.  With a ``scratch``
-    it is recomputed only when the alive flags, the paused set or
-    ``view_len`` differ from the last round's (an n-byte compare)."""
-    seen = scratch.seen if scratch is not None else None
-    if (seen is not None and seen[1] == paused and seen[2] is view_len
-            and _np.array_equal(seen[0], alive)):
-        return scratch.senders
+    summed over ``[0, n)`` whatever the worker count."""
     mask = alive[lo:hi] & (view_len[lo:hi] > 0)
     for index in paused:
         if lo <= index < hi:
             mask[index - lo] = False
     s_idx = _np.flatnonzero(mask) + lo
     lens = view_len[s_idx]
-    senders = s_idx, lens, _np.minimum(fanout, lens)
-    if scratch is not None:
-        scratch.seen, scratch.senders = (alive, paused, view_len), senders
-        scratch.sent_words = bitset.mask_from_indices(s_idx, alive.size)
-    return senders
+    return s_idx, lens, _np.minimum(fanout, lens)
+
+
+def slab_inputs(alive_words, n: int, view_len, paused, fanout: int, lo: int,
+                hi: int, scratch: SlabScratch):
+    """A round's unpacked alive flags, :func:`slab_senders`' triple, its
+    ``sends`` total (the third column summed) and the words of the
+    processes that did not send — recomputed only when the packed alive
+    words (an n/64-word compare), the paused set or ``view_len`` differ
+    from the last round's."""
+    seen = scratch.seen
+    if (seen is None or seen[1] != paused or seen[2] is not view_len
+            or not _np.array_equal(seen[0], alive_words)):
+        alive = bitset.unpack_bools(alive_words, n)
+        senders = slab_senders(alive, view_len, paused, fanout, lo, hi)
+        scratch.seen = alive_words.copy(), paused, view_len
+        scratch.inputs = (alive, senders, int(senders[2].sum()),
+                          ~bitset.mask_from_indices(senders[0], n))
+    return scratch.inputs
 
 
 def _sample_blocks(draws, lens, scratch: SlabScratch):
@@ -322,47 +331,66 @@ def slab_round(rng, senders, view_mat, alive, loss: float, drops, partitions,
 
     # Event spread: a gossip from a carrier of event e reaches the receiver
     # with e (digest or events buffer: the caller's ``spread``).  A row nobody
-    # carries is skipped and one everybody carries reuses ``counts``; else the
-    # smaller side, carriers or the rest, is gathered; few carriers' hits
-    # under n / 16 are booked one by one (n-wide passes cost ~n / 8 of them).
-    for event in range(events):
-        carried = bitset.popcount_words(spread[event])
-        if not carried:
+    # carries is skipped, and the rows every process holds (the events buffer
+    # is a subset of the delivered) add ``counts`` to the duplicates in one
+    # pass after the loop; else the smaller side, carriers or the rest, is
+    # gathered.  Hits under n / 16 are booked one by one (n-wide passes cost
+    # ~n / 8 of them): a few carriers' as they land; a few non-carriers' as
+    # if every process held e, less their hits and the share of those
+    # without e (under n / 16 too).  The dense tail writes into ``scratch``.
+    held = 0
+    for event, carried in enumerate(
+            bitset.popcount_rows(spread[:events]).tolist()):
+        if not carried or carried == n:
+            held += carried == n
             continue
-        hits = counts
-        if carried < n:
-            flags = bitset.unpack_bools(spread[event], n)
-            carriers = flags if m == n else flags[s_idx]  # m == n: identity
-            few = _np.count_nonzero(carriers) * 2 <= m
-            cols = _np.flatnonzero(carriers if few else ~carriers)
-            if cols.size:
-                hit = scratch.array("hit", (take, cols.size), _np.int64)
-                targets.take(cols, axis=1, mode="clip", out=hit)
-                hit = (hit.reshape(-1) if survive is None
-                       else hit[survive.take(cols, axis=1)])
-                if few and hit.size * 16 <= n:
-                    had = (flags if spread is delivered
-                           else bitset.unpack_bools(delivered[event], n))
-                    known = had[hit]
-                    _np.add.at(dups_out, hit[known], 1)
-                    new = hit[~known]
-                    bits = _np.uint64(1) << (new & 63).view(_np.uint64)
-                    _np.bitwise_or.at(fresh_out[event], new >> 6, bits)
-                    continue
-                hits = _np.bincount(hit, minlength=n)
-                if not few:
-                    _np.subtract(counts, hits, out=hits)
-            elif few:  # no sender carries it
-                continue
-        if (carried if spread is delivered
-                else bitset.popcount_words(delivered[event])) == n:
-            dups_out += hits
-            continue
+        flags = bitset.unpack_bools(spread[event], n)
         had = (flags if spread is delivered
                else bitset.unpack_bools(delivered[event], n))
-        fresh_out[event] |= bitset.pack_bools((hits > 0) & ~had)
-        dups_out += _np.multiply(hits, had,
-                                 out=None if hits is counts else hits)
+        carriers = flags if m == n else flags[s_idx]  # m == n: identity
+        few = _np.count_nonzero(carriers) * 2 <= m
+        cols = _np.flatnonzero(carriers if few else ~carriers)
+        hits = counts
+        if cols.size:
+            hit = scratch.array("hit", (take, cols.size), _np.int64)
+            targets.take(cols, axis=1, mode="clip", out=hit)
+            hit = (hit.reshape(-1) if survive is None
+                   else hit[survive.take(cols, axis=1)])
+            if hit.size * 16 <= n and (few or (
+                    outside := _np.flatnonzero(~had)).size * 16 <= n):
+                known = had[hit]
+                if few:
+                    _np.add.at(dups_out, hit[known], 1)
+                    new = hit[~known]
+                else:
+                    held += 1
+                    _np.subtract.at(dups_out, hit[known], 1)
+                    reached = counts[outside]
+                    dups_out[outside] -= reached
+                    reached -= _np.bincount(_np.searchsorted(
+                        outside, hit[~known]), minlength=outside.size)
+                    new = outside[reached > 0]
+                bits = _np.uint64(1) << (new & 63).view(_np.uint64)
+                _np.bitwise_or.at(fresh_out[event], new >> 6, bits)
+                continue
+            hits = _np.bincount(hit, minlength=n)
+            if not few:
+                _np.subtract(counts, hits, out=hits)
+        elif few:  # no sender carries it
+            continue
+        if (spread is not delivered
+                and bitset.popcount_words(delivered[event]) == n):
+            dups_out += hits
+            continue
+        reached = _np.greater(hits, 0,
+                              out=scratch.array("reached", (n,), bool))
+        fresh_out[event] |= bitset.pack_bools(
+            _np.greater(reached, had, out=reached))  # reached and not had
+        dups_out += _np.multiply(hits, had, out=hits if hits is not counts
+                                 else scratch.array("hit", (n,), _np.int64))
+    if held:
+        dups_out += counts if held == 1 else _np.multiply(counts, held,
+                                                          out=counts)
     return int(arrivals.size)
 
 
@@ -883,14 +911,15 @@ class ColumnarRoundSimulation:
         ``workers``; the slab kernel runs in-process on ``[0, n)`` or in
         the worker pool; :meth:`_merge_round` applies what it found."""
         cfg = self.config
-        alive = bitset.unpack_bools(self._alive, self._n)
         paused = self._indices_of(self._fault_paused)
-        senders = slab_senders(alive, self._view_len, paused, cfg.fanout,
-                               0, self._n, self._scratch)
+        alive, senders, sends, _ = slab_inputs(
+            self._alive, self._n, self._view_len, paused, cfg.fanout, 0,
+            self._n, self._scratch)
         s_idx = senders[0]
         if s_idx.size == 0:
             return 0
-        self._stats["gossips_sent"][s_idx] += 1
+        everyone = s_idx.size == self._n  # a pass over the column, no scatter
+        self._stats["gossips_sent"][slice(None) if everyone else s_idx] += 1
         events = len(self._notifications)
         drops, partitions = self._fault_windows()
         # With digest_implies_delivery (the plain-family default) a gossip
@@ -911,50 +940,59 @@ class ColumnarRoundSimulation:
                 fresh, self._scratch)
         self.messages_delivered += admitted
         if events:
-            self._merge_round(spread, fresh, events, now)
-        return int(senders[2].sum()) * (1 + cfg.membership_boost)
+            self._merge_round(fresh, events, now)
+        return sends * (1 + cfg.membership_boost)
 
-    def _merge_round(self, spread, fresh, events: int, now: float) -> None:
+    def _merge_round(self, fresh, events: int, now: float) -> None:
         """Apply one round's slab results: "events <- empty" for carriers
         that gossiped (Fig. 1(b): buffered payloads are forwarded once),
         then the new infections in ``fresh`` (``uint64[events, words]``),
         delivery listeners in ascending node order, and truncation.  The
         senders' bits are cleared *before* the merge so a process infected
         this round keeps its fresh events-buffer entry for the next one
-        even though it, too, gossiped this round."""
-        for event in range(events):
-            if not (spread[event] & self._scratch.sent_words).any():
-                continue
-            self._active[event] &= ~self._scratch.sent_words
+        even though it, too, gossiped this round.  An event with no fresh
+        and no buffered bit — a finished one — is not visited."""
+        unsent = self._scratch.inputs[3]
+        live = _np.flatnonzero(fresh.any(axis=1)
+                               | self._active[:events].any(axis=1)).tolist()
+        gained = None  # a node's new deliveries, at most one an event
+        for event in live:
+            self._active[event] &= unsent
             new = fresh[event] & ~self._delivered[event] & self._alive
             if not new.any():
                 continue
             self._delivered[event] |= new
             self._active[event] |= new
-            new_idx = bitset.bit_indices(new, self._n)
-            self._stats["delivered"][new_idx] += 1
+            got = bitset.unpack_bools(new, self._n)
+            gained = (got.astype(_np.uint8 if len(live) < 256 else _np.int64)
+                      if gained is None else _np.add(gained, got, out=gained))
             if self._has_listeners and self._listeners:
                 note = self._notifications[event]
-                for index in new_idx:
+                for index in _np.flatnonzero(got):
                     self._notify_delivery(int(index), note, now)
-        self._truncate_events(events)
+        if gained is not None:
+            self._stats["delivered"] += gained
+        self._truncate_events(live)
 
-    def _truncate_events(self, events: int) -> None:
+    def _truncate_events(self, rows) -> None:
         """Bound per-node events-buffer occupancy by ``events_max``,
         dropping oldest entries first (serial drops uniformly at random —
         a declared divergence that keeps the pass branch-free).
 
-        With ``events <= events_max`` no node can be over budget — the
-        mega-scale steady state — so the pass exits before touching any
-        column.  The overflow path needs per-node counts *across* event
-        rows, which word-packed columns cannot give without a transpose, so
-        it unpacks the active window to booleans, reuses the dense
-        algorithm, and repacks."""
+        Of the event ``rows`` (ascending) only those with a buffered bit
+        count: an empty row changes no node's count or rank.  With at most
+        ``events_max`` of them no node can be over budget — the mega-scale
+        steady state, however many events have finished — so the pass
+        exits before unpacking any row.  The overflow path needs per-node
+        counts *across* event rows, which word-packed columns cannot give
+        without a transpose, so it unpacks those rows to booleans, reuses
+        the dense algorithm, and repacks."""
         events_max = self.config.events_max
-        if events <= events_max:
+        rows = [event for event in rows if self._active[event].any()]
+        if len(rows) <= events_max:
             return
         active = _np.vstack([bitset.unpack_bools(self._active[e], self._n)
-                             for e in range(events)])
+                             for e in rows])
         counts = active.sum(axis=0)
         over = counts > events_max
         if not over.any():
@@ -964,8 +1002,8 @@ class ColumnarRoundSimulation:
         dropped_per_node = drop.sum(axis=0, dtype=_np.int64)
         self._stats["events_dropped"] += dropped_per_node
         active &= ~drop
-        for event in range(events):
-            self._active[event] = bitset.pack_bools(active[event])
+        for row, event in enumerate(rows):
+            self._active[event] = bitset.pack_bools(active[row])
 
     # -- telemetry ---------------------------------------------------------
     def _sync_engine_counters(self) -> None:

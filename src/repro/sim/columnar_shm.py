@@ -51,8 +51,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from . import bitset
-from .columnar_runner import SlabScratch, slab_round, slab_senders
+from .columnar_runner import SlabScratch, slab_inputs, slab_round
 from .rng import derive_seed
 
 #: Roles whose segments are replaced when event capacity grows.
@@ -104,10 +103,9 @@ def _worker_round(views: Dict[str, np.ndarray], cmd: Dict, static: Dict,
     worker's stream and persistent ``scratch``.  Writes land only in this
     worker's scratch rows; returns the admitted arrivals."""
     scratch = scratch or SlabScratch()
-    alive = bitset.unpack_bools(views["alive"], static["n"])
-    senders = slab_senders(alive, views["viewlen"], cmd["paused"],
-                           static["fanout"], static["lo"], static["hi"],
-                           scratch)
+    alive, senders, _, _ = slab_inputs(
+        views["alive"], static["n"], views["viewlen"], cmd["paused"],
+        static["fanout"], static["lo"], static["hi"], scratch)
     if senders[0].size == 0:
         return 0
     wid = static["worker"]

@@ -149,35 +149,114 @@ class TestPinnedBits:
         sim = ColumnarRoundSimulation.build(
             n, LpbcastConfig(fanout=3, view_max=8), seed=12)
         sim._ensure_started()
+        # An island: 30 processes that know only each other and whom nobody
+        # else knows, so a row everybody else holds reaches none of them.
+        view_mat = sim._view_mat.copy()
+        island = np.arange(1_000, 1_030)
+        view_mat[np.isin(view_mat, island)] += 30
+        view_mat[island] = island[(np.arange(30)[:, None] + np.arange(1, 9))
+                                  % 30]
         alive = np.ones(n, dtype=bool)
         if faulty:
-            alive[int(sim._view_mat[0, 0])] = False  # a known receiver
+            alive[int(view_mat[0, 0])] = False  # a known receiver
         senders = slab_senders(alive, sim._view_len, [], 3, 0, n)
         s_idx, m = senders[0], senders[0].size
-        # Carriers: 1, 40 (sparse hits), just under and just over m / 2,
-        # every sender.
+        # Carriers among the senders: 1, 40 (sparse hits), just under and
+        # just over m / 2, every sender; among all processes: all but 40,
+        # all but one, three rows every process holds (one shared
+        # duplicates pass), and all but the island.
         picker = np.random.default_rng(7)
-        spread = np.zeros((5, bitset.words_for(n)), dtype=np.uint64)
-        for event, count in enumerate((1, 40, m // 2 - 1, m // 2 + 1, m)):
+        carried = (1, 40, m // 2 - 1, m // 2 + 1, m, n - 40, n - 1, n, n, n)
+        spread = np.zeros((len(carried) + 1, bitset.words_for(n)),
+                          dtype=np.uint64)
+        for event, count in enumerate(carried):
             flags = np.zeros(n, dtype=bool)
-            flags[picker.choice(s_idx, count, replace=False)] = True
+            pool = s_idx if event < 5 else np.arange(n)
+            flags[picker.choice(pool, count, replace=False)] = True
             spread[event] = bitset.pack_bools(flags)
+        spread[-1] = ~bitset.mask_from_indices(island, n)
+        spread[-1, -1] &= np.uint64((1 << (n & 63)) - 1)  # no pad bits
         delivered = spread
         if not digest:  # the events buffer is a subset of the delivered
             delivered = spread | bitset.pack_bools(picker.random(n) < 0.3)
         loss = 0.2 if faulty else 0.0
         dups = np.zeros(n, dtype=np.int64)
         fresh = np.zeros_like(spread)
-        slab_round(np.random.default_rng(3), senders, sim._view_mat, alive,
+        slab_round(np.random.default_rng(3), senders, view_mat, alive,
                    loss, [], [], spread, delivered, len(spread),
                    np.zeros(n, dtype=np.int64), dups, fresh)
         want_dups, want_fresh = self.dense_spread(
-            np.random.default_rng(3), senders, sim._view_mat, alive, loss,
+            np.random.default_rng(3), senders, view_mat, alive, loss,
             spread, delivered)
         assert np.array_equal(dups, want_dups)
         assert np.array_equal(fresh, want_fresh)
+        assert not fresh[-1].any()  # the island heard only itself
         assert dups.sum() > 0 and bitset.popcount_words(fresh) > 0
         assert m == n - faulty
+
+
+def dense_truncate(active, events_max):
+    """The events-buffer bound over every row, empty ones included:
+    per node, the oldest entries past ``events_max`` are dropped."""
+    newest_rank = np.cumsum(active[::-1], axis=0)[::-1]
+    over = active.sum(axis=0) > events_max
+    drop = active & (newest_rank > events_max) & over[None, :]
+    return active & ~drop, drop.sum(axis=0)
+
+
+class TestTruncation:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_skipping_empty_rows_equals_the_dense_pass(self, seed):
+        n, events, events_max = 300, 12, 3
+        sim = ColumnarRoundSimulation.build(
+            n, LpbcastConfig(fanout=3, view_max=8, events_max=events_max),
+            seed=seed)
+        for event in range(events):
+            sim.nodes[event].lpb_cast(None, 0.0)
+        rng = np.random.default_rng(seed)
+        active = rng.random((events, n)) < rng.random((events, 1))
+        active[rng.choice(events, 4, replace=False)] = False  # empty rows
+        for event in range(events):
+            sim._active[event] = bitset.pack_bools(active[event])
+        want_active, want_dropped = dense_truncate(active, events_max)
+        sim._truncate_events(list(range(events)))
+        got = np.vstack([bitset.unpack_bools(sim._active[event], n)
+                         for event in range(events)])
+        assert np.array_equal(got, want_active)
+        assert np.array_equal(sim._stats["events_dropped"], want_dropped)
+        assert want_dropped.sum() > 0
+        assert (got.sum(axis=0) <= events_max).all()
+
+
+class TestFinishedEventsAreFree:
+    """A round's n-wide work does not grow with events nobody spreads."""
+
+    @pytest.mark.parametrize("digest", [True, False],
+                             ids=["digest", "events-buffer"])
+    def test_n_wide_calls_per_round_do_not_grow(self, monkeypatch, digest):
+        calls = []
+        for events in (1, 40):
+            sim = ColumnarRoundSimulation.build(
+                2_000, LpbcastConfig(fanout=3, view_max=8,
+                                     digest_implies_delivery=digest), seed=5)
+            for event in range(events):
+                sim.nodes[event * 50].lpb_cast(None, 0.0)
+            sim.run(30)
+            if digest:  # every process holds every event
+                assert bitset.popcount_rows(sim._delivered[:events]).min() \
+                    == 2_000
+            assert not sim._active[:events].any()  # nothing buffered
+            counts = {}
+            with monkeypatch.context() as patch:
+                for name in ("unpack_bools", "pack_bools", "popcount_words"):
+                    def counted(*args, _name=name,
+                                _real=getattr(bitset, name)):
+                        counts[_name] = counts.get(_name, 0) + 1
+                        return _real(*args)
+                    patch.setattr(bitset, name, counted)
+                sim.run(3)
+            calls.append(counts)
+        assert calls[0] == calls[1]
 
 
 class TestOneKernel:
