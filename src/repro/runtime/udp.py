@@ -8,6 +8,11 @@ verdicts, crashes, recoveries and pauses are the runtime's own.  Its
 :mod:`selectors` loop advances the agenda and feeds each datagram to the
 runtime's deliver path.  A node method that raises crashes its process
 (``udp.node_errors``, traced ``node.error``).
+
+``time.codec{op=decode}`` is observed once per datagram a host reads, but
+the frame's bytes are decoded once per deployment: the hosts that receive
+one frame share its decoded (frozen) messages, as the in-process runtime
+hands every target one message object.
 """
 
 from __future__ import annotations
@@ -32,6 +37,9 @@ _MAX_DATAGRAM = 65_000
 #: ``recv``, and a longer one is counted as truncated, never parsed.
 _RECV_BUFSIZE = _MAX_DATAGRAM + 1
 _MAX_WAIT = 0.05            # the longest select: how soon stop() is seen
+#: Decoded frames a deployment keeps, cleared when full: a gossip's F
+#: targets and a tick that resends its last frame find theirs here.
+_DECODED_MAX = 64
 
 #: Per-pid ``udp.*`` counter -> its ``datagram_counters()`` key.
 _DATAGRAM_COUNTERS = {
@@ -118,14 +126,22 @@ class UdpProcessHost:
             return
         if len(data) > _MAX_DATAGRAM:
             return self._count("udp.datagrams_truncated")
+        decoded = deployment._decoded
         started = perf_counter()
-        try:
-            sender, messages = decode_frame(data)
-        except ValueError:      # CodecError is one; the loop must survive
-            messages = None
+        frame = decoded.get(data)
+        if frame is None:
+            try:
+                frame = decode_frame(data)
+            except ValueError:  # CodecError is one; the loop must survive
+                pass
+            else:
+                if len(decoded) >= _DECODED_MAX:
+                    decoded.clear()
+                decoded[data] = frame
         self._decode_time.observe(perf_counter() - started)
-        if messages is None:
+        if frame is None:
             return self._count("udp.decode_errors")
+        sender, messages = frame
         keys = self._keys
         self.telemetry.add(keys["udp.datagrams_received"], 1,
                            keys["udp.bytes_received"], len(data))
@@ -195,6 +211,7 @@ class LocalDeployment(AsyncGossipRuntime):
         self._loop_thread: Optional[threading.Thread] = None
         self._stopping = False
         self._frames: Dict[tuple, List[object]] = {}
+        self._decoded: Dict[bytes, tuple] = {}    # bytes -> (sender, messages)
         self.hosts: List[UdpProcessHost] = []
         self._by_pid: Dict[ProcessId, UdpProcessHost] = {}
         if fault_plan is not None:
@@ -277,6 +294,9 @@ class LocalDeployment(AsyncGossipRuntime):
         self.crash(pid)
 
     def start(self) -> None:
+        """Start the loop thread: once, and never after :meth:`stop`."""
+        if self._loop_thread is not None or self._stopping:
+            raise RuntimeError("a LocalDeployment starts once, before stop()")
         self._loop_thread = threading.Thread(
             target=self._loop, name="udp-deployment", daemon=True)
         self._loop_thread.start()

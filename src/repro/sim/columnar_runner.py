@@ -275,20 +275,22 @@ def sample_view_slots(rng, lens, take: int):
     return slots
 
 
-def slab_round(rng, senders, view_mat, alive, loss: float, drops, partitions,
-               spread, delivered, events: int, arrivals_out, dups_out,
-               fresh_out, scratch: Optional[SlabScratch] = None) -> int:
+def slab_round(rng, senders, view_mat, alive, alive_words, loss: float,
+               drops, partitions, spread, delivered, events: int,
+               arrivals_out, dups_out, fresh_out,
+               scratch: Optional[SlabScratch] = None) -> int:
     """One slab's share of a gossip round (Fig. 1(b), vectorised).
 
     ``senders`` is :func:`slab_senders`' triple and must be non-empty;
-    ``alive`` the unpacked alive flags; ``drops`` / ``partitions`` the
-    round's active windows in index form (``_fault_windows``); ``spread``
-    the event rows whose set bits make a sender a carrier.  Per-node
-    admitted arrivals and duplicate receptions are added to
-    ``arrivals_out`` / ``dups_out``; targets hit by a carrier of event
-    ``e`` that had not delivered it are OR-ed into ``fresh_out[e]``.  Reads
-    no engine state, writes nothing else but ``scratch`` (fresh if omitted),
-    returns the admitted arrivals.  Draws: picks, loss, each drop window."""
+    ``alive`` the unpacked alive flags, ``alive_words`` the same packed;
+    ``drops`` / ``partitions`` the round's active windows in index form
+    (``_fault_windows``); ``spread`` the event rows whose set bits make a
+    sender a carrier.  Per-node admitted arrivals and duplicate receptions
+    are added to ``arrivals_out`` / ``dups_out``; targets hit by a carrier
+    of event ``e`` that had not delivered it are OR-ed into
+    ``fresh_out[e]``.  Reads no engine state, writes nothing else but
+    ``scratch`` (fresh if omitted), returns the admitted arrivals.  Draws:
+    picks, loss, each drop window."""
     s_idx, lens, k = senders
     scratch = scratch or SlabScratch()
     n, m, cap, take = alive.size, s_idx.size, view_mat.shape[1], int(k.max())
@@ -330,19 +332,22 @@ def slab_round(rng, senders, view_mat, alive, loss: float, drops, partitions,
     arrivals_out += counts
 
     # Event spread: a gossip from a carrier of event e reaches the receiver
-    # with e (digest or events buffer: the caller's ``spread``).  A row nobody
-    # carries is skipped, and the rows every process holds (the events buffer
-    # is a subset of the delivered) add ``counts`` to the duplicates in one
+    # with e (digest or events buffer: the caller's ``spread``).  A row no
+    # alive process carries is skipped, and the rows every alive process
+    # holds (the events buffer is a subset of the delivered; senders are
+    # alive; dead receivers count 0) add ``counts`` to the duplicates in one
     # pass after the loop; else the smaller side, carriers or the rest, is
     # gathered.  Hits under n / 16 are booked one by one (n-wide passes cost
     # ~n / 8 of them): a few carriers' as they land; a few non-carriers' as
     # if every process held e, less their hits and the share of those
     # without e (under n / 16 too).  The dense tail writes into ``scratch``.
-    held = 0
-    for event, carried in enumerate(
-            bitset.popcount_rows(spread[:events]).tolist()):
-        if not carried or carried == n:
-            held += carried == n
+    held, live, rows = 0, int(_np.count_nonzero(alive)), spread[:events]
+    if live < n:
+        rows = _np.bitwise_and(rows, alive_words, out=scratch.array(
+            "rows_alive", rows.shape, rows.dtype))
+    for event, carried in enumerate(bitset.popcount_rows(rows).tolist()):
+        if not carried or carried == live:
+            held += carried == live
             continue
         flags = bitset.unpack_bools(spread[event], n)
         had = (flags if spread is delivered
@@ -934,10 +939,10 @@ class ColumnarRoundSimulation:
         else:
             fresh = _np.zeros((events, self._words), dtype=_np.uint64)
             admitted = slab_round(
-                self._rng, senders, self._view_mat, alive, self.loss_rate,
-                drops, partitions, spread, self._delivered, events,
-                self._stats["gossips_received"], self._stats["duplicates"],
-                fresh, self._scratch)
+                self._rng, senders, self._view_mat, alive, self._alive,
+                self.loss_rate, drops, partitions, spread, self._delivered,
+                events, self._stats["gossips_received"],
+                self._stats["duplicates"], fresh, self._scratch)
         self.messages_delivered += admitted
         if events:
             self._merge_round(fresh, events, now)

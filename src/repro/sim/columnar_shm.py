@@ -112,8 +112,8 @@ def _worker_round(views: Dict[str, np.ndarray], cmd: Dict, static: Dict,
     events = cmd["events"]
     delivered = views["delivered"]
     return slab_round(
-        rng, senders, views["viewmat"], alive, static["loss"],
-        cmd["drops"], cmd["partitions"],
+        rng, senders, views["viewmat"], alive, views["alive"],
+        static["loss"], cmd["drops"], cmd["partitions"],
         delivered if static["digest"] else views["active"], delivered,
         events, views["arrivals"][wid], views["dups"][wid],
         views["newmask"][wid] if events else None, scratch)

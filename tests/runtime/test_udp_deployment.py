@@ -492,3 +492,41 @@ class TestValidation:
             host.with_node(lambda node: [Outgoing(9999, object())])
             cluster.run_for(0.1)
         # Nothing raised; cluster shut down cleanly.
+
+
+class TestStartsOnce:
+    """One loop thread selects on a deployment's sockets, for its one run."""
+
+    def test_a_second_start_raises_and_adds_no_thread(self):
+        before = set(threading.enumerate())
+        cluster, nodes, log = build_cluster(n=4, seed=17)
+        try:
+            cluster.start()
+            with pytest.raises(RuntimeError):
+                cluster.start()
+            assert set(threading.enumerate()) - before == {
+                cluster._loop_thread}
+        finally:
+            cluster.stop()
+
+    def test_a_start_after_stop_raises(self):
+        for started in (False, True):
+            cluster, nodes, log = build_cluster(n=4, seed=18)
+            if started:
+                cluster.start()
+            cluster.stop()
+            with pytest.raises(RuntimeError):
+                cluster.start()
+
+    def test_with_starts_the_loop_once_and_stops_it(self):
+        cluster, nodes, log = build_cluster(n=4, seed=19)
+        with cluster:
+            assert cluster._loop_thread.is_alive()
+            with pytest.raises(RuntimeError):
+                cluster.start()
+            event = cluster.host(nodes[0].pid).publish("started once")
+            assert cluster.wait_until(
+                lambda: log.delivery_count(event.event_id) == 4, timeout=8.0)
+        assert not cluster._loop_thread.is_alive()
+        with pytest.raises(RuntimeError):
+            cluster.__enter__()

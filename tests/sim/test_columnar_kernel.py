@@ -164,16 +164,18 @@ class TestPinnedBits:
         # Carriers among the senders: 1, 40 (sparse hits), just under and
         # just over m / 2, every sender; among all processes: all but 40,
         # all but one, three rows every process holds (one shared
-        # duplicates pass), and all but the island.
+        # duplicates pass), every alive process (a dead one does not hold
+        # it) and all but the island.
         picker = np.random.default_rng(7)
         carried = (1, 40, m // 2 - 1, m // 2 + 1, m, n - 40, n - 1, n, n, n)
-        spread = np.zeros((len(carried) + 1, bitset.words_for(n)),
+        spread = np.zeros((len(carried) + 2, bitset.words_for(n)),
                           dtype=np.uint64)
         for event, count in enumerate(carried):
             flags = np.zeros(n, dtype=bool)
             pool = s_idx if event < 5 else np.arange(n)
             flags[picker.choice(pool, count, replace=False)] = True
             spread[event] = bitset.pack_bools(flags)
+        spread[-2] = bitset.pack_bools(alive)
         spread[-1] = ~bitset.mask_from_indices(island, n)
         spread[-1, -1] &= np.uint64((1 << (n & 63)) - 1)  # no pad bits
         delivered = spread
@@ -183,7 +185,8 @@ class TestPinnedBits:
         dups = np.zeros(n, dtype=np.int64)
         fresh = np.zeros_like(spread)
         slab_round(np.random.default_rng(3), senders, view_mat, alive,
-                   loss, [], [], spread, delivered, len(spread),
+                   bitset.pack_bools(alive), loss, [], [], spread, delivered,
+                   len(spread),
                    np.zeros(n, dtype=np.int64), dups, fresh)
         want_dups, want_fresh = self.dense_spread(
             np.random.default_rng(3), senders, view_mat, alive, loss,
@@ -231,31 +234,59 @@ class TestTruncation:
 class TestFinishedEventsAreFree:
     """A round's n-wide work does not grow with events nobody spreads."""
 
+    @staticmethod
+    def finished(digest, events, crashed=()):
+        """n = 2 000 after ``events`` publishes have run their course."""
+        sim = ColumnarRoundSimulation.build(
+            2_000, LpbcastConfig(fanout=3, view_max=8,
+                                 digest_implies_delivery=digest), seed=5)
+        for pid in crashed:
+            sim.crash(pid)
+        for event in range(events):
+            sim.nodes[event * 50].lpb_cast(None, 0.0)
+        sim.run(30)
+        assert not sim._active[:events].any()  # nothing buffered
+        return sim
+
+    @staticmethod
+    def n_wide_calls(monkeypatch, sim, rounds=3):
+        """The bitset calls of ``rounds`` rounds of ``sim``, by name."""
+        counts = {}
+        with monkeypatch.context() as patch:
+            for name in ("unpack_bools", "pack_bools", "popcount_words"):
+                def counted(*args, _name=name, _real=getattr(bitset, name)):
+                    counts[_name] = counts.get(_name, 0) + 1
+                    return _real(*args)
+                patch.setattr(bitset, name, counted)
+            sim.run(rounds)
+        return counts
+
     @pytest.mark.parametrize("digest", [True, False],
                              ids=["digest", "events-buffer"])
     def test_n_wide_calls_per_round_do_not_grow(self, monkeypatch, digest):
         calls = []
         for events in (1, 40):
-            sim = ColumnarRoundSimulation.build(
-                2_000, LpbcastConfig(fanout=3, view_max=8,
-                                     digest_implies_delivery=digest), seed=5)
-            for event in range(events):
-                sim.nodes[event * 50].lpb_cast(None, 0.0)
-            sim.run(30)
+            sim = self.finished(digest, events)
             if digest:  # every process holds every event
                 assert bitset.popcount_rows(sim._delivered[:events]).min() \
                     == 2_000
-            assert not sim._active[:events].any()  # nothing buffered
-            counts = {}
-            with monkeypatch.context() as patch:
-                for name in ("unpack_bools", "pack_bools", "popcount_words"):
-                    def counted(*args, _name=name,
-                                _real=getattr(bitset, name)):
-                        counts[_name] = counts.get(_name, 0) + 1
-                        return _real(*args)
-                    patch.setattr(bitset, name, counted)
-                sim.run(3)
-            calls.append(counts)
+            calls.append(self.n_wide_calls(monkeypatch, sim))
+        assert calls[0] == calls[1]
+
+    @pytest.mark.parametrize("digest", [True, False],
+                             ids=["digest", "events-buffer"])
+    def test_a_crashed_non_holder_brings_no_n_wide_call_back(
+            self, monkeypatch, digest):
+        # Crashed before the publishes, pid 1 never holds an event: a row
+        # every alive process holds is still a finished one.
+        calls = []
+        for events in (1, 40):
+            sim = self.finished(digest, events, crashed=(1,))
+            if digest:
+                assert (bitset.popcount_rows(sim._delivered[:events])
+                        == 1_999).all()
+            assert not (sim._delivered[:events, 0] & np.uint64(2)).any()
+            calls.append(self.n_wide_calls(monkeypatch, sim))
         assert calls[0] == calls[1]
 
 
@@ -310,7 +341,7 @@ class TestOneKernel:
         fresh = np.zeros((1, sim._words), dtype=np.uint64)
         senders = slab_senders(alive, sim._view_len, [], 3, 50, 150)
         admitted = slab_round(np.random.default_rng(0), senders,
-                              sim._view_mat, alive, 0.0, [], [],
+                              sim._view_mat, alive, sim._alive, 0.0, [], [],
                               sim._delivered, sim._delivered, 1,
                               arrivals, dups, fresh)
         assert admitted == arrivals.sum() == 3 * 100
@@ -345,9 +376,9 @@ class TestBlocks:
         drops = [(0.5, 17, None), (0.4, None, 40)]
         partitions = [(list(range(0, 200)), list(range(300, 600)), "b-to-a")]
         rng = np.random.default_rng(4)
-        admitted = slab_round(rng, senders, sim._view_mat, alive, 0.1, drops,
-                              partitions, sim._active, sim._delivered, 2,
-                              *outs)
+        admitted = slab_round(rng, senders, sim._view_mat, alive, sim._alive,
+                              0.1, drops, partitions, sim._active,
+                              sim._delivered, 2, *outs)
         return (admitted, rng.random(), *outs)
 
     def test_outputs_identical_for_any_block_size(self, monkeypatch):
@@ -384,8 +415,8 @@ class TestBlocks:
                     np.zeros(400, dtype=np.int64),
                     np.zeros((1, sim._words), dtype=np.uint64))
             slab_round(np.random.default_rng(1), senders, sim._view_mat,
-                       flags, 0.0, [], [], sim._delivered, sim._delivered,
-                       1, *outs)
+                       flags, bitset.pack_bools(flags), 0.0, [], [],
+                       sim._delivered, sim._delivered, 1, *outs)
             results.append(outs)
         for fast, masked in zip(*results):
             assert np.array_equal(fast, masked)
