@@ -306,9 +306,9 @@ def slab_round(rng, senders, view_mat, alive, alive_words, loss: float,
 
     # Admission: i.i.d. network loss, drop-rate windows, partitions, crashed
     # receivers — and no mask at all in a round where nothing can fail.
-    survive = None
+    live, survive = int(_np.count_nonzero(alive)), None
     if (loss > 0.0 or drops or partitions or int(k.min()) < take
-            or not alive.all()):
+            or live < n):
         survive = _np.arange(take)[:, None] < k
         if loss > 0.0:
             survive &= rng.random(targets.shape) >= loss
@@ -341,7 +341,7 @@ def slab_round(rng, senders, view_mat, alive, alive_words, loss: float,
     # ~n / 8 of them): a few carriers' as they land; a few non-carriers' as
     # if every process held e, less their hits and the share of those
     # without e (under n / 16 too).  The dense tail writes into ``scratch``.
-    held, live, rows = 0, int(_np.count_nonzero(alive)), spread[:events]
+    held, rows = 0, spread[:events]
     if live < n:
         rows = _np.bitwise_and(rows, alive_words, out=scratch.array(
             "rows_alive", rows.shape, rows.dtype))
@@ -383,8 +383,9 @@ def slab_round(rng, senders, view_mat, alive, alive_words, loss: float,
                 _np.subtract(counts, hits, out=hits)
         elif few:  # no sender carries it
             continue
-        if (spread is not delivered
-                and bitset.popcount_words(delivered[event]) == n):
+        if spread is not delivered and bitset.popcount_words(
+                delivered[event] if live == n
+                else delivered[event] & alive_words) == live:
             dups_out += hits
             continue
         reached = _np.greater(hits, 0,

@@ -181,6 +181,7 @@ class TestPinnedBits:
         delivered = spread
         if not digest:  # the events buffer is a subset of the delivered
             delivered = spread | bitset.pack_bools(picker.random(n) < 0.3)
+            delivered[3] = bitset.pack_bools(alive)  # by every alive one
         loss = 0.2 if faulty else 0.0
         dups = np.zeros(n, dtype=np.int64)
         fresh = np.zeros_like(spread)
@@ -196,6 +197,40 @@ class TestPinnedBits:
         assert not fresh[-1].any()  # the island heard only itself
         assert dups.sum() > 0 and bitset.popcount_words(fresh) > 0
         assert m == n - faulty
+
+    def test_a_row_every_alive_process_delivered_packs_no_fresh_bits(
+            self, monkeypatch):
+        # Events buffer: half the senders still buffer the event, and every
+        # alive process has delivered it, the dead one aside.  Its hits are
+        # all duplicates, so the round packs no fresh row for it.
+        n = 5_000
+        sim = ColumnarRoundSimulation.build(
+            n, LpbcastConfig(fanout=3, view_max=8), seed=12)
+        sim._ensure_started()
+        alive = np.ones(n, dtype=bool)
+        alive[int(sim._view_mat[0, 0])] = False
+        senders = slab_senders(alive, sim._view_len, [], 3, 0, n)
+        flags = np.zeros(n, dtype=bool)
+        flags[senders[0][::2]] = True
+        spread = bitset.pack_bools(flags)[None, :]
+        delivered = bitset.pack_bools(alive)[None, :]
+        alive_words = bitset.pack_bools(alive)
+        dups = np.zeros(n, dtype=np.int64)
+        fresh = np.zeros_like(spread)
+        packs = []
+        with monkeypatch.context() as patch:
+            real = bitset.pack_bools
+            patch.setattr(bitset, "pack_bools",
+                          lambda *args: packs.append(1) or real(*args))
+            slab_round(np.random.default_rng(3), senders, sim._view_mat,
+                       alive, alive_words, 0.0, [], [], spread, delivered, 1,
+                       np.zeros(n, dtype=np.int64), dups, fresh)
+        assert packs == []
+        want_dups, want_fresh = self.dense_spread(
+            np.random.default_rng(3), senders, sim._view_mat, alive, 0.0,
+            spread, delivered)
+        assert np.array_equal(dups, want_dups) and dups.sum() > 0
+        assert np.array_equal(fresh, want_fresh) and not fresh.any()
 
 
 def dense_truncate(active, events_max):
