@@ -52,13 +52,16 @@ ledger-smoke:
 # Alternating parent/change runs of one ledger workload (or a comma list:
 # one table each, METRIC claimed on the first), with the verdict a claimed
 # gain must meet and, where run.py prints them, whether the counter
-# fingerprints agree.  Prints only; never records.
+# fingerprints agree.  SEEDS may name several sets, each judged on its
+# own (SEEDS="1-10 11-20": a claim is MET only if it is met on both).
+# Prints only; never records.
 #   make pairs PARENT=/root/scratch/parent WORKLOAD=udp_stream \
 #       METRIC=cpu_us_per_delivery [SEEDS=1-10]
 SEEDS ?= 1-10
 pairs:
 	$(PYTHON) benchmarks/ledger_pairs.py --parent $(PARENT) --change . \
-	    --workload $(WORKLOAD) --seeds $(SEEDS) $(if $(METRIC),--metric $(METRIC))
+	    --workload $(WORKLOAD) $(foreach set,$(SEEDS),--seeds $(set)) \
+	    $(if $(METRIC),--metric $(METRIC))
 
 bench-figures:
 	$(PYTHON) -m pytest benchmarks/bench_fig2_fanout.py \

@@ -3,8 +3,10 @@
     python benchmarks/ledger_pairs.py --parent /root/scratch/parent --change . \\
         --workload udp_stream --seeds 1-10 --metric cpu_us_per_delivery
 
-For every workload of ``--workload`` (one name or a comma list) and every
-seed it runs the benchmark command of ``BENCHMARK.json``
+For every workload of ``--workload`` (one name or a comma list), every set
+of ``--seeds`` (given once or more: ``--seeds 1-10 --seeds 11-20`` judges a
+held-out set beside the first) and every seed it runs the benchmark command
+of ``BENCHMARK.json``
 
     python benchmarks/ledger/run.py --workload W --seed S --seconds 10 --trace 0
 
@@ -19,8 +21,11 @@ for every other metric whether the change's median is worse than the
 parent's by more than the bound ``BENCHMARK.json`` fixes.  Where ``run.py``
 prints a ``counter fingerprint:`` line (the deterministic workloads) it also
 says on how many seeds the two sides' fingerprints were equal — information
-for a change that means to be bit-identical, not part of the verdict.  The
-exit status is 1 if any workload's verdict is unacceptable.
+for a change that means to be bit-identical, not part of the verdict.  Each
+seed set gets its own table and verdicts; with more than one set, the claim
+gets one line per set and an overall verdict, MET only if every set meets
+the rule.  The exit status is 1 if any workload's verdict on any set is
+unacceptable.
 
 It imports nothing from ``benchmarks/ledger/``, never passes ``--record``
 and writes no file: redirect its output to keep it.
@@ -49,6 +54,11 @@ def parse_seeds(text: str) -> List[int]:
     if not seeds:
         raise ValueError(f"no seeds in {text!r}")
     return seeds
+
+
+def seed_set(text: str) -> Tuple[str, List[int]]:
+    """One ``--seeds`` value: its text, for the report, and its seeds."""
+    return text, parse_seeds(text)
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -110,8 +120,10 @@ def summarise(name: str, better: str, bound: float, parent: Sequence[float],
 
 def compare(workload: str, claimed: Optional[str], seeds: Sequence[int],
             seconds: float, metrics: Dict[str, dict],
-            sides: Dict[str, Path]) -> bool:
-    """Run and print one workload's pairs; whether its verdict is acceptable."""
+            sides: Dict[str, Path]) -> Tuple[bool, Optional[tuple]]:
+    """Run and print one workload's pairs; whether its verdict is
+    acceptable, and the claimed metric's ``(summary line, met)`` (None
+    when nothing is claimed)."""
     values: Dict[str, Dict[str, List[float]]] = {
         side: {name: [] for name in metrics} for side in sides}
     attempted = dict.fromkeys(sides, 0)
@@ -146,12 +158,14 @@ def compare(workload: str, claimed: Optional[str], seeds: Sequence[int],
                 else f"parent {prints[0]} change {prints[1]}"), flush=True)
 
     print()
-    acceptable = True
+    acceptable, claim = True, None
     for name, entry in metrics.items():
         line, met = summarise(name, entry["better"], entry["bound"],
                               values["parent"][name], values["change"][name],
                               claimed=name == claimed)
         acceptable = acceptable and met
+        if name == claimed:
+            claim = line, met
         print(line)
     for side in sides:
         print(f"{side}: failed {failed[side]} of {attempted[side]} operations; "
@@ -162,7 +176,7 @@ def compare(workload: str, claimed: Optional[str], seeds: Sequence[int],
     if share["change"] > share["parent"] or incorrect["change"]:
         acceptable = False
         print("the change fails a larger share of operations, or a check")
-    return acceptable
+    return acceptable, claim
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -174,8 +188,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--workload", required=True,
                         type=lambda text: text.split(","),
                         help="one workload, or a comma list run in order")
-    parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-10"),
-                        help="e.g. 1-10 or 1-4,9 (default 1-10)")
+    parser.add_argument("--seeds", type=seed_set, action="append",
+                        help="e.g. 1-10 or 1-4,9 (default 1-10); again for "
+                        "another set, judged on its own")
     parser.add_argument("--metric", help="the end-to-end metric a gain is "
                         "claimed on (for the first workload)")
     args = parser.parse_args(argv)
@@ -186,14 +201,28 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(f"--metric must be one of {', '.join(metrics)}")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
-    unacceptable = []
+    seed_sets = args.seeds or [seed_set("1-10")]
+    unacceptable, claims = [], []
     for position, workload in enumerate(args.workload):
-        if position:
-            print()
         claimed = args.metric if position == 0 else None
-        if not compare(workload, claimed, args.seeds, declared["run_seconds"],
-                       metrics, sides):
-            unacceptable.append(workload)
+        for number, (text, seeds) in enumerate(seed_sets):
+            if position or number:
+                print()
+            if len(seed_sets) > 1:
+                print(f"seeds {text}")
+            acceptable, claim = compare(workload, claimed, seeds,
+                                        declared["run_seconds"], metrics, sides)
+            if not acceptable and workload not in unacceptable:
+                unacceptable.append(workload)
+            if claim is not None:
+                claims.append((text, *claim))
+    if len(claims) > 1:
+        print(f"\n{args.workload[0]}, the claim on each seed set:")
+        for text, line, _met in claims:
+            print(f"seeds {text}: {line}")
+        met = sum(met for _text, _line, met in claims)
+        print(f"CLAIM {'MET' if met == len(claims) else 'NOT MET'} overall: "
+              f"met on {met} of {len(claims)} seed sets")
     if len(args.workload) > 1:
         print(f"\n{len(args.workload) - len(unacceptable)} of "
               f"{len(args.workload)} workloads acceptable"

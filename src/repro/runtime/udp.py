@@ -6,7 +6,10 @@ laptop-scale analogue of the paper's Sec. 5.2 testbed — so timers, fault
 verdicts, crashes, recoveries and pauses are the runtime's own.  Its
 ``_carry`` packs binary frames onto the sender's socket; one thread's
 :mod:`selectors` loop advances the agenda and feeds each datagram to the
-runtime's deliver path.  A node method that raises crashes its process
+runtime's deliver path.  A wakeup of that loop serves every agenda entry
+due within T/16 (``_AHEAD`` gossip periods), in due order, reading every
+waiting datagram before each: a tick, plan-round boundary or held copy may
+run up to T/16 early.  A node method that raises crashes its process
 (``udp.node_errors``, traced ``node.error``).
 
 ``time.codec{op=decode}`` is observed once per datagram a host reads, but
@@ -37,6 +40,11 @@ _MAX_DATAGRAM = 65_000
 #: ``recv``, and a longer one is counted as truncated, never parsed.
 _RECV_BUFSIZE = _MAX_DATAGRAM + 1
 _MAX_WAIT = 0.05            # the longest select: how soon stop() is seen
+#: A wakeup runs every entry due within this many periods: a sleep costs
+#: CPU, and the first tick after one runs twice as slow as the next.  It
+#: is also how early an entry may run: T/8 saved ~5 % more CPU than T/16
+#: at n = 16 (EXPERIMENTS.md), at twice that timing error.
+_AHEAD = 1 / 16
 #: Decoded frames a deployment keeps, cleared when full: a gossip's F
 #: targets and a tick that resends its last frame find theirs here.
 _DECODED_MAX = 64
@@ -265,9 +273,10 @@ class LocalDeployment(AsyncGossipRuntime):
             address = directory[dst]
             for datagram in host._datagrams(messages, plans):
                 for _ in range(copies):
-                    if delay > 0:
+                    if delay > 0:       # the agenda may run ahead
                         self.sim.schedule_at(
-                            time.monotonic() - self._t0 + delay,
+                            max(self.sim.now,
+                                time.monotonic() - self._t0 + delay),
                             host._transmit, datagram, address)
                     else:
                         host._transmit(datagram, address)
@@ -302,20 +311,36 @@ class LocalDeployment(AsyncGossipRuntime):
         self._loop_thread.start()
 
     def _loop(self) -> None:
-        """Run what is due (``sim.run_until``: no telemetry), wait for a
-        datagram, read each ready socket."""
+        """A wakeup runs every entry due within ``_AHEAD`` periods, in due
+        order (``sim.run_until``: no telemetry), reading every waiting
+        datagram before each, so ticks and receptions keep the wall clock's
+        order; an entry may run ``_AHEAD`` periods early.  Then it sleeps
+        until the next entry or a datagram."""
         sim, selector, lock = self.sim, self._selector, self._lock
-        t0 = self._t0
+        t0, ahead = self._t0, _AHEAD * self.gossip_period
+        sleeps = self.telemetry.counter_key("loop.sleeps")
+        ready = []
         while not self._stopping:
             with lock:
-                sim.run_until(time.monotonic() - t0)
-                due = sim.next_time()
-            wait = _MAX_WAIT if due is None else min(
-                _MAX_WAIT, max(0.0, due - (time.monotonic() - t0)))
+                self._read(ready)
+                wall = time.monotonic() - t0
+                while (due := sim.next_time()) is not None \
+                        and due <= wall + ahead:
+                    sim.run_until(due)
+                    self._read(selector.select(0))
+                sim.run_until(max(sim.now, wall))
+                wait = _MAX_WAIT if due is None else min(
+                    _MAX_WAIT, max(0.0, due - (time.monotonic() - t0)))
+                if wait > 0:
+                    self.telemetry.add(sleeps)
             ready = selector.select(wait)
-            with lock:
-                for key, _events in ready:
-                    key.data._drain()
+
+    def _read(self, ready: list) -> None:
+        """Read the ready sockets, then every datagram still waiting."""
+        while ready:
+            for key, _events in ready:
+                key.data._drain()
+            ready = self._selector.select(0)
 
     def run_for(self, seconds: float) -> None:
         time.sleep(seconds)

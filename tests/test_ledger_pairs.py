@@ -171,3 +171,52 @@ def test_run_once_reads_the_result_line_and_the_fingerprint(tmp_path, monkeypatc
         "--seconds", "10", "--trace", "0"]
     stdout = stdout.replace("    counter fingerprint: 842098b3\n", "")
     assert "fingerprint" not in pairs.run_once(tmp_path, "udp_stream", 3, 10)
+
+
+def test_each_seed_set_is_judged_on_its_own(tmp_path, monkeypatch, capsys):
+    declared = {"run_seconds": 10, "end_to_end": [
+        {"name": "cpu_us_per_delivery", "better": "lower", "bound": 0.25}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(declared))
+    parent = tmp_path / "parent"
+    parent.mkdir()
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        side = "parent" if checkout == parent.resolve() else "change"
+        calls.append((workload, seed, side))
+        # The change wins every pair of seeds 1-4, and only half of 11-14.
+        cheaper = side == "change" and (seed < 10 or seed % 2)
+        return {"correct": True, "attempted": 100, "failed": 0, "metrics": {
+            "cpu_us_per_delivery": {"value": (700.0 if cheaper else 1000.0) + seed}}}
+
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    argv = ["--parent", str(parent), "--change", str(tmp_path),
+            "--workload", "udp_stream,udp_pull", "--metric", "cpu_us_per_delivery"]
+    status = pairs.main(argv + ["--seeds", "1-4", "--seeds", "11-14"])
+    output = capsys.readouterr().out
+    # Every workload runs every set, each set alternating from its own start.
+    assert [call[:2] for call in calls[::2]] == [
+        (workload, seed) for workload in ("udp_stream", "udp_pull")
+        for seed in (1, 2, 3, 4, 11, 12, 13, 14)]
+    assert [call[2] for call in calls[:8]] == [call[2] for call in calls[8:16]]
+    assert output.count(" pairs, --seconds 10 --trace 0") == 4
+    summary = output.split("udp_stream, the claim on each seed set:\n")[1]
+    first, second, overall = summary.splitlines()[:3]
+    assert first.startswith("seeds 1-4: ") and "CLAIM MET: 4/4" in first
+    assert second.startswith("seeds 11-14: ") and "NOT MET: 2/4" in second
+    assert overall == "CLAIM NOT MET overall: met on 1 of 2 seed sets"
+    assert "1 of 2 workloads acceptable; not: udp_stream" in output
+    assert status == 1
+
+    # One set: one table per workload, no per-set summary.
+    calls.clear()
+    assert pairs.main(argv[:5] + ["udp_stream", "--seeds", "1-4"] + argv[6:]) == 0
+    output = capsys.readouterr().out
+    assert "CLAIM MET: 4/4" in output and "each seed set" not in output
+    assert len(calls) == 8
+
+    # Both sets met: the overall verdict is MET.
+    assert pairs.main(argv[:5] + ["udp_stream", "--seeds", "1-4",
+                                  "--seeds", "5-8"] + argv[6:]) == 0
+    assert ("CLAIM MET overall: met on 2 of 2 seed sets"
+            in capsys.readouterr().out)
