@@ -51,10 +51,15 @@ class UnsubscriptionBuffer:
         # ``pop``, so ``pids`` stays equal to ``list(self._entries)``.
         pids = list(self._entries)
         evicted: List[Unsubscription] = []
-        while len(pids) > self.max_size:
-            pid = self._rng.choice(pids)
-            pids.remove(pid)
-            evicted.append(self._entries.pop(pid))
+        rng = self._rng
+        for n in range(len(pids), self.max_size, -1):
+            if type(rng) is not random.Random:  # its own choice()
+                pos = pids.index(rng.choice(pids))
+            else:  # Random.choice's _randbelow(n) inlined: the same draws
+                pos = rng.getrandbits(n.bit_length())
+                while pos >= n:
+                    pos = rng.getrandbits(n.bit_length())
+            evicted.append(self._entries.pop(pids.pop(pos)))
         return evicted
 
     def purge_obsolete(self, now: float, ttl: float) -> List[Unsubscription]:

@@ -22,7 +22,7 @@ need more advertising).
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, KeysView, List, Optional, Tuple
 
 from .ids import ProcessId
 
@@ -158,6 +158,11 @@ class PartialView:
         if k >= len(self._items):
             return list(self._items)
         return self._rng.sample(self._items, k)
+
+    def pids(self) -> KeysView[ProcessId]:
+        """Live view of the held process ids: ``in`` on it is a plain dict
+        lookup, for callers testing many pids (Phase 1)."""
+        return self._index.keys()
 
     def snapshot(self) -> Tuple[ProcessId, ...]:
         return tuple(self._items)

@@ -90,27 +90,20 @@ class PartialViewMembership:
         unsubs: Tuple[Unsubscription, ...],
         now: float,
     ) -> None:
-        self._phase1_unsubscriptions(unsubs, now)
+        # Phase I in one loop.  With no unsubs the buffer is within its
+        # bound and truncate would draw nothing: skipping it keeps the bits.
+        if unsubs:
+            view, buffered, ttl = self.view, self.unsubs, self.unsub_ttl
+            in_view, add = view.pids(), buffered.add
+            for unsub in unsubs:
+                pid, timestamp = unsub
+                if now - timestamp >= ttl:
+                    continue  # obsolete (Sec. 3.4): not applied or forwarded
+                if pid in in_view:  # most name a process this view lacks
+                    view.remove(pid)
+                add(unsub)
+            buffered.truncate()
         self._phase2_subscriptions(subs)
-
-    def _phase1_unsubscriptions(
-        self, unsubs: Tuple[Unsubscription, ...], now: float
-    ) -> None:
-        if not unsubs:
-            # Nothing arrived and the buffer is already within its bound —
-            # an empty truncate draws no randomness, so skipping it keeps
-            # runs bit-identical while sparing the call per reception.
-            return
-        remove = self.view.remove
-        buffered = self.unsubs
-        ttl = self.unsub_ttl
-        for unsub in unsubs:
-            pid, timestamp = unsub
-            if now - timestamp >= ttl:
-                continue  # obsolete (Sec. 3.4): neither applied nor forwarded
-            remove(pid)
-            buffered.add(unsub)
-        buffered.truncate()
 
     def _phase2_subscriptions(self, subs: Tuple[ProcessId, ...]) -> None:
         if not subs:

@@ -42,7 +42,7 @@ as ``uint64`` word arrays (:mod:`repro.sim.bitset`).  An event row costs
 (masked OR-propagation for infection spread, popcount for curve reads)
 so a million-node system fits comfortably in memory: the dominant
 remaining columns are the ``int32`` view matrix (``4 * n * view_cap``
-bytes) and the six ``int64`` stat columns.  :meth:`memory_bytes` reports
+bytes) and two ``int64`` stat columns.  :meth:`memory_bytes` reports
 the resident column footprint for the bench harness.
 
 Multi-core rounds (``workers=N``)
@@ -99,6 +99,8 @@ Declared divergences (everything else; pinned by
 from __future__ import annotations
 
 import hashlib
+from collections import defaultdict
+from functools import partial
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence
 
 from ..core.config import LpbcastConfig
@@ -184,22 +186,32 @@ class SlabScratch:
 
     def nbytes(self) -> int:
         alive, senders, _, unsent = self.inputs or (None, (), 0, None)
+        if senders and isinstance(senders[0], slice):  # |view|: view_len's
+            senders = senders[2:]
         arrays = (*self._held.values(), *senders, alive, unsent)
         return sum(array.nbytes for array in arrays if array is not None)
 
 
 def slab_senders(alive, view_len, paused, fanout: int, lo: int, hi: int):
     """Senders of slab ``[lo, hi)`` — alive, not paused, non-empty view —
-    as ``(indices, |view|, min(F, |view|))``.  Depends only on the schedule,
-    so the coordinator's honoured ``sim.sends`` total is the third column
-    summed over ``[0, n)`` whatever the worker count."""
+    as ``(indices, |view|, min(F, |view|))``, indices ``slice(lo, hi)`` if
+    all of them send.  Depends only on the schedule, so the coordinator's
+    honoured ``sim.sends`` total is the third column summed over ``[0, n)``
+    whatever the worker count."""
     mask = alive[lo:hi] & (view_len[lo:hi] > 0)
     for index in paused:
         if lo <= index < hi:
             mask[index - lo] = False
-    s_idx = _np.flatnonzero(mask) + lo
+    s_idx = slice(lo, hi) if mask.all() else _np.flatnonzero(mask) + lo
     lens = view_len[s_idx]
     return s_idx, lens, _np.minimum(fanout, lens)
+
+
+def _sender_ids(s_idx, lo: int, hi: int):
+    """Senders ``[lo, hi)`` of :func:`slab_senders`' indices, as an array."""
+    if isinstance(s_idx, slice):
+        return _np.arange(s_idx.start + lo, s_idx.start + hi)
+    return s_idx[lo:hi]
 
 
 def slab_inputs(alive_words, n: int, view_len, paused, fanout: int, lo: int,
@@ -293,14 +305,15 @@ def slab_round(rng, senders, view_mat, alive, alive_words, loss: float,
     picks, loss, each drop window."""
     s_idx, lens, k = senders
     scratch = scratch or SlabScratch()
-    n, m, cap, take = alive.size, s_idx.size, view_mat.shape[1], int(k.max())
+    n, m, cap, take = alive.size, lens.size, view_mat.shape[1], int(k.max())
     draws = rng.random(out=scratch.array("draws", (take, m), _np.float64))
     targets = draws.view(_np.int64)  # a block's targets replace its draws
     peers = view_mat.reshape(-1)
     base = scratch.array("base", (min(BLOCK, m),), _np.intp)
     near = scratch.array("near", (take, min(BLOCK, m)), view_mat.dtype)
     for lo, hi, picks in _sample_blocks(draws, lens, scratch):
-        picks += _np.multiply(s_idx[lo:hi], cap, out=base[:hi - lo])
+        picks += _np.multiply(_sender_ids(s_idx, lo, hi), cap,
+                              out=base[:hi - lo])
         gathered = peers.take(picks, mode="clip", out=near[:, :hi - lo])
         targets[:, lo:hi] = gathered
 
@@ -315,7 +328,7 @@ def slab_round(rng, senders, view_mat, alive, alive_words, loss: float,
         for rate, src_index, dst_index in drops:
             hit = rng.random(targets.shape) < rate
             if src_index is not None:
-                hit &= s_idx == src_index
+                hit &= _sender_ids(s_idx, 0, m) == src_index
             if dst_index is not None:
                 hit &= targets == dst_index
             survive &= ~hit
@@ -537,7 +550,8 @@ class ColumnarRoundSimulation:
         self._delivered = None   # (E_cap, words) uint64
         self._active = None      # (E_cap, words) events-buffer bitmap
         self._event_cap = 0
-        self._stats: Dict[str, object] = {}
+        self._columns: Dict[str, object] = {}  # the stored _stats, see there
+        self._sent_by, self._sent_rounds = None, 0  # not in gossips_sent yet
         self._shm = None         # ShmRoundExecutor when workers > 1
         self._scratch = SlabScratch()  # the kernel's persistent buffers
 
@@ -673,28 +687,26 @@ class ColumnarRoundSimulation:
             # build() path: rows are already an index matrix of uniform
             # width with no out-of-system references.
             self._view_mat = self._view_rows
-            self._view_len = _np.full(n, self._view_mat.shape[1],
-                                      dtype=_np.int64)
+            lens = self._view_mat.shape[1]
         else:
             # Ingest path: view rows arrive as pids; normalise to indices,
             # dropping references to processes outside the system.
             index = self._index
             rows = [[index[p] for p in row if p in index]
                     for row in self._view_rows]
-            self._view_len = _np.array([len(row) for row in rows],
-                                       dtype=_np.int64)
-            mat = _np.zeros((n, max(int(self._view_len.max()), 1)),
-                            dtype=_np.int32)
+            lens = [len(row) for row in rows]
+            mat = _np.zeros((n, max(max(lens), 1)), dtype=_np.int32)
             for i, row in enumerate(rows):
                 if row:
                     mat[i, :len(row)] = row
             self._view_mat = mat
-        self._stats = {
-            name: _np.zeros(n, dtype=_np.int64)
-            for name in ("published", "delivered", "duplicates",
-                         "gossips_sent", "gossips_received",
-                         "events_dropped")
-        }
+        # The narrowest unsigned type holding the width and F (uint8 for
+        # l <= 255): slab_senders' min(F, |view|) stays in it.
+        self._view_len = _np.full(n, lens, dtype=_np.min_scalar_type(
+            max(self._view_mat.shape[1], self.config.fanout)))
+        self._columns = defaultdict(partial(_np.zeros, n, dtype=_np.int64))
+        self._columns.update(duplicates=_np.zeros(n, dtype=_np.int64),
+                             gossips_received=_np.zeros(n, dtype=_np.int64))
         self._delivered = _np.zeros((0, self._words), dtype=_np.uint64)
         self._active = _np.zeros((0, self._words), dtype=_np.uint64)
         self._view_rows = []  # consumed
@@ -754,8 +766,6 @@ class ColumnarRoundSimulation:
         bit = _np.uint64(1) << _np.uint64(index & 63)
         self._delivered[event, index >> 6] |= bit
         self._active[event, index >> 6] |= bit
-        self._stats["published"][index] += 1
-        self._stats["delivered"][index] += 1
         self._notify_delivery(index, note, now)
         return note
 
@@ -921,11 +931,12 @@ class ColumnarRoundSimulation:
         alive, senders, sends, _ = slab_inputs(
             self._alive, self._n, self._view_len, paused, cfg.fanout, 0,
             self._n, self._scratch)
-        s_idx = senders[0]
-        if s_idx.size == 0:
+        if senders[0] is not self._sent_by:  # slab_inputs found a new set
+            self._fold_sent()
+            self._sent_by = senders[0]
+        if senders[1].size == 0:
             return 0
-        everyone = s_idx.size == self._n  # a pass over the column, no scatter
-        self._stats["gossips_sent"][slice(None) if everyone else s_idx] += 1
+        self._sent_rounds += 1
         events = len(self._notifications)
         drops, partitions = self._fault_windows()
         # With digest_implies_delivery (the plain-family default) a gossip
@@ -942,8 +953,8 @@ class ColumnarRoundSimulation:
             admitted = slab_round(
                 self._rng, senders, self._view_mat, alive, self._alive,
                 self.loss_rate, drops, partitions, spread, self._delivered,
-                events, self._stats["gossips_received"],
-                self._stats["duplicates"], fresh, self._scratch)
+                events, self._columns["gossips_received"],
+                self._columns["duplicates"], fresh, self._scratch)
         self.messages_delivered += admitted
         if events:
             self._merge_round(fresh, events, now)
@@ -961,7 +972,6 @@ class ColumnarRoundSimulation:
         unsent = self._scratch.inputs[3]
         live = _np.flatnonzero(fresh.any(axis=1)
                                | self._active[:events].any(axis=1)).tolist()
-        gained = None  # a node's new deliveries, at most one an event
         for event in live:
             self._active[event] &= unsent
             new = fresh[event] & ~self._delivered[event] & self._alive
@@ -969,15 +979,10 @@ class ColumnarRoundSimulation:
                 continue
             self._delivered[event] |= new
             self._active[event] |= new
-            got = bitset.unpack_bools(new, self._n)
-            gained = (got.astype(_np.uint8 if len(live) < 256 else _np.int64)
-                      if gained is None else _np.add(gained, got, out=gained))
             if self._has_listeners and self._listeners:
                 note = self._notifications[event]
-                for index in _np.flatnonzero(got):
-                    self._notify_delivery(int(index), note, now)
-        if gained is not None:
-            self._stats["delivered"] += gained
+                for index in bitset.bit_indices(new, self._n).tolist():
+                    self._notify_delivery(index, note, now)
         self._truncate_events(live)
 
     def _truncate_events(self, rows) -> None:
@@ -1005,11 +1010,42 @@ class ColumnarRoundSimulation:
             return
         newest_rank = _np.cumsum(active[::-1], axis=0)[::-1]
         drop = active & (newest_rank > events_max) & over[None, :]
-        dropped_per_node = drop.sum(axis=0, dtype=_np.int64)
-        self._stats["events_dropped"] += dropped_per_node
+        self._columns["events_dropped"] += drop.sum(axis=0, dtype=_np.int64)
         active &= ~drop
         for row, event in enumerate(rows):
             self._active[event] = bitset.pack_bools(active[row])
+
+    @property
+    def _stats(self) -> Dict[str, object]:
+        """The six per-process ``int64`` stat columns by name.  Stored ones
+        (``_columns``: two from the start, ``gossips_sent`` from its first
+        fold, ``events_dropped`` from the first overflow) come back as they
+        are; the others are built for the read, read-only, so a write that
+        would be lost raises: ``published`` from ``_event_seq``,
+        ``delivered`` as each process's bits over the ``_delivered`` rows."""
+        if not self._n:
+            return {}
+        self._fold_sent()
+        stats, seq = {}, self._event_seq
+        for name in ("published", "delivered", "duplicates", "gossips_sent",
+                     "gossips_received", "events_dropped"):
+            column = stats[name] = self._columns.get(name)
+            if column is None:
+                column = stats[name] = _np.zeros(self._n, dtype=_np.int64)
+                if name == "published":
+                    column[list(seq)] = list(seq.values())
+                elif name == "delivered":
+                    for row in self._delivered[:len(self._notifications)]:
+                        column += bitset.unpack_bools(row, self._n)
+                column.flags.writeable = False
+        return stats
+
+    def _fold_sent(self) -> None:
+        """Add the rounds ``_sent_by`` sent since the last fold to the
+        ``gossips_sent`` column: a round costs one increment, not n."""
+        if self._sent_rounds:
+            self._columns["gossips_sent"][self._sent_by] += self._sent_rounds
+            self._sent_rounds = 0
 
     # -- telemetry ---------------------------------------------------------
     def _sync_engine_counters(self) -> None:
@@ -1048,7 +1084,9 @@ class ColumnarRoundSimulation:
         total = (self._alive.nbytes + self._view_mat.nbytes
                  + self._view_len.nbytes
                  + self._delivered.nbytes + self._active.nbytes)
-        total += sum(col.nbytes for col in self._stats.values())
+        total += sum(col.nbytes for col in self._columns.values())
+        if self._scratch.inputs is None:  # a sender array close() kept
+            total += getattr(self._sent_by, "nbytes", 0)
         total += self._scratch.nbytes()
         if self._shm is not None:
             total += self._shm.scratch_bytes()
@@ -1075,7 +1113,8 @@ class ColumnarRoundSimulation:
             mask &= keep
         idx = _np.flatnonzero(mask)
         agg.count = int(idx.size)
-        for name, column in self._stats.items():
+        stats = self._stats  # built once: derived columns are not stored
+        for name, column in stats.items():
             total = int(column[idx].sum())
             if total:  # zero sums are absent, as in aggregate_nodes
                 agg.stat_sums[name] = total
@@ -1086,9 +1125,7 @@ class ColumnarRoundSimulation:
                 bitset.popcount_words(self._active[e] & mask_words)
                 for e in range(events))
             agg.occupancy_sums["events"] = int(occupancy)
-            ids = _np.zeros(n, dtype=_np.int64)
-            for e in range(events):
-                ids += bitset.unpack_bools(self._delivered[e], n)
+            ids = stats["delivered"]
             agg.occupancy_sums["event_ids"] = int(
                 _np.minimum(ids[idx], self.config.event_ids_max).sum())
         else:

@@ -106,7 +106,7 @@ def _worker_round(views: Dict[str, np.ndarray], cmd: Dict, static: Dict,
     alive, senders, _, _ = slab_inputs(
         views["alive"], static["n"], views["viewlen"], cmd["paused"],
         static["fanout"], static["lo"], static["hi"], scratch)
-    if senders[0].size == 0:
+    if senders[1].size == 0:
         return 0
     wid = static["worker"]
     events = cmd["events"]
@@ -315,7 +315,7 @@ class ShmRoundExecutor:
                     f"columnar shm worker {w} failed: {reply[1]}")
             admitted += reply[1]
             self._kernel_bytes += reply[2]
-        stats = self._sim._stats
+        stats = self._sim._columns
         stats["gossips_received"] += self._arrivals.sum(axis=0)
         stats["duplicates"] += self._dups.sum(axis=0)
         fresh = (np.bitwise_or.reduce(self._newmask[:, :events, :], axis=0)

@@ -123,8 +123,9 @@ class TestPinnedBits:
     def dense_spread(rng, senders, view_mat, alive, loss, spread, delivered):
         """The spread written densely from the kernel's own draws: the
         targets of the sampled slots, the loss draw, the dead receivers."""
-        s_idx, lens, k = senders
+        _, lens, k = senders
         n, take, events = alive.size, int(k.max()), len(spread)
+        s_idx = np.arange(n)[senders[0]]  # a slice when every process sends
         targets = view_mat[s_idx, sample_view_slots(rng, lens, take)]
         survive = np.arange(take)[:, None] < k
         if loss > 0.0:
@@ -160,7 +161,8 @@ class TestPinnedBits:
         if faulty:
             alive[int(view_mat[0, 0])] = False  # a known receiver
         senders = slab_senders(alive, sim._view_len, [], 3, 0, n)
-        s_idx, m = senders[0], senders[0].size
+        s_idx = np.arange(n)[senders[0]]  # a slice when every process sends
+        m = s_idx.size
         # Carriers among the senders: 1, 40 (sparse hits), just under and
         # just over m / 2, every sender; among all processes: all but 40,
         # all but one, three rows every process holds (one shared
@@ -467,10 +469,10 @@ class TestSendersFollowTheSchedule:
         sim.nodes[0].lpb_cast("x", 0.0)  # allocates the stat columns
 
         def senders_of_next_round():
-            sent = sim._stats["gossips_sent"]  # +1 per sender per round
-            before = sent.copy()
+            # +1 per sender per round; folded on read, so read it again.
+            before = sim._stats["gossips_sent"].copy()
             sim.run_round()
-            return set(np.flatnonzero(sent - before))
+            return set(np.flatnonzero(sim._stats["gossips_sent"] - before))
 
         everyone = set(range(300))
         assert senders_of_next_round() == everyone          # round 1
