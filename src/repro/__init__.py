@@ -20,8 +20,6 @@ Subpackages
     (Eqs. 4–5).
 ``repro.metrics``
     Infection curves, delivery reliability (1-β), view-graph statistics.
-``repro.pubsub``
-    Topic-based publish/subscribe facade (Sec. 3.1).
 """
 
 from .core import (

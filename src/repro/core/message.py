@@ -53,9 +53,6 @@ class GossipMessage:
     unsubs: Tuple[Unsubscription, ...] = ()
     events: Tuple[Notification, ...] = ()
     event_ids: Tuple[DigestEntry, ...] = ()
-    #: Optional piggybacked heartbeat counters ((pid, counter), ...) for the
-    #: gossip-style failure detector (repro.failuredetector, paper ref [29]).
-    heartbeats: Tuple[Tuple[ProcessId, int], ...] = ()
 
     def size_estimate(self) -> int:
         """Rough wire-size proxy (one unit per carried element plus header).
@@ -64,8 +61,7 @@ class GossipMessage:
         parameterizations; it deliberately counts elements, not bytes, since
         the paper reasons about list lengths (the digest's is the ids it names).
         """
-        size = (1 + len(self.subs) + len(self.unsubs) + len(self.events)
-                + len(self.heartbeats))
+        size = 1 + len(self.subs) + len(self.unsubs) + len(self.events)
         for _origin, frontier, extras in self.event_ids:
             size += frontier + len(extras)
         return size

@@ -43,11 +43,8 @@ nothing:
     A fabricated pid (``>= POISON_BASE``) outside the plan's
     ``poisoned_pids()`` scope never appears in any correct view or subs
     buffer (that would be an injector bug, flagged immediately).  Planned
-    ghosts are tolerated on plain lpbcast nodes (the paper's crash-stop
-    model trusts subscriptions) but a failure-detecting node
-    (``FdLpbcastNode``, anything with a ``detector``) must age them out:
-    a ghost continuously resident for ``poison_grace`` rounds after its
-    fault window closed is a violation.
+    ghosts are tolerated: the paper's crash-stop model trusts
+    subscriptions.
 
 Under causal-delivery mode (``LpbcastConfig(causal_delivery=True)``) two
 ordering invariants join, scoped like the protocol invariants to correct
@@ -131,16 +128,10 @@ class InvariantMonitor:
     seed: Optional[int] = None
     violations: List[Violation] = field(default_factory=list)
     checks_run: int = 0
-    #: Rounds a planned ghost pid may linger on a failure-detecting node
-    #: after its poison window closes (covers the detector's suspect
-    #: timeout plus gossip-propagation slack) before view-hygiene fires.
-    poison_grace: int = 10
 
     def __post_init__(self) -> None:
         if self.mode not in ("raise", "collect"):
             raise ValueError("mode must be 'raise' or 'collect'")
-        if self.poison_grace < 1:
-            raise ValueError("poison_grace must be >= 1")
         self._sim = None
         self._delivered: set = set()  # every (pid, event id) so far
         # pid -> gossips_sent observed when the crash was first seen.
@@ -153,10 +144,7 @@ class InvariantMonitor:
         # the publisher's own delivery, which always precedes any remote
         # delivery of the same event).
         self._published: Dict[EventId, object] = {}
-        # (pid, ghost) -> consecutive post-window rounds the ghost was seen
-        # resident on a failure-detecting node ("" once flagged).
-        self._ghost_streak: Dict[Tuple[ProcessId, ProcessId], object] = {}
-        self._poison_scope: Optional[tuple] = None
+        self._poison_scope: Optional[frozenset] = None
         # -- causal-ordering state ----------------------------------------
         # pids running causal-delivery mode (recorded at watch time).
         self._causal_pids: set = set()
@@ -213,20 +201,13 @@ class InvariantMonitor:
         plan = self._plan()
         return frozenset() if plan is None else plan.byzantine_pids()
 
-    def _poison_windows(self) -> Tuple[frozenset, Dict[ProcessId, int]]:
-        """(planned ghost pids, ghost -> latest fault-window stop), cached —
-        plans are immutable once installed."""
+    def _planned_ghosts(self) -> frozenset:
+        """The plan's fabricated pids, cached — plans are immutable once
+        installed."""
         if self._poison_scope is None:
             plan = self._plan()
-            planned: set = set()
-            stop_of: Dict[ProcessId, int] = {}
-            if plan is not None:
-                for fault in plan.poisons:
-                    for ghost in fault.fabricated:
-                        planned.add(ghost)
-                        stop_of[ghost] = max(stop_of.get(ghost, 0),
-                                             fault.stop)
-            self._poison_scope = (frozenset(planned), stop_of)
+            self._poison_scope = (frozenset() if plan is None
+                                  else plan.poisoned_pids())
         return self._poison_scope
 
     # -- delivery-path checks ------------------------------------------------
@@ -331,7 +312,7 @@ class InvariantMonitor:
                 self._check_node_state(pid, node, round_no,
                                        skip_purge_checks=pid in paused)
                 if pid not in byzantine:
-                    self._check_view_hygiene(pid, node, round_no)
+                    self._check_view_hygiene(pid, node)
             except AttributeError:
                 # Sharded proxy without a fresh replica (or a non-lpbcast
                 # node type): state is unreadable here, not wrong.
@@ -391,10 +372,9 @@ class InvariantMonitor:
                         f" outlived its TTL {ttl} at round {round_no}",
                     )
 
-    def _check_view_hygiene(self, pid: ProcessId, node,
-                            round_no: int) -> None:
+    def _check_view_hygiene(self, pid: ProcessId, node) -> None:
         """Fabricated (poison) pids in membership state, scoped to plan."""
-        planned, stop_of = self._poison_windows()
+        planned = self._planned_ghosts()
         membership: List[ProcessId] = []
         try:
             membership.extend(node.view)
@@ -409,34 +389,6 @@ class InvariantMonitor:
                 f"fabricated pid {ghost} resides in view/subs but is "
                 f"outside the plan's poison scope",
             )
-        if getattr(node, "detector", None) is None:
-            # Plain lpbcast trusts subscriptions (the paper's crash-stop
-            # model) — planned ghosts may circulate; only failure-detecting
-            # nodes are required to age them out.
-            return
-        for ghost in sorted(ghosts & planned):
-            key = (pid, ghost)
-            if round_no < stop_of.get(ghost, 0):
-                self._ghost_streak.pop(key, None)  # window still open
-                continue
-            streak = self._ghost_streak.get(key, 0)
-            if streak == "flagged":
-                continue
-            streak += 1
-            if streak >= self.poison_grace:
-                self._ghost_streak[key] = "flagged"
-                self._flag(
-                    "view-hygiene", pid,
-                    f"failure-detecting node retained poisoned pid {ghost} "
-                    f"for {streak} consecutive rounds after the poison "
-                    f"window closed (grace={self.poison_grace})",
-                )
-            else:
-                self._ghost_streak[key] = streak
-        # A ghost that aged out resets its residency streak.
-        for key in [k for k, v in self._ghost_streak.items()
-                    if k[0] == pid and k[1] not in ghosts and v != "flagged"]:
-            del self._ghost_streak[key]
 
     # -- reporting -----------------------------------------------------------
     def _flag(self, invariant: str, pid: Optional[ProcessId],

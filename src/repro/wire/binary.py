@@ -1,9 +1,8 @@
 """The compact binary message codec.
 
-One tagged binary record per protocol message type — lpbcast, pbcast,
-the logger extension and the pub/sub envelope — built from varints
-(:mod:`repro.wire.varint`), 8-byte IEEE doubles for timestamps, and
-length-prefixed UTF-8 for strings.  A gossip's ``eventIds`` digest travels
+One tagged binary record per protocol message type — lpbcast and
+pbcast — built from varints (:mod:`repro.wire.varint`) and 8-byte IEEE
+doubles for timestamps.  A gossip's ``eventIds`` digest travels
 as the Sec. 3.2 per-sender structure it is: per origin a zigzag origin
 delta, the frontier, and the extras beyond it as a count and ascending gaps
 — O(publishers + gaps) bytes however long the streams.  Plain id lists
@@ -27,10 +26,10 @@ unsubscription stamped so would never become obsolete.
 
 Decoding is total: unknown tags, truncated records, oversized varints and
 trailing bytes all raise :class:`~repro.wire.CodecError`.  The common
-gossip costs what it carries: an empty ``unsubs``, ``events`` or
-``heartbeats`` section is one zero byte, written and tested directly, and
-a digest entry with no extras decodes to ``(origin, frontier, ())`` with
-nothing built for the extras.
+gossip costs what it carries: an empty ``unsubs`` or ``events`` section
+is one zero byte, written and tested directly, and a digest entry with no
+extras decodes to ``(origin, frontier, ())`` with nothing built for the
+extras.  A gossip record ends in one reserved byte that must be zero.
 """
 
 from __future__ import annotations
@@ -52,12 +51,6 @@ from ..core.message import (
     SubscriptionAck,
     SubscriptionRequest,
 )
-from ..loggers.messages import (
-    LogUpload,
-    LogUploadAck,
-    RecoveryRequest,
-    RecoveryResponse,
-)
 from ..pbcast.messages import PbcastData, PbcastDigest, PbcastSolicit
 from .varint import (
     CodecError,
@@ -73,8 +66,8 @@ from .varint import (
 
 class WireEncodeError(CodecError):
     """A message has no faithful binary form (unsupported type, out-of-range
-    integer, non-string topic, or — under ``strict_payloads`` — a payload
-    that would not survive the JSON round trip unchanged)."""
+    integer, or — under ``strict_payloads`` — a payload that would not
+    survive the JSON round trip unchanged)."""
 
 
 # -- message tags -------------------------------------------------------------
@@ -87,11 +80,6 @@ TAG_RETR_RESPONSE = 0x05
 TAG_PBCAST_DATA = 0x06
 TAG_PBCAST_DIGEST = 0x07
 TAG_PBCAST_SOLICIT = 0x08
-TAG_LOG_UPLOAD = 0x09
-TAG_LOG_ACK = 0x0A
-TAG_RECOVERY_REQUEST = 0x0B
-TAG_RECOVERY_RESPONSE = 0x0C
-TAG_TOPIC_ENVELOPE = 0x0D
 TAG_ECHO = 0x0E
 TAG_READY = 0x0F
 # Causal-delivery records: identical layout to their base tags except that
@@ -126,25 +114,6 @@ def _r_f64(data, pos: int) -> Tuple[float, int]:
     if not _isfinite(value):
         raise CodecError(f"timestamp {value!r} is not finite")
     return value, end
-
-
-def _w_str(buf: bytearray, value: str) -> None:
-    if not isinstance(value, str):
-        raise WireEncodeError(f"expected str, got {type(value).__name__}")
-    raw = value.encode("utf-8")
-    write_uvarint(buf, len(raw))
-    buf += raw
-
-
-def _r_str(data, pos: int) -> Tuple[str, int]:
-    length, pos = read_uvarint(data, pos)
-    end = pos + length
-    if end > len(data):
-        raise CodecError("truncated string")
-    try:
-        return bytes(data[pos:end]).decode("utf-8"), end
-    except UnicodeDecodeError as exc:
-        raise CodecError(f"invalid UTF-8 string: {exc}") from exc
 
 
 def _payload_is_stable(payload) -> bool:
@@ -470,27 +439,13 @@ def _r_unsubs(data, pos: int,
     return tuple(out), pos
 
 
-def _w_heartbeats(buf: bytearray, heartbeats) -> None:
-    write_uvarint(buf, len(heartbeats))
-    for pid, counter in heartbeats:
-        write_svarint(buf, pid)
-        write_svarint(buf, counter)
-
-
-def _r_heartbeats(data, pos: int, limit: int) -> Tuple[tuple, int]:
-    count, pos = read_uvarint(data, pos)
-    if count > limit:
-        raise CodecError(f"heartbeat list length {count} exceeds input size")
-    flat, pos = read_svarint_run(data, pos, count * 2)
-    return tuple(zip(flat[0::2], flat[1::2])), pos
-
-
 # -- per-type bodies ----------------------------------------------------------
 
 def _enc_gossip(buf: bytearray, m: GossipMessage, strict: bool,
                 causal: bool = False) -> None:
-    """An empty ``unsubs``, ``events`` or ``heartbeats`` section — what
-    most gossips carry — is its zero count byte, appended directly."""
+    """An empty ``unsubs`` or ``events`` section — what most gossips carry —
+    is its zero count byte, appended directly.  The record ends in one
+    reserved zero byte, where a heartbeat list once was."""
     write_svarint(buf, m.sender)
     _w_pid_list(buf, m.subs)
     if m.unsubs:
@@ -502,16 +457,14 @@ def _enc_gossip(buf: bytearray, m: GossipMessage, strict: bool,
     else:
         buf.append(0)
     _w_digest(buf, m.event_ids)
-    if m.heartbeats:
-        _w_heartbeats(buf, m.heartbeats)
-    else:
-        buf.append(0)
+    buf.append(0)
 
 
 def _dec_gossip(data, pos: int, limit: int,
                 causal: bool = False) -> Tuple[GossipMessage, int]:
     """Inverse of :func:`_enc_gossip`: a zero count byte is an empty section,
-    one byte test (``0x80 0x00``, zero in two bytes, takes the reader)."""
+    one byte test (``0x80 0x00``, zero in two bytes, takes the reader); the
+    reserved last byte must be exactly zero."""
     end = len(data)
     sender, pos = read_svarint(data, pos)
     subs, pos = _r_pid_list(data, pos, limit)
@@ -524,13 +477,12 @@ def _dec_gossip(data, pos: int, limit: int,
     else:
         events, pos = _r_notifications(data, pos, limit, causal)
     event_ids, pos = _r_digest(data, pos, limit)
-    if pos < end and not data[pos]:
-        heartbeats, pos = (), pos + 1
-    else:
-        heartbeats, pos = _r_heartbeats(data, pos, limit)
+    if pos >= end:
+        raise CodecError("truncated gossip: missing reserved byte")
+    if data[pos]:
+        raise CodecError(f"gossip reserved byte is {data[pos]:#04x}, not 0")
     return GossipMessage(sender=sender, subs=subs, unsubs=unsubs,
-                         events=events, event_ids=event_ids,
-                         heartbeats=heartbeats), pos
+                         events=events, event_ids=event_ids), pos + 1
 
 
 def _encode_body(buf: bytearray, message, strict: bool) -> None:
@@ -577,15 +529,6 @@ def _encode_body(buf: bytearray, message, strict: bool) -> None:
         buf.append(TAG_PBCAST_SOLICIT)
         write_svarint(buf, message.requester)
         _w_event_ids(buf, message.ids)
-    elif kind is LogUpload:
-        buf.append(TAG_LOG_UPLOAD)
-        write_svarint(buf, message.sender)
-        _w_notification(buf, message.notification, strict)
-    elif kind is LogUploadAck:
-        buf.append(TAG_LOG_ACK)
-        write_svarint(buf, message.logger)
-        write_svarint(buf, message.event_id.origin)
-        write_svarint(buf, message.event_id.seq)
     elif kind is EchoMessage or kind is ReadyMessage:
         buf.append(TAG_ECHO if kind is EchoMessage else TAG_READY)
         write_svarint(buf, message.sender)
@@ -597,27 +540,10 @@ def _encode_body(buf: bytearray, message, strict: bool) -> None:
                 f"got {message.digest!r}"
             )
         write_uvarint(buf, message.digest)
-    elif kind is RecoveryRequest:
-        buf.append(TAG_RECOVERY_REQUEST)
-        write_svarint(buf, message.requester)
-        _w_event_ids(buf, message.frontier)
-    elif kind is RecoveryResponse:
-        buf.append(TAG_RECOVERY_RESPONSE)
-        write_svarint(buf, message.logger)
-        _w_notifications(buf, message.events, strict)
-        buf.append(1 if message.complete else 0)
     else:
-        # Pub/sub envelopes nest another message; import lazily to avoid a
-        # package cycle (pubsub imports core).
-        from ..pubsub.peer import TopicEnvelope
-        if isinstance(message, TopicEnvelope):
-            buf.append(TAG_TOPIC_ENVELOPE)
-            _w_str(buf, message.topic)
-            _encode_body(buf, message.inner, strict)
-        else:
-            raise WireEncodeError(
-                f"cannot binary-encode {type(message).__name__}"
-            )
+        raise WireEncodeError(
+            f"cannot binary-encode {type(message).__name__}"
+        )
 
 
 def _decode_body(data, pos: int) -> Tuple[object, int]:
@@ -664,15 +590,6 @@ def _decode_body(data, pos: int) -> Tuple[object, int]:
         pid, pos = read_svarint(data, pos)
         ids, pos = _r_event_ids(data, pos, limit)
         return PbcastSolicit(pid, ids), pos
-    if tag == TAG_LOG_UPLOAD:
-        sender, pos = read_svarint(data, pos)
-        n, pos = _r_notification(data, pos)
-        return LogUpload(sender, n), pos
-    if tag == TAG_LOG_ACK:
-        logger, pos = read_svarint(data, pos)
-        origin, pos = read_svarint(data, pos)
-        seq, pos = read_svarint(data, pos)
-        return LogUploadAck(logger, EventId(origin, seq)), pos
     if tag == TAG_ECHO or tag == TAG_READY:
         sender, pos = read_svarint(data, pos)
         origin, pos = read_svarint(data, pos)
@@ -680,22 +597,6 @@ def _decode_body(data, pos: int) -> Tuple[object, int]:
         digest, pos = read_uvarint(data, pos)
         kind = EchoMessage if tag == TAG_ECHO else ReadyMessage
         return kind(sender, EventId(origin, seq), digest), pos
-    if tag == TAG_RECOVERY_REQUEST:
-        pid, pos = read_svarint(data, pos)
-        frontier, pos = _r_event_ids(data, pos, limit)
-        return RecoveryRequest(pid, frontier), pos
-    if tag == TAG_RECOVERY_RESPONSE:
-        logger, pos = read_svarint(data, pos)
-        events, pos = _r_notifications(data, pos, limit)
-        if pos >= len(data):
-            raise CodecError("truncated message: missing complete flag")
-        complete = data[pos] != 0
-        return RecoveryResponse(logger, events, complete), pos + 1
-    if tag == TAG_TOPIC_ENVELOPE:
-        from ..pubsub.peer import TopicEnvelope
-        topic, pos = _r_str(data, pos)
-        inner, pos = _decode_body(data, pos)
-        return TopicEnvelope(topic, inner), pos
     raise CodecError(f"unknown binary message tag {tag:#04x}")
 
 

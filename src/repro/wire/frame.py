@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from ..core.message import GossipMessage
 from .binary import decode_binary, encode_binary
 from .varint import (
     CodecError,
@@ -97,25 +98,12 @@ def decode_frame(data) -> Tuple[int, List[object]]:
 
 # -- oversize splitting -------------------------------------------------------
 
-def _gossip_of(message):
-    """The splittable gossip inside ``message`` (possibly wrapped in a
-    :class:`~repro.pubsub.peer.TopicEnvelope`), or None."""
-    from ..core.message import GossipMessage
-    if isinstance(message, GossipMessage):
-        return message, None
-    from ..pubsub.peer import TopicEnvelope
-    if (isinstance(message, TopicEnvelope)
-            and isinstance(message.inner, GossipMessage)):
-        return message.inner, message.topic
-    return None, None
-
-
 def _halve(gossip):
     """Split a gossip's carried elements into two non-empty halves, taking
     elements field-by-field so progress is guaranteed whenever the gossip
     carries at least two elements in total.  A digest splits between its
     per-origin entries; each half is a digest in its own right."""
-    fields = ("subs", "unsubs", "events", "event_ids", "heartbeats")
+    fields = ("subs", "unsubs", "events", "event_ids")
     lengths = [len(getattr(gossip, name)) for name in fields]
     total = sum(lengths)
     if total < 2:
@@ -142,25 +130,17 @@ def split_oversize(
     ``fits(part)`` returns the part's encoded blob when the part is small
     enough to ship, else None.  Returns ``[(part, blob)]`` covering every
     element of the original exactly once, or None when the message is not
-    a gossip (or wraps an element that alone exceeds the budget) — the
+    a gossip (or carries an element that alone exceeds the budget) — the
     caller then counts it as undeliverable instead of shipping a truncated
     datagram.
     """
-    gossip, topic = _gossip_of(message)
-    if gossip is None:
+    if not isinstance(message, GossipMessage):
         return None
 
-    def wrap(part):
-        if topic is None:
-            return part
-        from ..pubsub.peer import TopicEnvelope
-        return TopicEnvelope(topic, part)
-
     def recurse(part) -> Optional[List[Tuple[object, bytes]]]:
-        wrapped = wrap(part)
-        blob = fits(wrapped)
+        blob = fits(part)
         if blob is not None:
-            return [(wrapped, blob)]
+            return [(part, blob)]
         halves = _halve(part)
         if halves is None:
             return None
@@ -172,7 +152,7 @@ def split_oversize(
             out.extend(sub)
         return out
 
-    return recurse(gossip)
+    return recurse(message)
 
 
 # -- the send-path planner ----------------------------------------------------

@@ -30,8 +30,6 @@ from .binary import decode_binary, encode_binary
 
 
 def _vectors() -> List[Tuple[object, str]]:
-    from ..pubsub.peer import TopicEnvelope
-
     return [
         (GossipMessage(sender=0), "01000000000000"),
         (
@@ -45,21 +43,12 @@ def _vectors() -> List[Tuple[object, str]]:
             "010602020201120000000000001240010602000000000000004006227465"
             "787422020602000800010c00",
         ),
-        (
-            GossipMessage(sender=2, heartbeats=((2, 17), (5, 3))),
-            "0104000000000204220a06",
-        ),
         (SubscriptionAck(1, (2, 3, 4)), "030203040202"),
         (RetransmitRequest(9, (EventId(1, 1),)), "041201020102"),
         (
             PbcastDigest(4, (EventId(2, 5),), (1,),
                          (Unsubscription(8, 1.0),)),
             "07080104010a01020110000000000000f03f",
-        ),
-        (
-            TopicEnvelope("t", GossipMessage(sender=1,
-                                             event_ids=((1, 2, ()),))),
-            "0d017401020000000102020000",
         ),
         # Double-echo records: digests are payload_digest() values — the
         # first 8 bytes of the payload's canonical-JSON sha256, so the

@@ -107,8 +107,8 @@ def read_svarint_run(data, pos: int, count: int) -> Tuple[list, int]:
     """Read ``count`` consecutive zigzag varints with one local-offset
     cursor; returns ``(values, new_pos)``.
 
-    The decode hot path: list fields (view pids, digest deltas, heartbeat
-    pairs) are runs of svarints, and reading them one
+    The decode hot path: list fields (view pids, event-id sequence deltas)
+    are runs of svarints, and reading them one
     :func:`read_svarint` call at a time makes Python function-call
     overhead the dominant decode cost.  This reader keeps the offset in a
     local and pays one call per *run* instead of per element, with the

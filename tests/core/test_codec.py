@@ -13,9 +13,7 @@ from repro.core.message import (
     SubscriptionAck,
     SubscriptionRequest,
 )
-from repro.loggers import LogUpload, LogUploadAck, RecoveryRequest, RecoveryResponse
 from repro.pbcast import PbcastData, PbcastDigest, PbcastSolicit
-from repro.pubsub import TopicEnvelope
 from repro.wire import (
     CodecError,
     decode_binary,
@@ -25,7 +23,7 @@ from repro.wire import (
     wire_bytes_of,
 )
 from repro.wire import binary
-from repro.wire.binary import TAG_GOSSIP, TAG_LOG_UPLOAD, TAG_SUB_REQUEST, TAG_TOPIC_ENVELOPE
+from repro.wire.binary import TAG_GOSSIP, TAG_PBCAST_DATA
 from repro.wire.varint import write_svarint, write_uvarint
 
 from ..helpers import notification
@@ -42,7 +40,7 @@ FULL_GOSSIP = GossipMessage(
 ALL_MESSAGES = [
     FULL_GOSSIP,
     GossipMessage(sender=0),
-    GossipMessage(sender=2, heartbeats=((2, 17), (5, 3))),
+    GossipMessage(sender=2, event_ids=((2, 17, ()), (5, 3, ()))),
     SubscriptionRequest(5),
     SubscriptionAck(1, (2, 3, 4)),
     RetransmitRequest(9, (EventId(1, 1),)),
@@ -50,11 +48,6 @@ ALL_MESSAGES = [
     PbcastData(2, notification(2, 5, "payload"), hops=3),
     PbcastDigest(4, (EventId(2, 5),), subs=(1,), unsubs=(Unsubscription(8, 1.0),)),
     PbcastSolicit(6, (EventId(2, 5), EventId(2, 6))),
-    LogUpload(1, notification(1, 9, [1, 2, 3])),
-    LogUploadAck(900, EventId(1, 9)),
-    RecoveryRequest(4, (EventId(1, 9),)),
-    RecoveryResponse(900, (notification(1, 9),), complete=False),
-    TopicEnvelope("stocks/nasdaq", FULL_GOSSIP),
 ]
 
 KNOWN_TAGS = {value for name, value in vars(binary).items()
@@ -89,12 +82,6 @@ class TestRoundTrip:
         # Payloads ride as embedded JSON inside a record, and records ride
         # inside a frame: the whole datagram gives the message back.
         assert decode_frame(encode_frame(7, [message])) == (7, [message])
-
-    def test_nested_envelope(self):
-        inner = TopicEnvelope("a", SubscriptionRequest(1))
-        outer = TopicEnvelope("b", inner)
-        assert decode_frame(encode_frame(1, [outer, inner])) \
-            == (1, [outer, inner])
 
 
 class TestErrors:
@@ -141,7 +128,7 @@ class TestErrors:
             decode_binary(_gossip_record_with_digest_entry(entry))
 
     def test_invalid_json(self):
-        record = bytearray([TAG_LOG_UPLOAD])
+        record = bytearray([TAG_PBCAST_DATA])
         for value in (1, 1, 1):                     # sender, origin, seq
             write_svarint(record, value)
         record += bytes(8)                          # created_at
@@ -150,11 +137,6 @@ class TestErrors:
         with pytest.raises(CodecError, match="invalid payload JSON"):
             decode_binary(bytes(record))
 
-    def test_malformed_envelope(self):
-        # A topic with no inner message behind it.
-        with pytest.raises(CodecError, match="missing tag byte"):
-            decode_binary(bytes([TAG_TOPIC_ENVELOPE, 1]) + b"a")
-
 
 class TestWireSize:
     def test_monotone_in_content(self):
@@ -162,27 +144,6 @@ class TestWireSize:
         assert wire_bytes_of(FULL_GOSSIP) > wire_bytes_of(empty)
 
     def test_roughly_compact(self):
-        # Tag, sender and five empty-list counts.
+        # Tag, sender, four empty-list counts and the reserved zero byte.
         assert wire_bytes_of(GossipMessage(sender=1)) == 7
 
-
-class TestTopicValidation:
-    """A TopicEnvelope with a non-string topic would build an envelope no
-    peer's topic table could match: refused on both sides of the wire."""
-
-    def test_encode_rejects_non_string_topic(self):
-        for bad in (42, None, ("a",), b"bytes"):
-            with pytest.raises(CodecError, match="expected str"):
-                encode_binary(TopicEnvelope(bad, SubscriptionRequest(1)))
-
-    def test_decode_rejects_non_string_topic(self):
-        # A topic that is not UTF-8 text never becomes an envelope.
-        blob = bytes([TAG_TOPIC_ENVELOPE, 2]) + b"\xff\xfe" + bytes(
-            [TAG_SUB_REQUEST, 2])
-        with pytest.raises(CodecError, match="invalid UTF-8"):
-            decode_binary(blob)
-
-    def test_string_topics_still_round_trip(self):
-        for topic in ("topic/with/slashes", "", "ünïcödé"):
-            message = TopicEnvelope(topic, SubscriptionRequest(2))
-            assert decode_binary(encode_binary(message)) == message

@@ -3,9 +3,7 @@
 import random
 
 from repro.core import LpbcastConfig, LpbcastNode
-from repro.loggers import build_logged_system
 from repro.metrics import DeliveryLog
-from repro.pubsub import build_pubsub_peers
 from repro.sim import (
     AsyncGossipRuntime,
     NetworkModel,
@@ -70,51 +68,3 @@ class TestAsyncLeave:
         )
         assert knowers <= 3
 
-
-class TestAsyncComposites:
-    def test_pubsub_over_async_runtime(self):
-        topics = {"a": list(range(12))}
-        peers = build_pubsub_peers(12, topics,
-                                   LpbcastConfig(fanout=3, view_max=6), seed=8)
-        net = NetworkModel(loss_rate=0.05, rng=random.Random(9),
-                           latency=constant_latency(0.1))
-        runtime = AsyncGossipRuntime(network=net, seed=8)
-        runtime.add_nodes(peers)
-        holder = {}
-        runtime.call_at(
-            1.0, lambda: holder.update(
-                event=peers[0].publish("a", "async", now=runtime.now)
-            )
-        )
-        runtime.run_until(15.0)
-        covered = sum(
-            1 for pid in range(12)
-            if peers[pid].topic_node("a").has_delivered(holder["event"].event_id)
-        )
-        assert covered == 12
-
-    def test_loggers_over_async_runtime(self):
-        cfg = LpbcastConfig(fanout=3, view_max=8, events_max=3,
-                            event_ids_max=6, digest_implies_delivery=False)
-        clients, loggers = build_logged_system(15, logger_count=1,
-                                               config=cfg, seed=10)
-        net = NetworkModel(loss_rate=0.2, rng=random.Random(11),
-                           latency=constant_latency(0.1))
-        runtime = AsyncGossipRuntime(network=net, seed=10)
-        runtime.add_nodes(clients + loggers)
-        holder = {}
-
-        def publish():
-            notification, uploads = clients[0].publish_logged(
-                "x", now=runtime.now
-            )
-            holder["event"] = notification
-            runtime.send(clients[0].pid, uploads)
-
-        runtime.call_at(1.0, publish)
-        runtime.run_until(60.0)
-        missing = sum(
-            1 for c in clients
-            if not c.has_contiguously_delivered(holder["event"].event_id)
-        )
-        assert missing == 0

@@ -8,10 +8,8 @@ would do) changes nothing about protocol behaviour.
 import random
 
 from repro.core import LpbcastConfig
-from repro.loggers import build_logged_system
 from repro.metrics import DeliveryLog
 from repro.pbcast import FIRST_PHASE_NONE, PbcastConfig, build_pbcast_nodes
-from repro.pubsub import build_pubsub_peers
 from repro.sim import NetworkModel, RoundSimulation, build_lpbcast_nodes
 from repro.wire import decode_binary, encode_binary
 
@@ -64,38 +62,3 @@ class TestSerializedTransport:
         sim.inject(nodes[0].pid, first)
         sim.run(10)
         assert log.delivery_count(event.event_id) >= 24
-
-    def test_pubsub_through_codec(self):
-        topics = {"a": list(range(15))}
-        peers = build_pubsub_peers(15, topics,
-                                   LpbcastConfig(fanout=3, view_max=6), seed=8)
-        for peer in peers:
-            codec_boundary(peer)
-        sim = RoundSimulation(seed=8)
-        sim.add_nodes(peers)
-        event = peers[0].publish("a", {"price": 10.5}, now=0.0)
-        sim.run(8)
-        delivered = sum(
-            1 for pid in range(15)
-            if peers[pid].topic_node("a").has_delivered(event.event_id)
-        )
-        assert delivered == 15
-
-    def test_logger_extension_through_codec(self):
-        cfg = LpbcastConfig(fanout=3, view_max=8,
-                            digest_implies_delivery=False)
-        clients, loggers = build_logged_system(15, logger_count=1,
-                                               config=cfg, seed=9)
-        for node in clients + loggers:
-            codec_boundary(node)
-        sim = RoundSimulation(
-            NetworkModel(loss_rate=0.1, rng=random.Random(10)), seed=9
-        )
-        sim.add_nodes(clients + loggers)
-        notification, uploads = clients[0].publish_logged("x", now=0.0)
-        sim.inject(clients[0].pid, uploads)
-        sim.run(25)
-        assert all(
-            c.has_contiguously_delivered(notification.event_id)
-            for c in clients
-        )

@@ -106,7 +106,7 @@ def run_twins(scenario, weighted, make_rng):
         assert OWNER not in new.view
         assert not set(scenario["dead"]) & (set(new.view) - set(scenario["initial_view"]))
     # The positions ``absorb`` re-derived are real: every survivor can be
-    # found and swap-removed (the failure detector does this to ``subs``).
+    # found and swap-removed.
     for pid in tuple(new.subs):
         assert pid in new.subs
         assert new.subs.discard(pid)

@@ -1,7 +1,7 @@
 """Property-based tests for the binary wire codec and frame layer.
 
-Message strategies cover every binary tag — the core protocol, pbcast, the
-logger messages and pub/sub envelopes — and the tests check two total
+Message strategies cover every binary tag — the core protocol and
+pbcast — and the tests check two total
 properties: every generated message round-trips bit-exactly, and *no* byte
 string — random or a truncated/mutated valid encoding — ever raises
 anything but :class:`~repro.wire.CodecError`.
@@ -22,14 +22,7 @@ from repro.core.message import (
     SubscriptionAck,
     SubscriptionRequest,
 )
-from repro.loggers.messages import (
-    LogUpload,
-    LogUploadAck,
-    RecoveryRequest,
-    RecoveryResponse,
-)
 from repro.pbcast import PbcastData, PbcastDigest, PbcastSolicit
-from repro.pubsub.peer import TopicEnvelope
 from repro.wire import (
     CodecError,
     decode_binary,
@@ -74,9 +67,6 @@ unsubs = st.builds(
     Unsubscription, pid=pids,
     timestamp=st.floats(min_value=0, max_value=1e6, allow_nan=False),
 )
-heartbeats = st.lists(
-    st.tuples(pids, st.integers(min_value=0, max_value=10**6)), max_size=5
-).map(tuple)
 
 # A gossip's digest: per-origin (origin, frontier, extras) entries in any
 # origin order, extras ascending past the frontier by gaps of every width.
@@ -94,14 +84,14 @@ gossips = st.builds(
     unsubs=st.lists(unsubs, max_size=4).map(tuple),
     events=st.lists(notifications, max_size=4).map(tuple),
     event_ids=digests_of_ids,
-    heartbeats=heartbeats,
 )
 
 # payload_digest() values span the full 64-bit range (first 8 bytes of a
 # sha256), so the digest strategy must too.
 digests = st.integers(min_value=0, max_value=2**64 - 1)
 
-core_messages = st.one_of(
+#: Every message type carrying a binary tag.
+any_wire_message = st.one_of(
     gossips,
     st.builds(EchoMessage, sender=pids, event_id=event_ids, digest=digests),
     st.builds(ReadyMessage, sender=pids, event_id=event_ids, digest=digests),
@@ -122,22 +112,6 @@ core_messages = st.one_of(
               ids=st.lists(event_ids, max_size=5).map(tuple)),
 )
 
-logger_messages = st.one_of(
-    st.builds(LogUpload, sender=pids, notification=notifications),
-    st.builds(LogUploadAck, logger=pids, event_id=event_ids),
-    st.builds(RecoveryRequest, requester=pids,
-              frontier=st.lists(event_ids, max_size=5).map(tuple)),
-    st.builds(RecoveryResponse, logger=pids,
-              events=st.lists(notifications, max_size=3).map(tuple),
-              complete=st.booleans()),
-)
-
-envelopes = st.builds(TopicEnvelope, topic=st.text(max_size=12),
-                      inner=st.one_of(gossips, logger_messages))
-
-#: Every message type carrying a binary tag.
-any_wire_message = st.one_of(core_messages, logger_messages, envelopes)
-
 # -- causal dependency metadata ----------------------------------------------
 # Only gossip and retransmit responses carry deps on the wire (the causal
 # tags 0x10/0x11); every other notification-bearing record ships the base
@@ -156,7 +130,6 @@ causal_gossips = st.builds(
     unsubs=st.lists(unsubs, max_size=3).map(tuple),
     events=st.lists(causal_notifications, min_size=1, max_size=4).map(tuple),
     event_ids=digests_of_ids,
-    heartbeats=heartbeats,
 )
 causal_responses = st.builds(
     RetransmitResponse,

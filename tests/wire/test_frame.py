@@ -5,7 +5,6 @@ import pytest
 from repro.core.events import Notification
 from repro.core.ids import EventId
 from repro.core.message import GossipMessage, SubscriptionRequest
-from repro.pubsub.peer import TopicEnvelope
 from repro.wire import (
     FRAME_BINARY,
     CodecError,
@@ -29,7 +28,7 @@ def make_gossip(sender=1, n_events=3, payload="x" * 40):
 class TestFrameRoundTrip:
     def test_multi_message_frame(self):
         messages = [make_gossip(), SubscriptionRequest(9),
-                    TopicEnvelope("t", make_gossip(sender=2))]
+                    make_gossip(sender=2)]
         frame = encode_frame(7, messages)
         assert frame[0] == FRAME_BINARY
         sender, decoded = decode_frame(frame)
@@ -129,19 +128,6 @@ class TestSplitOversize:
         assert tuple(events) == gossip.events
         ids = [i for part, _blob in parts for i in part.event_ids]
         assert tuple(ids) == gossip.event_ids
-
-    def test_envelope_wrapped_gossip_splits(self):
-        wrapped = TopicEnvelope("t", make_gossip(n_events=20, payload="z" * 50))
-
-        def fits(part):
-            from repro.wire import encode_binary
-            blob = encode_binary(part)
-            return blob if len(blob) <= 300 else None
-
-        parts = split_oversize(wrapped, fits)
-        assert parts is not None
-        assert all(isinstance(p, TopicEnvelope) and p.topic == "t"
-                   for p, _blob in parts)
 
     def test_digest_alone_over_the_cap_covers_every_entry_once(self):
         # 200 origins with gaps: the digest by itself outgrows a 256-byte
